@@ -1,15 +1,27 @@
 """Segment splitting and Euler counting for the dissected polygon.
 
-``split_all`` is the reference algorithm: a working set is rescanned for
-every base segment, crossings cut both sides, endpoint touches cut only
-the touched side, and the incoming segment joins the set as its fragments.
-``split_all_fast`` produces the same fragment multiset by intersecting the
-base segments pairwise (vectorized) and cutting each one once; it exists
-because the working-set rescan is quadratic in the fragment count.
+There are three routes from the base segments to the counts:
 
-Vertices are counted by snapping the fragment endpoints to a grid of
-pitch ``point_fuzzy`` and clustering across neighboring cells with
-union-find, which is deterministic and independent of segment order.
+* ``counts`` (the orbit route) intersects one base segment per rotation
+  orbit with all base segments, merges the cut parameters along each
+  representative, and weighs every point by its orbit size and by the
+  number of segments through it. It never builds the full arrangement.
+* ``split_all_fast`` + ``count_vertices`` (the full route) cuts every base
+  segment at its pairwise intersections and clusters the fragment
+  endpoints. Figures need it, and the tests use it as the oracle for
+  ``counts``.
+* ``split_all`` is the reference splitter: a working set is rescanned for
+  every base segment, crossings cut both sides, endpoint touches cut only
+  the touched side, and the incoming segment joins the set as its
+  fragments. The tests use it as the oracle for ``split_all_fast``.
+
+``split_all_fast`` and ``counts`` share one vectorized kernel that solves
+base-segment pairs and classifies each line parameter as interior, end or
+miss within ``point_fuzzy``.
+
+Vertices of the full route are counted by snapping the fragment endpoints
+to a grid of pitch ``point_fuzzy`` and clustering across neighboring cells
+with union-find, which is deterministic and independent of segment order.
 """
 
 from __future__ import annotations
@@ -20,8 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousClustering, NumericalDegeneracy, SymmetryViolation
-from .geom import DEFAULT_TOL, Point2, Segment, Tolerance, merge_params, split_at_params
-from .polygon import PolygonSpec, base_segments
+from .geom import (
+    DEFAULT_TOL, Point2, Segment, Tolerance, merge_params, merge_runs, split_at_params,
+)
+from .polygon import PolygonSpec, base_segments, orbit_representatives
 
 # Both are plain segment lists; a SplitSegmentSet additionally satisfies the
 # crossing-free invariant (no Interior x Interior intersection remains).
@@ -157,6 +171,51 @@ def _checked_fragments(seg: Segment, params: list[float], tol: Tolerance) -> lis
     return frags
 
 
+# Classes of a line parameter, as _solve_pairs returns them.
+_MISS, _END, _INTERIOR = 0, 1, 2
+
+
+def _segment_arrays(segs: SegmentSet) -> tuple[np.ndarray, ...]:
+    """Start x, start y, direction x, direction y and length per segment."""
+    m = len(segs)
+    x0 = np.fromiter((s.p0.x for s in segs), dtype=float, count=m)
+    y0 = np.fromiter((s.p0.y for s in segs), dtype=float, count=m)
+    x1 = np.fromiter((s.p1.x for s in segs), dtype=float, count=m)
+    y1 = np.fromiter((s.p1.y for s in segs), dtype=float, count=m)
+    dx = x1 - x0
+    dy = y1 - y0
+    return x0, y0, dx, dy, np.hypot(dx, dy)
+
+
+def _param_class(p: np.ndarray, live: np.ndarray, fuzz: float) -> np.ndarray:
+    """The class of each parameter of a live (non-parallel) pair; _MISS elsewhere."""
+    interior = live & (p > fuzz) & (p < 1.0 - fuzz)
+    end = live & ((np.abs(p) < fuzz) | (np.abs(p - 1.0) < fuzz))
+    return interior * np.int8(_INTERIOR) + end * np.int8(_END)
+
+
+def _solve_pairs(arrays: tuple[np.ndarray, ...], rows: np.ndarray, fuzz: float):
+    """Intersect the segments ``rows`` with every segment, vectorized.
+
+    Returns ``t`` (on the row segment), ``u`` (on the column segment), both
+    of shape (len(rows), m), and their classes: _INTERIOR strictly between
+    the fuzz bands, _END within fuzz of 0 or 1, _MISS outside the segment.
+    Parallel pairs, a segment paired with itself among them, are _MISS on
+    both sides.
+    """
+    x0, y0, dx, dy, seglen = arrays
+    rdx = dx[rows, None]
+    rdy = dy[rows, None]
+    det = rdy * dx[None, :] - rdx * dy[None, :]
+    live = np.abs(det) >= fuzz * (seglen[rows, None] * seglen[None, :])
+    rhsx = x0[None, :] - x0[rows, None]
+    rhsy = y0[None, :] - y0[rows, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (dx[None, :] * rhsy - rhsx * dy[None, :]) / det
+        u = (rdx * rhsy - rhsx * rdy) / det
+    return t, u, _param_class(t, live, fuzz), _param_class(u, live, fuzz)
+
+
 def split_all_fast(base: SegmentSet, tol: Tolerance = DEFAULT_TOL) -> SplitSegmentSet:
     """Same fragment multiset as split_all, via pairwise base intersections.
 
@@ -168,39 +227,20 @@ def split_all_fast(base: SegmentSet, tol: Tolerance = DEFAULT_TOL) -> SplitSegme
     if m < 2:
         return list(base)
     fuzz = tol.point_fuzzy
-
-    x0 = np.fromiter((s.p0.x for s in base), dtype=float, count=m)
-    y0 = np.fromiter((s.p0.y for s in base), dtype=float, count=m)
-    x1 = np.fromiter((s.p1.x for s in base), dtype=float, count=m)
-    y1 = np.fromiter((s.p1.y for s in base), dtype=float, count=m)
-    dx = x1 - x0
-    dy = y1 - y0
-    seglen = np.hypot(dx, dy)
+    arrays = _segment_arrays(base)
 
     cuts: list[list[float]] = [[] for _ in range(m)]
     cols = np.arange(m)
     block = max(1, 1_000_000 // m)
     for lo in range(0, m, block):
-        hi = min(m, lo + block)
-        rdx = dx[lo:hi, None]
-        rdy = dy[lo:hi, None]
-        det = rdy * dx[None, :] - rdx * dy[None, :]
-        live = (cols[None, :] > cols[lo:hi, None]) \
-            & (np.abs(det) >= fuzz * (seglen[lo:hi, None] * seglen[None, :]))
-        rhsx = x0[None, :] - x0[lo:hi, None]
-        rhsy = y0[None, :] - y0[lo:hi, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (dx[None, :] * rhsy - rhsx * dy[None, :]) / det
-            u = (rdx * rhsy - rhsx * rdy) / det
-        t_int = (t > fuzz) & (t < 1.0 - fuzz)
-        u_int = (u > fuzz) & (u < 1.0 - fuzz)
-        t_end = (np.abs(t) < fuzz) | (np.abs(t - 1.0) < fuzz)
-        u_end = (np.abs(u) < fuzz) | (np.abs(u - 1.0) < fuzz)
+        rows = cols[lo:lo + block]
+        t, u, t_cls, u_cls = _solve_pairs(arrays, rows, fuzz)
+        upper = cols[None, :] > rows[:, None]
 
-        rr, cc = np.nonzero(live & t_int & (u_int | u_end))
+        rr, cc = np.nonzero(upper & (t_cls == _INTERIOR) & (u_cls != _MISS))
         for i, tv in zip((rr + lo).tolist(), t[rr, cc].tolist()):
             cuts[i].append(tv)
-        rr, cc = np.nonzero(live & u_int & (t_int | t_end))
+        rr, cc = np.nonzero(upper & (u_cls == _INTERIOR) & (t_cls != _MISS))
         for j, uv in zip(cc.tolist(), u[rr, cc].tolist()):
             cuts[j].append(uv)
 
@@ -333,17 +373,62 @@ def count_vertices(split: SplitSegmentSet, tol: Tolerance = DEFAULT_TOL) -> int:
     return len(centroids)
 
 
-def counts(spec: PolygonSpec, tol: Tolerance = DEFAULT_TOL, fast: bool = True) -> CountSummary:
-    """Count V, E and F for the dissected polygon via Euler's formula.
+def counts(spec: PolygonSpec, tol: Tolerance = DEFAULT_TOL) -> CountSummary:
+    """Count V, E and F for the dissected polygon from one segment per orbit.
 
-    F = 1 + E - V counts only the faces inside the polygon. The face total
-    must decompose as N*per_ray + central (central = 1 for even n);
-    otherwise SymmetryViolation is raised.
+    Each orbit representative is solved against all base segments. Its hit
+    parameters and its ends 0 and 1 merge into the points on it, so it has
+    points - 1 fragments, and each point lies on 1 + (hits merged into it)
+    base segments. Rotation carries every count to the rest of the orbit:
+    E is the sum of orbit * (points - 1), and the incidences c_k, the sum of
+    orbit over the points on k segments, give V as the sum of c_k / k
+    (Poonen and Rubinstein's bookkeeping for concurrent diagonals).
+
+    F = 1 + E - V counts only the faces inside the polygon. Raises
+    NumericalDegeneracy for a fragment shorter than fuzz, and
+    AmbiguousClustering for two distinct points on one segment closer than
+    3*fuzz or for incidences c_k that k does not divide. The face total must
+    decompose as N*per_ray + central (central = 1 for even n); otherwise
+    SymmetryViolation is raised.
     """
-    base = base_segments(spec)
-    split = split_all_fast(base, tol) if fast else split_all(base, tol)
-    e = len(split)
-    v = count_vertices(split, tol)
+    fuzz = tol.point_fuzzy
+    arrays = _segment_arrays(base_segments(spec))
+    seglen = arrays[4]
+    reps = orbit_representatives(spec)
+    t, _, t_cls, u_cls = _solve_pairs(arrays, np.array([r for r, _ in reps]), fuzz)
+    hit = (t_cls != _MISS) & (u_cls != _MISS)
+
+    e = 0
+    incidences = np.zeros(len(seglen) + 1, dtype=np.int64)  # c_k at index k
+    closest = (math.inf, 0.0, 0.0)  # gap between neighbouring points, their parameters
+    for i, (row, orbit) in enumerate(reps):
+        points, sizes = merge_runs(t[i, hit[i]].tolist() + [0.0, 1.0], fuzz)
+        gaps = np.diff(points) * seglen[row]
+        j = int(np.argmin(gaps))
+        closest = min(closest, (float(gaps[j]), points[j], points[j + 1]))
+        e += orbit * (len(points) - 1)
+        multiplicity = np.array(sizes) + 1
+        # the 0 and 1 added above stand for the representative itself
+        multiplicity[[0, -1]] -= 1
+        incidences += orbit * np.bincount(multiplicity, minlength=len(incidences))
+
+    gap, ta, tb = closest
+    if gap < fuzz:
+        raise NumericalDegeneracy(
+            f"fragment between parameters {ta:.12g} and {tb:.12g} has length {gap:.3e},"
+            f" shorter than fuzz {fuzz:g}")
+    if gap < 3.0 * fuzz:
+        raise AmbiguousClustering(
+            f"points at parameters {ta:.12g} and {tb:.12g} of one segment are {gap:.3e}"
+            f" apart, closer than 3*fuzz = {3.0 * fuzz:g}")
+    ks = np.flatnonzero(incidences)
+    for k, c in zip(ks.tolist(), incidences[ks].tolist()):
+        if c % k:
+            raise AmbiguousClustering(
+                f"points on {k} segments have {c} incidences, not a multiple of {k}:"
+                f" one point was resolved differently on different segments")
+    v = int((incidences[ks] // ks).sum())
+
     f = 1 + e - v
     central = 1 if spec.n % 2 == 0 else 0
     if (f - central) % spec.N != 0:

@@ -199,7 +199,7 @@ def cmd_render(n: int, out_path: str, opts: RenderOptions,
         print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
         return 4
     e = len(split)
-    v = count_vertices(split, tol)
+    v = len(graph.vertices) if graph is not None else count_vertices(split, tol)
     stream.write(f"{e} edges {v} vertices {1 + e - v} tiles -> {out_path}\n")
     return 0
 

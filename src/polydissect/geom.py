@@ -121,21 +121,30 @@ def classify_param(t: float, tol: Tolerance = DEFAULT_TOL) -> ParamClass:
     return ParamClass.OUTSIDE
 
 
-def merge_params(params: list[float], fuzz: float) -> list[float]:
+def merge_runs(params: list[float], fuzz: float) -> tuple[list[float], list[int]]:
     """Sort split parameters and collapse runs closer than ``fuzz``.
 
-    The first element of the sorted list always survives; within any later
-    run of near-equal values the last one survives.
+    Returns the surviving value of each run and the number of parameters
+    in it. The first element of the sorted list always survives; within
+    any later run of near-equal values the last one survives.
     """
     ts = sorted(params)
     out = [ts[0]]
+    sizes = [1]
     for t in ts[1:]:
         if t - out[-1] < fuzz:
             if len(out) > 1:
                 out[-1] = t
+            sizes[-1] += 1
         else:
             out.append(t)
-    return out
+            sizes.append(1)
+    return out, sizes
+
+
+def merge_params(params: list[float], fuzz: float) -> list[float]:
+    """The surviving values of ``merge_runs``: one parameter per run."""
+    return merge_runs(params, fuzz)[0]
 
 
 def split_at_params(s: Segment, ts: list[float], tol: Tolerance = DEFAULT_TOL) -> list[Segment]:

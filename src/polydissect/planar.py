@@ -144,17 +144,22 @@ def enumerate_faces(g: PlanarGraph) -> list[FaceRecord]:
     areas = []
     for cycle in cycles:
         coords = [g.vertices[g.origin(h)] for h in cycle]
+        # Work relative to the first vertex: in absolute coordinates the
+        # shoelace terms of a tile far from the origin cancel, and the
+        # smallest tiles' centroids lose more than the orbit match radius.
+        ox, oy = coords[0]
+        rel = [(x - ox, y - oy) for x, y in coords]
         area2 = 0.0
         cx6 = 0.0
         cy6 = 0.0
-        for (ax, ay), (bx, by) in zip(coords, coords[1:] + coords[:1]):
+        for (ax, ay), (bx, by) in zip(rel, rel[1:] + rel[:1]):
             w = ax * by - bx * ay
             area2 += w
             cx6 += (ax + bx) * w
             cy6 += (ay + by) * w
         area = 0.5 * area2
         if abs(area2) > 1e-30:
-            centroid = Point2(cx6 / (3.0 * area2), cy6 / (3.0 * area2))
+            centroid = Point2(ox + cx6 / (3.0 * area2), oy + cy6 / (3.0 * area2))
         else:
             centroid = Point2(sum(p.x for p in coords) / len(coords),
                               sum(p.y for p in coords) / len(coords))

@@ -61,6 +61,22 @@ def base_segments(spec: PolygonSpec) -> list[Segment]:
     return segs
 
 
+def orbit_representatives(spec: PolygonSpec) -> list[tuple[int, int]]:
+    """One base segment per orbit under rotation by 2pi/N, with the orbit size.
+
+    Indices are into ``base_segments(spec)``. The rotation takes corner j to
+    j+1, so the 2n perimeter edges form one orbit. It takes the diagonal of
+    family k on side e = n-1 to the diagonal of family n-1-k on side 0, so
+    families k and n-1-k together form one orbit of size 2n, except the
+    diameters (2k+1 = n), whose orbit has size n.
+    """
+    n = spec.n
+    reps = [(0, 2 * n)]
+    for k in range(1, (n - 1) // 2 + 1):
+        reps.append((2 * n + k - 1, n if 2 * k + 1 == n else 2 * n))
+    return reps
+
+
 def diagonal_census(spec: PolygonSpec) -> DiagonalCensus:
     """Evaluate the diagonal count formulas for the polygon."""
     n = spec.n

@@ -11,6 +11,7 @@ from polydissect import (
     Point2,
     PolygonSpec,
     Segment,
+    Tolerance,
     base_segments,
     count_vertices,
     counts,
@@ -21,6 +22,13 @@ from polydissect import (
 
 def seg(x0, y0, x1, y1):
     return Segment(Point2(x0, y0), Point2(x1, y1))
+
+
+def full_route(spec, tol=DEFAULT_TOL, splitter=split_all_fast):
+    """(V, E, F) from the whole arrangement: split every segment, cluster endpoints."""
+    split = splitter(base_segments(spec), tol)
+    v = count_vertices(split, tol)
+    return v, len(split), 1 + len(split) - v
 
 
 @pytest.mark.parametrize("splitter", [split_all, split_all_fast])
@@ -134,9 +142,28 @@ class TestCounts:
 
     def test_slow_path_gives_the_same_counts(self):
         for n in (2, 3, 4, 5, 6, 7):
-            fast = counts(PolygonSpec(n), fast=True)
-            slow = counts(PolygonSpec(n), fast=False)
-            assert (fast.V, fast.E, fast.F) == (slow.V, slow.E, slow.F)
+            spec = PolygonSpec(n)
+            orbit = counts(spec)
+            assert full_route(spec, splitter=split_all) == (orbit.V, orbit.E, orbit.F)
+            assert full_route(spec) == (orbit.V, orbit.E, orbit.F)
+
+    @pytest.mark.parametrize("n", range(2, 40))
+    def test_orbit_route_matches_the_full_route(self, n):
+        spec = PolygonSpec(n)
+        s = counts(spec)
+        assert full_route(spec) == (s.V, s.E, s.F)
+
+    @pytest.mark.parametrize("n,fuzz,error", [
+        # smallest gap between distinct points on one segment: 1.47e-5 < 3*fuzz
+        (20, 1e-5, AmbiguousClustering),
+        (17, 9e-4, NumericalDegeneracy),
+    ])
+    def test_both_routes_refuse_a_too_coarse_fuzz(self, n, fuzz, error):
+        spec = PolygonSpec(n)
+        with pytest.raises(error):
+            counts(spec, Tolerance(fuzz))
+        with pytest.raises(error):
+            full_route(spec, Tolerance(fuzz))
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_divisibility(self, n):

@@ -13,6 +13,7 @@ from polydissect import (
     point_at,
     split_at_params,
 )
+from polydissect.geom import merge_runs
 
 
 def seg(x0, y0, x1, y1):
@@ -133,6 +134,18 @@ class TestSplitAtParams:
         parts = split_at_params(seg(-1, -1, 1, 1), [0.25, 0.5, 0.75])
         for a, b in zip(parts, parts[1:]):
             assert a.p1 == b.p0
+
+
+class TestMergeRuns:
+    def test_runs_and_their_sizes(self):
+        values, sizes = merge_runs([0.7, 0.0, 0.3 + 1e-12, 1.0, 0.3, 0.3 + 2e-12], 1e-10)
+        assert values == [0.0, 0.3 + 2e-12, 0.7, 1.0]
+        assert sizes == [1, 3, 1, 1]
+
+    def test_first_value_survives_in_the_first_run(self):
+        values, sizes = merge_runs([4e-11, -4e-11, 0.5], 1e-10)
+        assert values == [-4e-11, 0.5]
+        assert sizes == [2, 1]
 
 
 def test_degenerate_segment_rejected():

@@ -17,6 +17,7 @@ from polydissect import (
     orbit_census,
     split_all_fast,
 )
+from polydissect.cli import reference_table
 
 
 def graph_for(n):
@@ -133,6 +134,15 @@ class TestOrbitCensus:
         assert set(census.orbit_sizes) <= {1, spec.N}
         assert census.orbit_sizes.count(1) == census.central
         assert census.per_ray * spec.N + census.central == inner_count
+
+    @pytest.mark.parametrize("n", [20, 22, 23, 25, 26, 30])
+    def test_census_of_large_polygons_matches_the_reference(self, n):
+        # the smallest tiles here have area ~2e-10: their centroids must not
+        # lose the 10*fuzz match radius to cancellation
+        spec = PolygonSpec(n)
+        census = orbit_census(enumerate_faces(graph_for(n)), spec)
+        reference = {r.n: r for r in reference_table()}[n]
+        assert census.per_ray * spec.N + census.central == reference.F
 
     def test_face_orbit_assignment_covers_inner_faces(self):
         spec = PolygonSpec(4)

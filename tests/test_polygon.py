@@ -3,6 +3,7 @@ import math
 import pytest
 
 from polydissect import PolygonSpec, base_segments, corners, diagonal_census
+from polydissect.polygon import orbit_representatives
 
 
 def test_spec_requires_n_at_least_two():
@@ -142,3 +143,26 @@ def test_base_set_is_invariant_under_rotation_by_one_step(n):
                      c * s.p1.x - sn * s.p1.y, sn * s.p1.x + c * s.p1.y)
                for s in segs}
     assert rotated == original
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_orbit_representatives_generate_the_base_set(n):
+    # rotating each representative by multiples of pi/n hits every base
+    # segment exactly once, in an orbit of the stated size
+    spec = PolygonSpec(n)
+    base = base_segments(spec)
+    key = {}
+    for i, s in enumerate(base):
+        key[frozenset((round(p.x, 9) + 0.0, round(p.y, 9) + 0.0) for p in (s.p0, s.p1))] = i
+    seen = []
+    for index, orbit in orbit_representatives(spec):
+        s = base[index]
+        images = set()
+        for j in range(2 * n):
+            c, d = math.cos(math.pi * j / n), math.sin(math.pi * j / n)
+            ends = frozenset((round(c * p.x - d * p.y, 9) + 0.0, round(d * p.x + c * p.y, 9) + 0.0)
+                             for p in (s.p0, s.p1))
+            images.add(key[ends])
+        assert len(images) == orbit
+        seen.extend(images)
+    assert sorted(seen) == list(range(len(base)))
