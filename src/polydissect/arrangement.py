@@ -19,9 +19,10 @@ There are three routes from the base segments to the counts:
 base-segment pairs and classifies each line parameter as interior, end or
 miss within ``point_fuzzy``.
 
-Vertices of the full route are counted by snapping the fragment endpoints
-to a grid of pitch ``point_fuzzy`` and clustering across neighboring cells
-with union-find, which is deterministic and independent of segment order.
+Vertices of the full route are the connected components of the fragment
+endpoints under the distance <= ``point_fuzzy`` relation, found with the
+shared neighbour search ``geom.close_pairs``; the result is deterministic
+and independent of segment order.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import AmbiguousClustering, NumericalDegeneracy, SymmetryViolation
 from .geom import (
-    DEFAULT_TOL, Point2, Segment, Tolerance, merge_params, merge_runs, split_at_params,
+    DEFAULT_TOL, Point2, Segment, Tolerance, close_pairs, merge_runs, split_at_params,
 )
 from .polygon import PolygonSpec, base_segments, orbit_representatives
 
@@ -73,7 +74,7 @@ def _cut_tuple(wx0, wy0, wx1, wy1, u, fuzz):
 
 def _split_tuple(x0, y0, x1, y1, params, fuzz):
     """Cut one segment (as coordinates) at merged interior parameters."""
-    merged = merge_params(params + [0.0, 1.0], fuzz)
+    merged = merge_runs(params + [0.0, 1.0], fuzz)[0]
     pts = [(t * x1 + (1.0 - t) * x0, t * y1 + (1.0 - t) * y0) for t in merged]
     out = []
     for (ax, ay), (bx, by) in zip(pts, pts[1:]):
@@ -260,9 +261,10 @@ def cluster_endpoints(
 
     Returns a label per endpoint (p0 then p1 of each segment, in order)
     and the cluster centroids. Exactly equal points are collapsed first;
-    the rest are clustered with union-find over the distance <= fuzz
-    relation, searched within a 3x3 neighborhood of fuzz-pitch grid cells.
-    Raises AmbiguousClustering when two centroids come closer than 3*fuzz.
+    the clusters are the connected components of the distance <= fuzz
+    relation among the rest, found with ``close_pairs``, and are numbered
+    in the order of their first point in sorted (x, y) order. Raises
+    AmbiguousClustering when two centroids come closer than 3*fuzz.
     """
     m = len(split)
     flat = np.fromiter(
@@ -271,100 +273,42 @@ def cluster_endpoints(
     xs = flat[0::2]
     ys = flat[1::2]
     uniq, inverse = np.unique(xs + 1j * ys, return_inverse=True)
-    nu = len(uniq)
     fuzz = tol.point_fuzzy
 
-    ux = uniq.real.tolist()
-    uy = uniq.imag.tolist()
-    gx = np.floor(uniq.real / fuzz).astype(np.int64).tolist()
-    gy = np.floor(uniq.imag / fuzz).astype(np.int64).tolist()
-    cells: dict[tuple[int, int], list[int]] = {}
-    for i in range(nu):
-        cells.setdefault((gx[i], gy[i]), []).append(i)
-
-    parent = list(range(nu))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    limit2 = fuzz * fuzz
-    for (cx, cy), members in cells.items():
-        k = len(members)
-        for a in range(k):
-            i = members[a]
-            xi = ux[i]
-            yi = uy[i]
-            for b in range(a + 1, k):
-                j = members[b]
-                ddx = xi - ux[j]
-                ddy = yi - uy[j]
-                if ddx * ddx + ddy * ddy <= limit2:
-                    parent[find(i)] = find(j)
-        for ox, oy in ((1, 0), (1, 1), (0, 1), (-1, 1)):
-            other = cells.get((cx + ox, cy + oy))
-            if not other:
-                continue
-            for i in members:
-                xi = ux[i]
-                yi = uy[i]
-                for j in other:
-                    ddx = xi - ux[j]
-                    ddy = yi - uy[j]
-                    if ddx * ddx + ddy * ddy <= limit2:
-                        parent[find(i)] = find(j)
-
-    # number clusters in the canonical order of the sorted unique points
-    cluster_id: dict[int, int] = {}
-    labels_u = np.empty(nu, dtype=np.int64)
-    for i in range(nu):
-        root = find(i)
-        cid = cluster_id.get(root)
-        if cid is None:
-            cid = len(cluster_id)
-            cluster_id[root] = cid
-        labels_u[i] = cid
+    # every point takes the smallest index in its component: min over the
+    # neighbours, then pointer jumping, until nothing changes
+    points = np.column_stack((uniq.real, uniq.imag))
+    i, j = close_pairs(points, points, fuzz)
+    root = np.arange(len(uniq))
+    while True:
+        nxt = root.copy()
+        np.minimum.at(nxt, i, root[j])
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, root):
+            break
+        root = nxt
+    roots, labels_u = np.unique(root, return_inverse=True)
     labels = labels_u[inverse]
 
-    nv = len(cluster_id)
+    nv = len(roots)
     counts_per = np.bincount(labels, minlength=nv)
     cxs = np.bincount(labels, weights=xs, minlength=nv) / counts_per
     cys = np.bincount(labels, weights=ys, minlength=nv) / counts_per
-    _check_cluster_separation(cxs, cys, fuzz)
+
+    pitch = 3.0 * fuzz
+    centres = np.column_stack((cxs, cys))
+    i, j = close_pairs(centres, centres, pitch)
+    dx = cxs[i] - cxs[j]
+    dy = cys[i] - cys[j]
+    gap2 = dx * dx + dy * dy
+    near = np.flatnonzero((i < j) & (gap2 < pitch * pitch))
+    if len(near):
+        k = near[0]
+        raise AmbiguousClustering(
+            f"vertex clusters {i[k]} and {j[k]} are {math.sqrt(gap2[k]):.3e}"
+            f" apart, closer than 3*fuzz = {pitch:g}")
     centroids = [Point2(a, b) for a, b in zip(cxs.tolist(), cys.tolist())]
     return labels, centroids
-
-
-def _check_cluster_separation(cxs: np.ndarray, cys: np.ndarray, fuzz: float) -> None:
-    """Fail if two distinct vertex clusters sit closer than 3*fuzz."""
-    pitch = 3.0 * fuzz
-    limit2 = pitch * pitch
-    xs = cxs.tolist()
-    ys = cys.tolist()
-    cells: dict[tuple[int, int], list[int]] = {}
-    for i in range(len(xs)):
-        cells.setdefault((math.floor(xs[i] / pitch), math.floor(ys[i] / pitch)), []).append(i)
-
-    def check(i: int, j: int) -> None:
-        ddx = xs[i] - xs[j]
-        ddy = ys[i] - ys[j]
-        if ddx * ddx + ddy * ddy < limit2:
-            raise AmbiguousClustering(
-                f"vertex clusters {i} and {j} are {math.sqrt(ddx * ddx + ddy * ddy):.3e}"
-                f" apart, closer than 3*fuzz = {pitch:g}")
-
-    for (cx, cy), members in cells.items():
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                check(members[a], members[b])
-        for ox, oy in ((1, 0), (1, 1), (0, 1), (-1, 1)):
-            other = cells.get((cx + ox, cy + oy))
-            if other:
-                for i in members:
-                    for j in other:
-                        check(i, j)
 
 
 def count_vertices(split: SplitSegmentSet, tol: Tolerance = DEFAULT_TOL) -> int:

@@ -6,7 +6,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .arrangement import CountSummary, count_vertices, counts, split_all_fast
@@ -100,19 +99,14 @@ def reference_table() -> list[ReferenceRow]:
     return rows
 
 
-def _count_one(payload: tuple[int, float]) -> tuple[int, CountSummary, float]:
-    n, fuzz = payload
-    start = time.perf_counter()
-    summary = counts(PolygonSpec(n), Tolerance(fuzz))
-    return n, summary, time.perf_counter() - start
-
-
-def _count_range(ns: list[int], tol: Tolerance, jobs: int):
-    payloads = [(n, tol.point_fuzzy) for n in ns]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_count_one, payloads))
-    return [_count_one(p) for p in payloads]
+def _count_range(ns: list[int], tol: Tolerance) -> list[tuple[int, CountSummary, float]]:
+    """(n, counts, seconds) for each n, counted one after another."""
+    results = []
+    for n in ns:
+        start = time.perf_counter()
+        summary = counts(PolygonSpec(n), tol)
+        results.append((n, summary, time.perf_counter() - start))
+    return results
 
 
 def _summary_dict(s: CountSummary) -> dict:
@@ -120,11 +114,11 @@ def _summary_dict(s: CountSummary) -> dict:
             "per_ray": s.per_ray, "central": s.central}
 
 
-def verify(max_n: int, tol: Tolerance = Tolerance(), jobs: int = 1) -> VerifyReport:
+def verify(max_n: int, tol: Tolerance = Tolerance()) -> VerifyReport:
     """Recompute n = 2..max_n and diff against the reference table."""
     reference = {r.n: r for r in reference_table()}
     rows = []
-    for n, summary, elapsed in _count_range(list(range(2, max_n + 1)), tol, jobs):
+    for n, summary, elapsed in _count_range(list(range(2, max_n + 1)), tol):
         ref = reference[n]
         match = summary.V == ref.V and summary.E == ref.E and summary.F == ref.F
         rows.append(VerifyRow(n=n, computed=summary, reference=ref,
@@ -145,9 +139,9 @@ def cmd_count(n: int, tol: Tolerance, as_json: bool = False, stream=None) -> int
     return 0
 
 
-def cmd_verify(max_n: int, tol: Tolerance, jobs: int = 1, stream=None) -> int:
+def cmd_verify(max_n: int, tol: Tolerance, stream=None) -> int:
     stream = stream or sys.stdout
-    report = verify(max_n, tol, jobs)
+    report = verify(max_n, tol)
     for row in report.rows:
         status = "ok" if row.match else "MISMATCH"
         c = row.computed
@@ -164,9 +158,9 @@ def cmd_verify(max_n: int, tol: Tolerance, jobs: int = 1, stream=None) -> int:
     return 5
 
 
-def cmd_table(max_n: int, fmt: str, tol: Tolerance, jobs: int = 1, stream=None) -> int:
+def cmd_table(max_n: int, fmt: str, tol: Tolerance, stream=None) -> int:
     stream = stream or sys.stdout
-    results = _count_range(list(range(2, max_n + 1)), tol, jobs)
+    results = _count_range(list(range(2, max_n + 1)), tol)
     summaries = [s for _, s, _ in results]
     if fmt == "csv":
         stream.write("N,n,F,E,V,per_ray,central\n")
@@ -225,12 +219,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--max-n", type=int, required=True, dest="max_n")
     p_table.add_argument("--format", required=True, choices=("text", "csv", "json"))
     add_fuzz(p_table)
-    p_table.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p_table.add_argument("--jobs", type=int, default=1,
+                         help="accepted for compatibility; rows are counted in one process")
 
     p_verify = sub.add_parser("verify", help="check counts against the reference tables")
     p_verify.add_argument("--max-n", type=int, required=True, dest="max_n")
     add_fuzz(p_verify)
-    p_verify.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p_verify.add_argument("--jobs", type=int, default=1,
+                          help="accepted for compatibility; rows are counted in one process")
 
     p_render = sub.add_parser("render", help="write an SVG figure of the dissection")
     p_render.add_argument("--n", type=int, required=True)
@@ -262,13 +258,13 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error(f"--max-n must be in 2..{REFERENCE_MAX_N}")
             if args.jobs < 1:
                 parser.error("--jobs must be at least 1")
-            return cmd_table(args.max_n, args.format, tol, jobs=args.jobs)
+            return cmd_table(args.max_n, args.format, tol)
         if args.command == "verify":
             if not 2 <= args.max_n <= REFERENCE_MAX_N:
                 parser.error(f"--max-n must be in 2..{REFERENCE_MAX_N}")
             if args.jobs < 1:
                 parser.error("--jobs must be at least 1")
-            return cmd_verify(args.max_n, tol, jobs=args.jobs)
+            return cmd_verify(args.max_n, tol)
         if args.command == "render":
             if not 2 <= args.n <= MAX_N:
                 parser.error(f"--n must be in 2..{MAX_N}")

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
+import numpy as np
+
 DEFAULT_FUZZ = 1e-10
 
 
@@ -142,11 +144,6 @@ def merge_runs(params: list[float], fuzz: float) -> tuple[list[float], list[int]
     return out, sizes
 
 
-def merge_params(params: list[float], fuzz: float) -> list[float]:
-    """The surviving values of ``merge_runs``: one parameter per run."""
-    return merge_runs(params, fuzz)[0]
-
-
 def split_at_params(s: Segment, ts: list[float], tol: Tolerance = DEFAULT_TOL) -> list[Segment]:
     """Cut a segment at the given interior parameters.
 
@@ -156,6 +153,40 @@ def split_at_params(s: Segment, ts: list[float], tol: Tolerance = DEFAULT_TOL) -
     """
     assert all(classify_param(t, tol) is ParamClass.INTERIOR for t in ts), \
         "split parameter outside the interior range"
-    merged = merge_params(list(ts) + [0.0, 1.0], tol.point_fuzzy)
+    merged = merge_runs(list(ts) + [0.0, 1.0], tol.point_fuzzy)[0]
     pts = [point_at(s, t) for t in merged]
     return [Segment(p, q) for p, q in zip(pts, pts[1:])]
+
+
+def close_pairs(a: np.ndarray, b: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of every pair of points with |a[i] - b[j]| <= radius.
+
+    ``a`` and ``b`` are (k, 2) arrays of x, y. The points of ``b`` are
+    bucketed into square cells of side ``radius`` and sorted by cell; each
+    point of ``a`` looks up its own cell and the eight around it by binary
+    search. Cell keys are complex numbers gx + 1j*gy of float-valued cell
+    coordinates, which stay exact where an int64 key would overflow for a
+    small radius.
+    """
+    bg = np.floor(b / radius)
+    bkeys = bg[:, 0] + 1j * bg[:, 1]
+    order = np.argsort(bkeys, kind="stable")
+    bkeys = bkeys[order]
+    ag = np.floor(a / radius)
+    limit2 = radius * radius
+    found_i, found_j = [], []
+    for ox in (-1.0, 0.0, 1.0):
+        for oy in (-1.0, 0.0, 1.0):
+            keys = (ag[:, 0] + ox) + 1j * (ag[:, 1] + oy)
+            lo = np.searchsorted(bkeys, keys, side="left")
+            hits = np.searchsorted(bkeys, keys, side="right") - lo
+            i = np.repeat(np.arange(len(a)), hits)
+            # position of each candidate in the sorted b: lo of its a-point
+            # plus its rank among that point's candidates
+            j = order[np.arange(len(i)) + np.repeat(lo - (np.cumsum(hits) - hits), hits)]
+            dx = a[i, 0] - b[j, 0]
+            dy = a[i, 1] - b[j, 1]
+            keep = dx * dx + dy * dy <= limit2
+            found_i.append(i[keep])
+            found_j.append(j[keep])
+    return np.concatenate(found_i), np.concatenate(found_j)

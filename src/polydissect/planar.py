@@ -13,8 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import AmbiguousClustering, OrbitMismatch, TraversalIncomplete
-from .geom import DEFAULT_TOL, Point2, Tolerance
+from .geom import DEFAULT_TOL, Point2, Tolerance, close_pairs
 from .arrangement import SplitSegmentSet, cluster_endpoints
 from .polygon import PolygonSpec
 
@@ -184,37 +186,30 @@ def orbit_census(
 ) -> OrbitCensus:
     """Partition inner faces into orbits under rotation by 2pi/N.
 
-    Faces are matched by rotated centroid within 10*fuzz. Every orbit must
-    have size N except the single central face (even n), which is fixed by
-    the rotation and forms an orbit of size 1.
+    Faces are matched by rotated centroid within 10*fuzz, all at once with
+    ``close_pairs``; every rotated centroid must hit exactly one face. Every
+    orbit must have size N except the single central face (even n), which
+    is fixed by the rotation and forms an orbit of size 1.
     """
-    match_tol = 10.0 * tol.point_fuzzy
-    limit2 = match_tol * match_tol
     inner = [i for i, f in enumerate(faces) if not f.is_outer]
-
-    cells: dict[tuple[int, int], list[int]] = {}
-    for i in inner:
-        c = faces[i].centroid
-        cells.setdefault((math.floor(c.x / match_tol), math.floor(c.y / match_tol)), []).append(i)
-
-    def match(x: float, y: float) -> int:
-        gx = math.floor(x / match_tol)
-        gy = math.floor(y / match_tol)
-        hits = []
-        for ox in (-1, 0, 1):
-            for oy in (-1, 0, 1):
-                for j in cells.get((gx + ox, gy + oy), ()):
-                    c = faces[j].centroid
-                    if (c.x - x) ** 2 + (c.y - y) ** 2 <= limit2:
-                        hits.append(j)
-        if len(hits) != 1:
-            raise OrbitMismatch(
-                f"rotated centroid ({x:.12g}, {y:.12g}) matches {len(hits)} faces")
-        return hits[0]
-
+    cx = np.array([faces[i].centroid.x for i in inner], dtype=float)
+    cy = np.array([faces[i].centroid.y for i in inner], dtype=float)
     angle = math.pi / spec.n
     cos_a = math.cos(angle)
     sin_a = math.sin(angle)
+    rx = cos_a * cx - sin_a * cy
+    ry = sin_a * cx + cos_a * cy
+    src, dst = close_pairs(np.column_stack((rx, ry)), np.column_stack((cx, cy)),
+                           10.0 * tol.point_fuzzy)
+    hits = np.bincount(src, minlength=len(inner))
+    bad = np.flatnonzero(hits != 1)
+    if len(bad):
+        k = bad[0]
+        raise OrbitMismatch(
+            f"rotated centroid ({rx[k]:.12g}, {ry[k]:.12g}) matches {hits[k]} faces")
+    face = np.array(inner, dtype=np.int64)
+    successor = dict(zip(face[src].tolist(), face[dst].tolist()))
+
     orbit_of = [-1] * len(faces)
     sizes: list[int] = []
     for start in inner:
@@ -226,8 +221,7 @@ def orbit_census(
         while True:
             orbit_of[cur] = oid
             size += 1
-            c = faces[cur].centroid
-            nxt = match(cos_a * c.x - sin_a * c.y, sin_a * c.x + cos_a * c.y)
+            nxt = successor[cur]
             if nxt == start:
                 break
             if orbit_of[nxt] != -1:

@@ -13,6 +13,7 @@ from polydissect import (
     Segment,
     Tolerance,
     base_segments,
+    cluster_endpoints,
     count_vertices,
     counts,
     split_all,
@@ -114,6 +115,16 @@ class TestCountVertices:
         split = [seg(0, 0, 1, 0), seg(0, 2e-10, 1, 2e-10)]
         with pytest.raises(AmbiguousClustering):
             count_vertices(split)
+
+    def test_clusters_follow_chains(self):
+        # six endpoints 0.9*fuzz apart form one vertex although the chain's
+        # ends are 4.5*fuzz apart; each is joined to its own far point
+        step = 0.9 * DEFAULT_TOL.point_fuzzy
+        split = [seg(0.3 + k * step, 0.2, -0.5, -0.5 + 0.1 * k) for k in (3, 0, 5, 1, 4, 2)]
+        labels, centroids = cluster_endpoints(split)
+        assert len(centroids) == 7
+        assert len(set(labels[0::2].tolist())) == 1
+        assert len(set(labels[1::2].tolist())) == 6
 
     def test_independent_of_segment_order(self):
         split = split_all(base_segments(PolygonSpec(5)))

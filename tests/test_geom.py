@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from polydissect import (
@@ -13,7 +14,7 @@ from polydissect import (
     point_at,
     split_at_params,
 )
-from polydissect.geom import merge_runs
+from polydissect.geom import close_pairs, merge_runs
 
 
 def seg(x0, y0, x1, y1):
@@ -146,6 +147,30 @@ class TestMergeRuns:
         values, sizes = merge_runs([4e-11, -4e-11, 0.5], 1e-10)
         assert values == [-4e-11, 0.5]
         assert sizes == [2, 1]
+
+
+
+class TestClosePairs:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("radius", [1e-10, 3e-10, 0.25])
+    def test_matches_brute_force(self, seed, radius):
+        # quarter-cell snapping puts many points on cell borders and many
+        # pairs at exactly the radius
+        rng = np.random.default_rng(seed)
+        a = rng.integers(-12, 12, size=(40 + seed, 2)) * (radius / 4)
+        b = rng.integers(-12, 12, size=(25 + 3 * seed, 2)) * (radius / 4)
+        i, j = close_pairs(a, b, radius)
+        d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+        expected = sorted(zip(*(k.tolist() for k in np.nonzero(d2 <= radius * radius))))
+        assert expected
+        assert sorted(zip(i.tolist(), j.tolist())) == expected
+
+    def test_empty_inputs(self):
+        some = np.array([[0.0, 0.0], [1e-10, 0.0]])
+        empty = np.empty((0, 2))
+        for a, b in ((empty, some), (some, empty), (empty, empty)):
+            i, j = close_pairs(a, b, 1e-10)
+            assert len(i) == 0 and len(j) == 0
 
 
 def test_degenerate_segment_rejected():

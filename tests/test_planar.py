@@ -157,6 +157,14 @@ class TestOrbitCensus:
         with pytest.raises(OrbitMismatch):
             orbit_census(faces, PolygonSpec(5))
 
+    def test_a_centroid_hitting_two_faces_raises(self):
+        # a repeated inner face: the rotated centroid of its predecessor in
+        # the orbit now matches two faces
+        faces = enumerate_faces(graph_for(4))
+        k = next(i for i, f in enumerate(faces) if not f.is_outer)
+        with pytest.raises(OrbitMismatch, match="matches 2 faces"):
+            orbit_census(faces + [faces[k]], PolygonSpec(4))
+
     def test_accepts_prefiltered_inner_faces(self):
         spec = PolygonSpec(4)
         faces = enumerate_faces(graph_for(4))
