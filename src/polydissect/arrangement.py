@@ -23,6 +23,11 @@ Vertices of the full route are the connected components of the fragment
 endpoints under the distance <= ``point_fuzzy`` relation, found with the
 shared neighbour search ``geom.close_pairs``; the result is deterministic
 and independent of segment order.
+
+The stages pass (k, 4) float arrays of x0, y0, x1, y1 rows: ``base_array``
+feeds the pair kernel, ``split_all_fast`` turns a base array into a
+fragment array, and ``cluster_endpoints`` reads it. Segment objects are
+built only where a public function is given or returns a Segment list.
 """
 
 from __future__ import annotations
@@ -34,14 +39,18 @@ import numpy as np
 
 from .errors import AmbiguousClustering, NumericalDegeneracy, SymmetryViolation
 from .geom import (
-    DEFAULT_TOL, Point2, Segment, Tolerance, close_pairs, merge_runs, split_at_params,
+    DEFAULT_FUZZ, DEFAULT_TOL, Point2, Segment, Tolerance, close_pairs, merge_runs,
+    merge_sorted_runs, segment_array,
 )
-from .polygon import PolygonSpec, base_segments, orbit_representatives
+# base_segments is not called here; perfbench/tracing.py wraps it under
+# this module's name, so it stays importable from it
+from .polygon import PolygonSpec, base_array, base_segments, orbit_representatives  # noqa: F401
 
-# Both are plain segment lists; a SplitSegmentSet additionally satisfies the
-# crossing-free invariant (no Interior x Interior intersection remains).
-SegmentSet = list[Segment]
-SplitSegmentSet = list[Segment]
+# Segment lists, or (k, 4) arrays of x0, y0, x1, y1 rows; a SplitSegmentSet
+# additionally satisfies the crossing-free invariant (no Interior x Interior
+# intersection remains).
+SegmentSet = list[Segment] | np.ndarray
+SplitSegmentSet = list[Segment] | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -161,28 +170,13 @@ def split_all(base: SegmentSet, tol: Tolerance = DEFAULT_TOL) -> SplitSegmentSet
     return [Segment(Point2(x0, y0), Point2(x1, y1)) for x0, y0, x1, y1, _ in working]
 
 
-def _checked_fragments(seg: Segment, params: list[float], tol: Tolerance) -> list[Segment]:
-    try:
-        frags = split_at_params(seg, params, tol)
-    except ValueError as exc:
-        raise NumericalDegeneracy(f"fragment of {seg} shorter than fuzz") from exc
-    for f in frags:
-        if f.length() < tol.point_fuzzy:
-            raise NumericalDegeneracy(f"fragment {f} shorter than fuzz {tol.point_fuzzy:g}")
-    return frags
-
-
 # Classes of a line parameter, as _solve_pairs returns them.
 _MISS, _END, _INTERIOR = 0, 1, 2
 
 
-def _segment_arrays(segs: SegmentSet) -> tuple[np.ndarray, ...]:
+def _segment_arrays(base: np.ndarray) -> tuple[np.ndarray, ...]:
     """Start x, start y, direction x, direction y and length per segment."""
-    m = len(segs)
-    x0 = np.fromiter((s.p0.x for s in segs), dtype=float, count=m)
-    y0 = np.fromiter((s.p0.y for s in segs), dtype=float, count=m)
-    x1 = np.fromiter((s.p1.x for s in segs), dtype=float, count=m)
-    y1 = np.fromiter((s.p1.y for s in segs), dtype=float, count=m)
+    x0, y0, x1, y1 = base.T
     dx = x1 - x0
     dy = y1 - y0
     return x0, y0, dx, dy, np.hypot(dx, dy)
@@ -222,15 +216,26 @@ def split_all_fast(base: SegmentSet, tol: Tolerance = DEFAULT_TOL) -> SplitSegme
 
     Every cut on a fragment corresponds to a cut on its base segment, so
     it suffices to solve all base-segment pairs (in blocks, vectorized)
-    and split each base segment once at its accumulated parameters.
+    and split each base segment once at its accumulated parameters. The
+    fragments come grouped by base segment, in base order, and ordered
+    along each. Given an (m, 4) array the result is an (E, 4) array; given
+    a Segment list it is a Segment list.
     """
+    frags = _fragments(segment_array(base), tol)
+    if isinstance(base, np.ndarray):
+        return frags
+    return [Segment(Point2(x0, y0), Point2(x1, y1)) for x0, y0, x1, y1 in frags.tolist()]
+
+
+def _fragments(base: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """The (E, 4) fragments of an (m, 4) base array; see split_all_fast."""
     m = len(base)
     if m < 2:
-        return list(base)
+        return base
     fuzz = tol.point_fuzzy
     arrays = _segment_arrays(base)
 
-    cuts: list[list[float]] = [[] for _ in range(m)]
+    owners, params = [], []
     cols = np.arange(m)
     block = max(1, 1_000_000 // m)
     for lo in range(0, m, block):
@@ -239,19 +244,35 @@ def split_all_fast(base: SegmentSet, tol: Tolerance = DEFAULT_TOL) -> SplitSegme
         upper = cols[None, :] > rows[:, None]
 
         rr, cc = np.nonzero(upper & (t_cls == _INTERIOR) & (u_cls != _MISS))
-        for i, tv in zip((rr + lo).tolist(), t[rr, cc].tolist()):
-            cuts[i].append(tv)
+        owners.append(rows[rr])
+        params.append(t[rr, cc])
         rr, cc = np.nonzero(upper & (u_cls == _INTERIOR) & (t_cls != _MISS))
-        for j, uv in zip(cc.tolist(), u[rr, cc].tolist()):
-            cuts[j].append(uv)
+        owners.append(cc)
+        params.append(u[rr, cc])
+    cuts = np.concatenate(params)
+    assert np.all((cuts > fuzz) & (cuts < 1.0 - fuzz)), \
+        "split parameter outside the interior range"
 
-    out: SplitSegmentSet = []
-    for seg, params in zip(base, cuts):
-        if params:
-            out.extend(_checked_fragments(seg, params, tol))
-        else:
-            out.append(seg)
-    return out
+    # merge each segment's cuts together with its ends 0 and 1
+    owner = np.concatenate(owners + [cols, cols])
+    ts = np.concatenate((cuts, np.zeros(m), np.ones(m)))
+    order = np.lexsort((ts, owner))
+    keep, _ = merge_sorted_runs(owner[order], ts[order], fuzz)
+    owner = owner[order[keep]]
+    t = ts[order[keep]]
+    x0, y0, x1, y1 = base[owner].T
+    px = t * x1 + (1.0 - t) * x0
+    py = t * y1 + (1.0 - t) * y0
+    frags = np.column_stack((px[:-1], py[:-1], px[1:], py[1:]))[owner[1:] == owner[:-1]]
+
+    length = np.hypot(frags[:, 2] - frags[:, 0], frags[:, 3] - frags[:, 1])
+    short = np.flatnonzero(~(np.isfinite(length) & (length > DEFAULT_FUZZ) & (length >= fuzz)))
+    if len(short):
+        ax, ay = frags[short[0], :2].tolist()
+        raise NumericalDegeneracy(
+            f"fragment of length {length[short[0]]:.3e} near ({ax:.12g}, {ay:.12g})"
+            f" is shorter than fuzz {fuzz:g} or degenerate")
+    return frags
 
 
 def cluster_endpoints(
@@ -259,19 +280,17 @@ def cluster_endpoints(
 ) -> tuple[np.ndarray, list[Point2]]:
     """Group the 2E fragment endpoints into vertex clusters.
 
-    Returns a label per endpoint (p0 then p1 of each segment, in order)
-    and the cluster centroids. Exactly equal points are collapsed first;
-    the clusters are the connected components of the distance <= fuzz
-    relation among the rest, found with ``close_pairs``, and are numbered
-    in the order of their first point in sorted (x, y) order. Raises
+    ``split`` is a Segment list or an (E, 4) fragment array. Returns a label
+    per endpoint (p0 then p1 of each segment, in order) and the cluster
+    centroids. Exactly equal points are collapsed first; the clusters are
+    the connected components of the distance <= fuzz relation among the
+    rest, found with ``close_pairs``, and are numbered in the order of
+    their first point in sorted (x, y) order. Raises
     AmbiguousClustering when two centroids come closer than 3*fuzz.
     """
-    m = len(split)
-    flat = np.fromiter(
-        (c for s in split for c in (s.p0.x, s.p0.y, s.p1.x, s.p1.y)),
-        dtype=float, count=4 * m)
-    xs = flat[0::2]
-    ys = flat[1::2]
+    ends = segment_array(split).reshape(-1, 2)
+    xs = ends[:, 0]
+    ys = ends[:, 1]
     uniq, inverse = np.unique(xs + 1j * ys, return_inverse=True)
     fuzz = tol.point_fuzzy
 
@@ -336,27 +355,36 @@ def counts(spec: PolygonSpec, tol: Tolerance = DEFAULT_TOL) -> CountSummary:
     SymmetryViolation is raised.
     """
     fuzz = tol.point_fuzzy
-    arrays = _segment_arrays(base_segments(spec))
+    arrays = _segment_arrays(base_array(spec))
     seglen = arrays[4]
-    reps = orbit_representatives(spec)
-    t, _, t_cls, u_cls = _solve_pairs(arrays, np.array([r for r, _ in reps]), fuzz)
-    hit = (t_cls != _MISS) & (u_cls != _MISS)
+    reps = np.array(orbit_representatives(spec))
+    rows, orbit = reps[:, 0], reps[:, 1]
+    t, _, t_cls, u_cls = _solve_pairs(arrays, rows, fuzz)
+    rep, col = np.nonzero((t_cls != _MISS) & (u_cls != _MISS))
 
-    e = 0
+    # each representative's hit parameters, merged with its ends 0 and 1
+    r = np.arange(len(reps))
+    group = np.concatenate((rep, r, r))
+    ts = np.concatenate((t[rep, col], np.zeros(len(reps)), np.ones(len(reps))))
+    order = np.lexsort((ts, group))
+    keep, sizes = merge_sorted_runs(group[order], ts[order], fuzz)
+    owner = group[order[keep]]
+    points = ts[order[keep]]
+    same = owner[1:] == owner[:-1]
+
+    gaps = np.where(same, np.diff(points) * seglen[rows[owner[1:]]], math.inf)
+    j = int(np.argmin(gaps))
+    gap, ta, tb = float(gaps[j]), float(points[j]), float(points[j + 1])
+    e = int((orbit * (np.bincount(owner, minlength=len(reps)) - 1)).sum())
+    # a point lies on the representative and on every hit merged into it;
+    # the 0 and 1 added above (each representative's first and last point)
+    # stand for the representative itself
+    first = np.insert(~same, 0, True)
+    last = np.append(~same, True)
+    multiplicity = sizes + 1 - first - last
     incidences = np.zeros(len(seglen) + 1, dtype=np.int64)  # c_k at index k
-    closest = (math.inf, 0.0, 0.0)  # gap between neighbouring points, their parameters
-    for i, (row, orbit) in enumerate(reps):
-        points, sizes = merge_runs(t[i, hit[i]].tolist() + [0.0, 1.0], fuzz)
-        gaps = np.diff(points) * seglen[row]
-        j = int(np.argmin(gaps))
-        closest = min(closest, (float(gaps[j]), points[j], points[j + 1]))
-        e += orbit * (len(points) - 1)
-        multiplicity = np.array(sizes) + 1
-        # the 0 and 1 added above stand for the representative itself
-        multiplicity[[0, -1]] -= 1
-        incidences += orbit * np.bincount(multiplicity, minlength=len(incidences))
+    np.add.at(incidences, multiplicity, orbit[owner])
 
-    gap, ta, tb = closest
     if gap < fuzz:
         raise NumericalDegeneracy(
             f"fragment between parameters {ta:.12g} and {tb:.12g} has length {gap:.3e},"

@@ -62,6 +62,17 @@ class Segment:
         return self.p0.dist(self.p1)
 
 
+def segment_array(segs: "list[Segment] | np.ndarray") -> np.ndarray:
+    """Segments as a (k, 4) float array of x0, y0, x1, y1 rows.
+
+    An array passes through unchanged, so pipeline stages accept either a
+    Segment list or the arrays the previous stage produced.
+    """
+    if isinstance(segs, np.ndarray):
+        return segs
+    return np.array([(*s.p0, *s.p1) for s in segs], dtype=float).reshape(-1, 4)
+
+
 class ParamClass(Enum):
     """Where a line parameter sits relative to the segment [0, 1]."""
 
@@ -130,18 +141,34 @@ def merge_runs(params: list[float], fuzz: float) -> tuple[list[float], list[int]
     in it. The first element of the sorted list always survives; within
     any later run of near-equal values the last one survives.
     """
-    ts = sorted(params)
-    out = [ts[0]]
-    sizes = [1]
-    for t in ts[1:]:
-        if t - out[-1] < fuzz:
-            if len(out) > 1:
-                out[-1] = t
-            sizes[-1] += 1
-        else:
-            out.append(t)
-            sizes.append(1)
-    return out, sizes
+    ts = np.sort(np.asarray(params, dtype=float), kind="stable")
+    keep, sizes = merge_sorted_runs(np.zeros(len(ts), dtype=np.int64), ts, fuzz)
+    return ts[keep].tolist(), sizes.tolist()
+
+
+def merge_sorted_runs(
+    group: np.ndarray, ts: np.ndarray, fuzz: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``merge_runs`` rule applied to many sorted lists at once.
+
+    ``group`` labels each value with its list; the lists are contiguous and
+    ``ts`` is sorted within each. A list's first run holds the values less
+    than ``fuzz`` above its first value, and that first value survives;
+    every later run continues while consecutive values are closer than
+    ``fuzz``, and its last value survives. Returns the index of each run's
+    survivor, in order, and the size of each run.
+    """
+    k = len(ts)
+    idx = np.arange(k)
+    head = np.ones(k, dtype=bool)
+    head[1:] = group[1:] != group[:-1]
+    first = np.maximum.accumulate(np.where(head, idx, 0))
+    in_first_run = ts - ts[first] < fuzz
+    opens = head.copy()
+    opens[1:] |= ~in_first_run[1:] & (in_first_run[:-1] | ~(np.diff(ts) < fuzz))
+    starts = np.flatnonzero(opens)
+    sizes = np.diff(np.append(starts, k))
+    return np.where(head[starts], starts, starts + sizes - 1), sizes
 
 
 def split_at_params(s: Segment, ts: list[float], tol: Tolerance = DEFAULT_TOL) -> list[Segment]:
@@ -163,24 +190,28 @@ def close_pairs(a: np.ndarray, b: np.ndarray, radius: float) -> tuple[np.ndarray
 
     ``a`` and ``b`` are (k, 2) arrays of x, y. The points of ``b`` are
     bucketed into square cells of side ``radius`` and sorted by cell; each
-    point of ``a`` looks up its own cell and the eight around it by binary
-    search. Cell keys are complex numbers gx + 1j*gy of float-valued cell
-    coordinates, which stay exact where an int64 key would overflow for a
-    small radius.
+    point of ``a`` looks up its own cell and the eight around it with one
+    binary search per offset into the occupied cells. Cell keys are complex
+    numbers gx + 1j*gy of float-valued cell coordinates, which stay exact
+    where an int64 key would overflow for a small radius.
     """
     bg = np.floor(b / radius)
     bkeys = bg[:, 0] + 1j * bg[:, 1]
     order = np.argsort(bkeys, kind="stable")
-    bkeys = bkeys[order]
+    cells, cell_start, cell_size = np.unique(bkeys[order], return_index=True, return_counts=True)
     ag = np.floor(a / radius)
     limit2 = radius * radius
     found_i, found_j = [], []
     for ox in (-1.0, 0.0, 1.0):
         for oy in (-1.0, 0.0, 1.0):
             keys = (ag[:, 0] + ox) + 1j * (ag[:, 1] + oy)
-            lo = np.searchsorted(bkeys, keys, side="left")
-            hits = np.searchsorted(bkeys, keys, side="right") - lo
-            i = np.repeat(np.arange(len(a)), hits)
+            c = np.searchsorted(cells, keys)
+            occupied = c < len(cells)
+            occupied[occupied] = cells[c[occupied]] == keys[occupied]
+            q = np.flatnonzero(occupied)
+            lo = cell_start[c[q]]
+            hits = cell_size[c[q]]
+            i = np.repeat(q, hits)
             # position of each candidate in the sorted b: lo of its a-point
             # plus its rank among that point's candidates
             j = order[np.arange(len(i)) + np.repeat(lo - (np.cumsum(hits) - hits), hits)]

@@ -6,12 +6,19 @@ most-clockwise-turn traversal. The inner face count provides a check on
 the Euler formula that shares nothing with it beyond the vertex dedup,
 and the face centroids let the rotational orbit structure be verified
 geometrically.
+
+The stages pass numpy arrays: the vertex coordinates, the origin of each
+half-edge and the rings as one half-edge array sorted by (origin, angle)
+with per-vertex offsets. ``PlanarGraph``'s lists and the ``FaceRecord``
+objects are built only because the public functions return them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,18 +28,35 @@ from .arrangement import SplitSegmentSet, cluster_endpoints
 from .polygon import PolygonSpec
 
 
+class GraphArrays(NamedTuple):
+    """A PlanarGraph as arrays; the ring of vertex v is
+    ring_half[ring_start[v]:ring_start[v + 1]]."""
+
+    xy: np.ndarray          # (V, 2) vertex coordinates
+    origin: np.ndarray      # (2E,) origin vertex of each half-edge
+    ring_start: np.ndarray  # (V + 1,) offsets into ring_half
+    ring_half: np.ndarray   # (2E,) half-edges sorted by (origin, angle)
+
+
+def _point_array(points: list[Point2]) -> np.ndarray:
+    """A (k, 2) array of the points' x, y."""
+    flat = itertools.chain.from_iterable(points)
+    return np.fromiter(flat, dtype=float, count=2 * len(points)).reshape(-1, 2)
+
+
 @dataclass(frozen=True)
 class PlanarGraph:
     """Vertices, edges and per-vertex rings of outgoing half-edges.
 
     Half-edge 2k runs along edge k from its first endpoint, 2k+1 back.
     Each ring lists the outgoing half-edges of one vertex in increasing
-    angular order.
+    angular order. ``build_graph`` also stores the same data as arrays.
     """
 
     vertices: list[Point2]
     edges: list[tuple[int, int]]
     rings: list[list[int]]
+    _arrays: GraphArrays | None = field(default=None, repr=False, compare=False)
 
     def origin(self, h: int) -> int:
         a, b = self.edges[h >> 1]
@@ -44,6 +68,19 @@ class PlanarGraph:
 
     def degree(self, v: int) -> int:
         return len(self.rings[v])
+
+    def arrays(self) -> GraphArrays:
+        """The graph as arrays, read off the lists if it was built from them."""
+        if self._arrays is not None:
+            return self._arrays
+        lengths = np.array([len(r) for r in self.rings], dtype=np.int64)
+        return GraphArrays(
+            xy=_point_array(self.vertices),
+            origin=np.array(self.edges, dtype=np.int64).reshape(-1),
+            ring_start=np.concatenate(([0], np.cumsum(lengths))),
+            ring_half=np.fromiter(itertools.chain.from_iterable(self.rings),
+                                  dtype=np.int64, count=int(lengths.sum())),
+        )
 
 
 @dataclass(frozen=True)
@@ -69,37 +106,50 @@ class OrbitCensus:
 def build_graph(split: SplitSegmentSet, tol: Tolerance = DEFAULT_TOL) -> PlanarGraph:
     """Assemble the incidence structure from a crossing-free split set.
 
-    Vertices are the same endpoint clusters the vertex count uses, so the
-    two agree by construction. Incident edges closer than 1e-9 rad in
-    angle indicate a dedup failure and raise AmbiguousClustering.
+    ``split`` is a Segment list or an (E, 4) fragment array. Vertices are
+    the same endpoint clusters the vertex count uses, so the two agree by
+    construction. Incident edges closer than 1e-9 rad in angle indicate a
+    dedup failure and raise AmbiguousClustering.
     """
     labels, centroids = cluster_endpoints(split, tol)
-    lab = labels.tolist()
-    edges: list[tuple[int, int]] = []
-    for k in range(len(split)):
-        a, b = lab[2 * k], lab[2 * k + 1]
-        if a == b:
-            raise AmbiguousClustering(
-                f"both endpoints of segment {k} merged into vertex {a}")
-        edges.append((a, b))
+    xy = _point_array(centroids)
+    merged = np.flatnonzero(labels[0::2] == labels[1::2])
+    if len(merged):
+        k = merged[0]
+        raise AmbiguousClustering(
+            f"both endpoints of segment {k} merged into vertex {labels[2 * k]}")
 
-    slots: list[list[tuple[float, int]]] = [[] for _ in centroids]
-    for k, (a, b) in enumerate(edges):
-        pa, pb = centroids[a], centroids[b]
-        slots[a].append((math.atan2(pb.y - pa.y, pb.x - pa.x), 2 * k))
-        slots[b].append((math.atan2(pa.y - pb.y, pa.x - pb.x), 2 * k + 1))
+    # half-edge h runs from endpoint h to endpoint h ^ 1 of its segment
+    origin = labels
+    d = xy[labels.reshape(-1, 2)[:, ::-1].reshape(-1)] - xy[origin]
+    angle = np.arctan2(d[:, 1], d[:, 0])
+    half = np.lexsort((angle, origin))
+    ring_start = np.concatenate(([0], np.cumsum(np.bincount(origin, minlength=len(xy)))))
 
-    rings: list[list[int]] = []
-    for v, incident in enumerate(slots):
-        incident.sort()
-        for (ang0, _), (ang1, _) in zip(incident, incident[1:]):
-            if ang1 - ang0 < 1e-9:
-                raise AmbiguousClustering(
-                    f"two edges at vertex {v} are {ang1 - ang0:.3e} rad apart")
-        if len(incident) > 1 and (incident[0][0] + 2.0 * math.pi) - incident[-1][0] < 1e-9:
-            raise AmbiguousClustering(f"two edges at vertex {v} nearly coincide across the cut")
-        rings.append([h for _, h in incident])
-    return PlanarGraph(vertices=centroids, edges=edges, rings=rings)
+    # neighbours in one ring, then each ring's last edge against its first
+    # one turn later
+    sorted_angle = angle[half]
+    owner = origin[half]
+    gap = np.diff(sorted_angle)
+    pair = np.flatnonzero((owner[1:] == owner[:-1]) & (gap < 1e-9))
+    if len(pair):
+        k = pair[0]
+        raise AmbiguousClustering(f"two edges at vertex {owner[k]} are {gap[k]:.3e} rad apart")
+    first = ring_start[:-1]
+    last = ring_start[1:] - 1
+    wrap = np.flatnonzero((last > first)
+                          & ((sorted_angle[first] + 2.0 * math.pi) - sorted_angle[last] < 1e-9))
+    if len(wrap):
+        raise AmbiguousClustering(f"two edges at vertex {wrap[0]} nearly coincide across the cut")
+
+    ring_list = half.tolist()
+    bounds = ring_start.tolist()
+    return PlanarGraph(
+        vertices=centroids,
+        edges=list(zip(labels[0::2].tolist(), labels[1::2].tolist())),
+        rings=[ring_list[lo:hi] for lo, hi in zip(bounds, bounds[1:])],
+        _arrays=GraphArrays(xy=xy, origin=origin, ring_start=ring_start, ring_half=half),
+    )
 
 
 def enumerate_faces(g: PlanarGraph) -> list[FaceRecord]:
@@ -107,73 +157,76 @@ def enumerate_faces(g: PlanarGraph) -> list[FaceRecord]:
 
     From an incoming half-edge, the walk continues with the ring
     predecessor of its twin, which traverses inner faces counterclockwise
-    (positive signed area) and the single outer face clockwise.
+    (positive signed area) and the single outer face clockwise. Cycles
+    start at their smallest half-edge and come in the order of it.
     """
+    xy, origin, ring_start, half = g.arrays()
     nh = 2 * len(g.edges)
-    pos: dict[int, tuple[int, int]] = {}
-    for v, ring in enumerate(g.rings):
-        for i, h in enumerate(ring):
-            if h in pos:
-                raise TraversalIncomplete(f"half-edge {h} appears in more than one ring slot")
-            pos[h] = (v, i)
-    if len(pos) != nh:
-        raise TraversalIncomplete(f"rings hold {len(pos)} half-edges, expected {nh}")
+    if len(half) and (half.min() < 0 or half.max() >= nh):
+        raise TraversalIncomplete(f"rings hold half-edges outside 0..{nh - 1}")
+    repeated = np.flatnonzero(np.bincount(half, minlength=nh) > 1)
+    if len(repeated):
+        raise TraversalIncomplete(
+            f"half-edge {repeated[0]} appears in more than one ring slot")
+    if len(half) != nh:
+        raise TraversalIncomplete(f"rings hold {len(half)} half-edges, expected {nh}")
 
-    nxt = [0] * nh
-    for h in range(nh):
-        v, i = pos[h ^ 1]
-        ring = g.rings[v]
-        nxt[h] = ring[(i - 1) % len(ring)]
+    # slot of each half-edge's twin, and the slot before it in its ring
+    slot = np.empty(nh, dtype=np.int64)
+    slot[half] = np.arange(nh)
+    twin = slot[np.arange(nh) ^ 1]
+    ring = np.repeat(np.arange(len(ring_start) - 1), np.diff(ring_start))[twin]
+    pred = np.where(twin > ring_start[ring], twin - 1, ring_start[ring + 1] - 1)
+    nxt = half[pred].tolist()
 
     used = bytearray(nh)
-    cycles: list[list[int]] = []
+    order: list[int] = []
+    starts: list[int] = []
     for h0 in range(nh):
         if used[h0]:
             continue
-        cycle = []
+        starts.append(len(order))
         h = h0
         while True:
-            cycle.append(h)
+            order.append(h)
             used[h] = 1
             h = nxt[h]
             if h == h0:
                 break
             if used[h]:
                 raise TraversalIncomplete(f"walk from half-edge {h0} re-entered used {h}")
-        cycles.append(cycle)
 
-    faces = []
-    areas = []
-    for cycle in cycles:
-        coords = [g.vertices[g.origin(h)] for h in cycle]
-        # Work relative to the first vertex: in absolute coordinates the
-        # shoelace terms of a tile far from the origin cancel, and the
-        # smallest tiles' centroids lose more than the orbit match radius.
-        ox, oy = coords[0]
-        rel = [(x - ox, y - oy) for x, y in coords]
-        area2 = 0.0
-        cx6 = 0.0
-        cy6 = 0.0
-        for (ax, ay), (bx, by) in zip(rel, rel[1:] + rel[:1]):
-            w = ax * by - bx * ay
-            area2 += w
-            cx6 += (ax + bx) * w
-            cy6 += (ay + by) * w
-        area = 0.5 * area2
-        if abs(area2) > 1e-30:
-            centroid = Point2(ox + cx6 / (3.0 * area2), oy + cy6 / (3.0 * area2))
-        else:
-            centroid = Point2(sum(p.x for p in coords) / len(coords),
-                              sum(p.y for p in coords) / len(coords))
-        areas.append(area)
-        faces.append((tuple(cycle), centroid, area))
+    cyc = np.array(order, dtype=np.int64)
+    first = np.array(starts, dtype=np.int64)
+    size = np.diff(np.append(first, nh))
+    # Work relative to each face's first vertex: in absolute coordinates the
+    # shoelace terms of a tile far from the origin cancel, and the smallest
+    # tiles' centroids lose more than the orbit match radius.
+    pts = xy[origin[cyc]]
+    base = np.repeat(pts[first], size, axis=0)
+    ax, ay = (pts - base).T
+    step = np.arange(1, nh + 1)
+    step[first + size - 1] = first
+    bx, by = ax[step], ay[step]
+    w = ax * by - bx * ay
+    area2 = np.add.reduceat(w, first)
+    cx6 = np.add.reduceat((ax + bx) * w, first)
+    cy6 = np.add.reduceat((ay + by) * w, first)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cx = np.where(np.abs(area2) > 1e-30, base[first, 0] + cx6 / (3.0 * area2),
+                      np.add.reduceat(pts[:, 0], first) / size)
+        cy = np.where(np.abs(area2) > 1e-30, base[first, 1] + cy6 / (3.0 * area2),
+                      np.add.reduceat(pts[:, 1], first) / size)
+    area = 0.5 * area2
 
-    negatives = sum(1 for a in areas if a < 0.0)
+    negatives = int(np.count_nonzero(area < 0.0))
     if negatives != 1:
         raise TraversalIncomplete(f"expected exactly one outer face, found {negatives}")
-    outer = areas.index(min(areas))
-    return [FaceRecord(boundary=b, centroid=c, signed_area=a, is_outer=(i == outer))
-            for i, (b, c, a) in enumerate(faces)]
+    outer = int(np.argmin(area))
+    bounds = starts + [nh]
+    return [FaceRecord(tuple(order[lo:hi]), Point2(x, y), a, i == outer)
+            for i, (lo, hi, x, y, a) in enumerate(zip(
+                bounds, bounds[1:], cx.tolist(), cy.tolist(), area.tolist()))]
 
 
 def face_vertices(g: PlanarGraph, face: FaceRecord) -> list[int]:
@@ -192,8 +245,7 @@ def orbit_census(
     is fixed by the rotation and forms an orbit of size 1.
     """
     inner = [i for i, f in enumerate(faces) if not f.is_outer]
-    cx = np.array([faces[i].centroid.x for i in inner], dtype=float)
-    cy = np.array([faces[i].centroid.y for i in inner], dtype=float)
+    cx, cy = _point_array([faces[i].centroid for i in inner]).T
     angle = math.pi / spec.n
     cos_a = math.cos(angle)
     sin_a = math.sin(angle)
@@ -207,12 +259,14 @@ def orbit_census(
         k = bad[0]
         raise OrbitMismatch(
             f"rotated centroid ({rx[k]:.12g}, {ry[k]:.12g}) matches {hits[k]} faces")
-    face = np.array(inner, dtype=np.int64)
-    successor = dict(zip(face[src].tolist(), face[dst].tolist()))
+    # walk the rotation over positions in ``inner``
+    successor = np.empty(len(inner), dtype=np.int64)
+    successor[src] = dst
+    successor = successor.tolist()
 
-    orbit_of = [-1] * len(faces)
+    orbit_of = [-1] * len(inner)
     sizes: list[int] = []
-    for start in inner:
+    for start in range(len(inner)):
         if orbit_of[start] != -1:
             continue
         oid = len(sizes)
@@ -226,16 +280,18 @@ def orbit_census(
                 break
             if orbit_of[nxt] != -1:
                 raise OrbitMismatch(
-                    f"rotation walk from face {start} re-entered face {nxt}")
+                    f"rotation walk from face {inner[start]} re-entered face {inner[nxt]}")
             cur = nxt
         sizes.append(size)
 
     bad = [s for s in sizes if s not in (1, spec.N)]
     if bad:
         raise OrbitMismatch(f"orbit sizes {bad} are neither 1 nor N={spec.N}")
+    face_orbits = np.full(len(faces), -1, dtype=np.int64)
+    face_orbits[inner] = orbit_of
     return OrbitCensus(
         per_ray=sizes.count(spec.N),
         central=sizes.count(1),
         orbit_sizes=tuple(sorted(sizes)),
-        face_orbits=tuple(orbit_of),
+        face_orbits=tuple(face_orbits.tolist()),
     )

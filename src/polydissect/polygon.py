@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .geom import Point2, Segment
 
 
@@ -46,25 +48,33 @@ def corners(spec: PolygonSpec) -> list[Point2]:
     return [Point2(math.cos(math.pi * k / n), math.sin(math.pi * k / n)) for k in range(2 * n)]
 
 
-def base_segments(spec: PolygonSpec) -> list[Segment]:
-    """Perimeter edges followed by the side-parallel diagonals.
+def base_array(spec: PolygonSpec) -> np.ndarray:
+    """The base segments as an (m, 4) array of x0, y0, x1, y1 rows.
 
-    Corner indices are reduced mod 2n before the corner lookup, so shared
+    Perimeter edges come first, then the side-parallel diagonals. Corner
+    indices are reduced mod 2n before the corner lookup, so shared
     endpoints are bit-identical between segments.
     """
     n = spec.n
-    pts = corners(spec)
-    segs = [Segment(pts[e], pts[(e + 1) % (2 * n)]) for e in range(2 * n)]
-    for e in range(n):
-        for k in range(1, n - 1):
-            segs.append(Segment(pts[(e - k) % (2 * n)], pts[(e + 1 + k) % (2 * n)]))
-    return segs
+    pts = np.array(corners(spec), dtype=float)
+    e = np.arange(2 * n)
+    side = np.repeat(np.arange(n), n - 2)
+    k = np.tile(np.arange(1, n - 1), n)
+    start = np.concatenate((e, (side - k) % (2 * n)))
+    end = np.concatenate(((e + 1) % (2 * n), (side + 1 + k) % (2 * n)))
+    return np.hstack((pts[start], pts[end]))
+
+
+def base_segments(spec: PolygonSpec) -> list[Segment]:
+    """``base_array`` as Segment objects."""
+    return [Segment(Point2(x0, y0), Point2(x1, y1))
+            for x0, y0, x1, y1 in base_array(spec).tolist()]
 
 
 def orbit_representatives(spec: PolygonSpec) -> list[tuple[int, int]]:
     """One base segment per orbit under rotation by 2pi/N, with the orbit size.
 
-    Indices are into ``base_segments(spec)``. The rotation takes corner j to
+    Indices are into ``base_array(spec)``. The rotation takes corner j to
     j+1, so the 2n perimeter edges form one orbit. It takes the diagonal of
     family k on side e = n-1 to the diagonal of family n-1-k on side 0, so
     families k and n-1-k together form one orbit of size 2n, except the

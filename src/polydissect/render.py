@@ -3,7 +3,9 @@
 Coordinates are emitted with fixed six-decimal formatting so that two
 renders of the same input are byte-identical. The optional zoom window is
 applied by analytic clipping, not by viewer-side cropping, which keeps
-element counts testable.
+element counts testable. The renderer reads the fragments and the graph's
+vertices as arrays; each vertex's canvas coordinates are formatted once
+and shared by the tiles around it.
 """
 
 from __future__ import annotations
@@ -11,10 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import MissingGraph
-from .geom import DEFAULT_TOL, Tolerance
+from .geom import DEFAULT_TOL, Tolerance, segment_array
 from .arrangement import SplitSegmentSet
-from .planar import PlanarGraph, enumerate_faces, face_vertices, orbit_census
+from .planar import PlanarGraph, enumerate_faces, orbit_census
 from .polygon import PolygonSpec
 
 FULL_WINDOW = (-1.05, -1.05, 1.05, 1.05)
@@ -103,6 +107,53 @@ def _orbit_fill(orbit: int, total: int) -> str:
     return f"hsl({hue},70%,55%)"
 
 
+def _tiles(graph: PlanarGraph, opts: RenderOptions, tol: Tolerance, win, to_canvas):
+    """The <polygon> elements of the inner faces (with color_faces) and the
+    (x, y, orbit) of each face centroid inside the window (with label_orbits).
+
+    A function of its own so that the face records are freed before the
+    lines are formatted and the document is joined, which lowers the peak
+    memory of a large render.
+    """
+    faces = enumerate_faces(graph)
+    outer = next(f for f in faces if f.is_outer)
+    census = orbit_census(faces, PolygonSpec(len(outer.boundary) // 2), tol)
+    orbit = census.face_orbits
+    inner = [i for i, f in enumerate(faces) if not f.is_outer]
+    polygons: list[str] = []
+    if opts.color_faces:
+        total = len(census.orbit_sizes)
+        fills = [_orbit_fill(k, total) for k in range(total)]
+        arrays = graph.arrays()
+        origin = arrays.origin.tolist()
+        if opts.zoom is None:
+            px, py = to_canvas(arrays.xy[:, 0], arrays.xy[:, 1])
+            point = list(map("{:.6f},{:.6f}".format, px.tolist(), py.tolist()))
+            for i in inner:
+                coords = " ".join([point[origin[h]] for h in faces[i].boundary])
+                polygons.append(f'<polygon points="{coords}" fill="{fills[orbit[i]]}"/>')
+        else:
+            xy = arrays.xy.tolist()
+            for i in inner:
+                pts = _clip_polygon([xy[origin[h]] for h in faces[i].boundary], win)
+                if len(pts) < 3:
+                    continue
+                coords = " ".join(
+                    f"{_fmt(cx)},{_fmt(cy)}" for cx, cy in (to_canvas(x, y) for x, y in pts))
+                polygons.append(f'<polygon points="{coords}" fill="{fills[orbit[i]]}"/>')
+    labels = []
+    if opts.label_orbits:
+        wx0, wy0, wx1, wy1 = win
+        for i in inner:
+            x, y = faces[i].centroid
+            if wx0 <= x <= wx1 and wy0 <= y <= wy1:
+                labels.append((x, y, orbit[i]))
+    return polygons, labels
+
+
+_LINE = '<line x1="{:.6f}" y1="{:.6f}" x2="{:.6f}" y2="{:.6f}"/>'.format
+
+
 def render_svg(
     split: SplitSegmentSet,
     graph: PlanarGraph | None = None,
@@ -111,10 +162,11 @@ def render_svg(
 ) -> str:
     """Render the arrangement as an SVG 1.1 document.
 
-    One <line> element per (possibly clipped) split segment; with
-    color_faces one <polygon> per inner face, filled by rotation orbit;
-    with label_orbits one <text> with the orbit id at each face centroid.
-    Both face options require the graph.
+    ``split`` is a Segment list or an (E, 4) fragment array. One <line>
+    element per (possibly clipped) split segment; with color_faces one
+    <polygon> per inner face, filled by rotation orbit; with label_orbits
+    one <text> with the orbit id at each face centroid. Both face options
+    require the graph.
     """
     opts = opts or RenderOptions()
     if (opts.color_faces or opts.label_orbits) and graph is None:
@@ -125,7 +177,8 @@ def render_svg(
     width = (wx1 - wx0) * opts.scale
     height = (wy1 - wy0) * opts.scale
 
-    def to_canvas(x: float, y: float) -> tuple[float, float]:
+    def to_canvas(x, y):
+        """Canvas position of plane coordinates, floats or arrays."""
         return (x - wx0) * opts.scale, (wy1 - y) * opts.scale
 
     parts = [
@@ -135,60 +188,35 @@ def render_svg(
         f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
     ]
 
-    labels: list[tuple[float, float, int]] = []
+    labels = []
     if opts.color_faces or opts.label_orbits:
-        faces = enumerate_faces(graph)
-        outer = next(f for f in faces if f.is_outer)
-        spec = PolygonSpec(len(outer.boundary) // 2)
-        census = orbit_census(faces, spec, tol)
-        total = len(census.orbit_sizes)
+        polygons, labels = _tiles(graph, opts, tol, win, to_canvas)
         if opts.color_faces:
             parts.append('<g stroke="none">')
-            for i, face in enumerate(faces):
-                if face.is_outer:
-                    continue
-                pts = [(graph.vertices[v].x, graph.vertices[v].y)
-                       for v in face_vertices(graph, face)]
-                if opts.zoom is not None:
-                    pts = _clip_polygon(pts, win)
-                if len(pts) < 3:
-                    continue
-                coords = " ".join(
-                    f"{_fmt(cx)},{_fmt(cy)}" for cx, cy in (to_canvas(x, y) for x, y in pts))
-                parts.append(f'<polygon points="{coords}" '
-                             f'fill="{_orbit_fill(census.face_orbits[i], total)}"/>')
+            parts.extend(polygons)
             parts.append("</g>")
-        if opts.label_orbits:
-            for i, face in enumerate(faces):
-                if face.is_outer:
-                    continue
-                c = face.centroid
-                if wx0 <= c.x <= wx1 and wy0 <= c.y <= wy1:
-                    labels.append((c.x, c.y, census.face_orbits[i]))
 
     parts.append(f'<g fill="none" stroke="#000000" '
                  f'stroke-width="{_fmt(opts.stroke_width)}" stroke-linecap="round">')
-    for seg in split:
-        coords = (seg.p0.x, seg.p0.y, seg.p1.x, seg.p1.y)
-        if opts.zoom is not None:
-            clipped = _clip_segment(*coords, win)
-            if clipped is None:
-                continue
-            coords = clipped
-        ax, ay = to_canvas(coords[0], coords[1])
-        bx, by = to_canvas(coords[2], coords[3])
-        parts.append(f'<line x1="{_fmt(ax)}" y1="{_fmt(ay)}" '
-                     f'x2="{_fmt(bx)}" y2="{_fmt(by)}"/>')
+    frags = segment_array(split)
+    if opts.zoom is not None:
+        clipped = [c for c in (_clip_segment(*row, win) for row in frags.tolist())
+                   if c is not None]
+        frags = np.array(clipped, dtype=float).reshape(-1, 4)
+    ax, ay = to_canvas(frags[:, 0], frags[:, 1])
+    bx, by = to_canvas(frags[:, 2], frags[:, 3])
+    parts.extend(map(_LINE, ax.tolist(), ay.tolist(), bx.tolist(), by.tolist()))
     parts.append("</g>")
 
     if labels:
         size = 0.03 * opts.scale
         parts.append(f'<g font-family="sans-serif" font-size="{_fmt(size)}" '
                      f'text-anchor="middle" fill="#000000">')
-        for x, y, orbit in labels:
+        for x, y, k in labels:
             cx, cy = to_canvas(x, y)
-            parts.append(f'<text x="{_fmt(cx)}" y="{_fmt(cy)}">{orbit}</text>')
+            parts.append(f'<text x="{_fmt(cx)}" y="{_fmt(cy)}">{k}</text>')
         parts.append("</g>")
 
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    # the closing tag carries the final newline, so the document is joined once
+    parts.append("</svg>\n")
+    return "\n".join(parts)

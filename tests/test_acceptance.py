@@ -27,7 +27,7 @@ from polydissect import (
     split_all,
     split_all_fast,
 )
-from polydissect.cli import reference_table
+from polydissect.reference import reference_table
 
 REFERENCE = {r.n: r for r in reference_table()}
 

@@ -6,7 +6,9 @@ import pytest
 
 from polydissect import NumericalDegeneracy
 from polydissect import cli
-from polydissect.cli import main, reference_table
+from polydissect import reference
+from polydissect.cli import main
+from polydissect.reference import reference_table
 
 
 class TestReferenceTable:
@@ -132,9 +134,9 @@ class TestVerify:
         assert "all 4 rows match" in capsys.readouterr().out
 
     def test_mismatch_exits_5(self, monkeypatch, capsys):
-        doctored = list(cli._REFERENCE_F_E)
+        doctored = list(reference._REFERENCE_F_E)
         doctored[2] = (26, 48)  # n=4 now expects one extra tile
-        monkeypatch.setattr(cli, "_REFERENCE_F_E", doctored)
+        monkeypatch.setattr(reference, "_REFERENCE_F_E", doctored)
         assert main(["verify", "--max-n", "5"]) == 5
         out = capsys.readouterr().out
         assert "MISMATCH" in out

@@ -17,7 +17,7 @@ from polydissect import (
     orbit_census,
     split_all_fast,
 )
-from polydissect.cli import reference_table
+from polydissect.reference import reference_table
 
 
 def graph_for(n):
