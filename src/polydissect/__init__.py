@@ -19,8 +19,6 @@ from .geom import (
     Tolerance,
     classify_param,
     intersect,
-    point_at,
-    split_at_params,
 )
 from .polygon import DiagonalCensus, PolygonSpec, base_segments, corners, diagonal_census
 from .arrangement import (
@@ -61,8 +59,6 @@ __all__ = [
     "Tolerance",
     "classify_param",
     "intersect",
-    "point_at",
-    "split_at_params",
     "DiagonalCensus",
     "PolygonSpec",
     "base_segments",

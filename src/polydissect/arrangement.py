@@ -26,8 +26,10 @@ and independent of segment order.
 
 The stages pass (k, 4) float arrays of x0, y0, x1, y1 rows: ``base_array``
 feeds the pair kernel, ``split_all_fast`` turns a base array into a
-fragment array, and ``cluster_endpoints`` reads it. Segment objects are
-built only where a public function is given or returns a Segment list.
+fragment array, and ``cluster_endpoints`` reads it and returns a label per
+endpoint with a (V, 2) centroid array, which ``planar.build_graph`` keeps
+as the graph's vertices. Segment objects are built only where a public
+function is given or returns a Segment list.
 """
 
 from __future__ import annotations
@@ -115,12 +117,12 @@ def split_all(base: SegmentSet, tol: Tolerance = DEFAULT_TOL) -> SplitSegmentSet
     fragments accumulated so far. An interior-interior hit cuts both
     sides; a hit at a fragment endpoint cuts only the side whose interior
     was met. The base set must not contain collinear overlapping segments.
+    ``base`` is a Segment list or an (m, 4) array; the fragments come back
+    as a Segment list.
     """
     fuzz = tol.point_fuzzy
     working: list[tuple] = []
-    for seg in base:
-        sx0, sy0 = seg.p0
-        sx1, sy1 = seg.p1
+    for sx0, sy0, sx1, sy1 in segment_array(base).tolist():
         sdx = sx1 - sx0
         sdy = sy1 - sy0
         slen = math.hypot(sdx, sdy)
@@ -277,15 +279,15 @@ def _fragments(base: np.ndarray, tol: Tolerance) -> np.ndarray:
 
 def cluster_endpoints(
     split: SplitSegmentSet, tol: Tolerance = DEFAULT_TOL,
-) -> tuple[np.ndarray, list[Point2]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Group the 2E fragment endpoints into vertex clusters.
 
     ``split`` is a Segment list or an (E, 4) fragment array. Returns a label
-    per endpoint (p0 then p1 of each segment, in order) and the cluster
-    centroids. Exactly equal points are collapsed first; the clusters are
-    the connected components of the distance <= fuzz relation among the
-    rest, found with ``close_pairs``, and are numbered in the order of
-    their first point in sorted (x, y) order. Raises
+    per endpoint (p0 then p1 of each segment, in order) and the (V, 2)
+    array of cluster centroids. Exactly equal points are collapsed first;
+    the clusters are the connected components of the distance <= fuzz
+    relation among the rest, found with ``close_pairs``, and are numbered
+    in the order of their first point in sorted (x, y) order. Raises
     AmbiguousClustering when two centroids come closer than 3*fuzz.
     """
     ends = segment_array(split).reshape(-1, 2)
@@ -326,8 +328,7 @@ def cluster_endpoints(
         raise AmbiguousClustering(
             f"vertex clusters {i[k]} and {j[k]} are {math.sqrt(gap2[k]):.3e}"
             f" apart, closer than 3*fuzz = {pitch:g}")
-    centroids = [Point2(a, b) for a, b in zip(cxs.tolist(), cys.tolist())]
-    return labels, centroids
+    return labels, centres
 
 
 def count_vertices(split: SplitSegmentSet, tol: Tolerance = DEFAULT_TOL) -> int:

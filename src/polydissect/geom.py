@@ -88,15 +88,6 @@ class Params(NamedTuple):
     u: float
 
 
-def point_at(s: Segment, t: float) -> Point2:
-    """Point at parameter t, in units of the segment length.
-
-    t=0 and t=1 reproduce the endpoints bit-exactly; values outside [0, 1]
-    are on the supporting line beyond the segment.
-    """
-    return Point2(t * s.p1.x + (1.0 - t) * s.p0.x, t * s.p1.y + (1.0 - t) * s.p0.y)
-
-
 def intersect(a: Segment, b: Segment, tol: Tolerance = DEFAULT_TOL) -> Params | None:
     """Solve for the crossing of the two supporting lines by Cramer's rule.
 
@@ -169,20 +160,6 @@ def merge_sorted_runs(
     starts = np.flatnonzero(opens)
     sizes = np.diff(np.append(starts, k))
     return np.where(head[starts], starts, starts + sizes - 1), sizes
-
-
-def split_at_params(s: Segment, ts: list[float], tol: Tolerance = DEFAULT_TOL) -> list[Segment]:
-    """Cut a segment at the given interior parameters.
-
-    Parameters closer than ``point_fuzzy`` merge into a single cut. The
-    fragments cover the segment exactly; an empty parameter list returns
-    the segment unchanged. Callers guarantee every parameter is INTERIOR.
-    """
-    assert all(classify_param(t, tol) is ParamClass.INTERIOR for t in ts), \
-        "split parameter outside the interior range"
-    merged = merge_runs(list(ts) + [0.0, 1.0], tol.point_fuzzy)[0]
-    pts = [point_at(s, t) for t in merged]
-    return [Segment(p, q) for p, q in zip(pts, pts[1:])]
 
 
 def close_pairs(a: np.ndarray, b: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:

@@ -7,18 +7,18 @@ the Euler formula that shares nothing with it beyond the vertex dedup,
 and the face centroids let the rotational orbit structure be verified
 geometrically.
 
-The stages pass numpy arrays: the vertex coordinates, the origin of each
-half-edge and the rings as one half-edge array sorted by (origin, angle)
-with per-vertex offsets. ``PlanarGraph``'s lists and the ``FaceRecord``
-objects are built only because the public functions return them.
+A ``PlanarGraph`` is four numpy arrays: the vertex coordinates, the
+endpoint labels of each edge, and the rings in CSR form (one half-edge
+array sorted by origin and angle, with per-vertex offsets). The
+``FaceRecord`` objects are built only because ``enumerate_faces`` returns
+them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,59 +28,32 @@ from .arrangement import SplitSegmentSet, cluster_endpoints
 from .polygon import PolygonSpec
 
 
-class GraphArrays(NamedTuple):
-    """A PlanarGraph as arrays; the ring of vertex v is
-    ring_half[ring_start[v]:ring_start[v + 1]]."""
-
-    xy: np.ndarray          # (V, 2) vertex coordinates
-    origin: np.ndarray      # (2E,) origin vertex of each half-edge
-    ring_start: np.ndarray  # (V + 1,) offsets into ring_half
-    ring_half: np.ndarray   # (2E,) half-edges sorted by (origin, angle)
-
-
 def _point_array(points: list[Point2]) -> np.ndarray:
     """A (k, 2) array of the points' x, y."""
     flat = itertools.chain.from_iterable(points)
     return np.fromiter(flat, dtype=float, count=2 * len(points)).reshape(-1, 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlanarGraph:
-    """Vertices, edges and per-vertex rings of outgoing half-edges.
+    """Vertices, edges and per-vertex rings of outgoing half-edges, as arrays.
 
-    Half-edge 2k runs along edge k from its first endpoint, 2k+1 back.
-    Each ring lists the outgoing half-edges of one vertex in increasing
-    angular order. ``build_graph`` also stores the same data as arrays.
+    Half-edge 2k runs along edge k from ``edges[k, 0]`` to ``edges[k, 1]``,
+    2k+1 back. The ring of vertex v is
+    ``ring_half[ring_start[v]:ring_start[v + 1]]``: its outgoing half-edges
+    in increasing angular order.
     """
 
-    vertices: list[Point2]
-    edges: list[tuple[int, int]]
-    rings: list[list[int]]
-    _arrays: GraphArrays | None = field(default=None, repr=False, compare=False)
+    vertices: np.ndarray    # (V, 2) vertex coordinates
+    edges: np.ndarray       # (E, 2) endpoint vertex of each edge
+    ring_start: np.ndarray  # (V + 1,) offsets into ring_half
+    ring_half: np.ndarray   # (2E,) half-edges sorted by (origin, angle)
 
     def origin(self, h: int) -> int:
-        a, b = self.edges[h >> 1]
-        return a if h & 1 == 0 else b
-
-    def dest(self, h: int) -> int:
-        a, b = self.edges[h >> 1]
-        return b if h & 1 == 0 else a
+        return int(self.edges[h >> 1, h & 1])
 
     def degree(self, v: int) -> int:
-        return len(self.rings[v])
-
-    def arrays(self) -> GraphArrays:
-        """The graph as arrays, read off the lists if it was built from them."""
-        if self._arrays is not None:
-            return self._arrays
-        lengths = np.array([len(r) for r in self.rings], dtype=np.int64)
-        return GraphArrays(
-            xy=_point_array(self.vertices),
-            origin=np.array(self.edges, dtype=np.int64).reshape(-1),
-            ring_start=np.concatenate(([0], np.cumsum(lengths))),
-            ring_half=np.fromiter(itertools.chain.from_iterable(self.rings),
-                                  dtype=np.int64, count=int(lengths.sum())),
-        )
+        return int(self.ring_start[v + 1] - self.ring_start[v])
 
 
 @dataclass(frozen=True)
@@ -111,8 +84,7 @@ def build_graph(split: SplitSegmentSet, tol: Tolerance = DEFAULT_TOL) -> PlanarG
     construction. Incident edges closer than 1e-9 rad in angle indicate a
     dedup failure and raise AmbiguousClustering.
     """
-    labels, centroids = cluster_endpoints(split, tol)
-    xy = _point_array(centroids)
+    labels, xy = cluster_endpoints(split, tol)
     merged = np.flatnonzero(labels[0::2] == labels[1::2])
     if len(merged):
         k = merged[0]
@@ -142,14 +114,8 @@ def build_graph(split: SplitSegmentSet, tol: Tolerance = DEFAULT_TOL) -> PlanarG
     if len(wrap):
         raise AmbiguousClustering(f"two edges at vertex {wrap[0]} nearly coincide across the cut")
 
-    ring_list = half.tolist()
-    bounds = ring_start.tolist()
-    return PlanarGraph(
-        vertices=centroids,
-        edges=list(zip(labels[0::2].tolist(), labels[1::2].tolist())),
-        rings=[ring_list[lo:hi] for lo, hi in zip(bounds, bounds[1:])],
-        _arrays=GraphArrays(xy=xy, origin=origin, ring_start=ring_start, ring_half=half),
-    )
+    return PlanarGraph(vertices=xy, edges=labels.reshape(-1, 2),
+                       ring_start=ring_start, ring_half=half)
 
 
 def enumerate_faces(g: PlanarGraph) -> list[FaceRecord]:
@@ -159,9 +125,12 @@ def enumerate_faces(g: PlanarGraph) -> list[FaceRecord]:
     predecessor of its twin, which traverses inner faces counterclockwise
     (positive signed area) and the single outer face clockwise. Cycles
     start at their smallest half-edge and come in the order of it.
+    Raises TraversalIncomplete unless the rings hold every half-edge once,
+    in the ring of its origin, and the walk finds exactly one outer face.
     """
-    xy, origin, ring_start, half = g.arrays()
-    nh = 2 * len(g.edges)
+    xy, ring_start, half = g.vertices, g.ring_start, g.ring_half
+    origin = g.edges.reshape(-1)
+    nh = len(origin)
     if len(half) and (half.min() < 0 or half.max() >= nh):
         raise TraversalIncomplete(f"rings hold half-edges outside 0..{nh - 1}")
     repeated = np.flatnonzero(np.bincount(half, minlength=nh) > 1)
@@ -170,12 +139,20 @@ def enumerate_faces(g: PlanarGraph) -> list[FaceRecord]:
             f"half-edge {repeated[0]} appears in more than one ring slot")
     if len(half) != nh:
         raise TraversalIncomplete(f"rings hold {len(half)} half-edges, expected {nh}")
+    ring_size = np.diff(ring_start)
+    if ring_start[0] != 0 or ring_start[-1] != nh or np.any(ring_size < 0):
+        raise TraversalIncomplete(f"ring offsets do not run from 0 to {nh} in order")
+    ring_of = np.repeat(np.arange(len(ring_size)), ring_size)
+    stray = np.flatnonzero(ring_of != origin[half])
+    if len(stray):
+        raise TraversalIncomplete(
+            f"half-edge {half[stray[0]]} sits in the ring of vertex {ring_of[stray[0]]}")
 
     # slot of each half-edge's twin, and the slot before it in its ring
     slot = np.empty(nh, dtype=np.int64)
     slot[half] = np.arange(nh)
     twin = slot[np.arange(nh) ^ 1]
-    ring = np.repeat(np.arange(len(ring_start) - 1), np.diff(ring_start))[twin]
+    ring = ring_of[twin]
     pred = np.where(twin > ring_start[ring], twin - 1, ring_start[ring + 1] - 1)
     nxt = half[pred].tolist()
 

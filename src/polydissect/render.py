@@ -3,9 +3,9 @@
 Coordinates are emitted with fixed six-decimal formatting so that two
 renders of the same input are byte-identical. The optional zoom window is
 applied by analytic clipping, not by viewer-side cropping, which keeps
-element counts testable. The renderer reads the fragments and the graph's
-vertices as arrays; each vertex's canvas coordinates are formatted once
-and shared by the tiles around it.
+element counts testable. The renderer reads the fragments and the
+graph's vertex and edge arrays directly; each vertex's canvas coordinates
+are formatted once and shared by the tiles around it.
 """
 
 from __future__ import annotations
@@ -124,16 +124,15 @@ def _tiles(graph: PlanarGraph, opts: RenderOptions, tol: Tolerance, win, to_canv
     if opts.color_faces:
         total = len(census.orbit_sizes)
         fills = [_orbit_fill(k, total) for k in range(total)]
-        arrays = graph.arrays()
-        origin = arrays.origin.tolist()
+        origin = graph.edges.reshape(-1).tolist()
         if opts.zoom is None:
-            px, py = to_canvas(arrays.xy[:, 0], arrays.xy[:, 1])
+            px, py = to_canvas(graph.vertices[:, 0], graph.vertices[:, 1])
             point = list(map("{:.6f},{:.6f}".format, px.tolist(), py.tolist()))
             for i in inner:
                 coords = " ".join([point[origin[h]] for h in faces[i].boundary])
                 polygons.append(f'<polygon points="{coords}" fill="{fills[orbit[i]]}"/>')
         else:
-            xy = arrays.xy.tolist()
+            xy = graph.vertices.tolist()
             for i in inner:
                 pts = _clip_polygon([xy[origin[h]] for h in faces[i].boundary], win)
                 if len(pts) < 3:

@@ -19,6 +19,7 @@ from polydissect import (
     split_all,
     split_all_fast,
 )
+from polydissect.polygon import base_array
 
 
 def seg(x0, y0, x1, y1):
@@ -27,7 +28,7 @@ def seg(x0, y0, x1, y1):
 
 def full_route(spec, tol=DEFAULT_TOL, splitter=split_all_fast):
     """(V, E, F) from the whole arrangement: split every segment, cluster endpoints."""
-    split = splitter(base_segments(spec), tol)
+    split = splitter(base_array(spec), tol)
     v = count_vertices(split, tol)
     return v, len(split), 1 + len(split) - v
 

@@ -14,6 +14,7 @@ from polydissect import (
     build_graph,
     cluster_endpoints,
     enumerate_faces,
+    split_all,
     split_all_fast,
 )
 from polydissect.geom import merge_runs, merge_sorted_runs, segment_array
@@ -35,7 +36,9 @@ def test_array_split_matches_the_segment_split(n):
     assert np.array_equal(frags, segment_array(split_all_fast(base_segments(spec))))
     labels, centroids = cluster_endpoints(frags)
     same_labels, same_centroids = cluster_endpoints(split_all_fast(base_segments(spec)))
-    assert np.array_equal(labels, same_labels) and centroids == same_centroids
+    assert np.array_equal(labels, same_labels)
+    assert np.array_equal(centroids, same_centroids)
+    assert split_all(base_array(spec)) == split_all(base_segments(spec))
 
 
 @pytest.mark.parametrize("n", [3, 6, 9])
@@ -43,16 +46,9 @@ def test_graph_from_arrays_equals_graph_from_segments(n):
     spec = PolygonSpec(n)
     from_array = build_graph(split_all_fast(base_array(spec)))
     from_list = build_graph(split_all_fast(base_segments(spec)))
-    assert from_array == from_list
+    for name in ("vertices", "edges", "ring_start", "ring_half"):
+        assert np.array_equal(getattr(from_array, name), getattr(from_list, name))
     assert enumerate_faces(from_array) == enumerate_faces(from_list)
-
-
-def test_graph_arrays_match_its_lists():
-    g = build_graph(split_all_fast(base_array(PolygonSpec(5))))
-    built = g.arrays()
-    read = PlanarGraph(g.vertices, g.edges, g.rings).arrays()
-    for a, b in zip(built, read):
-        assert np.array_equal(a, b)
 
 
 def test_edges_coinciding_across_the_cut_raise():
@@ -65,10 +61,32 @@ def test_edges_coinciding_across_the_cut_raise():
         build_graph([a, b])
 
 
+def one_edge_graph(ring_start, ring_half):
+    """The edge from (0, 0) to (1, 0) with the given rings."""
+    return PlanarGraph(vertices=np.array([[0.0, 0.0], [1.0, 0.0]]), edges=np.array([[0, 1]]),
+                       ring_start=np.array(ring_start), ring_half=np.array(ring_half))
+
+
 def test_ring_half_edges_out_of_range_raise():
-    v = [Point2(0.0, 0.0), Point2(1.0, 0.0)]
-    with pytest.raises(TraversalIncomplete):
-        enumerate_faces(PlanarGraph(vertices=v, edges=[(0, 1)], rings=[[0], [5]]))
+    with pytest.raises(TraversalIncomplete, match="outside"):
+        enumerate_faces(one_edge_graph([0, 1, 2], [0, 5]))
+
+
+@pytest.mark.parametrize("ring_start", [[0, 2, 1, 2], [1, 2, 2]])
+def test_ring_offsets_out_of_order_raise(ring_start):
+    # offsets running backwards, or not starting at 0
+    with pytest.raises(TraversalIncomplete, match="ring offsets"):
+        enumerate_faces(one_edge_graph(ring_start, [0, 1]))
+
+
+def test_a_half_edge_in_another_vertex_ring_raises():
+    # the walk alone accepts these rings: it finds cycles with exactly one
+    # of negative area, which do not follow the geometry
+    g = build_graph(split_all_fast(base_array(PolygonSpec(2))))
+    half = g.ring_half.copy()
+    half[[0, 2]] = half[[2, 0]]
+    with pytest.raises(TraversalIncomplete, match="sits in the ring"):
+        enumerate_faces(PlanarGraph(g.vertices, g.edges, g.ring_start, half))
 
 
 def merge_runs_loop(params, fuzz):
@@ -107,7 +125,7 @@ def test_face_areas_and_centroids_follow_the_loop(n):
     # loop in the last bits only
     g = build_graph(split_all_fast(base_array(PolygonSpec(n))))
     for face in enumerate_faces(g):
-        pts = [g.vertices[g.origin(h)] for h in face.boundary]
+        pts = [g.vertices[g.origin(h)].tolist() for h in face.boundary]
         ox, oy = pts[0]
         rel = [(x - ox, y - oy) for x, y in pts]
         area2 = cx6 = cy6 = 0.0

@@ -11,10 +11,11 @@ from polydissect import (
     Tolerance,
     classify_param,
     intersect,
-    point_at,
-    split_at_params,
 )
+from polydissect.arrangement import _split_tuple
 from polydissect.geom import close_pairs, merge_runs
+
+FUZZ = 1e-10
 
 
 def seg(x0, y0, x1, y1):
@@ -67,18 +68,10 @@ class TestIntersect:
         for _ in range(300):
             a, b = _crossing_pair(rng)
             hit = intersect(a, b)
-            assert point_at(a, hit.t).dist(point_at(b, hit.u)) <= 1e-9
-
-
-class TestPointAt:
-    @pytest.mark.parametrize("t,expected", [(0.0, (0.0, 0.0)), (1.0, (2.0, 0.0)), (0.5, (1.0, 0.0))])
-    def test_examples(self, t, expected):
-        assert point_at(seg(0, 0, 2, 0), t) == Point2(*expected)
-
-    def test_endpoints_are_bit_exact(self):
-        s = seg(0.123456789, -0.98765, 0.31415, 0.27182)
-        assert point_at(s, 0.0) == s.p0
-        assert point_at(s, 1.0) == s.p1
+            t, u = hit
+            pa = Point2(t * a.p1.x + (1 - t) * a.p0.x, t * a.p1.y + (1 - t) * a.p0.y)
+            pb = Point2(u * b.p1.x + (1 - u) * b.p0.x, u * b.p1.y + (1 - u) * b.p0.y)
+            assert pa.dist(pb) <= 1e-9
 
 
 class TestClassifyParam:
@@ -109,32 +102,37 @@ class TestClassifyParam:
 
 
 class TestSplitAtParams:
+    """The reference splitter's cut of one segment at merged parameters
+    (``arrangement._split_tuple``; rows are x0, y0, x1, y1, length)."""
+
     def test_no_cut(self):
-        s = seg(0, 0, 2, 0)
-        assert split_at_params(s, []) == [s]
+        assert _split_tuple(0.0, 0.0, 2.0, 0.0, [], FUZZ) == [(0.0, 0.0, 2.0, 0.0, 2.0)]
 
     def test_midpoint(self):
-        parts = split_at_params(seg(0, 0, 2, 0), [0.5])
-        assert parts == [seg(0, 0, 1, 0), seg(1, 0, 2, 0)]
+        parts = _split_tuple(0.0, 0.0, 2.0, 0.0, [0.5], FUZZ)
+        assert parts == [(0.0, 0.0, 1.0, 0.0, 1.0), (1.0, 0.0, 2.0, 0.0, 1.0)]
 
     def test_duplicate_parameters_merge(self):
-        parts = split_at_params(seg(0, 0, 2, 0), [0.3, 0.3 + 1e-12, 0.7])
+        parts = _split_tuple(0.0, 0.0, 2.0, 0.0, [0.3, 0.3 + 1e-12, 0.7], FUZZ)
         assert len(parts) == 3
-        assert parts[0].p1.x == pytest.approx(0.6, abs=1e-9)
-        assert parts[1].p1.x == pytest.approx(1.4, abs=1e-9)
+        assert parts[0][2] == pytest.approx(0.6, abs=1e-9)
+        assert parts[1][2] == pytest.approx(1.4, abs=1e-9)
 
     def test_length_conservation(self):
         rng = random.Random(99)
         for _ in range(200):
             s = _random_segment(rng)
             ts = [rng.uniform(1e-6, 1 - 1e-6) for _ in range(rng.randrange(0, 12))]
-            parts = split_at_params(s, ts)
-            assert sum(p.length() for p in parts) == pytest.approx(s.length(), abs=1e-9)
+            parts = _split_tuple(*s.p0, *s.p1, ts, FUZZ)
+            assert sum(p[4] for p in parts) == pytest.approx(s.length(), abs=1e-9)
 
     def test_fragments_chain_without_gaps(self):
-        parts = split_at_params(seg(-1, -1, 1, 1), [0.25, 0.5, 0.75])
+        # the ends t = 0 and t = 1 reproduce the segment's endpoints bit-exactly
+        ends = (0.123456789, -0.98765, 0.31415, 0.27182)
+        parts = _split_tuple(*ends, [0.25, 0.5, 0.75], FUZZ)
+        assert parts[0][0:2] == ends[0:2] and parts[-1][2:4] == ends[2:4]
         for a, b in zip(parts, parts[1:]):
-            assert a.p1 == b.p0
+            assert a[2:4] == b[0:2]
 
 
 class TestMergeRuns:

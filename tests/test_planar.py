@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from polydissect import (
@@ -108,11 +109,14 @@ class TestEnumerateFaces:
         assert sorted(seen) == list(range(2 * len(g.edges)))
 
     def test_inconsistent_rings_raise(self):
-        v = [Point2(0.0, 0.0), Point2(1.0, 0.0)]
+        v = np.array([[0.0, 0.0], [1.0, 0.0]])
+        e = np.array([[0, 1]])
         with pytest.raises(TraversalIncomplete):
-            enumerate_faces(PlanarGraph(vertices=v, edges=[(0, 1)], rings=[[0], []]))
+            enumerate_faces(PlanarGraph(v, e, ring_start=np.array([0, 1, 1]),
+                                        ring_half=np.array([0])))
         with pytest.raises(TraversalIncomplete):
-            enumerate_faces(PlanarGraph(vertices=v, edges=[(0, 1)], rings=[[0, 1], [1]]))
+            enumerate_faces(PlanarGraph(v, e, ring_start=np.array([0, 2, 3]),
+                                        ring_half=np.array([0, 1, 1])))
 
 
 class TestOrbitCensus:
