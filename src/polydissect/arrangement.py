@@ -229,6 +229,20 @@ def split_all_fast(base: SegmentSet, tol: Tolerance = DEFAULT_TOL) -> SplitSegme
     return [Segment(Point2(x0, y0), Point2(x1, y1)) for x0, y0, x1, y1 in frags.tolist()]
 
 
+def _points_along(owner: np.ndarray, ts: np.ndarray, k: int, fuzz: float):
+    """The points along k segments, from the hit parameters ``ts`` on segment ``owner``.
+
+    Each segment's ends 0 and 1 join its hits, and the parameters along
+    each segment merge by the ``merge_runs`` rule. Returns the owner,
+    parameter and run size of every point, by owner and then along it.
+    """
+    owner = np.concatenate((owner, np.arange(k), np.arange(k)))
+    ts = np.concatenate((ts, np.zeros(k), np.ones(k)))
+    order = np.lexsort((ts, owner))
+    keep, sizes = merge_sorted_runs(owner[order], ts[order], fuzz)
+    return owner[order[keep]], ts[order[keep]], sizes
+
+
 def _fragments(base: np.ndarray, tol: Tolerance) -> np.ndarray:
     """The (E, 4) fragments of an (m, 4) base array; see split_all_fast."""
     m = len(base)
@@ -255,13 +269,7 @@ def _fragments(base: np.ndarray, tol: Tolerance) -> np.ndarray:
     assert np.all((cuts > fuzz) & (cuts < 1.0 - fuzz)), \
         "split parameter outside the interior range"
 
-    # merge each segment's cuts together with its ends 0 and 1
-    owner = np.concatenate(owners + [cols, cols])
-    ts = np.concatenate((cuts, np.zeros(m), np.ones(m)))
-    order = np.lexsort((ts, owner))
-    keep, _ = merge_sorted_runs(owner[order], ts[order], fuzz)
-    owner = owner[order[keep]]
-    t = ts[order[keep]]
+    owner, t, _ = _points_along(np.concatenate(owners), cuts, m, fuzz)
     x0, y0, x1, y1 = base[owner].T
     px = t * x1 + (1.0 - t) * x0
     py = t * y1 + (1.0 - t) * y0
@@ -363,14 +371,7 @@ def counts(spec: PolygonSpec, tol: Tolerance = DEFAULT_TOL) -> CountSummary:
     t, _, t_cls, u_cls = _solve_pairs(arrays, rows, fuzz)
     rep, col = np.nonzero((t_cls != _MISS) & (u_cls != _MISS))
 
-    # each representative's hit parameters, merged with its ends 0 and 1
-    r = np.arange(len(reps))
-    group = np.concatenate((rep, r, r))
-    ts = np.concatenate((t[rep, col], np.zeros(len(reps)), np.ones(len(reps))))
-    order = np.lexsort((ts, group))
-    keep, sizes = merge_sorted_runs(group[order], ts[order], fuzz)
-    owner = group[order[keep]]
-    points = ts[order[keep]]
+    owner, points, sizes = _points_along(rep, t[rep, col], len(reps), fuzz)
     same = owner[1:] == owner[:-1]
 
     gaps = np.where(same, np.diff(points) * seglen[rows[owner[1:]]], math.inf)

@@ -1,11 +1,12 @@
 """Half-edge face oracle for the split arrangement.
 
 Builds a rotation system (angularly sorted incidence lists) on the
-deduplicated vertices and enumerates the faces by the standard
-most-clockwise-turn traversal. The inner face count provides a check on
-the Euler formula that shares nothing with it beyond the vertex dedup,
-and the face centroids let the rotational orbit structure be verified
-geometrically.
+deduplicated vertices; the faces are the cycles of the standard
+most-clockwise-turn successor of the half-edges, labelled by pointer
+doubling (``_cycle_labels``, which labels the rotation orbits too). The
+inner face count provides a check on the Euler formula that shares nothing
+with it beyond the vertex dedup, and the face centroids let the rotational
+orbit structure be verified geometrically.
 
 A ``PlanarGraph`` is four numpy arrays: the vertex coordinates, the
 endpoint labels of each edge, and the rings in CSR form (one half-edge
@@ -32,6 +33,20 @@ def _point_array(points: list[Point2]) -> np.ndarray:
     """A (k, 2) array of the points' x, y."""
     flat = itertools.chain.from_iterable(points)
     return np.fromiter(flat, dtype=float, count=2 * len(points)).reshape(-1, 2)
+
+
+def _cycle_labels(succ: np.ndarray) -> np.ndarray:
+    """The smallest member of each item's cycle under the permutation ``succ``.
+
+    Pointer doubling: after r rounds a label is the minimum over the item
+    and the 2**r - 1 after it, so a cycle of length L takes log2(L) rounds.
+    On a map that is not a permutation the loop need not end.
+    """
+    label, ptr = np.arange(len(succ)), succ
+    while not np.array_equal(label, label[succ]):
+        label = np.minimum(label, label[ptr])
+        ptr = ptr[ptr]
+    return label
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,14 +134,16 @@ def build_graph(split: SplitSegmentSet, tol: Tolerance = DEFAULT_TOL) -> PlanarG
 
 
 def enumerate_faces(g: PlanarGraph) -> list[FaceRecord]:
-    """Trace every face cycle of the embedding.
+    """Every face cycle of the embedding.
 
-    From an incoming half-edge, the walk continues with the ring
-    predecessor of its twin, which traverses inner faces counterclockwise
-    (positive signed area) and the single outer face clockwise. Cycles
-    start at their smallest half-edge and come in the order of it.
-    Raises TraversalIncomplete unless the rings hold every half-edge once,
-    in the ring of its origin, and the walk finds exactly one outer face.
+    The successor of a half-edge is the ring predecessor of its twin, which
+    traverses inner faces counterclockwise (positive signed area) and the
+    single outer face clockwise. Each half-edge is labelled with the
+    smallest half-edge of its cycle; cycles start there and come in the
+    order of it, and all of them are read off in lockstep. Raises
+    TraversalIncomplete unless the rings hold every half-edge once, in the
+    ring of its origin, the successor is a permutation, and there is
+    exactly one outer face.
     """
     xy, ring_start, half = g.vertices, g.ring_start, g.ring_half
     origin = g.edges.reshape(-1)
@@ -154,28 +171,22 @@ def enumerate_faces(g: PlanarGraph) -> list[FaceRecord]:
     twin = slot[np.arange(nh) ^ 1]
     ring = ring_of[twin]
     pred = np.where(twin > ring_start[ring], twin - 1, ring_start[ring + 1] - 1)
-    nxt = half[pred].tolist()
+    nxt = half[pred]
+    if np.any(np.bincount(nxt, minlength=nh) != 1):
+        raise TraversalIncomplete("the face successor of the half-edges is not a permutation")
 
-    used = bytearray(nh)
-    order: list[int] = []
-    starts: list[int] = []
-    for h0 in range(nh):
-        if used[h0]:
-            continue
-        starts.append(len(order))
-        h = h0
-        while True:
-            order.append(h)
-            used[h] = 1
-            h = nxt[h]
-            if h == h0:
-                break
-            if used[h]:
-                raise TraversalIncomplete(f"walk from half-edge {h0} re-entered used {h}")
+    label = _cycle_labels(nxt)
+    lead = np.flatnonzero(label == np.arange(nh))
+    size = np.bincount(label, minlength=nh)[lead]
+    first = np.cumsum(size) - size
+    # all faces advance one half-edge a round: as many rounds as the longest face
+    cyc = np.empty(nh, dtype=np.int64)
+    h, at, left = lead, first, size
+    while len(h):
+        cyc[at] = h
+        live = left > 1
+        h, at, left = nxt[h[live]], at[live] + 1, left[live] - 1
 
-    cyc = np.array(order, dtype=np.int64)
-    first = np.array(starts, dtype=np.int64)
-    size = np.diff(np.append(first, nh))
     # Work relative to each face's first vertex: in absolute coordinates the
     # shoelace terms of a tile far from the origin cancel, and the smallest
     # tiles' centroids lose more than the orbit match radius.
@@ -200,7 +211,7 @@ def enumerate_faces(g: PlanarGraph) -> list[FaceRecord]:
     if negatives != 1:
         raise TraversalIncomplete(f"expected exactly one outer face, found {negatives}")
     outer = int(np.argmin(area))
-    bounds = starts + [nh]
+    order, bounds = cyc.tolist(), first.tolist() + [nh]
     return [FaceRecord(tuple(order[lo:hi]), Point2(x, y), a, i == outer)
             for i, (lo, hi, x, y, a) in enumerate(zip(
                 bounds, bounds[1:], cx.tolist(), cy.tolist(), area.tolist()))]
@@ -217,9 +228,11 @@ def orbit_census(
     """Partition inner faces into orbits under rotation by 2pi/N.
 
     Faces are matched by rotated centroid within 10*fuzz, all at once with
-    ``close_pairs``; every rotated centroid must hit exactly one face. Every
-    orbit must have size N except the single central face (even n), which
-    is fixed by the rotation and forms an orbit of size 1.
+    ``close_pairs``; every rotated centroid must hit exactly one face and
+    every face be hit once. The orbits are the cycles of that permutation,
+    numbered in the order of their first face. Every orbit must have size
+    N except the single central face (even n), which is fixed by the
+    rotation and forms an orbit of size 1.
     """
     inner = [i for i, f in enumerate(faces) if not f.is_outer]
     cx, cy = _point_array([faces[i].centroid for i in inner]).T
@@ -236,39 +249,23 @@ def orbit_census(
         k = bad[0]
         raise OrbitMismatch(
             f"rotated centroid ({rx[k]:.12g}, {ry[k]:.12g}) matches {hits[k]} faces")
-    # walk the rotation over positions in ``inner``
+    entered = np.bincount(dst, minlength=len(inner))
+    k = np.flatnonzero(entered != 1)[:1]
+    if len(k):
+        raise OrbitMismatch(f"face {inner[k[0]]} is hit by {entered[k[0]]} rotated centroids")
+    # the rotation as a permutation of positions in ``inner``
     successor = np.empty(len(inner), dtype=np.int64)
     successor[src] = dst
-    successor = successor.tolist()
-
-    orbit_of = [-1] * len(inner)
-    sizes: list[int] = []
-    for start in range(len(inner)):
-        if orbit_of[start] != -1:
-            continue
-        oid = len(sizes)
-        size = 0
-        cur = start
-        while True:
-            orbit_of[cur] = oid
-            size += 1
-            nxt = successor[cur]
-            if nxt == start:
-                break
-            if orbit_of[nxt] != -1:
-                raise OrbitMismatch(
-                    f"rotation walk from face {inner[start]} re-entered face {inner[nxt]}")
-            cur = nxt
-        sizes.append(size)
-
-    bad = [s for s in sizes if s not in (1, spec.N)]
-    if bad:
-        raise OrbitMismatch(f"orbit sizes {bad} are neither 1 nor N={spec.N}")
+    _, orbit_of = np.unique(_cycle_labels(successor), return_inverse=True)
+    sizes = np.bincount(orbit_of)
+    bad = sizes[(sizes != 1) & (sizes != spec.N)]
+    if len(bad):
+        raise OrbitMismatch(f"orbit sizes {bad.tolist()} are neither 1 nor N={spec.N}")
     face_orbits = np.full(len(faces), -1, dtype=np.int64)
     face_orbits[inner] = orbit_of
     return OrbitCensus(
-        per_ray=sizes.count(spec.N),
-        central=sizes.count(1),
-        orbit_sizes=tuple(sorted(sizes)),
+        per_ray=int(np.count_nonzero(sizes == spec.N)),
+        central=int(np.count_nonzero(sizes == 1)),
+        orbit_sizes=tuple(np.sort(sizes).tolist()),
         face_orbits=tuple(face_orbits.tolist()),
     )

@@ -33,14 +33,15 @@ class RenderOptions:
     label_orbits: bool = False
 
     def __post_init__(self) -> None:
-        if self.scale <= 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale!r}")
-        if self.stroke_width <= 0.0:
-            raise ValueError(f"stroke_width must be positive, got {self.stroke_width!r}")
+        for name in ("scale", "stroke_width"):
+            v = getattr(self, name)
+            if not 0.0 < v < math.inf:  # false for NaN as well
+                raise ValueError(f"{name} must be positive and finite, got {v!r}")
         if self.zoom is not None:
             x0, y0, x1, y1 = self.zoom
-            if not (x0 < x1 and y0 < y1):
-                raise ValueError(f"zoom window {self.zoom!r} is not ordered as x0,y0,x1,y1")
+            if not (all(map(math.isfinite, self.zoom)) and x0 < x1 and y0 < y1):
+                raise ValueError(
+                    f"zoom window {self.zoom!r} is not finite and ordered as x0,y0,x1,y1")
             nx = max(x0, min(0.0, x1))
             ny = max(y0, min(0.0, y1))
             if math.hypot(nx, ny) > 1.0:

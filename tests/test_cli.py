@@ -171,6 +171,15 @@ class TestRender:
             main(["render", "--n", "2", "--out", str(tmp_path / "x.svg"), "--zoom", "1,2,3"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("option", [["--scale", "nan"], ["--scale", "inf"],
+                                        ["--zoom=-inf,-0.5,inf,0.5"]])
+    def test_non_finite_options_exit_2_and_write_nothing(self, tmp_path, option):
+        out = tmp_path / "x.svg"
+        with pytest.raises(SystemExit) as err:
+            main(["render", "--n", "3", "--out", str(out)] + option)
+        assert err.value.code == 2
+        assert not out.exists()
+
     def test_offdisk_zoom_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["render", "--n", "2", "--out", str(tmp_path / "x.svg"),

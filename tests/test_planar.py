@@ -5,6 +5,7 @@ import pytest
 
 from polydissect import (
     AmbiguousClustering,
+    FaceRecord,
     OrbitMismatch,
     PlanarGraph,
     Point2,
@@ -18,6 +19,7 @@ from polydissect import (
     orbit_census,
     split_all_fast,
 )
+from polydissect.planar import _cycle_labels
 from polydissect.reference import reference_table
 
 
@@ -118,6 +120,62 @@ class TestEnumerateFaces:
             enumerate_faces(PlanarGraph(v, e, ring_start=np.array([0, 2, 3]),
                                         ring_half=np.array([0, 1, 1])))
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_each_face_is_a_closed_walk_from_its_smallest_half_edge(self, n):
+        g = graph_for(n)
+        faces = enumerate_faces(g)
+        leads = [f.boundary[0] for f in faces]
+        assert leads == sorted(set(leads))
+        for f in faces:
+            assert f.boundary[0] == min(f.boundary)
+            for h, following in zip(f.boundary, f.boundary[1:] + f.boundary[:1]):
+                assert g.origin(following) == g.origin(h ^ 1)
+        assert sorted(h for f in faces for h in f.boundary) == list(range(2 * len(g.edges)))
+
+
+def cycle_min_oracle(succ):
+    """Smallest member of each item's cycle, by walking every cycle once."""
+    label = [-1] * len(succ)
+    for i in range(len(succ)):
+        j = i
+        while label[j] < 0:
+            label[j] = i
+            j = succ[j]
+    return label
+
+
+def cycle_through(order):
+    """The permutation with one cycle visiting ``order`` in turn."""
+    succ = np.empty(len(order), dtype=np.int64)
+    succ[order] = np.roll(order, -1)
+    return succ
+
+
+class TestCycleLabels:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_many_short_cycles(self, seed):
+        rng = np.random.default_rng(seed)
+        items = rng.permutation(20_000)
+        cuts = np.cumsum(rng.integers(1, 6, size=len(items)))
+        succ = np.empty(len(items), dtype=np.int64)
+        for chunk in np.split(items, cuts[cuts < len(items)]):
+            succ[chunk] = np.roll(chunk, -1)
+        assert _cycle_labels(succ).tolist() == cycle_min_oracle(succ.tolist())
+
+    @pytest.mark.parametrize("kind", ["increasing", "decreasing", "random"])
+    def test_one_long_cycle(self, kind):
+        order = {"increasing": np.arange(100_000),
+                 "decreasing": np.arange(100_000)[::-1],
+                 "random": np.random.default_rng(7).permutation(100_000)}[kind]
+        succ = cycle_through(order)
+        assert _cycle_labels(succ).tolist() == cycle_min_oracle(succ.tolist())
+        assert not np.any(_cycle_labels(succ))
+
+    def test_identity(self):
+        succ = np.arange(1000)
+        assert np.array_equal(_cycle_labels(succ), succ)
+        assert len(_cycle_labels(np.arange(0))) == 0
+
 
 class TestOrbitCensus:
     @pytest.mark.parametrize("n,per_ray", [(3, 1), (4, 3), (5, 5), (6, 12), (7, 16), (8, 31)])
@@ -139,7 +197,7 @@ class TestOrbitCensus:
         assert census.orbit_sizes.count(1) == census.central
         assert census.per_ray * spec.N + census.central == inner_count
 
-    @pytest.mark.parametrize("n", [20, 22, 23, 25, 26, 30])
+    @pytest.mark.parametrize("n", range(15, 31))
     def test_census_of_large_polygons_matches_the_reference(self, n):
         # the smallest tiles here have area ~2e-10: their centroids must not
         # lose the 10*fuzz match radius to cancellation
@@ -168,6 +226,15 @@ class TestOrbitCensus:
         k = next(i for i, f in enumerate(faces) if not f.is_outer)
         with pytest.raises(OrbitMismatch, match="matches 2 faces"):
             orbit_census(faces + [faces[k]], PolygonSpec(4))
+
+    def test_a_face_entered_twice_raises(self):
+        # every rotated centroid hits one face, but A and B both rotate
+        # onto C, and nothing rotates onto B
+        r = 0.9 * 10.0 * 1e-10
+        centroids = [(1.0, r), (1.0, -r), (0.0, 1.0), (-1.0, 0.0), (r, -1.0)]
+        faces = [FaceRecord((), Point2(x, y), 1.0, False) for x, y in centroids]
+        with pytest.raises(OrbitMismatch, match="face 1 is hit by 0"):
+            orbit_census(faces, PolygonSpec(2))
 
     def test_accepts_prefiltered_inner_faces(self):
         spec = PolygonSpec(4)

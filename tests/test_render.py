@@ -1,3 +1,4 @@
+import math
 import re
 
 import pytest
@@ -112,6 +113,16 @@ def test_option_validation():
         RenderOptions(zoom=(0.5, 0.5, 0.1, 0.9))  # not ordered
     with pytest.raises(ValueError):
         RenderOptions(zoom=(5.0, 5.0, 6.0, 6.0))  # misses the unit disk
+
+
+@pytest.mark.parametrize("opts", [
+    {"scale": math.nan}, {"scale": math.inf},
+    {"stroke_width": math.nan}, {"stroke_width": math.inf},
+    {"zoom": (-math.inf, -0.5, math.inf, 0.5)}, {"zoom": (math.nan, -0.5, 0.5, 0.5)},
+])
+def test_non_finite_options_are_rejected(opts):
+    with pytest.raises(ValueError, match="finite"):
+        RenderOptions(**opts)
 
 
 def test_scale_controls_the_canvas():
