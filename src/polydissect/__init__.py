@@ -31,11 +31,11 @@ from .arrangement import (
 )
 from .planar import (
     FaceRecord,
+    Faces,
     OrbitCensus,
     PlanarGraph,
     build_graph,
     enumerate_faces,
-    face_vertices,
     orbit_census,
 )
 from .render import RenderOptions, render_svg
@@ -71,11 +71,11 @@ __all__ = [
     "split_all",
     "split_all_fast",
     "FaceRecord",
+    "Faces",
     "OrbitCensus",
     "PlanarGraph",
     "build_graph",
     "enumerate_faces",
-    "face_vertices",
     "orbit_census",
     "RenderOptions",
     "render_svg",

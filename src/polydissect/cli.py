@@ -156,8 +156,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--max-n", type=int, required=True, dest="max_n")
     p_table.add_argument("--format", required=True, choices=("text", "csv", "json"))
     add_fuzz(p_table)
-    p_table.add_argument("--jobs", type=int, default=1,
-                         help="accepted for compatibility; rows are counted in one process")
 
     p_verify = sub.add_parser("verify", help="check counts against the reference tables")
     p_verify.add_argument("--max-n", type=int, required=True, dest="max_n")
@@ -193,8 +191,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "table":
             if not 2 <= args.max_n <= REFERENCE_MAX_N:
                 parser.error(f"--max-n must be in 2..{REFERENCE_MAX_N}")
-            if args.jobs < 1:
-                parser.error("--jobs must be at least 1")
             return cmd_table(args.max_n, args.format, tol)
         if args.command == "verify":
             if not 2 <= args.max_n <= REFERENCE_MAX_N:

@@ -10,15 +10,15 @@ orbit structure be verified geometrically.
 
 A ``PlanarGraph`` is four numpy arrays: the vertex coordinates, the
 endpoint labels of each edge, and the rings in CSR form (one half-edge
-array sorted by origin and angle, with per-vertex offsets). The
-``FaceRecord`` objects are built only because ``enumerate_faces`` returns
-them.
+array sorted by origin and angle, with per-vertex offsets). ``Faces`` is
+four arrays too: the face cycles in CSR form, the signed areas and the
+centroids. A ``FaceRecord`` is built only when a caller indexes ``Faces``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +27,6 @@ from .errors import AmbiguousClustering, OrbitMismatch, TraversalIncomplete
 from .geom import DEFAULT_TOL, Point2, Tolerance, close_pairs
 from .arrangement import SplitSegmentSet, cluster_endpoints
 from .polygon import PolygonSpec
-
-
-def _point_array(points: list[Point2]) -> np.ndarray:
-    """A (k, 2) array of the points' x, y."""
-    flat = itertools.chain.from_iterable(points)
-    return np.fromiter(flat, dtype=float, count=2 * len(points)).reshape(-1, 2)
 
 
 def _cycle_labels(succ: np.ndarray) -> np.ndarray:
@@ -81,14 +75,38 @@ class FaceRecord:
     is_outer: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class Faces(Sequence):
+    """Every face cycle of an embedding, as arrays.
+
+    Face i is ``cycle[start[i]:start[i + 1]]``, beginning at its smallest
+    half-edge; the outer face is the one face of negative signed area.
+    Indexing builds a ``FaceRecord`` view of one face.
+    """
+
+    cycle: np.ndarray        # (2E,) half-edges, face after face
+    start: np.ndarray        # (F + 1,) offsets into cycle
+    signed_area: np.ndarray  # (F,)
+    centroid: np.ndarray     # (F, 2)
+
+    def __len__(self) -> int:
+        return len(self.signed_area)
+
+    def __getitem__(self, i: int) -> FaceRecord:
+        i = range(len(self))[i]
+        area = float(self.signed_area[i])
+        return FaceRecord(tuple(self.cycle[self.start[i]:self.start[i + 1]].tolist()),
+                          Point2(*self.centroid[i].tolist()), area, area < 0.0)
+
+
+@dataclass(frozen=True, eq=False)
 class OrbitCensus:
     """Partition of the inner faces into orbits under rotation by 2pi/N."""
 
     per_ray: int
     central: int
     orbit_sizes: tuple[int, ...]
-    face_orbits: tuple[int, ...]  # orbit id per input face, -1 for the outer face
+    face_orbits: np.ndarray  # orbit id per input face, -1 for the outer face
 
 
 def build_graph(split: SplitSegmentSet, tol: Tolerance = DEFAULT_TOL) -> PlanarGraph:
@@ -133,14 +151,15 @@ def build_graph(split: SplitSegmentSet, tol: Tolerance = DEFAULT_TOL) -> PlanarG
                        ring_start=ring_start, ring_half=half)
 
 
-def enumerate_faces(g: PlanarGraph) -> list[FaceRecord]:
-    """Every face cycle of the embedding.
+def enumerate_faces(g: PlanarGraph) -> Faces:
+    """Every face cycle of the embedding, as ``Faces`` arrays.
 
     The successor of a half-edge is the ring predecessor of its twin, which
     traverses inner faces counterclockwise (positive signed area) and the
     single outer face clockwise. Each half-edge is labelled with the
     smallest half-edge of its cycle; cycles start there and come in the
-    order of it, and all of them are read off in lockstep. Raises
+    order of it, and all of them are read off in lockstep into ``cycle``;
+    areas and centroids are summed per face over it. Raises
     TraversalIncomplete unless the rings hold every half-edge once, in the
     ring of its origin, the successor is a permutation, and there is
     exactly one outer face.
@@ -210,32 +229,22 @@ def enumerate_faces(g: PlanarGraph) -> list[FaceRecord]:
     negatives = int(np.count_nonzero(area < 0.0))
     if negatives != 1:
         raise TraversalIncomplete(f"expected exactly one outer face, found {negatives}")
-    outer = int(np.argmin(area))
-    order, bounds = cyc.tolist(), first.tolist() + [nh]
-    return [FaceRecord(tuple(order[lo:hi]), Point2(x, y), a, i == outer)
-            for i, (lo, hi, x, y, a) in enumerate(zip(
-                bounds, bounds[1:], cx.tolist(), cy.tolist(), area.tolist()))]
+    return Faces(cyc, np.append(first, nh), area, np.column_stack((cx, cy)))
 
 
-def face_vertices(g: PlanarGraph, face: FaceRecord) -> list[int]:
-    """Vertex indices around a face, in traversal order."""
-    return [g.origin(h) for h in face.boundary]
-
-
-def orbit_census(
-    faces: list[FaceRecord], spec: PolygonSpec, tol: Tolerance = DEFAULT_TOL,
-) -> OrbitCensus:
+def orbit_census(faces: Faces, spec: PolygonSpec, tol: Tolerance = DEFAULT_TOL) -> OrbitCensus:
     """Partition inner faces into orbits under rotation by 2pi/N.
 
-    Faces are matched by rotated centroid within 10*fuzz, all at once with
-    ``close_pairs``; every rotated centroid must hit exactly one face and
-    every face be hit once. The orbits are the cycles of that permutation,
-    numbered in the order of their first face. Every orbit must have size
-    N except the single central face (even n), which is fixed by the
-    rotation and forms an orbit of size 1.
+    Inner faces (non-negative signed area) are matched by rotated centroid
+    within 10*fuzz, all at once with ``close_pairs``; every rotated
+    centroid must hit exactly one face and every face be hit once. The
+    orbits are the cycles of that permutation, numbered in the order of
+    their first face. Every orbit must have size N except the single
+    central face (even n), which is fixed by the rotation and forms an
+    orbit of size 1.
     """
-    inner = [i for i, f in enumerate(faces) if not f.is_outer]
-    cx, cy = _point_array([faces[i].centroid for i in inner]).T
+    inner = np.flatnonzero(faces.signed_area >= 0.0)
+    cx, cy = faces.centroid[inner].T
     angle = math.pi / spec.n
     cos_a = math.cos(angle)
     sin_a = math.sin(angle)
@@ -267,5 +276,5 @@ def orbit_census(
         per_ray=int(np.count_nonzero(sizes == spec.N)),
         central=int(np.count_nonzero(sizes == 1)),
         orbit_sizes=tuple(np.sort(sizes).tolist()),
-        face_orbits=tuple(face_orbits.tolist()),
+        face_orbits=face_orbits,
     )

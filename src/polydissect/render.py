@@ -112,42 +112,44 @@ def _tiles(graph: PlanarGraph, opts: RenderOptions, tol: Tolerance, win, to_canv
     """The <polygon> elements of the inner faces (with color_faces) and the
     (x, y, orbit) of each face centroid inside the window (with label_orbits).
 
-    A function of its own so that the face records are freed before the
-    lines are formatted and the document is joined, which lowers the peak
-    memory of a large render.
+    Reads the face arrays, all faces at once, and n from the outer face's
+    2n sides. A function of its own so that the face arrays are freed
+    before the lines are formatted and the document is joined, which
+    lowers the peak memory of a large render.
     """
     faces = enumerate_faces(graph)
-    outer = next(f for f in faces if f.is_outer)
-    census = orbit_census(faces, PolygonSpec(len(outer.boundary) // 2), tol)
+    start = faces.start
+    outer = int(np.argmin(faces.signed_area))
+    census = orbit_census(faces, PolygonSpec(int(np.diff(start)[outer]) // 2), tol)
     orbit = census.face_orbits
-    inner = [i for i, f in enumerate(faces) if not f.is_outer]
+    inner = np.flatnonzero(orbit >= 0)
     polygons: list[str] = []
     if opts.color_faces:
         total = len(census.orbit_sizes)
         fills = [_orbit_fill(k, total) for k in range(total)]
-        origin = graph.edges.reshape(-1).tolist()
+        ring = graph.edges.reshape(-1)[faces.cycle]
+        bounds = zip(start[inner].tolist(), start[inner + 1].tolist(), orbit[inner].tolist())
         if opts.zoom is None:
             px, py = to_canvas(graph.vertices[:, 0], graph.vertices[:, 1])
-            point = list(map("{:.6f},{:.6f}".format, px.tolist(), py.tolist()))
-            for i in inner:
-                coords = " ".join([point[origin[h]] for h in faces[i].boundary])
-                polygons.append(f'<polygon points="{coords}" fill="{fills[orbit[i]]}"/>')
+            point = np.array(list(map("{:.6f},{:.6f}".format, px.tolist(), py.tolist())),
+                             dtype=object)[ring].tolist()
+            for lo, hi, k in bounds:
+                polygons.append(f'<polygon points="{" ".join(point[lo:hi])}" fill="{fills[k]}"/>')
         else:
-            xy = graph.vertices.tolist()
-            for i in inner:
-                pts = _clip_polygon([xy[origin[h]] for h in faces[i].boundary], win)
+            xy = graph.vertices[ring].tolist()
+            for lo, hi, k in bounds:
+                pts = _clip_polygon(xy[lo:hi], win)
                 if len(pts) < 3:
                     continue
                 coords = " ".join(
                     f"{_fmt(cx)},{_fmt(cy)}" for cx, cy in (to_canvas(x, y) for x, y in pts))
-                polygons.append(f'<polygon points="{coords}" fill="{fills[orbit[i]]}"/>')
+                polygons.append(f'<polygon points="{coords}" fill="{fills[k]}"/>')
     labels = []
     if opts.label_orbits:
         wx0, wy0, wx1, wy1 = win
-        for i in inner:
-            x, y = faces[i].centroid
-            if wx0 <= x <= wx1 and wy0 <= y <= wy1:
-                labels.append((x, y, orbit[i]))
+        x, y = faces.centroid[inner].T
+        seen = (wx0 <= x) & (x <= wx1) & (wy0 <= y) & (y <= wy1)
+        labels = list(zip(x[seen].tolist(), y[seen].tolist(), orbit[inner][seen].tolist()))
     return polygons, labels
 
 

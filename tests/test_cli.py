@@ -121,6 +121,12 @@ class TestTable:
             main(["table", "--max-n", "40", "--format", "text"])
         assert err.value.code == 2
 
+    def test_jobs_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["table", "--max-n", "3", "--format", "text", "--jobs", "2"])
+        assert err.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_table1_prefix_matches(self, capsys):

@@ -32,6 +32,11 @@ GOLDEN = {
                 "07c336e1e6ce5d5e59393e5162b3986504c9d3e743f1090343f811080e4ffe95"),
     "labels-6": (6, RenderOptions(label_orbits=True),
                  "a808c8d9276f909a1664b27f8131ec1da49ccb3d0ac1787271e61fbb601cc626"),
+    "faces-zoom-10": (10, RenderOptions(color_faces=True, zoom=(0.55, -0.25, 1.05, 0.25)),
+                      "af5767b6da9d1c2dcda14b469850f716ab7c860f7db8dc0f5dcc766d0596b2a3"),
+    "faces-labels-zoom-8": (8, RenderOptions(color_faces=True, label_orbits=True,
+                                             zoom=(-0.2, -0.2, 0.6, 0.5), scale=250.0),
+                            "b4e58574983df0669e87d31c71e7758efbf9e966c407e6c9bcc4b51aaff468ab"),
 }
 
 
@@ -47,7 +52,7 @@ def test_render_svg_bytes_are_pinned(case):
     assert sha256(render_svg(split, graph, opts)) == digest
 
 
-@pytest.mark.parametrize("case", ["faces-10", "zoom-10"])
+@pytest.mark.parametrize("case", ["faces-10", "zoom-10", "faces-zoom-10"])
 def test_cli_render_writes_the_pinned_bytes(case, tmp_path):
     n, opts, digest = GOLDEN[case]
     out = tmp_path / f"{case}.svg"

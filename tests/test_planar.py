@@ -5,7 +5,7 @@ import pytest
 
 from polydissect import (
     AmbiguousClustering,
-    FaceRecord,
+    Faces,
     OrbitMismatch,
     PlanarGraph,
     Point2,
@@ -15,7 +15,6 @@ from polydissect import (
     base_segments,
     build_graph,
     enumerate_faces,
-    face_vertices,
     orbit_census,
     split_all_fast,
 )
@@ -25,6 +24,15 @@ from polydissect.reference import reference_table
 
 def graph_for(n):
     return build_graph(split_all_fast(base_segments(PolygonSpec(n))))
+
+
+def pick(faces, idx):
+    """The faces listed by ``idx``, in that order, as ``Faces`` arrays."""
+    idx = np.asarray(idx, dtype=np.int64)
+    lo, hi = faces.start[idx], faces.start[idx + 1]
+    return Faces(cycle=np.concatenate([faces.cycle[a:b] for a, b in zip(lo, hi)]),
+                 start=np.concatenate(([0], np.cumsum(hi - lo))),
+                 signed_area=faces.signed_area[idx], centroid=faces.centroid[idx])
 
 
 class TestBuildGraph:
@@ -133,6 +141,30 @@ class TestEnumerateFaces:
         assert sorted(h for f in faces for h in f.boundary) == list(range(2 * len(g.edges)))
 
 
+class TestFaces:
+    def test_views_are_the_array_slices(self):
+        faces = enumerate_faces(graph_for(5))
+        assert len(faces) == len(faces.signed_area) == len(faces.centroid) == len(faces.start) - 1
+        views = list(faces)
+        assert len(views) == len(faces)
+        for i, f in enumerate(views):
+            lo, hi = faces.start[i], faces.start[i + 1]
+            assert f.boundary == tuple(faces.cycle[lo:hi].tolist())
+            assert f.centroid == tuple(faces.centroid[i].tolist())
+            assert f.signed_area == faces.signed_area[i]
+            assert f.is_outer == (faces.signed_area[i] < 0)
+        assert sum(f.is_outer for f in views) == 1
+
+    def test_indexing_follows_the_sequence_rules(self):
+        faces = enumerate_faces(graph_for(4))
+        assert faces[-1] == faces[len(faces) - 1]
+        assert faces[-len(faces)] == faces[0]
+        with pytest.raises(IndexError):
+            faces[len(faces)]
+        with pytest.raises(IndexError):
+            faces[-len(faces) - 1]
+
+
 def cycle_min_oracle(succ):
     """Smallest member of each item's cycle, by walking every cycle once."""
     label = [-1] * len(succ)
@@ -210,6 +242,7 @@ class TestOrbitCensus:
         spec = PolygonSpec(4)
         faces = enumerate_faces(graph_for(4))
         census = orbit_census(faces, spec)
+        assert census.face_orbits.dtype == np.int64
         for face, orbit in zip(faces, census.face_orbits):
             assert (orbit == -1) == face.is_outer
         assert len(set(census.face_orbits) - {-1}) == len(census.orbit_sizes)
@@ -225,29 +258,23 @@ class TestOrbitCensus:
         faces = enumerate_faces(graph_for(4))
         k = next(i for i, f in enumerate(faces) if not f.is_outer)
         with pytest.raises(OrbitMismatch, match="matches 2 faces"):
-            orbit_census(faces + [faces[k]], PolygonSpec(4))
+            orbit_census(pick(faces, [*range(len(faces)), k]), PolygonSpec(4))
 
     def test_a_face_entered_twice_raises(self):
         # every rotated centroid hits one face, but A and B both rotate
         # onto C, and nothing rotates onto B
         r = 0.9 * 10.0 * 1e-10
         centroids = [(1.0, r), (1.0, -r), (0.0, 1.0), (-1.0, 0.0), (r, -1.0)]
-        faces = [FaceRecord((), Point2(x, y), 1.0, False) for x, y in centroids]
+        faces = Faces(cycle=np.zeros(0, dtype=np.int64), start=np.zeros(6, dtype=np.int64),
+                      signed_area=np.ones(5), centroid=np.array(centroids))
         with pytest.raises(OrbitMismatch, match="face 1 is hit by 0"):
             orbit_census(faces, PolygonSpec(2))
 
     def test_accepts_prefiltered_inner_faces(self):
         spec = PolygonSpec(4)
         faces = enumerate_faces(graph_for(4))
-        inner_only = [f for f in faces if not f.is_outer]
+        inner_only = pick(faces, [i for i, f in enumerate(faces) if not f.is_outer])
         census = orbit_census(inner_only, spec)
         assert census.per_ray == 3
         assert census.central == 1
 
-
-def test_face_vertices_walks_the_boundary():
-    g = graph_for(2)
-    faces = enumerate_faces(g)
-    inner = next(f for f in faces if not f.is_outer)
-    verts = face_vertices(g, inner)
-    assert sorted(verts) == [0, 1, 2, 3]

@@ -9,9 +9,11 @@ from polydissect import (
     RenderOptions,
     base_segments,
     build_graph,
+    enumerate_faces,
     render_svg,
     split_all_fast,
 )
+from polydissect import planar
 
 
 def split_for(n):
@@ -55,6 +57,19 @@ def test_orbit_labels():
     texts = re.findall(r"<text[^>]*>(\d+)</text>", doc)
     assert len(texts) == 6
     assert set(texts) == {"0"}
+
+
+def test_no_face_record_is_built_on_the_way_to_the_svg(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a FaceRecord view was built")
+
+    split = split_for(6)
+    graph = build_graph(split)
+    monkeypatch.setattr(planar, "FaceRecord", refuse)
+    with pytest.raises(AssertionError, match="view was built"):
+        enumerate_faces(graph)[0]
+    doc = render_svg(split, graph, RenderOptions(color_faces=True, label_orbits=True))
+    assert doc.count("<polygon ") == doc.count("<text ") == 145
 
 
 def test_face_options_require_a_graph():
