@@ -122,7 +122,7 @@ def cmd_render(n: int, out_path: str, opts: RenderOptions,
     graph = None
     if opts.color_faces or opts.label_orbits:
         graph = build_graph(split, tol)
-    document = render_svg(split, graph, opts, tol)
+    document = render_svg(split, graph, opts)
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(document)

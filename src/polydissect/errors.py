@@ -22,7 +22,7 @@ class TraversalIncomplete(GeometryError):
 
 
 class OrbitMismatch(GeometryError):
-    """A rotated face centroid does not land on exactly one face."""
+    """The face cycles are not invariant under the rotation by 2pi/N."""
 
 
 class MissingGraph(ValueError):

@@ -5,8 +5,8 @@ deduplicated vertices; the faces are the cycles of the standard
 most-clockwise-turn successor of the half-edges, labelled by pointer
 doubling (``_cycle_labels``, which labels the rotation orbits too). The
 inner face count provides a check on the Euler formula that shares nothing
-with it beyond the vertex dedup, and the face centroids let the rotational
-orbit structure be verified geometrically.
+with it beyond the vertex dedup. The orbit census is exact integer work on
+the face cycles: the rotation is an automorphism of the half-edge structure.
 
 A ``PlanarGraph`` is four numpy arrays: the vertex coordinates, the
 endpoint labels of each edge, and the rings in CSR form (one half-edge
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousClustering, OrbitMismatch, TraversalIncomplete
-from .geom import DEFAULT_TOL, Point2, Tolerance, close_pairs
+from .geom import DEFAULT_TOL, Point2, Tolerance
 from .arrangement import SplitSegmentSet, cluster_endpoints
 from .polygon import PolygonSpec
 
@@ -208,7 +208,7 @@ def enumerate_faces(g: PlanarGraph) -> Faces:
 
     # Work relative to each face's first vertex: in absolute coordinates the
     # shoelace terms of a tile far from the origin cancel, and the smallest
-    # tiles' centroids lose more than the orbit match radius.
+    # tiles' centroids, where the orbit labels are drawn, lose their digits.
     pts = xy[origin[cyc]]
     base = np.repeat(pts[first], size, axis=0)
     ax, ay = (pts - base).T
@@ -232,46 +232,59 @@ def enumerate_faces(g: PlanarGraph) -> Faces:
     return Faces(cyc, np.append(first, nh), area, np.column_stack((cx, cy)))
 
 
-def orbit_census(faces: Faces, spec: PolygonSpec, tol: Tolerance = DEFAULT_TOL) -> OrbitCensus:
-    """Partition inner faces into orbits under rotation by 2pi/N.
+def orbit_census(faces: Faces, spec: PolygonSpec) -> OrbitCensus:
+    """Partition inner faces into orbits under rotation by 2pi/N, exactly.
 
-    Inner faces (non-negative signed area) are matched by rotated centroid
-    within 10*fuzz, all at once with ``close_pairs``; every rotated
-    centroid must hit exactly one face and every face be hit once. The
-    orbits are the cycles of that permutation, numbered in the order of
-    their first face. Every orbit must have size N except the single
-    central face (even n), which is fixed by the rotation and forms an
-    orbit of size 1.
+    The rotation is the automorphism of the face cycles that moves the outer
+    face's slot j to slot j + 1, spread breadth first through the twins: if s
+    maps to r, the face beyond twin s maps to the face beyond twin r. Raises
+    OrbitMismatch unless every half-edge is in ``cycle`` once, the one outer
+    face has N sides, every face is reached, and the map permutes the faces
+    size to size, commutes with the twin and has orbits of size N or 1 (the
+    central face, even n). Orbits are numbered in the order of their first face.
     """
-    inner = np.flatnonzero(faces.signed_area >= 0.0)
-    cx, cy = faces.centroid[inner].T
-    angle = math.pi / spec.n
-    cos_a = math.cos(angle)
-    sin_a = math.sin(angle)
-    rx = cos_a * cx - sin_a * cy
-    ry = sin_a * cx + cos_a * cy
-    src, dst = close_pairs(np.column_stack((rx, ry)), np.column_stack((cx, cy)),
-                           10.0 * tol.point_fuzzy)
-    hits = np.bincount(src, minlength=len(inner))
-    bad = np.flatnonzero(hits != 1)
-    if len(bad):
-        k = bad[0]
-        raise OrbitMismatch(
-            f"rotated centroid ({rx[k]:.12g}, {ry[k]:.12g}) matches {hits[k]} faces")
-    entered = np.bincount(dst, minlength=len(inner))
-    k = np.flatnonzero(entered != 1)[:1]
-    if len(k):
-        raise OrbitMismatch(f"face {inner[k[0]]} is hit by {entered[k[0]]} rotated centroids")
-    # the rotation as a permutation of positions in ``inner``
-    successor = np.empty(len(inner), dtype=np.int64)
-    successor[src] = dst
-    _, orbit_of = np.unique(_cycle_labels(successor), return_inverse=True)
-    sizes = np.bincount(orbit_of)
+    cycle, start = faces.cycle, faces.start
+    nh, nf, size = len(cycle), len(faces), np.diff(start)
+    if (start[0] != 0 or start[-1] != nh or np.any(size < 1) or cycle.min(initial=0) < 0
+            or np.any(np.bincount(cycle, minlength=nh) != 1)):
+        raise OrbitMismatch("the face cycles do not hold every half-edge exactly once")
+    outer = np.flatnonzero(faces.signed_area < 0.0)
+    if len(outer) != 1 or size[outer[0]] != spec.N:
+        raise OrbitMismatch(f"expected one outer face with N={spec.N} sides: {size[outer]}")
+    face_of = np.repeat(np.arange(nf), size)
+    pos = np.arange(nh) - start[face_of]
+    slot = np.empty(nh, dtype=np.int64)
+    slot[cycle] = np.arange(nh)
+    twin = slot[cycle ^ 1]
+
+    # face f maps to image[f], its slot at pos p to the image's slot at p + shift[f]
+    image, shift, new = np.full(nf, -1), np.zeros(nf, dtype=np.int64), outer
+    image[outer], shift[outer] = outer, 1
+    while len(new):
+        k = size[new]
+        s = np.repeat(start[new] - np.cumsum(k) + k, k) + np.arange(k.sum())
+        f = face_of[s]
+        g = image[f]
+        t, u = twin[s], twin[start[g] + (pos[s] + shift[f]) % size[g]]
+        new, first = np.unique(face_of[t], return_index=True)
+        fresh = image[new] < 0
+        new, t, u = new[fresh], t[first[fresh]], u[first[fresh]]
+        image[new] = face_of[u]
+        shift[new] = (pos[u] - pos[t]) % size[new]
+
+    if (np.any(image < 0) or np.any(np.bincount(image, minlength=nf) != 1)
+            or np.any(size[image] != size)):
+        raise OrbitMismatch("the rotation does not map every face to one of its size, one to one")
+    rho = start[image[face_of]] + (pos + shift[face_of]) % size[face_of]
+    if not np.array_equal(twin[rho], rho[twin]):
+        raise OrbitMismatch("the rotation of the face cycles does not commute with the twin")
+    label = _cycle_labels(image)
+    label[outer] = -1
+    face_orbits = np.unique(label, return_inverse=True)[1] - 1
+    sizes = np.bincount(face_orbits[face_orbits >= 0])
     bad = sizes[(sizes != 1) & (sizes != spec.N)]
     if len(bad):
         raise OrbitMismatch(f"orbit sizes {bad.tolist()} are neither 1 nor N={spec.N}")
-    face_orbits = np.full(len(faces), -1, dtype=np.int64)
-    face_orbits[inner] = orbit_of
     return OrbitCensus(
         per_ray=int(np.count_nonzero(sizes == spec.N)),
         central=int(np.count_nonzero(sizes == 1)),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingGraph
-from .geom import DEFAULT_TOL, Tolerance, segment_array
+from .geom import segment_array
 from .arrangement import SplitSegmentSet
 from .planar import PlanarGraph, enumerate_faces, orbit_census
 from .polygon import PolygonSpec
@@ -52,29 +52,20 @@ def _fmt(v: float) -> str:
     return f"{v:.6f}"
 
 
-def _clip_segment(x0, y0, x1, y1, win):
-    """Liang-Barsky clip; None when the segment misses the window."""
+def _clip_lines(frags: np.ndarray, win) -> np.ndarray:
+    """Liang-Barsky clip of every (x0, y0, x1, y1) row; rows that miss the window are dropped."""
+    x0, y0, x1, y1 = frags.T
+    dx, dy = x1 - x0, y1 - y0
     wx0, wy0, wx1, wy1 = win
-    dx = x1 - x0
-    dy = y1 - y0
-    t0, t1 = 0.0, 1.0
-    for p, q in ((-dx, x0 - wx0), (dx, wx1 - x0), (-dy, y0 - wy0), (dy, wy1 - y0)):
-        if p == 0.0:
-            if q < 0.0:
-                return None
-        else:
-            r = q / p
-            if p < 0.0:
-                if r > t1:
-                    return None
-                if r > t0:
-                    t0 = r
-            else:
-                if r < t0:
-                    return None
-                if r < t1:
-                    t1 = r
-    return (x0 + t0 * dx, y0 + t0 * dy, x0 + t1 * dx, y0 + t1 * dy)
+    p = np.stack((-dx, dx, -dy, dy))
+    q = np.stack((x0 - wx0, wx1 - x0, y0 - wy0, wy1 - y0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = q / p
+    t0 = np.where(p < 0.0, r, 0.0).max(axis=0)
+    t1 = np.where(p > 0.0, r, 1.0).min(axis=0)
+    keep = (t0 <= t1) & ~np.any((p == 0.0) & (q < 0.0), axis=0)
+    x0, y0, dx, dy, t0, t1 = (a[keep] for a in (x0, y0, dx, dy, t0, t1))
+    return np.column_stack((x0 + t0 * dx, y0 + t0 * dy, x0 + t1 * dx, y0 + t1 * dy))
 
 
 def _clip_polygon(pts, win):
@@ -108,7 +99,7 @@ def _orbit_fill(orbit: int, total: int) -> str:
     return f"hsl({hue},70%,55%)"
 
 
-def _tiles(graph: PlanarGraph, opts: RenderOptions, tol: Tolerance, win, to_canvas):
+def _tiles(graph: PlanarGraph, opts: RenderOptions, win, to_canvas):
     """The <polygon> elements of the inner faces (with color_faces) and the
     (x, y, orbit) of each face centroid inside the window (with label_orbits).
 
@@ -120,7 +111,7 @@ def _tiles(graph: PlanarGraph, opts: RenderOptions, tol: Tolerance, win, to_canv
     faces = enumerate_faces(graph)
     start = faces.start
     outer = int(np.argmin(faces.signed_area))
-    census = orbit_census(faces, PolygonSpec(int(np.diff(start)[outer]) // 2), tol)
+    census = orbit_census(faces, PolygonSpec(int(np.diff(start)[outer]) // 2))
     orbit = census.face_orbits
     inner = np.flatnonzero(orbit >= 0)
     polygons: list[str] = []
@@ -160,7 +151,6 @@ def render_svg(
     split: SplitSegmentSet,
     graph: PlanarGraph | None = None,
     opts: RenderOptions | None = None,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> str:
     """Render the arrangement as an SVG 1.1 document.
 
@@ -192,7 +182,7 @@ def render_svg(
 
     labels = []
     if opts.color_faces or opts.label_orbits:
-        polygons, labels = _tiles(graph, opts, tol, win, to_canvas)
+        polygons, labels = _tiles(graph, opts, win, to_canvas)
         if opts.color_faces:
             parts.append('<g stroke="none">')
             parts.extend(polygons)
@@ -200,11 +190,7 @@ def render_svg(
 
     parts.append(f'<g fill="none" stroke="#000000" '
                  f'stroke-width="{_fmt(opts.stroke_width)}" stroke-linecap="round">')
-    frags = segment_array(split)
-    if opts.zoom is not None:
-        clipped = [c for c in (_clip_segment(*row, win) for row in frags.tolist())
-                   if c is not None]
-        frags = np.array(clipped, dtype=float).reshape(-1, 4)
+    frags = segment_array(split) if opts.zoom is None else _clip_lines(segment_array(split), win)
     ax, ay = to_canvas(frags[:, 0], frags[:, 1])
     bx, by = to_canvas(frags[:, 2], frags[:, 3])
     parts.extend(map(_LINE, ax.tolist(), ay.tolist(), bx.tolist(), by.tolist()))

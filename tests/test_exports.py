@@ -1,7 +1,8 @@
+import inspect
 from dataclasses import fields
 
 import polydissect
-from polydissect import Faces, PlanarGraph, geom, planar
+from polydissect import Faces, PlanarGraph, geom, planar, render
 
 
 def test_every_exported_name_resolves():
@@ -13,7 +14,8 @@ def test_removed_names_are_gone():
     for module, name in ((polydissect, "GraphArrays"), (planar, "GraphArrays"),
                          (polydissect, "split_at_params"), (geom, "split_at_params"),
                          (polydissect, "point_at"), (geom, "point_at"),
-                         (planar, "_point_array"),
+                         (planar, "_point_array"), (render, "_clip_segment"),
+                         (planar, "close_pairs"),
                          (polydissect, "face_vertices"), (planar, "face_vertices")):
         assert not hasattr(module, name), f"{module.__name__}.{name}"
     for name in ("arrays", "dest"):
@@ -26,3 +28,9 @@ def test_a_planar_graph_is_its_four_arrays():
 
 def test_faces_are_their_four_arrays():
     assert [f.name for f in fields(Faces)] == ["cycle", "start", "signed_area", "centroid"]
+
+
+def test_the_census_and_the_renderer_take_no_tolerance():
+    # the census is exact, and the renderer passed a tolerance only to it
+    for fn in (polydissect.orbit_census, polydissect.render_svg, render._tiles):
+        assert "tol" not in inspect.signature(fn).parameters, fn.__name__

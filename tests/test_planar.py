@@ -19,6 +19,7 @@ from polydissect import (
     split_all_fast,
 )
 from polydissect.planar import _cycle_labels
+from polydissect.polygon import base_array
 from polydissect.reference import reference_table
 
 
@@ -231,8 +232,8 @@ class TestOrbitCensus:
 
     @pytest.mark.parametrize("n", range(15, 31))
     def test_census_of_large_polygons_matches_the_reference(self, n):
-        # the smallest tiles here have area ~2e-10: their centroids must not
-        # lose the 10*fuzz match radius to cancellation
+        # tiles down to area ~2e-10: the rotation must close over ~n**2/4
+        # breadth-first rounds from the outer face
         spec = PolygonSpec(n)
         census = orbit_census(enumerate_faces(graph_for(n)), spec)
         reference = {r.n: r for r in reference_table()}[n]
@@ -249,32 +250,49 @@ class TestOrbitCensus:
 
     def test_wrong_rotation_order_raises(self):
         faces = enumerate_faces(graph_for(4))
-        with pytest.raises(OrbitMismatch):
+        with pytest.raises(OrbitMismatch, match="N=10 sides"):
             orbit_census(faces, PolygonSpec(5))
 
-    def test_a_centroid_hitting_two_faces_raises(self):
-        # a repeated inner face: the rotated centroid of its predecessor in
-        # the orbit now matches two faces
+    def test_a_repeated_face_or_half_edge_raises(self):
         faces = enumerate_faces(graph_for(4))
         k = next(i for i, f in enumerate(faces) if not f.is_outer)
-        with pytest.raises(OrbitMismatch, match="matches 2 faces"):
+        with pytest.raises(OrbitMismatch, match="every half-edge exactly once"):
             orbit_census(pick(faces, [*range(len(faces)), k]), PolygonSpec(4))
+        cycle = faces.cycle.copy()
+        cycle[1] = cycle[0]
+        with pytest.raises(OrbitMismatch, match="every half-edge exactly once"):
+            orbit_census(Faces(cycle, faces.start, faces.signed_area, faces.centroid),
+                         PolygonSpec(4))
 
-    def test_a_face_entered_twice_raises(self):
-        # every rotated centroid hits one face, but A and B both rotate
-        # onto C, and nothing rotates onto B
-        r = 0.9 * 10.0 * 1e-10
-        centroids = [(1.0, r), (1.0, -r), (0.0, 1.0), (-1.0, 0.0), (r, -1.0)]
-        faces = Faces(cycle=np.zeros(0, dtype=np.int64), start=np.zeros(6, dtype=np.int64),
-                      signed_area=np.ones(5), centroid=np.array(centroids))
-        with pytest.raises(OrbitMismatch, match="face 1 is hit by 0"):
-            orbit_census(faces, PolygonSpec(2))
-
-    def test_accepts_prefiltered_inner_faces(self):
-        spec = PolygonSpec(4)
+    def test_faces_without_an_outer_face_raise(self):
         faces = enumerate_faces(graph_for(4))
-        inner_only = pick(faces, [i for i, f in enumerate(faces) if not f.is_outer])
-        census = orbit_census(inner_only, spec)
-        assert census.per_ray == 3
-        assert census.central == 1
+        flipped = Faces(faces.cycle, faces.start, np.abs(faces.signed_area), faces.centroid)
+        with pytest.raises(OrbitMismatch, match="one outer face"):
+            orbit_census(flipped, PolygonSpec(4))
 
+    def test_an_asymmetric_arrangement_raises(self):
+        # one diagonal missing: the rotation of the face cycles cannot close
+        spec = PolygonSpec(6)
+        split = split_all_fast(np.delete(base_array(spec), 2 * 6, axis=0))
+        with pytest.raises(OrbitMismatch):
+            orbit_census(enumerate_faces(build_graph(split)), spec)
+
+    @pytest.mark.parametrize("n", range(3, 21))
+    def test_orbits_are_rotations_of_the_centroids(self, n):
+        # the census never looks at coordinates: check it against them
+        spec = PolygonSpec(n)
+        faces = enumerate_faces(graph_for(n))
+        orbit = orbit_census(faces, spec).face_orbits
+        inner = np.flatnonzero(orbit >= 0)
+        size = np.bincount(orbit[inner])[orbit[inner]]
+        central, ray = inner[size == 1], inner[size == spec.N]
+        assert len(central) == 1 - n % 2
+        assert np.all(np.hypot(*faces.centroid[central].T) < 1e-9)
+        x, y = faces.centroid[ray].T
+        angle = np.arctan2(y, x)
+        order = np.lexsort((angle, orbit[ray]))
+        radius = np.hypot(x, y)[order].reshape(-1, spec.N)
+        assert np.all(radius.max(axis=1) - radius.min(axis=1) < 1e-9)
+        angle = angle[order].reshape(-1, spec.N)
+        gaps = np.diff(np.column_stack((angle, angle[:, 0] + 2.0 * math.pi)), axis=1)
+        assert np.all(np.abs(gaps - 2.0 * math.pi / spec.N) < 1e-9)

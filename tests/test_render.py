@@ -1,6 +1,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
 from polydissect import (
@@ -14,6 +15,7 @@ from polydissect import (
     split_all_fast,
 )
 from polydissect import planar
+from polydissect.render import _clip_lines
 
 
 def split_for(n):
@@ -144,3 +146,27 @@ def test_scale_controls_the_canvas():
     doc = render_svg(split_for(2), opts=RenderOptions(scale=100.0))
     assert 'width="210.000000"' in doc
     assert 'height="210.000000"' in doc
+
+
+UNIT = (0.0, 0.0, 1.0, 1.0)
+
+
+def test_a_fragment_parallel_to_an_edge_and_outside_is_dropped():
+    # dx == 0 left of the window, dy == 0 above it
+    frags = np.array([[-0.5, 0.2, -0.5, 0.8], [0.2, 1.5, 0.8, 1.5]])
+    assert _clip_lines(frags, UNIT).shape == (0, 4)
+
+
+def test_a_fragment_touching_a_window_corner_gives_one_zero_length_line():
+    frags = np.array([[-1.0, 0.0, 1.0, 2.0], [2.0, 0.5, 3.0, 0.5]])
+    assert _clip_lines(frags, UNIT).tolist() == [[0.0, 1.0, 0.0, 1.0]]
+
+
+def test_a_fragment_fully_inside_comes_back_whole():
+    frags = np.array([[0.1, 0.2, 0.3, 0.7], [0.25, 0.5, 0.75, 0.125]])
+    assert np.array_equal(_clip_lines(frags, UNIT), frags)
+    # t0 = 0 and t1 = 1 exactly: the ends are x0 + 0*dx and x0 + 1*dx
+    rows = np.random.default_rng(3).uniform(0.01, 0.99, (1000, 4))
+    x0, y0, x1, y1 = rows.T
+    assert np.array_equal(_clip_lines(rows, UNIT),
+                          np.column_stack((x0, y0, x0 + (x1 - x0), y0 + (y1 - y0))))
