@@ -1,11 +1,13 @@
 """Deterministic SVG output for split arrangements.
 
-Coordinates are emitted with fixed six-decimal formatting so that two
-renders of the same input are byte-identical. The optional zoom window is
-applied by analytic clipping, not by viewer-side cropping, which keeps
-element counts testable. The renderer reads the fragments and the
-graph's vertex and edge arrays directly; each vertex's canvas coordinates
-are formatted once and shared by the tiles around it.
+Every number in the document is written by one vectorized kernel,
+`_fixed6`, which gives the text of Python's correctly rounded ``'%.6f'``,
+so two renders of the same input are byte-identical. Elements are built
+as numpy byte-string arrays, a block at a time, and joined once. The
+optional zoom window is applied by analytic clipping, not by viewer-side
+cropping, which keeps element counts testable. The renderer reads the
+fragments and the graph's vertex and edge arrays directly; each vertex's
+canvas position is written once and shared by the tiles around it.
 """
 
 from __future__ import annotations
@@ -22,6 +24,16 @@ from .planar import PlanarGraph, enumerate_faces, orbit_census
 from .polygon import PolygonSpec
 
 FULL_WINDOW = (-1.05, -1.05, 1.05, 1.05)
+
+# lines, or faces, formatted per numpy pass
+BLOCK = 1 << 14
+
+# _fixed6 is exact below this magnitude, where |x|*1e6 and the half-units
+# around it are floats
+_EXACT = 2.0 ** 52 / 1e6
+# the canvas keeps a factor two of headroom: a clipped point may land a few
+# ulps outside the window
+MAX_CANVAS = _EXACT / 2
 
 
 @dataclass(frozen=True)
@@ -46,14 +58,83 @@ class RenderOptions:
             ny = max(y0, min(0.0, y1))
             if math.hypot(nx, ny) > 1.0:
                 raise ValueError(f"zoom window {self.zoom!r} does not intersect the unit disk")
+        x0, y0, x1, y1 = self.zoom if self.zoom is not None else FULL_WINDOW
+        largest = max((x1 - x0) * self.scale, (y1 - y0) * self.scale,
+                      0.03 * self.scale, self.stroke_width)
+        if not largest < MAX_CANVAS:
+            raise ValueError(f"canvas size {largest!r} is beyond {MAX_CANVAS!r}, "
+                             f"where six decimals are no longer written exactly")
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.6f}"
+def _fixed6(values) -> np.ndarray:
+    """``'%.6f' % v`` of every value, as a bytes ('S') array of the same shape.
+
+    p = |x|*1e6 rounds to the integer that the exact product rounds to,
+    unless p is exactly halfway between two integers. Only there is the
+    rounding error of p found, exactly, by Dekker's product: a true tie
+    goes to even, otherwise the error decides. That is CPython's correctly
+    rounded '%.6f'. The digits are cut by integer division into a uint8
+    buffer, one column per character; a '-' goes where np.signbit is set,
+    so -0.0 writes '-0.000000' as Python does. Exact for |x| < _EXACT only.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    a = np.abs(x).reshape(-1)
+    if not a.size:
+        return np.empty(x.shape, dtype="S1")
+    if not a.max() < _EXACT:  # false for NaN as well
+        raise ValueError(f"cannot write {a.max()!r} exactly with six decimals")
+    p = a * 1e6
+    r = np.rint(p)
+    half = np.flatnonzero(np.abs(p - r) == 0.5)
+    if half.size:
+        ah, ph = a[half], p[half]
+        # Dekker split of ah (constant 2**27 + 1); 1e6 has a 14-bit
+        # significand, so err = ah*1e6 - ph exactly
+        c = ah * 134217729.0
+        hi = c - (c - ah)
+        err = (hi * 1e6 - ph) + (ah - hi) * 1e6
+        r[half] = np.where(err > 0.0, ph + 0.5, np.where(err < 0.0, ph - 0.5, r[half]))
+    r = r.astype(np.int64)
+    whole = r // 1_000_000
+    frac = (r - whole * 1_000_000).astype(np.uint32)
+    top = int(whole.max())
+    whole = whole.astype(np.min_scalar_type(top))
+    units = len(str(top))  # column of the units digit; column 0 is for a '-'
+    cols = np.empty((a.size, units + 8), dtype=np.uint8)
+    for j in range(units + 7, units + 1, -1):
+        q = frac // 10
+        cols[:, j] = frac - q * 10 + 48
+        frac = q
+    cols[:, units + 1] = ord(".")
+    sign = np.where(np.signbit(x).reshape(-1), np.uint8(ord("-")), np.uint8(ord(" ")))
+    right = True  # the column right of j shows a digit
+    for j in range(units, -1, -1):
+        shown = (whole > 0) | (j == units)
+        q = whole // 10
+        cols[:, j] = np.where(shown, (whole - q * 10 + 48).astype(np.uint8),
+                              np.where(right, sign, np.uint8(ord(" "))))
+        whole, right = q, shown
+    return np.char.lstrip(cols.view(f"S{units + 8}")).reshape(x.shape)
+
+
+def _rows(*parts) -> bytes:
+    """Literals and equal-length bytes columns, side by side in one
+    fixed-width byte array, row after row; the NUL padding is dropped."""
+    parts = [np.asarray(p) for p in parts]
+    (n,) = np.broadcast_shapes(*(p.shape for p in parts))
+    row = np.zeros((n, sum(p.itemsize for p in parts)), dtype=np.uint8)
+    at = 0
+    for p in parts:
+        row[:, at:at + p.itemsize] = p.reshape(-1, 1).view(np.uint8)
+        at += p.itemsize
+    return row[row != 0].tobytes()
 
 
 def _clip_lines(frags: np.ndarray, win) -> np.ndarray:
-    """Liang-Barsky clip of every (x0, y0, x1, y1) row; rows that miss the window are dropped."""
+    """Liang-Barsky clip of every (x0, y0, x1, y1) row; rows that miss the window are dropped.
+
+    An end the window does not cut is returned as it came, bit for bit.
+    """
     x0, y0, x1, y1 = frags.T
     dx, dy = x1 - x0, y1 - y0
     wx0, wy0, wx1, wy1 = win
@@ -64,8 +145,11 @@ def _clip_lines(frags: np.ndarray, win) -> np.ndarray:
     t0 = np.where(p < 0.0, r, 0.0).max(axis=0)
     t1 = np.where(p > 0.0, r, 1.0).min(axis=0)
     keep = (t0 <= t1) & ~np.any((p == 0.0) & (q < 0.0), axis=0)
-    x0, y0, dx, dy, t0, t1 = (a[keep] for a in (x0, y0, dx, dy, t0, t1))
-    return np.column_stack((x0 + t0 * dx, y0 + t0 * dy, x0 + t1 * dx, y0 + t1 * dy))
+    x0, y0, x1, y1, dx, dy, t0, t1 = (
+        a[keep] for a in (x0, y0, x1, y1, dx, dy, t0, t1))
+    head, tail = t0 == 0.0, t1 == 1.0
+    return np.column_stack((np.where(head, x0, x0 + t0 * dx), np.where(head, y0, y0 + t0 * dy),
+                            np.where(tail, x1, x0 + t1 * dx), np.where(tail, y1, y0 + t1 * dy)))
 
 
 def _clip_polygon(pts, win):
@@ -94,14 +178,31 @@ def _clip_polygon(pts, win):
     return poly
 
 
-def _orbit_fill(orbit: int, total: int) -> str:
-    hue = (orbit * 360) // max(1, total)
-    return f"hsl({hue},70%,55%)"
+def _polygon_blocks(point, ring, start, tail) -> list[bytes]:
+    """The <polygon> elements, BLOCK faces at a time: face i lists the
+    points point[ring[start[i]:start[i + 1]]] and ends with tail[i]."""
+    blocks = []
+    for f in range(0, len(start) - 1, BLOCK):
+        bounds = start[f:f + BLOCK + 1]
+        lo, hi = bounds[0], bounds[-1]
+        first = np.zeros(hi - lo, dtype=bool)
+        first[bounds[:-1] - lo] = True
+        sep = np.full(hi - lo, b" ", dtype=tail.dtype)
+        sep[bounds[1:] - lo - 1] = tail[f:f + BLOCK]
+        blocks.append(_rows(np.where(first, b'<polygon points="', b""), point[ring[lo:hi]], sep))
+    return blocks
+
+
+def _points(cx, cy):
+    """The "x,y" text of each canvas point."""
+    x, y = _fixed6(np.stack((cx, cy)))
+    return np.char.add(np.char.add(x, b","), y)
 
 
 def _tiles(graph: PlanarGraph, opts: RenderOptions, win, to_canvas):
     """The <polygon> elements of the inner faces (with color_faces) and the
-    (x, y, orbit) of each face centroid inside the window (with label_orbits).
+    <text> orbit label at each face centroid inside the window (with
+    label_orbits), as blocks of bytes.
 
     Reads the face arrays, all faces at once, and n from the outer face's
     2n sides. A function of its own so that the face arrays are freed
@@ -114,37 +215,57 @@ def _tiles(graph: PlanarGraph, opts: RenderOptions, win, to_canvas):
     census = orbit_census(faces, PolygonSpec(int(np.diff(start)[outer]) // 2))
     orbit = census.face_orbits
     inner = np.flatnonzero(orbit >= 0)
-    polygons: list[str] = []
+    polygons: list[bytes] = []
     if opts.color_faces:
         total = len(census.orbit_sizes)
-        fills = [_orbit_fill(k, total) for k in range(total)]
+        hue = np.arange(total) * 360 // max(1, total)  # below 360: three digits
+        fill = np.char.add(np.char.add(b'" fill="hsl(', hue.astype("S3")), b',70%,55%)"/>\n')
         ring = graph.edges.reshape(-1)[faces.cycle]
-        bounds = zip(start[inner].tolist(), start[inner + 1].tolist(), orbit[inner].tolist())
         if opts.zoom is None:
-            px, py = to_canvas(graph.vertices[:, 0], graph.vertices[:, 1])
-            point = np.array(list(map("{:.6f},{:.6f}".format, px.tolist(), py.tolist())),
-                             dtype=object)[ring].tolist()
-            for lo, hi, k in bounds:
-                polygons.append(f'<polygon points="{" ".join(point[lo:hi])}" fill="{fills[k]}"/>')
+            size = np.diff(start)[inner]
+            bounds = np.concatenate(([0], np.cumsum(size)))
+            slots = np.repeat(start[inner] - bounds[:-1], size) + np.arange(bounds[-1])
+            point = _points(*to_canvas(graph.vertices[:, 0], graph.vertices[:, 1]))
+            polygons = _polygon_blocks(point, ring[slots], bounds, fill[orbit[inner]])
         else:
-            xy = graph.vertices[ring].tolist()
-            for lo, hi, k in bounds:
-                pts = _clip_polygon(xy[lo:hi], win)
-                if len(pts) < 3:
-                    continue
-                coords = " ".join(
-                    f"{_fmt(cx)},{_fmt(cy)}" for cx, cy in (to_canvas(x, y) for x, y in pts))
-                polygons.append(f'<polygon points="{coords}" fill="{fills[k]}"/>')
-    labels = []
+            # a face wholly beyond one side of the window clips to nothing
+            wx0, wy0, wx1, wy1 = win
+            xy = graph.vertices[ring]
+            lo = np.minimum.reduceat(xy, start[:-1])
+            hi = np.maximum.reduceat(xy, start[:-1])
+            meets = (hi[:, 0] >= wx0) & (lo[:, 0] <= wx1) & (hi[:, 1] >= wy0) & (lo[:, 1] <= wy1)
+            pts, size, kept = [], [0], []
+            for f in np.flatnonzero(meets & (orbit >= 0)).tolist():
+                clipped = _clip_polygon(xy[start[f]:start[f + 1]].tolist(), win)
+                if len(clipped) >= 3:
+                    pts += clipped
+                    size.append(len(clipped))
+                    kept.append(f)
+            x, y = np.array(pts, dtype=np.float64).reshape(-1, 2).T
+            point = _points(*to_canvas(x, y))
+            polygons = _polygon_blocks(point, np.arange(len(point)), np.cumsum(size),
+                                       fill[orbit[kept]])
+    labels = b""
     if opts.label_orbits:
         wx0, wy0, wx1, wy1 = win
         x, y = faces.centroid[inner].T
         seen = (wx0 <= x) & (x <= wx1) & (wy0 <= y) & (y <= wy1)
-        labels = list(zip(x[seen].tolist(), y[seen].tolist(), orbit[inner][seen].tolist()))
+        cx, cy = _fixed6(np.stack(to_canvas(x[seen], y[seen])))
+        labels = _rows(b'<text x="', cx, b'" y="', cy, b'">', orbit[inner][seen].astype("S"),
+                       b"</text>\n")
     return polygons, labels
 
 
-_LINE = '<line x1="{:.6f}" y1="{:.6f}" x2="{:.6f}" y2="{:.6f}"/>'.format
+def _line_blocks(frags: np.ndarray, to_canvas) -> list[bytes]:
+    """One <line> element per (x0, y0, x1, y1) row, BLOCK rows at a time."""
+    blocks = []
+    for lo in range(0, len(frags), BLOCK):
+        f = frags[lo:lo + BLOCK]
+        ends = to_canvas(f[:, 0], f[:, 1]) + to_canvas(f[:, 2], f[:, 3])
+        x1, y1, x2, y2 = _fixed6(np.stack(ends))
+        blocks.append(_rows(b'<line x1="', x1, b'" y1="', y1, b'" x2="', x2, b'" y2="', y2,
+                            b'"/>\n'))
+    return blocks
 
 
 def render_svg(
@@ -173,38 +294,29 @@ def render_svg(
         """Canvas position of plane coordinates, floats or arrays."""
         return (x - wx0) * opts.scale, (wy1 - y) * opts.scale
 
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(width)}" height="{_fmt(height)}" '
-        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
-    ]
+    w, h, stroke, font = (v.decode() for v in _fixed6(
+        [width, height, opts.stroke_width, 0.03 * opts.scale]).tolist())
+    blocks = ['<?xml version="1.0" encoding="UTF-8"?>\n'
+              f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+              f'width="{w}" height="{h}" viewBox="0 0 {w} {h}">\n'.encode()]
 
-    labels = []
+    labels = b""
     if opts.color_faces or opts.label_orbits:
         polygons, labels = _tiles(graph, opts, win, to_canvas)
         if opts.color_faces:
-            parts.append('<g stroke="none">')
-            parts.extend(polygons)
-            parts.append("</g>")
+            blocks += [b'<g stroke="none">\n', *polygons, b"</g>\n"]
 
-    parts.append(f'<g fill="none" stroke="#000000" '
-                 f'stroke-width="{_fmt(opts.stroke_width)}" stroke-linecap="round">')
+    blocks.append(f'<g fill="none" stroke="#000000" '
+                  f'stroke-width="{stroke}" stroke-linecap="round">\n'.encode())
     frags = segment_array(split) if opts.zoom is None else _clip_lines(segment_array(split), win)
-    ax, ay = to_canvas(frags[:, 0], frags[:, 1])
-    bx, by = to_canvas(frags[:, 2], frags[:, 3])
-    parts.extend(map(_LINE, ax.tolist(), ay.tolist(), bx.tolist(), by.tolist()))
-    parts.append("</g>")
+    blocks += _line_blocks(frags, to_canvas)
+    blocks.append(b"</g>\n")
 
     if labels:
-        size = 0.03 * opts.scale
-        parts.append(f'<g font-family="sans-serif" font-size="{_fmt(size)}" '
-                     f'text-anchor="middle" fill="#000000">')
-        for x, y, k in labels:
-            cx, cy = to_canvas(x, y)
-            parts.append(f'<text x="{_fmt(cx)}" y="{_fmt(cy)}">{k}</text>')
-        parts.append("</g>")
+        blocks += [f'<g font-family="sans-serif" font-size="{font}" '
+                   f'text-anchor="middle" fill="#000000">\n'.encode(), labels, b"</g>\n"]
 
-    # the closing tag carries the final newline, so the document is joined once
-    parts.append("</svg>\n")
-    return "\n".join(parts)
+    blocks.append(b"</svg>\n")
+    document = b"".join(blocks)
+    blocks.clear()  # free the blocks before the str copy is made
+    return document.decode("ascii")

@@ -186,6 +186,24 @@ class TestRender:
         assert err.value.code == 2
         assert not out.exists()
 
+    def test_a_canvas_beyond_exact_six_decimals_exits_2(self, tmp_path):
+        out = tmp_path / "x.svg"
+        with pytest.raises(SystemExit) as err:
+            main(["render", "--n", "3", "--out", str(out), "--scale", "1e10"])
+        assert err.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.slow
+    def test_the_largest_published_figure_matches_its_row(self, tmp_path, capsys):
+        out = tmp_path / "n39.svg"
+        assert main(["render", "--n", "39", "--out", str(out), "--faces"]) == 0
+        row = reference_table()[-1]
+        assert row.n == 39
+        assert f"{row.E} edges {row.V} vertices {row.F} tiles" in capsys.readouterr().out
+        doc = out.read_text()
+        assert doc.count("<polygon ") == row.F
+        assert doc.count("<line ") == row.E
+
     def test_offdisk_zoom_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["render", "--n", "2", "--out", str(tmp_path / "x.svg"),

@@ -1,8 +1,10 @@
 """Pinned SHA-256 digests of rendered figures.
 
-The digests were taken from the renderer before the full route moved to
-numpy arrays; any change to the bytes of a figure (coordinates, element
-order, fills, labels) fails here.
+The first nine digests were taken from the renderer before the full
+route moved to numpy arrays, faces-24 and faces-labels-zoom-12 from the
+renderer before numbers were written by the vectorized kernel; any change
+to the bytes of a figure (coordinates, element order, fills, labels)
+fails here.
 """
 
 import hashlib
@@ -37,6 +39,12 @@ GOLDEN = {
     "faces-labels-zoom-8": (8, RenderOptions(color_faces=True, label_orbits=True,
                                              zoom=(-0.2, -0.2, 0.6, 0.5), scale=250.0),
                             "b4e58574983df0669e87d31c71e7758efbf9e966c407e6c9bcc4b51aaff468ab"),
+    # 49,105 polygons and 97,728 lines
+    "faces-24": (24, FACES, "5eebd632a5f55a604236c2d0a53fa66a72929ed4ac0a981efd16d6ebfdd2ef8e"),
+    # a 2125 x 1875 canvas: 4-digit coordinates in points, lines and labels
+    "faces-labels-zoom-12": (12, RenderOptions(color_faces=True, label_orbits=True,
+                                              zoom=(-0.3, -0.35, 0.55, 0.4), scale=2500.0),
+                             "434f9db3db289268e2f5c4cdfb90fc5def538b1de3bc5a0404f5c0efe0cdabf4"),
 }
 
 
