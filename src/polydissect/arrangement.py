@@ -246,7 +246,7 @@ def _points_along(owner: np.ndarray, ts: np.ndarray, k: int, fuzz: float):
 def _fragments(base: np.ndarray, tol: Tolerance) -> np.ndarray:
     """The (E, 4) fragments of an (m, 4) base array; see split_all_fast."""
     m = len(base)
-    if m < 2:
+    if m == 0:  # the block size below divides by m
         return base
     fuzz = tol.point_fuzzy
     arrays = _segment_arrays(base)

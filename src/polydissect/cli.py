@@ -64,60 +64,55 @@ def verify(max_n: int, tol: Tolerance = Tolerance()) -> VerifyReport:
     return VerifyReport(rows=rows, all_match=all(r.match for r in rows))
 
 
-def cmd_count(n: int, tol: Tolerance, as_json: bool = False, stream=None) -> int:
-    stream = stream or sys.stdout
+def cmd_count(n: int, tol: Tolerance, as_json: bool = False) -> int:
     summary = counts(PolygonSpec(n), tol)
     if as_json:
-        json.dump(_summary_dict(summary), stream)
-        stream.write("\n")
+        json.dump(_summary_dict(summary), sys.stdout)
+        print()
     else:
         suffix = "" if n <= REFERENCE_MAX_N else " (unverified)"
-        stream.write(f"{summary.E} edges {summary.V} vertices {summary.F} tiles{suffix}\n")
-        stream.write(f"{summary.per_ray} tiles per ray, {summary.central} central\n")
+        print(f"{summary.E} edges {summary.V} vertices {summary.F} tiles{suffix}")
+        print(f"{summary.per_ray} tiles per ray, {summary.central} central")
     return 0
 
 
-def cmd_verify(max_n: int, tol: Tolerance, stream=None) -> int:
-    stream = stream or sys.stdout
+def cmd_verify(max_n: int, tol: Tolerance) -> int:
     report = verify(max_n, tol)
     for row in report.rows:
         status = "ok" if row.match else "MISMATCH"
         c = row.computed
-        stream.write(f"n={row.n:2d} N={2 * row.n:2d}  E={c.E:7d}  V={c.V:7d}  F={c.F:7d}"
-                     f"  {status}  ({row.elapsed:.2f}s)\n")
+        print(f"n={row.n:2d} N={2 * row.n:2d}  E={c.E:7d}  V={c.V:7d}  F={c.F:7d}"
+              f"  {status}  ({row.elapsed:.2f}s)")
         if not row.match:
             r = row.reference
-            stream.write(f"    expected E={r.E} V={r.V} F={r.F}\n")
+            print(f"    expected E={r.E} V={r.V} F={r.F}")
     if report.all_match:
-        stream.write(f"all {len(report.rows)} rows match the reference tables\n")
+        print(f"all {len(report.rows)} rows match the reference tables")
         return 0
     bad = sum(1 for r in report.rows if not r.match)
-    stream.write(f"{bad} of {len(report.rows)} rows MISMATCH\n")
+    print(f"{bad} of {len(report.rows)} rows MISMATCH")
     return 5
 
 
-def cmd_table(max_n: int, fmt: str, tol: Tolerance, stream=None) -> int:
-    stream = stream or sys.stdout
+def cmd_table(max_n: int, fmt: str, tol: Tolerance) -> int:
     results = _count_range(list(range(2, max_n + 1)), tol)
     summaries = [s for _, s, _ in results]
     if fmt == "csv":
-        stream.write("N,n,F,E,V,per_ray,central\n")
+        print("N,n,F,E,V,per_ray,central")
         for s in summaries:
-            stream.write(f"{s.N},{s.n},{s.F},{s.E},{s.V},{s.per_ray},{s.central}\n")
+            print(f"{s.N},{s.n},{s.F},{s.E},{s.V},{s.per_ray},{s.central}")
     elif fmt == "json":
-        json.dump([_summary_dict(s) for s in summaries], stream, indent=2)
-        stream.write("\n")
+        json.dump([_summary_dict(s) for s in summaries], sys.stdout, indent=2)
+        print()
     else:
-        stream.write(f"{'N':>4} {'n':>4} {'F':>8} {'E':>8} {'V':>8} {'per_ray':>8} {'central':>8}\n")
+        print(f"{'N':>4} {'n':>4} {'F':>8} {'E':>8} {'V':>8} {'per_ray':>8} {'central':>8}")
         for s in summaries:
-            stream.write(f"{s.N:>4} {s.n:>4} {s.F:>8} {s.E:>8} {s.V:>8}"
-                         f" {s.per_ray:>8} {s.central:>8}\n")
+            print(f"{s.N:>4} {s.n:>4} {s.F:>8} {s.E:>8} {s.V:>8}"
+                  f" {s.per_ray:>8} {s.central:>8}")
     return 0
 
 
-def cmd_render(n: int, out_path: str, opts: RenderOptions,
-               tol: Tolerance, stream=None) -> int:
-    stream = stream or sys.stdout
+def cmd_render(n: int, out_path: str, opts: RenderOptions, tol: Tolerance) -> int:
     split = split_all_fast(base_array(PolygonSpec(n)), tol)
     graph = None
     if opts.color_faces or opts.label_orbits:
@@ -131,7 +126,7 @@ def cmd_render(n: int, out_path: str, opts: RenderOptions,
         return 4
     e = len(split)
     v = len(graph.vertices) if graph is not None else count_vertices(split, tol)
-    stream.write(f"{e} edges {v} vertices {1 + e - v} tiles -> {out_path}\n")
+    print(f"{e} edges {v} vertices {1 + e - v} tiles -> {out_path}")
     return 0
 
 

@@ -6,8 +6,10 @@ so two renders of the same input are byte-identical. Elements are built
 as numpy byte-string arrays, a block at a time, and joined once. The
 optional zoom window is applied by analytic clipping, not by viewer-side
 cropping, which keeps element counts testable. The renderer reads the
-fragments and the graph's vertex and edge arrays directly; each vertex's
-canvas position is written once and shared by the tiles around it.
+fragments and the graph's vertex and edge arrays directly. Tiles take one
+path, zoomed or not: all face rings are clipped at once, and a vertex that
+no side cuts keeps its index, so its canvas position is written once and
+shared by the tiles around it.
 """
 
 from __future__ import annotations
@@ -152,44 +154,56 @@ def _clip_lines(frags: np.ndarray, win) -> np.ndarray:
                             np.where(tail, x1, x0 + t1 * dx), np.where(tail, y1, y0 + t1 * dy)))
 
 
-def _clip_polygon(pts, win):
-    """Sutherland-Hodgman clip of a polygon against the window."""
+def _clip_rings(x, y, ring, start, win):
+    """Sutherland-Hodgman clip of every ring against the window, all rings at once.
+
+    Ring i lists the points ring[start[i]:start[i + 1]] of the table (x, y).
+    One pass per window side, skipped when every point is inside it. Each
+    crossing is appended to the table, so a point that no side cuts keeps
+    its index. Returns the clipped (x, y, ring, start); a ring wholly
+    outside comes back empty.
+    """
     wx0, wy0, wx1, wy1 = win
+    for axis, bound, keep_greater in ((0, wx0, True), (0, wx1, False),
+                                      (1, wy0, True), (1, wy1, False)):
+        va = (x, y)[axis][ring]
+        ina = va >= bound if keep_greater else va <= bound
+        if ina.all():
+            continue
+        # each slot's edge a -> b runs to the next slot, the last one back to the first
+        full = start[1:] > start[:-1]
+        nxt = np.arange(1, len(ring) + 1)
+        nxt[start[1:][full] - 1] = start[:-1][full]
+        cut = ina != ina[nxt]
+        # an edge emits a when a is inside, then the crossing when it cuts the side
+        count = ina.astype(np.int64) + cut
+        at = np.concatenate(([0], np.cumsum(count)))
+        out = np.empty(at[-1], dtype=np.int64)
+        out[at[:-1][ina]] = ring[ina]
+        k = np.flatnonzero(cut)
+        a, b = ring[k], ring[nxt[k]]
+        t = (bound - va[k]) / (va[nxt[k]] - va[k])
+        out[at[k] + ina[k]] = np.arange(len(x), len(x) + len(k))
+        x = np.concatenate((x, x[a] + t * (x[b] - x[a])))
+        y = np.concatenate((y, y[a] + t * (y[b] - y[a])))
+        ring, start = out, at[start]
+    return x, y, ring, start
 
-    def one_side(poly, axis, bound, keep_greater):
-        out = []
-        for (ax, ay), (bx, by) in zip(poly, poly[1:] + poly[:1]):
-            va = ax if axis == 0 else ay
-            vb = bx if axis == 0 else by
-            ina = va >= bound if keep_greater else va <= bound
-            inb = vb >= bound if keep_greater else vb <= bound
-            if ina:
-                out.append((ax, ay))
-            if ina != inb:
-                t = (bound - va) / (vb - va)
-                out.append((ax + t * (bx - ax), ay + t * (by - ay)))
-        return out
 
-    poly = list(pts)
-    for axis, bound, keep in ((0, wx0, True), (0, wx1, False), (1, wy0, True), (1, wy1, False)):
-        if not poly:
-            return []
-        poly = one_side(poly, axis, bound, keep)
-    return poly
-
-
-def _polygon_blocks(point, ring, start, tail) -> list[bytes]:
-    """The <polygon> elements, BLOCK faces at a time: face i lists the
-    points point[ring[start[i]:start[i + 1]]] and ends with tail[i]."""
+def _polygon_blocks(point, ring, start, faces, tail) -> list[bytes]:
+    """The <polygon> elements, BLOCK faces at a time: faces[i] lists the
+    points point[ring[start[f]:start[f + 1]]], f = faces[i], and ends with tail[i]."""
     blocks = []
-    for f in range(0, len(start) - 1, BLOCK):
-        bounds = start[f:f + BLOCK + 1]
-        lo, hi = bounds[0], bounds[-1]
-        first = np.zeros(hi - lo, dtype=bool)
-        first[bounds[:-1] - lo] = True
-        sep = np.full(hi - lo, b" ", dtype=tail.dtype)
-        sep[bounds[1:] - lo - 1] = tail[f:f + BLOCK]
-        blocks.append(_rows(np.where(first, b'<polygon points="', b""), point[ring[lo:hi]], sep))
+    for lo in range(0, len(faces), BLOCK):
+        f = faces[lo:lo + BLOCK]
+        size = start[f + 1] - start[f]
+        bounds = np.concatenate(([0], np.cumsum(size)))
+        slots = np.repeat(start[f] - bounds[:-1], size) + np.arange(bounds[-1])
+        first = np.zeros(bounds[-1], dtype=bool)
+        first[bounds[:-1]] = True
+        sep = np.full(bounds[-1], b" ", dtype=tail.dtype)
+        sep[bounds[1:] - 1] = tail[lo:lo + BLOCK]
+        blocks.append(_rows(np.where(first, b'<polygon points="', b""), point[ring[slots]], sep))
     return blocks
 
 
@@ -205,49 +219,34 @@ def _tiles(graph: PlanarGraph, opts: RenderOptions, win, to_canvas):
     label_orbits), as blocks of bytes.
 
     Reads the face arrays, all faces at once, and n from the outer face's
-    2n sides. A function of its own so that the face arrays are freed
-    before the lines are formatted and the document is joined, which
-    lowers the peak memory of a large render.
+    2n sides. Draws the inner faces left with three points or more after
+    _clip_rings; each point's text is written once. A function of its own
+    so that the face arrays are freed before the lines are formatted and
+    the document is joined, which lowers the peak memory of a large render.
     """
     faces = enumerate_faces(graph)
     start = faces.start
     outer = int(np.argmin(faces.signed_area))
     census = orbit_census(faces, PolygonSpec(int(np.diff(start)[outer]) // 2))
     orbit = census.face_orbits
-    inner = np.flatnonzero(orbit >= 0)
     polygons: list[bytes] = []
     if opts.color_faces:
         total = len(census.orbit_sizes)
         hue = np.arange(total) * 360 // max(1, total)  # below 360: three digits
         fill = np.char.add(np.char.add(b'" fill="hsl(', hue.astype("S3")), b',70%,55%)"/>\n')
-        ring = graph.edges.reshape(-1)[faces.cycle]
-        if opts.zoom is None:
-            size = np.diff(start)[inner]
-            bounds = np.concatenate(([0], np.cumsum(size)))
-            slots = np.repeat(start[inner] - bounds[:-1], size) + np.arange(bounds[-1])
-            point = _points(*to_canvas(graph.vertices[:, 0], graph.vertices[:, 1]))
-            polygons = _polygon_blocks(point, ring[slots], bounds, fill[orbit[inner]])
-        else:
-            # a face wholly beyond one side of the window clips to nothing
-            wx0, wy0, wx1, wy1 = win
-            xy = graph.vertices[ring]
-            lo = np.minimum.reduceat(xy, start[:-1])
-            hi = np.maximum.reduceat(xy, start[:-1])
-            meets = (hi[:, 0] >= wx0) & (lo[:, 0] <= wx1) & (hi[:, 1] >= wy0) & (lo[:, 1] <= wy1)
-            pts, size, kept = [], [0], []
-            for f in np.flatnonzero(meets & (orbit >= 0)).tolist():
-                clipped = _clip_polygon(xy[start[f]:start[f + 1]].tolist(), win)
-                if len(clipped) >= 3:
-                    pts += clipped
-                    size.append(len(clipped))
-                    kept.append(f)
-            x, y = np.array(pts, dtype=np.float64).reshape(-1, 2).T
-            point = _points(*to_canvas(x, y))
-            polygons = _polygon_blocks(point, np.arange(len(point)), np.cumsum(size),
-                                       fill[orbit[kept]])
+        x, y, ring, start = _clip_rings(*graph.vertices.T, graph.edges.reshape(-1)[faces.cycle],
+                                        start, win)
+        kept = np.flatnonzero((orbit >= 0) & (np.diff(start) >= 3))
+        # clipped rings hold only points inside the window; write the text of those alone
+        used = np.zeros(len(x), dtype=bool)
+        used[ring] = True
+        point = _points(*to_canvas(x[used], y[used]))
+        polygons = _polygon_blocks(point, (np.cumsum(used) - 1)[ring], start, kept,
+                                   fill[orbit[kept]])
     labels = b""
     if opts.label_orbits:
         wx0, wy0, wx1, wy1 = win
+        inner = np.flatnonzero(orbit >= 0)
         x, y = faces.centroid[inner].T
         seen = (wx0 <= x) & (x <= wx1) & (wy0 <= y) & (y <= wy1)
         cx, cy = _fixed6(np.stack(to_canvas(x[seen], y[seen])))

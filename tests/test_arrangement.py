@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import crossing_free, rotate_segments
@@ -81,6 +82,19 @@ class TestSplitting:
             sums[owners[0]] += frag.length()
         for b, total in zip(base, sums):
             assert total == pytest.approx(b.length(), abs=1e-8)
+
+
+@pytest.mark.parametrize("row", [[0.0, 0.0, 0.0, 0.0], [math.nan, 0.0, 1.0, 1.0]])
+def test_a_single_degenerate_base_row_raises(row):
+    # one base row takes the same fragment check as many
+    with pytest.raises(NumericalDegeneracy):
+        split_all_fast(np.array([row]))
+
+
+def test_a_single_base_row_comes_back_whole():
+    row = np.array([[0.1, -0.3, 0.7, 0.25]])
+    assert np.array_equal(split_all_fast(row), row)
+    assert split_all_fast(np.empty((0, 4))).shape == (0, 4)
 
 
 def _on_segment(frag, base):

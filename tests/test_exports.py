@@ -15,6 +15,7 @@ def test_removed_names_are_gone():
                          (polydissect, "split_at_params"), (geom, "split_at_params"),
                          (polydissect, "point_at"), (geom, "point_at"),
                          (planar, "_point_array"), (render, "_clip_segment"),
+                         (render, "_clip_polygon"),
                          (planar, "close_pairs"),
                          (polydissect, "face_vertices"), (planar, "face_vertices")):
         assert not hasattr(module, name), f"{module.__name__}.{name}"

@@ -2,7 +2,8 @@
 
 The first nine digests were taken from the renderer before the full
 route moved to numpy arrays, faces-24 and faces-labels-zoom-12 from the
-renderer before numbers were written by the vectorized kernel; any change
+renderer before numbers were written by the vectorized kernel, and
+faces-zoom-24 from the renderer that clipped one face at a time; any change
 to the bytes of a figure (coordinates, element order, fills, labels)
 fails here.
 """
@@ -45,6 +46,9 @@ GOLDEN = {
     "faces-labels-zoom-12": (12, RenderOptions(color_faces=True, label_orbits=True,
                                               zoom=(-0.3, -0.35, 0.55, 0.4), scale=2500.0),
                              "434f9db3db289268e2f5c4cdfb90fc5def538b1de3bc5a0404f5c0efe0cdabf4"),
+    # a window that cuts faces on all four sides: 12,454 polygons and 24,640 lines
+    "faces-zoom-24": (24, RenderOptions(color_faces=True, zoom=(-0.5, -0.4, 0.7, 0.45)),
+                      "1b00e846135b8343c691abd97e15ed8da5a8cbc05f4c0287e56ac577c08866ac"),
 }
 
 

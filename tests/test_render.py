@@ -15,7 +15,7 @@ from polydissect import (
     split_all_fast,
 )
 from polydissect import planar
-from polydissect.render import _clip_lines
+from polydissect.render import _clip_lines, _clip_rings
 
 
 def split_for(n):
@@ -142,6 +142,15 @@ def test_non_finite_options_are_rejected(opts):
         RenderOptions(**opts)
 
 
+def test_a_small_window_at_a_large_scale_writes_only_points_inside_it():
+    # vertices outside the window map beyond the exact range of the number kernel
+    split = split_for(6)
+    doc = render_svg(split, build_graph(split),
+                     RenderOptions(color_faces=True, zoom=(0.99, -0.01, 1.01, 0.01), scale=5e10))
+    assert doc.count("<polygon ") == 5
+    assert _coordinates_in_viewport(doc)
+
+
 def test_scale_controls_the_canvas():
     doc = render_svg(split_for(2), opts=RenderOptions(scale=100.0))
     assert 'width="210.000000"' in doc
@@ -168,3 +177,89 @@ def test_a_fragment_fully_inside_comes_back_whole():
     # t0 = 0 and t1 = 1 exactly: both ends come back bit for bit, not as x0 + 1*(x1 - x0)
     rows = np.random.default_rng(3).uniform(0.01, 0.99, (1000, 4))
     assert np.array_equal(_clip_lines(rows, UNIT), rows)
+
+
+def rings(*polys):
+    """The point table and CSR rings of a few polygons, numbered in order."""
+    pts = np.array([p for poly in polys for p in poly], dtype=np.float64).reshape(-1, 2)
+    start = np.concatenate(([0], np.cumsum([len(poly) for poly in polys])))
+    return pts[:, 0], pts[:, 1], np.arange(len(pts)), start
+
+
+def test_a_triangle_crossing_one_side_gives_the_exact_crossings():
+    x, y, ring, start = _clip_rings(*rings([(0.5, 0.5), (1.5, 0.5), (0.5, 0.75)]), UNIT)
+    # a, the crossing of a -> b, the crossing of b -> c, c; b stays in the table unused
+    assert ring.tolist() == [0, 3, 4, 2]
+    assert start.tolist() == [0, 4]
+    assert x.tolist() == [0.5, 1.5, 0.5, 1.0, 1.0]
+    assert y.tolist() == [0.5, 0.5, 0.75, 0.5, 0.625]
+
+
+def test_a_ring_wholly_outside_comes_back_empty():
+    left = [(-0.5, 0.2), (-0.1, 0.2), (-0.3, 0.6)]
+    inside = [(0.2, 0.2), (0.8, 0.2), (0.5, 0.6)]
+    x, y, ring, start = _clip_rings(*rings(left, inside), UNIT)
+    assert start.tolist() == [0, 0, 3]
+    assert ring.tolist() == [3, 4, 5]
+    assert len(x) == len(y) == 6
+
+
+def test_a_ring_wholly_inside_comes_back_as_it_was():
+    table = rings([(0.2, 0.2), (0.8, 0.2), (0.8, 0.9), (0.1, 0.7)])
+    x, y, ring, start = _clip_rings(*table, UNIT)
+    for got, given in zip((x, y, ring, start), table):
+        assert np.array_equal(got, given)
+
+
+def test_a_ring_emptied_by_one_side_leaves_the_next_ring_whole():
+    # the first ring is emptied by the left side, the second is cut by the right one
+    x, y, ring, start = _clip_rings(
+        *rings([(-0.5, 0.2), (-0.1, 0.2), (-0.3, 0.6)], [(0.5, 0.5), (1.5, 0.5), (0.5, 0.75)]),
+        UNIT)
+    assert start.tolist() == [0, 0, 4]
+    assert ring.tolist() == [3, 6, 7, 5]
+
+
+def clip_one(poly, win):
+    """Plain Sutherland-Hodgman clip of one polygon, one side at a time."""
+    for axis, bound, keep_greater in ((0, win[0], True), (0, win[2], False),
+                                      (1, win[1], True), (1, win[3], False)):
+        out = []
+        for a, b in zip(poly, poly[1:] + poly[:1]):
+            ina = a[axis] >= bound if keep_greater else a[axis] <= bound
+            inb = b[axis] >= bound if keep_greater else b[axis] <= bound
+            if ina:
+                out.append(a)
+            if ina != inb:
+                t = (bound - a[axis]) / (b[axis] - a[axis])
+                out.append((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
+        poly = out
+    return poly
+
+
+def test_rings_clip_bit_for_bit_like_one_polygon_at_a_time():
+    rng = np.random.default_rng(11)
+    polys = [list(map(tuple, rng.uniform(-0.5, 1.5, (int(rng.integers(3, 9)), 2)).tolist()))
+             for _ in range(300)]
+    for win in (UNIT, (0.25, -0.5, 0.75, 0.5), (-2.0, -2.0, 2.0, 2.0)):
+        x, y, ring, start = _clip_rings(*rings(*polys), win)
+        got = [list(zip(x[ring[lo:hi]].tolist(), y[ring[lo:hi]].tolist()))
+               for lo, hi in zip(start[:-1], start[1:])]
+        assert got == [clip_one(p, win) for p in polys]
+
+
+@pytest.mark.parametrize("n", [6, 10, 24])
+@pytest.mark.parametrize("win", [(-0.5, -0.4, 0.6, 0.45), (0.1, -0.62, 0.55, -0.05)])
+def test_clipped_inner_tiles_cover_a_window_inside_the_polygon(n, win):
+    graph = build_graph(split_for(n))
+    faces = enumerate_faces(graph)
+    x, y, ring, start = _clip_rings(*graph.vertices.T, graph.edges.reshape(-1)[faces.cycle],
+                                    faces.start, win)
+    size = np.diff(start)
+    face = np.repeat(np.arange(len(size)), size)
+    nxt = np.arange(1, len(ring) + 1)
+    nxt[start[1:][size > 0] - 1] = start[:-1][size > 0]
+    cross = x[ring] * y[ring[nxt]] - x[ring[nxt]] * y[ring]
+    area = np.bincount(face, cross, minlength=len(size)) / 2.0
+    inner = faces.signed_area > 0.0
+    assert abs(area[inner].sum() - (win[2] - win[0]) * (win[3] - win[1])) < 1e-12
