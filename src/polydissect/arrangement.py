@@ -15,9 +15,12 @@ There are three routes from the base segments to the counts:
   the touched side, and the incoming segment joins the set as its
   fragments. The tests use it as the oracle for ``split_all_fast``.
 
-``split_all_fast`` and ``counts`` share one vectorized kernel that solves
-base-segment pairs and classifies each line parameter as interior, end or
-miss within ``point_fuzzy``.
+``split_all_fast`` and ``counts`` share one hit kernel, ``_hits``: it
+solves some base segments against all of them and returns every pair that
+meets, with the line parameter on the first segment classified as interior
+or end within ``point_fuzzy``. ``counts`` asks for the representatives,
+``split_all_fast`` for every segment and keeps the interior hits; each cut
+is found once, on the segment it cuts.
 
 Vertices of the full route are the connected components of the fragment
 endpoints under the distance <= ``point_fuzzy`` relation, found with the
@@ -116,7 +119,7 @@ def split_all(base: SegmentSet, tol: Tolerance = DEFAULT_TOL) -> SplitSegmentSet
     Working-set rescan: each base segment is intersected against all
     fragments accumulated so far. An interior-interior hit cuts both
     sides; a hit at a fragment endpoint cuts only the side whose interior
-    was met. The base set must not contain collinear overlapping segments.
+    was met. Raises ValueError for collinear overlapping base segments.
     ``base`` is a Segment list or an (m, 4) array; the fragments come back
     as a Segment list.
     """
@@ -138,9 +141,8 @@ def split_all(base: SegmentSet, tol: Tolerance = DEFAULT_TOL) -> SplitSegmentSet
             a11 = wy0 - wy1
             det = sdx * a11 - a01 * sdy
             if abs(det) < fuzz * slen * wlen:
-                assert not _parallel_overlap(
-                    sx0, sy0, sdx, sdy, slen, wx0, wy0, wx1, wy1, fuzz), \
-                    "collinear overlapping segments in the base set"
+                if _parallel_overlap(sx0, sy0, sdx, sdy, slen, wx0, wy0, wx1, wy1, fuzz):
+                    raise ValueError("collinear overlapping segments in the base set")
                 continue
             rhs0 = wx0 - sx0
             rhs1 = wy0 - sy0
@@ -194,11 +196,11 @@ def _param_class(p: np.ndarray, live: np.ndarray, fuzz: float) -> np.ndarray:
 def _solve_pairs(arrays: tuple[np.ndarray, ...], rows: np.ndarray, fuzz: float):
     """Intersect the segments ``rows`` with every segment, vectorized.
 
-    Returns ``t`` (on the row segment), ``u`` (on the column segment), both
-    of shape (len(rows), m), and their classes: _INTERIOR strictly between
-    the fuzz bands, _END within fuzz of 0 or 1, _MISS outside the segment.
-    Parallel pairs, a segment paired with itself among them, are _MISS on
-    both sides.
+    Returns ``t`` (on the row segment), of shape (len(rows), m), and the
+    classes of ``t`` and of ``u`` (on the column segment): _INTERIOR strictly
+    between the fuzz bands, _END within fuzz of 0 or 1, _MISS outside the
+    segment. Parallel pairs, a segment paired with itself among them, are
+    _MISS on both sides. ``_hits`` is the one caller.
     """
     x0, y0, dx, dy, seglen = arrays
     rdx = dx[rows, None]
@@ -210,7 +212,29 @@ def _solve_pairs(arrays: tuple[np.ndarray, ...], rows: np.ndarray, fuzz: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (dx[None, :] * rhsy - rhsx * dy[None, :]) / det
         u = (rdx * rhsy - rhsx * rdy) / det
-    return t, u, _param_class(t, live, fuzz), _param_class(u, live, fuzz)
+    return t, _param_class(t, live, fuzz), _param_class(u, live, fuzz)
+
+
+def _hits(arrays: tuple[np.ndarray, ...], rows: np.ndarray, fuzz: float):
+    """Every pair of a segment in ``rows`` and any segment that meets it.
+
+    Solves the rows against all m segments, in blocks of about a million
+    pairs. Returns, for each pair whose two parameters are both not _MISS,
+    the row's index in ``rows``, ``t`` on the row segment and the class of
+    ``t``, in row-major order. The other side of a pair needs no second
+    extraction: ``u`` of (r, c) is ``t`` of (c, r) bit for bit, since both
+    the right-hand side and the determinant only change sign.
+    """
+    m = len(arrays[0])
+    at, ts, classes = [], [], []
+    block = max(1, 1_000_000 // m)
+    for lo in range(0, len(rows), block):
+        t, t_cls, u_cls = _solve_pairs(arrays, rows[lo:lo + block], fuzz)
+        k = np.flatnonzero((t_cls != _MISS) & (u_cls != _MISS))
+        at.append(lo + k // m)
+        ts.append(t.reshape(-1)[k])
+        classes.append(t_cls.reshape(-1)[k])
+    return np.concatenate(at), np.concatenate(ts), np.concatenate(classes)
 
 
 def split_all_fast(base: SegmentSet, tol: Tolerance = DEFAULT_TOL) -> SplitSegmentSet:
@@ -246,30 +270,12 @@ def _points_along(owner: np.ndarray, ts: np.ndarray, k: int, fuzz: float):
 def _fragments(base: np.ndarray, tol: Tolerance) -> np.ndarray:
     """The (E, 4) fragments of an (m, 4) base array; see split_all_fast."""
     m = len(base)
-    if m == 0:  # the block size below divides by m
+    if m == 0:  # _hits divides its block size by m
         return base
     fuzz = tol.point_fuzzy
-    arrays = _segment_arrays(base)
-
-    owners, params = [], []
-    cols = np.arange(m)
-    block = max(1, 1_000_000 // m)
-    for lo in range(0, m, block):
-        rows = cols[lo:lo + block]
-        t, u, t_cls, u_cls = _solve_pairs(arrays, rows, fuzz)
-        upper = cols[None, :] > rows[:, None]
-
-        rr, cc = np.nonzero(upper & (t_cls == _INTERIOR) & (u_cls != _MISS))
-        owners.append(rows[rr])
-        params.append(t[rr, cc])
-        rr, cc = np.nonzero(upper & (u_cls == _INTERIOR) & (t_cls != _MISS))
-        owners.append(cc)
-        params.append(u[rr, cc])
-    cuts = np.concatenate(params)
-    assert np.all((cuts > fuzz) & (cuts < 1.0 - fuzz)), \
-        "split parameter outside the interior range"
-
-    owner, t, _ = _points_along(np.concatenate(owners), cuts, m, fuzz)
+    row, t, t_cls = _hits(_segment_arrays(base), np.arange(m), fuzz)
+    cut = t_cls == _INTERIOR
+    owner, t, _ = _points_along(row[cut], t[cut], m, fuzz)
     x0, y0, x1, y1 = base[owner].T
     px = t * x1 + (1.0 - t) * x0
     py = t * y1 + (1.0 - t) * y0
@@ -368,10 +374,9 @@ def counts(spec: PolygonSpec, tol: Tolerance = DEFAULT_TOL) -> CountSummary:
     seglen = arrays[4]
     reps = np.array(orbit_representatives(spec))
     rows, orbit = reps[:, 0], reps[:, 1]
-    t, _, t_cls, u_cls = _solve_pairs(arrays, rows, fuzz)
-    rep, col = np.nonzero((t_cls != _MISS) & (u_cls != _MISS))
+    rep, t, _ = _hits(arrays, rows, fuzz)
 
-    owner, points, sizes = _points_along(rep, t[rep, col], len(reps), fuzz)
+    owner, points, sizes = _points_along(rep, t, len(reps), fuzz)
     same = owner[1:] == owner[:-1]
 
     gaps = np.where(same, np.diff(points) * seglen[rows[owner[1:]]], math.inf)

@@ -6,7 +6,8 @@ most-clockwise-turn successor of the half-edges, labelled by pointer
 doubling (``_cycle_labels``, which labels the rotation orbits too). The
 inner face count provides a check on the Euler formula that shares nothing
 with it beyond the vertex dedup. The orbit census is exact integer work on
-the face cycles: the rotation is an automorphism of the half-edge structure.
+the face cycles: the rotation is the half-edge map that commutes with the
+face successor and with the twin, spread from one step along the outer face.
 
 A ``PlanarGraph`` is four numpy arrays: the vertex coordinates, the
 endpoint labels of each edge, and the rings in CSR form (one half-edge
@@ -235,13 +236,14 @@ def enumerate_faces(g: PlanarGraph) -> Faces:
 def orbit_census(faces: Faces, spec: PolygonSpec) -> OrbitCensus:
     """Partition inner faces into orbits under rotation by 2pi/N, exactly.
 
-    The rotation is the automorphism of the face cycles that moves the outer
-    face's slot j to slot j + 1, spread breadth first through the twins: if s
-    maps to r, the face beyond twin s maps to the face beyond twin r. Raises
-    OrbitMismatch unless every half-edge is in ``cycle`` once, the one outer
-    face has N sides, every face is reached, and the map permutes the faces
-    size to size, commutes with the twin and has orbits of size N or 1 (the
-    central face, even n). Orbits are numbered in the order of their first face.
+    The rotation rho is a map on the half-edges: one step along the outer
+    face there, spread by rho(nxt h) = nxt(rho h) and rho(h ^ 1) = rho(h) ^ 1,
+    where nxt is the face successor read off ``cycle``. Raises OrbitMismatch
+    unless every half-edge is in ``cycle`` once, the one outer face has N
+    sides, rho reaches every half-edge, is a permutation, commutes with nxt
+    (so it maps faces to faces of the same size) and with the twin, and has
+    orbits of size N or 1 (the central face, even n). Orbits are numbered in
+    the order of their first face.
     """
     cycle, start = faces.cycle, faces.start
     nh, nf, size = len(cycle), len(faces), np.diff(start)
@@ -251,34 +253,33 @@ def orbit_census(faces: Faces, spec: PolygonSpec) -> OrbitCensus:
     outer = np.flatnonzero(faces.signed_area < 0.0)
     if len(outer) != 1 or size[outer[0]] != spec.N:
         raise OrbitMismatch(f"expected one outer face with N={spec.N} sides: {size[outer]}")
-    face_of = np.repeat(np.arange(nf), size)
-    pos = np.arange(nh) - start[face_of]
-    slot = np.empty(nh, dtype=np.int64)
-    slot[cycle] = np.arange(nh)
-    twin = slot[cycle ^ 1]
+    step = np.arange(1, nh + 1)
+    step[start[1:] - 1] = start[:-1]
+    nxt = np.empty(nh, dtype=np.int64)
+    nxt[cycle] = cycle[step]
 
-    # face f maps to image[f], its slot at pos p to the image's slot at p + shift[f]
-    image, shift, new = np.full(nf, -1), np.zeros(nf, dtype=np.int64), outer
-    image[outer], shift[outer] = outer, 1
+    # each half-edge takes the first image it is offered; one that disagrees
+    # with a later offer fails the commuting checks below
+    rho = np.full(nh, -1)
+    new = cycle[start[outer[0]]:start[outer[0] + 1]]
+    rho[new] = nxt[new]
     while len(new):
-        k = size[new]
-        s = np.repeat(start[new] - np.cumsum(k) + k, k) + np.arange(k.sum())
-        f = face_of[s]
-        g = image[f]
-        t, u = twin[s], twin[start[g] + (pos[s] + shift[f]) % size[g]]
-        new, first = np.unique(face_of[t], return_index=True)
-        fresh = image[new] < 0
-        new, t, u = new[fresh], t[first[fresh]], u[first[fresh]]
-        image[new] = face_of[u]
-        shift[new] = (pos[u] - pos[t]) % size[new]
+        h = np.concatenate((nxt[new], new ^ 1))
+        image = np.concatenate((nxt[rho[new]], rho[new] ^ 1))
+        h, first = np.unique(h, return_index=True)
+        fresh = rho[h] < 0
+        new = h[fresh]
+        rho[new] = image[first[fresh]]
 
-    if (np.any(image < 0) or np.any(np.bincount(image, minlength=nf) != 1)
-            or np.any(size[image] != size)):
-        raise OrbitMismatch("the rotation does not map every face to one of its size, one to one")
-    rho = start[image[face_of]] + (pos + shift[face_of]) % size[face_of]
-    if not np.array_equal(twin[rho], rho[twin]):
-        raise OrbitMismatch("the rotation of the face cycles does not commute with the twin")
-    label = _cycle_labels(image)
+    if np.any(rho < 0) or np.any(np.bincount(rho, minlength=nh) != 1):
+        raise OrbitMismatch("the rotation does not map the half-edges one to one")
+    if not (np.array_equal(rho[nxt], nxt[rho])
+            and np.array_equal(rho[np.arange(nh) ^ 1], rho ^ 1)):
+        raise OrbitMismatch("the rotation of the face cycles does not commute with the"
+                            " face successor and the twin")
+    face_of = np.empty(nh, dtype=np.int64)
+    face_of[cycle] = np.repeat(np.arange(nf), size)
+    label = _cycle_labels(face_of[rho[cycle[start[:-1]]]])
     label[outer] = -1
     face_orbits = np.unique(label, return_inverse=True)[1] - 1
     sizes = np.bincount(face_orbits[face_orbits >= 0])

@@ -72,12 +72,11 @@ def _fixed6(values) -> np.ndarray:
     """``'%.6f' % v`` of every value, as a bytes ('S') array of the same shape.
 
     p = |x|*1e6 rounds to the integer that the exact product rounds to,
-    unless p is exactly halfway between two integers. Only there is the
-    rounding error of p found, exactly, by Dekker's product: a true tie
-    goes to even, otherwise the error decides. That is CPython's correctly
-    rounded '%.6f'. The digits are cut by integer division into a uint8
-    buffer, one column per character; a '-' goes where np.signbit is set,
-    so -0.0 writes '-0.000000' as Python does. Exact for |x| < _EXACT only.
+    unless p is exactly halfway between two integers; those rare values
+    are settled by Python's own correctly rounded '%.6f'. The digits are
+    cut by integer division into a uint8 buffer, one column per character;
+    a '-' goes where np.signbit is set, so -0.0 writes '-0.000000' as
+    Python does. Exact for |x| < _EXACT only.
     """
     x = np.asarray(values, dtype=np.float64)
     a = np.abs(x).reshape(-1)
@@ -88,14 +87,7 @@ def _fixed6(values) -> np.ndarray:
     p = a * 1e6
     r = np.rint(p)
     half = np.flatnonzero(np.abs(p - r) == 0.5)
-    if half.size:
-        ah, ph = a[half], p[half]
-        # Dekker split of ah (constant 2**27 + 1); 1e6 has a 14-bit
-        # significand, so err = ah*1e6 - ph exactly
-        c = ah * 134217729.0
-        hi = c - (c - ah)
-        err = (hi * 1e6 - ph) + (ah - hi) * 1e6
-        r[half] = np.where(err > 0.0, ph + 0.5, np.where(err < 0.0, ph - 0.5, r[half]))
+    r[half] = [float(("%.6f" % v).replace(".", "")) for v in a[half].tolist()]
     r = r.astype(np.int64)
     whole = r // 1_000_000
     frac = (r - whole * 1_000_000).astype(np.uint32)

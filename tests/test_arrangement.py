@@ -97,6 +97,13 @@ def test_a_single_base_row_comes_back_whole():
     assert split_all_fast(np.empty((0, 4))).shape == (0, 4)
 
 
+def test_split_all_refuses_collinear_overlapping_segments():
+    # a raise, not an assert, so the check holds under python -O as well
+    base = np.array([[0.0, 0.0, 2.0, 0.0], [1.0, 0.0, 3.0, 0.0], [1.5, -1.0, 1.5, 1.0]])
+    with pytest.raises(ValueError, match="collinear overlapping"):
+        split_all(base)
+
+
 def _on_segment(frag, base):
     bx, by = base.p0.x, base.p0.y
     dx, dy = base.p1.x - bx, base.p1.y - by

@@ -1,5 +1,7 @@
 """The array form of the full route agrees with the Segment-list form."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,22 @@ def test_graph_from_arrays_equals_graph_from_segments(n):
     faces, same_faces = enumerate_faces(from_array), enumerate_faces(from_list)
     for name in ("cycle", "start", "signed_area", "centroid"):
         assert np.array_equal(getattr(faces, name), getattr(same_faces, name))
+
+
+# SHA-256 of the fragment array's bytes: the golden SVGs round to six
+# decimals, so only this pins every float bit of the split
+FRAGMENT_DIGESTS = {
+    5: "31fb62fddc7276d101428720f849435cde740d248bf6decf23c2aa45c6074e80",
+    12: "91d65ee26573b1ddb952b9e2690d9b8594fcc2e308724423ce261fd07b0d6742",
+    24: "9bbb99b02a48b5cf22efd1c1258106b85af3e6cfcc639be9521d32ad60b2725a",
+    39: "cff856cf256229915c3a23b9b0a544077c3389bc9c831446865df298f1a45f77",
+}
+
+
+@pytest.mark.parametrize("n", sorted(FRAGMENT_DIGESTS))
+def test_fragment_bytes_are_pinned(n):
+    frags = split_all_fast(base_array(PolygonSpec(n)))
+    assert hashlib.sha256(frags.tobytes()).hexdigest() == FRAGMENT_DIGESTS[n]
 
 
 def test_edges_coinciding_across_the_cut_raise():

@@ -14,6 +14,7 @@ from polydissect import (
     TraversalIncomplete,
     base_segments,
     build_graph,
+    counts,
     enumerate_faces,
     orbit_census,
     split_all_fast,
@@ -232,8 +233,8 @@ class TestOrbitCensus:
 
     @pytest.mark.parametrize("n", range(15, 31))
     def test_census_of_large_polygons_matches_the_reference(self, n):
-        # tiles down to area ~2e-10: the rotation must close over ~n**2/4
-        # breadth-first rounds from the outer face
+        # tiles down to area ~2e-10: the rotation must spread from the outer
+        # face over ~0.5*n**2 to 0.75*n**2 rounds of one half-edge step each
         spec = PolygonSpec(n)
         census = orbit_census(enumerate_faces(graph_for(n)), spec)
         reference = {r.n: r for r in reference_table()}[n]
@@ -264,6 +265,19 @@ class TestOrbitCensus:
             orbit_census(Faces(cycle, faces.start, faces.signed_area, faces.centroid),
                          PolygonSpec(4))
 
+    def test_a_half_edge_swapped_between_two_faces_raises(self):
+        # the cycles still hold every half-edge once, but not as the faces do
+        faces = enumerate_faces(graph_for(4))
+        size = np.diff(faces.start)
+        inner = np.flatnonzero(faces.signed_area > 0.0)
+        a, b = inner[size[inner] == size[inner[0]]][:2]
+        cycle = faces.cycle.copy()
+        i, j = faces.start[a], faces.start[b]
+        cycle[[i, j]] = cycle[[j, i]]
+        with pytest.raises(OrbitMismatch):
+            orbit_census(Faces(cycle, faces.start, faces.signed_area, faces.centroid),
+                         PolygonSpec(4))
+
     def test_faces_without_an_outer_face_raise(self):
         faces = enumerate_faces(graph_for(4))
         flipped = Faces(faces.cycle, faces.start, np.abs(faces.signed_area), faces.centroid)
@@ -276,6 +290,14 @@ class TestOrbitCensus:
         split = split_all_fast(np.delete(base_array(spec), 2 * 6, axis=0))
         with pytest.raises(OrbitMismatch):
             orbit_census(enumerate_faces(build_graph(split)), spec)
+
+    @pytest.mark.slow
+    def test_census_at_n_64_matches_the_orbit_route(self):
+        spec = PolygonSpec(64)
+        census = orbit_census(enumerate_faces(build_graph(split_all_fast(base_array(spec)))),
+                              spec)
+        orbit = counts(spec)
+        assert (census.per_ray, census.central) == (orbit.per_ray, orbit.central)
 
     @pytest.mark.parametrize("n", range(3, 21))
     def test_orbits_are_rotations_of_the_centroids(self, n):
