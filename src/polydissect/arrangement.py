@@ -302,9 +302,12 @@ def cluster_endpoints(
     the clusters are the connected components of the distance <= fuzz
     relation among the rest, found with ``close_pairs``, and are numbered
     in the order of their first point in sorted (x, y) order. Raises
-    AmbiguousClustering when two centroids come closer than 3*fuzz.
+    AmbiguousClustering when two centroids come closer than 3*fuzz, and
+    ValueError for a non-finite endpoint.
     """
     ends = segment_array(split).reshape(-1, 2)
+    if not np.isfinite(ends).all():
+        raise ValueError("non-finite fragment endpoint")
     xs = ends[:, 0]
     ys = ends[:, 1]
     uniq, inverse = np.unique(xs + 1j * ys, return_inverse=True)
@@ -322,13 +325,12 @@ def cluster_endpoints(
         if np.array_equal(nxt, root):
             break
         root = nxt
-    roots, labels_u = np.unique(root, return_inverse=True)
-    labels = labels_u[inverse]
+    # a root is the smallest index of its component: number the roots in order
+    labels = (np.cumsum(root == np.arange(len(uniq))) - 1)[root][inverse]
 
-    nv = len(roots)
-    counts_per = np.bincount(labels, minlength=nv)
-    cxs = np.bincount(labels, weights=xs, minlength=nv) / counts_per
-    cys = np.bincount(labels, weights=ys, minlength=nv) / counts_per
+    counts_per = np.bincount(labels)
+    cxs = np.bincount(labels, weights=xs) / counts_per
+    cys = np.bincount(labels, weights=ys) / counts_per
 
     pitch = 3.0 * fuzz
     centres = np.column_stack((cxs, cys))

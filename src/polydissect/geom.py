@@ -166,35 +166,31 @@ def close_pairs(a: np.ndarray, b: np.ndarray, radius: float) -> tuple[np.ndarray
     """Index arrays (i, j) of every pair of points with |a[i] - b[j]| <= radius.
 
     ``a`` and ``b`` are (k, 2) arrays of x, y. The points of ``b`` are
-    bucketed into square cells of side ``radius`` and sorted by cell; each
-    point of ``a`` looks up its own cell and the eight around it with one
-    binary search per offset into the occupied cells. Cell keys are complex
-    numbers gx + 1j*gy of float-valued cell coordinates, which stay exact
-    where an int64 key would overflow for a small radius.
+    bucketed into square cells of side ``radius`` and sorted once by cell
+    key gx + 1j*gy; complex keys sort by gx and then by gy, so for each
+    column offset the three cells next to a point of ``a`` form one run of
+    the sorted keys, found with two binary searches. Cell keys are complex
+    numbers of float-valued cell coordinates, which stay exact where an
+    int64 key would overflow for a small radius.
     """
     bg = np.floor(b / radius)
     bkeys = bg[:, 0] + 1j * bg[:, 1]
     order = np.argsort(bkeys, kind="stable")
-    cells, cell_start, cell_size = np.unique(bkeys[order], return_index=True, return_counts=True)
+    bkeys = bkeys[order]
     ag = np.floor(a / radius)
     limit2 = radius * radius
     found_i, found_j = [], []
     for ox in (-1.0, 0.0, 1.0):
-        for oy in (-1.0, 0.0, 1.0):
-            keys = (ag[:, 0] + ox) + 1j * (ag[:, 1] + oy)
-            c = np.searchsorted(cells, keys)
-            occupied = c < len(cells)
-            occupied[occupied] = cells[c[occupied]] == keys[occupied]
-            q = np.flatnonzero(occupied)
-            lo = cell_start[c[q]]
-            hits = cell_size[c[q]]
-            i = np.repeat(q, hits)
-            # position of each candidate in the sorted b: lo of its a-point
-            # plus its rank among that point's candidates
-            j = order[np.arange(len(i)) + np.repeat(lo - (np.cumsum(hits) - hits), hits)]
-            dx = a[i, 0] - b[j, 0]
-            dy = a[i, 1] - b[j, 1]
-            keep = dx * dx + dy * dy <= limit2
-            found_i.append(i[keep])
-            found_j.append(j[keep])
+        keys = (ag[:, 0] + ox) + 1j * ag[:, 1]
+        lo = np.searchsorted(bkeys, keys - 1j, "left")
+        hits = np.searchsorted(bkeys, keys + 1j, "right") - lo
+        i = np.repeat(np.arange(len(a)), hits)
+        # position of each candidate in the sorted b: lo of its a-point
+        # plus its rank among that point's candidates
+        j = order[np.arange(len(i)) + np.repeat(lo - (np.cumsum(hits) - hits), hits)]
+        dx = a[i, 0] - b[j, 0]
+        dy = a[i, 1] - b[j, 1]
+        keep = dx * dx + dy * dy <= limit2
+        found_i.append(i[keep])
+        found_j.append(j[keep])
     return np.concatenate(found_i), np.concatenate(found_j)

@@ -239,16 +239,16 @@ def orbit_census(faces: Faces, spec: PolygonSpec) -> OrbitCensus:
     The rotation rho is a map on the half-edges: one step along the outer
     face there, spread by rho(nxt h) = nxt(rho h) and rho(h ^ 1) = rho(h) ^ 1,
     where nxt is the face successor read off ``cycle``. Raises OrbitMismatch
-    unless every half-edge is in ``cycle`` once, the one outer face has N
-    sides, rho reaches every half-edge, is a permutation, commutes with nxt
-    (so it maps faces to faces of the same size) and with the twin, and has
-    orbits of size N or 1 (the central face, even n). Orbits are numbered in
-    the order of their first face.
+    unless every half-edge and its twin are in ``cycle`` once, the one outer
+    face has N sides, rho reaches every half-edge, is a permutation, commutes
+    with nxt (so it maps faces to faces of the same size) and with the twin,
+    and has orbits of size N or 1 (the central face, even n). Orbits are
+    numbered in the order of their first face.
     """
     cycle, start = faces.cycle, faces.start
     nh, nf, size = len(cycle), len(faces), np.diff(start)
-    if (start[0] != 0 or start[-1] != nh or np.any(size < 1) or cycle.min(initial=0) < 0
-            or np.any(np.bincount(cycle, minlength=nh) != 1)):
+    if (nh % 2 or start[0] != 0 or start[-1] != nh or np.any(size < 1)
+            or cycle.min(initial=0) < 0 or np.any(np.bincount(cycle, minlength=nh) != 1)):
         raise OrbitMismatch("the face cycles do not hold every half-edge exactly once")
     outer = np.flatnonzero(faces.signed_area < 0.0)
     if len(outer) != 1 or size[outer[0]] != spec.N:

@@ -14,6 +14,7 @@ from polydissect import (
     Segment,
     Tolerance,
     base_segments,
+    build_graph,
     cluster_endpoints,
     count_vertices,
     counts,
@@ -155,6 +156,22 @@ class TestCountVertices:
             shuffled = split[:]
             rng.shuffle(shuffled)
             assert count_vertices(shuffled) == 31
+
+    def test_clusters_are_numbered_in_the_order_of_their_smallest_endpoint(self):
+        split = split_all_fast(base_array(PolygonSpec(5)))
+        split = split[np.random.default_rng(5).permutation(len(split))]
+        labels, centroids = cluster_endpoints(split)
+        assert np.array_equal(np.unique(labels), np.arange(len(centroids)))
+        ends = split.reshape(-1, 2).tolist()
+        smallest = [min(p for p, k in zip(ends, labels.tolist()) if k == label)
+                    for label in range(len(centroids))]
+        assert all(a < b for a, b in zip(smallest, smallest[1:]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("caller", [count_vertices, build_graph])
+    def test_a_non_finite_endpoint_raises(self, caller, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            caller(np.array([[0.0, 0.0, bad, 1.0], [0.0, 0.0, 1.0, 0.0]]))
 
 
 class TestCounts:

@@ -1,5 +1,9 @@
+import importlib.util
 import inspect
 from dataclasses import fields
+from pathlib import Path
+
+import pytest
 
 import polydissect
 from polydissect import Faces, PlanarGraph, geom, planar, render
@@ -35,3 +39,16 @@ def test_the_census_and_the_renderer_take_no_tolerance():
     # the census is exact, and the renderer passed a tolerance only to it
     for fn in (polydissect.orbit_census, polydissect.render_svg, render._tiles):
         assert "tol" not in inspect.signature(fn).parameters, fn.__name__
+
+
+def test_every_name_the_benchmark_tracer_patches_resolves():
+    # the tracer imports only the standard library, so it loads on its own
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    if not path.exists():
+        pytest.skip("no perfbench/tracing.py in this checkout")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.PATCHES
+    for module, name, *_ in tracing.PATCHES:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"

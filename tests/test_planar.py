@@ -265,6 +265,13 @@ class TestOrbitCensus:
             orbit_census(Faces(cycle, faces.start, faces.signed_area, faces.centroid),
                          PolygonSpec(4))
 
+    def test_an_odd_number_of_half_edges_raises(self):
+        # the last half-edge would have no twin
+        faces = Faces(np.array([0, 1, 2, 4, 3]), np.array([0, 4, 5]), np.array([-1.0, 1.0]),
+                      np.zeros((2, 2)))
+        with pytest.raises(OrbitMismatch):
+            orbit_census(faces, PolygonSpec(2))
+
     def test_a_half_edge_swapped_between_two_faces_raises(self):
         # the cycles still hold every half-edge once, but not as the faces do
         faces = enumerate_faces(graph_for(4))
