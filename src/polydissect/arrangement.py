@@ -16,11 +16,14 @@ There are three routes from the base segments to the counts:
   fragments. The tests use it as the oracle for ``split_all_fast``.
 
 ``split_all_fast`` and ``counts`` share one hit kernel, ``_hits``: it
-solves some base segments against all of them and returns every pair that
-meets, with the line parameter on the first segment classified as interior
-or end within ``point_fuzzy``. ``counts`` asks for the representatives,
-``split_all_fast`` for every segment and keeps the interior hits; each cut
-is found once, on the segment it cuts.
+solves some base segments against all of them in cache-sized blocks and
+returns every pair that meets, with the line parameter on the first
+segment classified as interior or end within ``point_fuzzy``; only the
+pairs whose two parameters lie near [0, 1] are classified, and parallel
+pairs are checked for collinear overlap as in ``split_all``. ``counts``
+asks for the representatives, ``split_all_fast`` for every segment and
+keeps the interior hits; each cut is found once, on the segment it cuts,
+and ``geom.group_order`` sorts the cuts along each segment.
 
 Vertices of the full route are the connected components of the fragment
 endpoints under the distance <= ``point_fuzzy`` relation, found with the
@@ -44,8 +47,8 @@ import numpy as np
 
 from .errors import AmbiguousClustering, NumericalDegeneracy, SymmetryViolation
 from .geom import (
-    DEFAULT_FUZZ, DEFAULT_TOL, Point2, Segment, Tolerance, close_pairs, merge_runs,
-    merge_sorted_runs, segment_array,
+    DEFAULT_FUZZ, DEFAULT_TOL, Point2, Segment, Tolerance, close_pairs, group_order,
+    merge_runs, merge_sorted_runs, segment_array,
 )
 # base_segments is not called here; perfbench/tracing.py wraps it under
 # this module's name, so it stays importable from it
@@ -101,16 +104,15 @@ def _split_tuple(x0, y0, x1, y1, params, fuzz):
 
 
 def _parallel_overlap(sx0, sy0, sdx, sdy, slen, wx0, wy0, wx1, wy1, fuzz):
-    """True if a parallel pair is collinear with overlapping extents."""
+    """Where parallel pairs are collinear with overlapping extents; floats or arrays."""
     d0 = abs((wx0 - sx0) * sdy - (wy0 - sy0) * sdx) / slen
     d1 = abs((wx1 - sx0) * sdy - (wy1 - sy0) * sdx) / slen
-    if d0 > fuzz or d1 > fuzz:
-        return False
     inv = 1.0 / (slen * slen)
     t0 = ((wx0 - sx0) * sdx + (wy0 - sy0) * sdy) * inv
     t1 = ((wx1 - sx0) * sdx + (wy1 - sy0) * sdy) * inv
-    lo, hi = min(t0, t1), max(t0, t1)
-    return min(hi, 1.0) - max(lo, 0.0) > fuzz
+    # min(max(t0, t1), 1) - max(min(t0, t1), 0) > fuzz, term by term
+    return ((d0 <= fuzz) & (d1 <= fuzz) & (abs(t1 - t0) > fuzz)
+            & ((t0 > fuzz) | (t1 > fuzz)) & ((1.0 - t0 > fuzz) | (1.0 - t1 > fuzz)))
 
 
 def split_all(base: SegmentSet, tol: Tolerance = DEFAULT_TOL) -> SplitSegmentSet:
@@ -177,6 +179,8 @@ def split_all(base: SegmentSet, tol: Tolerance = DEFAULT_TOL) -> SplitSegmentSet
 # Classes of a line parameter, as _solve_pairs returns them.
 _MISS, _END, _INTERIOR = 0, 1, 2
 
+_BLOCK_PAIRS = 1 << 16  # pairs per _hits block: 0.5 MB per float64 temporary
+
 
 def _segment_arrays(base: np.ndarray) -> tuple[np.ndarray, ...]:
     """Start x, start y, direction x, direction y and length per segment."""
@@ -186,21 +190,22 @@ def _segment_arrays(base: np.ndarray) -> tuple[np.ndarray, ...]:
     return x0, y0, dx, dy, np.hypot(dx, dy)
 
 
-def _param_class(p: np.ndarray, live: np.ndarray, fuzz: float) -> np.ndarray:
-    """The class of each parameter of a live (non-parallel) pair; _MISS elsewhere."""
-    interior = live & (p > fuzz) & (p < 1.0 - fuzz)
-    end = live & ((np.abs(p) < fuzz) | (np.abs(p - 1.0) < fuzz))
+def _param_class(p: np.ndarray, fuzz: float) -> np.ndarray:
+    """_INTERIOR strictly between the fuzz bands, _END within fuzz of 0 or 1, else _MISS."""
+    interior = (p > fuzz) & (p < 1.0 - fuzz)
+    end = (np.abs(p) < fuzz) | (np.abs(p - 1.0) < fuzz)
     return interior * np.int8(_INTERIOR) + end * np.int8(_END)
 
 
 def _solve_pairs(arrays: tuple[np.ndarray, ...], rows: np.ndarray, fuzz: float):
     """Intersect the segments ``rows`` with every segment, vectorized.
 
-    Returns ``t`` (on the row segment), of shape (len(rows), m), and the
-    classes of ``t`` and of ``u`` (on the column segment): _INTERIOR strictly
-    between the fuzz bands, _END within fuzz of 0 or 1, _MISS outside the
-    segment. Parallel pairs, a segment paired with itself among them, are
-    _MISS on both sides. ``_hits`` is the one caller.
+    A pair meets when it is not parallel and neither ``t`` (on the row
+    segment) nor ``u`` (on the column) is _MISS. Only the pairs with both in
+    (-2*fuzz, 1 + 2*fuzz), a superset of those, are classified. Returns the
+    flat index into the (len(rows), m) block, ``t`` and the class of ``t``
+    of each pair that meets. Raises ValueError when two distinct parallel
+    segments overlap by the ``_parallel_overlap`` rule.
     """
     x0, y0, dx, dy, seglen = arrays
     rdx = dx[rows, None]
@@ -212,28 +217,39 @@ def _solve_pairs(arrays: tuple[np.ndarray, ...], rows: np.ndarray, fuzz: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (dx[None, :] * rhsy - rhsx * dy[None, :]) / det
         u = (rdx * rhsy - rhsx * rdy) / det
-    return t, _param_class(t, live, fuzz), _param_class(u, live, fuzz)
+        k = np.flatnonzero(~live)
+        r, c = rows[k // len(x0)], k % len(x0)
+        r, c = r[r != c], c[r != c]
+        if _parallel_overlap(x0[r], y0[r], dx[r], dy[r], seglen[r], x0[c], y0[c],
+                             x0[c] + dx[c], y0[c] + dy[c], fuzz).any():
+            raise ValueError("collinear overlapping segments in the base set")
+    lo, hi = -2.0 * fuzz, 1.0 + 2.0 * fuzz
+    k = np.flatnonzero(live & (t > lo) & (t < hi) & (u > lo) & (u < hi))
+    t = t.reshape(-1)[k]
+    t_cls = _param_class(t, fuzz)
+    meet = (t_cls != _MISS) & (_param_class(u.reshape(-1)[k], fuzz) != _MISS)
+    return k[meet], t[meet], t_cls[meet]
 
 
 def _hits(arrays: tuple[np.ndarray, ...], rows: np.ndarray, fuzz: float):
     """Every pair of a segment in ``rows`` and any segment that meets it.
 
-    Solves the rows against all m segments, in blocks of about a million
-    pairs. Returns, for each pair whose two parameters are both not _MISS,
-    the row's index in ``rows``, ``t`` on the row segment and the class of
-    ``t``, in row-major order. The other side of a pair needs no second
-    extraction: ``u`` of (r, c) is ``t`` of (c, r) bit for bit, since both
-    the right-hand side and the determinant only change sign.
+    Solves the rows against all m segments with ``_solve_pairs``, in blocks
+    of about ``_BLOCK_PAIRS`` pairs. Returns, for each pair whose two
+    parameters are both not _MISS, the row's index in ``rows``, ``t`` on the
+    row segment and the class of ``t``, in row-major order. The other side
+    of a pair needs no second extraction: ``u`` of (r, c) is ``t`` of (c, r)
+    bit for bit, since both the right-hand side and the determinant only
+    change sign.
     """
     m = len(arrays[0])
     at, ts, classes = [], [], []
-    block = max(1, 1_000_000 // m)
+    block = max(1, _BLOCK_PAIRS // m)
     for lo in range(0, len(rows), block):
-        t, t_cls, u_cls = _solve_pairs(arrays, rows[lo:lo + block], fuzz)
-        k = np.flatnonzero((t_cls != _MISS) & (u_cls != _MISS))
+        k, t, t_cls = _solve_pairs(arrays, rows[lo:lo + block], fuzz)
         at.append(lo + k // m)
-        ts.append(t.reshape(-1)[k])
-        classes.append(t_cls.reshape(-1)[k])
+        ts.append(t)
+        classes.append(t_cls)
     return np.concatenate(at), np.concatenate(ts), np.concatenate(classes)
 
 
@@ -258,11 +274,13 @@ def _points_along(owner: np.ndarray, ts: np.ndarray, k: int, fuzz: float):
 
     Each segment's ends 0 and 1 join its hits, and the parameters along
     each segment merge by the ``merge_runs`` rule. Returns the owner,
-    parameter and run size of every point, by owner and then along it.
+    parameter and run size of every point, by owner and then along it;
+    these are values only, so the order ``group_order`` leaves among equal
+    (owner, parameter) pairs cannot change them.
     """
     owner = np.concatenate((owner, np.arange(k), np.arange(k)))
     ts = np.concatenate((ts, np.zeros(k), np.ones(k)))
-    order = np.lexsort((ts, owner))
+    order = group_order(owner, ts)
     keep, sizes = merge_sorted_runs(owner[order], ts[order], fuzz)
     return owner[order[keep]], ts[order[keep]], sizes
 

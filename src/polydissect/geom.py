@@ -162,6 +162,22 @@ def merge_sorted_runs(
     return np.where(head[starts], starts, starts + sizes - 1), sizes
 
 
+def group_order(group: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """An order of the items by non-negative integer ``group``, then by ``values``.
+
+    One default (unstable) argsort by value, then one stable argsort per
+    16-bit digit of ``group`` cast to uint16, least significant first; numpy
+    sorts uint16 keys by radix with ``kind="stable"``, so a group id below
+    65,536 costs one pass. Items with equal group and equal value may come
+    in any order: that is the only difference from numpy's lexsort with
+    keys ``(values, group)``.
+    """
+    order = np.argsort(values)
+    for shift in range(0, max(1, int(group.max(initial=0)).bit_length()), 16):
+        order = order[np.argsort((group[order] >> shift).astype(np.uint16), kind="stable")]
+    return order
+
+
 def close_pairs(a: np.ndarray, b: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays (i, j) of every pair of points with |a[i] - b[j]| <= radius.
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousClustering, OrbitMismatch, TraversalIncomplete
-from .geom import DEFAULT_TOL, Point2, Tolerance
+from .geom import DEFAULT_TOL, Point2, Tolerance, group_order
 from .arrangement import SplitSegmentSet, cluster_endpoints
 from .polygon import PolygonSpec
 
@@ -116,7 +116,9 @@ def build_graph(split: SplitSegmentSet, tol: Tolerance = DEFAULT_TOL) -> PlanarG
     ``split`` is a Segment list or an (E, 4) fragment array. Vertices are
     the same endpoint clusters the vertex count uses, so the two agree by
     construction. Incident edges closer than 1e-9 rad in angle indicate a
-    dedup failure and raise AmbiguousClustering.
+    dedup failure and raise AmbiguousClustering. Equal angles at one vertex
+    raise too, so whenever a graph comes back its rings are exactly the
+    lexsort order by origin and angle.
     """
     labels, xy = cluster_endpoints(split, tol)
     merged = np.flatnonzero(labels[0::2] == labels[1::2])
@@ -129,7 +131,7 @@ def build_graph(split: SplitSegmentSet, tol: Tolerance = DEFAULT_TOL) -> PlanarG
     origin = labels
     d = xy[labels.reshape(-1, 2)[:, ::-1].reshape(-1)] - xy[origin]
     angle = np.arctan2(d[:, 1], d[:, 0])
-    half = np.lexsort((angle, origin))
+    half = group_order(origin, angle)
     ring_start = np.concatenate(([0], np.cumsum(np.bincount(origin, minlength=len(xy)))))
 
     # neighbours in one ring, then each ring's last edge against its first

@@ -21,7 +21,9 @@ from polydissect import (
     split_all,
     split_all_fast,
 )
-from polydissect.polygon import base_array
+from polydissect import arrangement
+from polydissect.arrangement import _hits, _segment_arrays
+from polydissect.polygon import base_array, orbit_representatives
 
 
 def seg(x0, y0, x1, y1):
@@ -103,6 +105,81 @@ def test_split_all_refuses_collinear_overlapping_segments():
     base = np.array([[0.0, 0.0, 2.0, 0.0], [1.0, 0.0, 3.0, 0.0], [1.5, -1.0, 1.5, 1.0]])
     with pytest.raises(ValueError, match="collinear overlapping"):
         split_all(base)
+
+
+OVERLAP = [[0.0, 0.0, 2.0, 0.0], [1.0, 0.0, 3.0, 0.0], [1.5, -1.0, 1.5, 1.0]]
+
+
+@pytest.mark.parametrize("as_list", [False, True])
+def test_split_all_fast_refuses_collinear_overlapping_segments(as_list):
+    base = [seg(*row) for row in OVERLAP] if as_list else np.array(OVERLAP)
+    with pytest.raises(ValueError, match="collinear overlapping"):
+        split_all_fast(base)
+
+
+def test_collinear_segments_that_only_touch_are_kept():
+    frags = split_all_fast(np.array([[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 2.0, 0.0]]))
+    assert frags.tolist() == [[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 2.0, 0.0]]
+
+
+def dense_hits(arrays, rows, fuzz):
+    """_hits by classifying every pair of the whole (rows, m) block."""
+    x0, y0, dx, dy, seglen = arrays
+    rdx, rdy = dx[rows, None], dy[rows, None]
+    det = rdy * dx - rdx * dy
+    live = np.abs(det) >= fuzz * (seglen[rows, None] * seglen)
+    rhsx, rhsy = x0 - x0[rows, None], y0 - y0[rows, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (dx * rhsy - rhsx * dy) / det
+        u = (rdx * rhsy - rhsx * rdy) / det
+
+    def classes(p):
+        interior = live & (p > fuzz) & (p < 1.0 - fuzz)
+        end = live & ((np.abs(p) < fuzz) | (np.abs(p - 1.0) < fuzz))
+        return interior * np.int8(2) + end * np.int8(1)
+
+    t_cls = classes(t)
+    r, c = np.nonzero((t_cls != 0) & (classes(u) != 0))
+    return r, t[r, c], t_cls[r, c]
+
+
+def assert_hits_match_the_dense_reference(base, rows, fuzz=DEFAULT_TOL.point_fuzzy):
+    arrays = _segment_arrays(base)
+    got, expected = _hits(arrays, rows, fuzz), dense_hits(arrays, rows, fuzz)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    return expected
+
+
+@pytest.mark.parametrize("block", [arrangement._BLOCK_PAIRS, 1000])
+@pytest.mark.parametrize("n", range(2, 17))
+def test_hits_match_a_dense_classification_on_the_polygon(n, block, monkeypatch):
+    monkeypatch.setattr(arrangement, "_BLOCK_PAIRS", block)
+    spec = PolygonSpec(n)
+    base = base_array(spec)
+    assert_hits_match_the_dense_reference(base, np.arange(len(base)))
+    assert_hits_match_the_dense_reference(base, np.array(orbit_representatives(spec))[:, 0])
+
+
+def test_hits_match_a_dense_classification_at_the_fuzz_bands():
+    # a horizontal (0, q)-(1, q) and a vertical (p, 0)-(p, 1) meet at t = p
+    # on the first and t = q on the second, exactly; random segments around
+    # them add pairs of every kind
+    fuzz = DEFAULT_TOL.point_fuzzy
+    edges = [-2 * fuzz, -fuzz, 0.0, fuzz, 2 * fuzz, 1 - 2 * fuzz, 1 - fuzz, 1.0, 1 + fuzz,
+             1 + 2 * fuzz]
+    params = sorted({q for p in edges for q in (np.nextafter(p, -1), p, np.nextafter(p, 2))})
+    rng = np.random.default_rng(0)
+    seen = set()
+    for p in params:
+        for q in params:
+            cross = np.array([[0.0, q, 1.0, q], [p, 0.0, p, 1.0]])
+            base = np.vstack((cross, rng.uniform(-0.5, 1.5, size=(6, 4))))
+            row, t, _ = assert_hits_match_the_dense_reference(base, np.arange(len(base)))
+            seen.update(t[row < 2].tolist())
+    # hits just inside the outer edges of the end bands, none beyond them
+    assert {np.nextafter(-fuzz, 1), 0.0, 1.0, np.nextafter(1 + fuzz, 0)} <= seen
+    assert not {-2 * fuzz, -fuzz, 1 + 2 * fuzz} & seen
 
 
 def _on_segment(frag, base):

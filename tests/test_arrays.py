@@ -15,6 +15,7 @@ from polydissect import (
     base_segments,
     build_graph,
     cluster_endpoints,
+    counts,
     enumerate_faces,
     split_all,
     split_all_fast,
@@ -69,6 +70,29 @@ FRAGMENT_DIGESTS = {
 def test_fragment_bytes_are_pinned(n):
     frags = split_all_fast(base_array(PolygonSpec(n)))
     assert hashlib.sha256(frags.tobytes()).hexdigest() == FRAGMENT_DIGESTS[n]
+
+
+# SHA-256 of the rings' half-edge order, which the SVGs do not show
+RING_DIGESTS = {
+    5: "ef203364baf0a78383d96c6ce803f8625b371dede6b802f66f40b7cfedaccb1b",
+    12: "d97f8584e5b29356beb2577b8370d342920c503ab2d7900d77eca7da2d9d5f8e",
+    24: "f32e96e8f889278edb203613023816d6bb03094f4798fb3de9f4db8c9932c591",
+}
+
+
+@pytest.mark.parametrize("n", sorted(RING_DIGESTS))
+def test_ring_order_is_pinned(n):
+    g = build_graph(split_all_fast(base_array(PolygonSpec(n))))
+    assert hashlib.sha256(g.ring_half.tobytes()).hexdigest() == RING_DIGESTS[n]
+
+
+def test_counts_beyond_the_reference_table_are_pinned():
+    # SHA-256 of "n V E F per_ray central" lines for n = 40..64, which no
+    # published table covers
+    rows = "".join(f"{n} {c.V} {c.E} {c.F} {c.per_ray} {c.central}\n"
+                   for n in range(40, 65) for c in [counts(PolygonSpec(n))])
+    assert hashlib.sha256(rows.encode()).hexdigest() == (
+        "162546c2556f7768f0d051c8bdee78e5695f9a64ad480213483a01b60582d8fd")
 
 
 def test_edges_coinciding_across_the_cut_raise():

@@ -13,7 +13,7 @@ from polydissect import (
     intersect,
 )
 from polydissect.arrangement import _split_tuple
-from polydissect.geom import close_pairs, merge_runs
+from polydissect.geom import close_pairs, group_order, merge_runs
 
 FUZZ = 1e-10
 
@@ -169,6 +169,26 @@ class TestClosePairs:
         for a, b in ((empty, some), (some, empty), (empty, empty)):
             i, j = close_pairs(a, b, 1e-10)
             assert len(i) == 0 and len(j) == 0
+
+
+class TestGroupOrder:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("top", [5, 70_000, 1 << 40])
+    def test_gives_the_lexsort_sequence(self, seed, top):
+        # few distinct values make ties; ids above 65,535 take more passes
+        rng = np.random.default_rng(seed)
+        group = rng.integers(0, top, size=300)
+        group[::7] = group[0]
+        values = rng.integers(-3, 4, size=300) * 0.5
+        order = group_order(group, values)
+        assert np.array_equal(np.sort(order), np.arange(300))
+        expected = np.lexsort((values, group))
+        assert np.array_equal(group[order], group[expected])
+        assert np.array_equal(values[order], values[expected])
+
+    def test_empty_input(self):
+        order = group_order(np.empty(0, dtype=np.int64), np.empty(0))
+        assert order.shape == (0,)
 
 
 def test_degenerate_segment_rejected():
