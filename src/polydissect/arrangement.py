@@ -26,8 +26,9 @@ keeps the interior hits; each cut is found once, on the segment it cuts,
 and ``geom.group_order`` sorts the cuts along each segment.
 
 Vertices of the full route are the connected components of the fragment
-endpoints under the distance <= ``point_fuzzy`` relation, found with the
-shared neighbour search ``geom.close_pairs``; the result is deterministic
+endpoints under the distance <= ``point_fuzzy`` relation. The one
+neighbour search, ``geom.close_pairs``, is a self-join that returns each
+close pair of distinct unique endpoints once; the result is deterministic
 and independent of segment order.
 
 The stages pass (k, 4) float arrays of x0, y0, x1, y1 rows: ``base_array``
@@ -318,10 +319,10 @@ def cluster_endpoints(
     per endpoint (p0 then p1 of each segment, in order) and the (V, 2)
     array of cluster centroids. Exactly equal points are collapsed first;
     the clusters are the connected components of the distance <= fuzz
-    relation among the rest, found with ``close_pairs``, and are numbered
-    in the order of their first point in sorted (x, y) order. Raises
-    AmbiguousClustering when two centroids come closer than 3*fuzz, and
-    ValueError for a non-finite endpoint.
+    relation among the rest, whose pairs ``close_pairs`` lists once each,
+    and are numbered in the order of their first point in sorted (x, y)
+    order. Raises AmbiguousClustering when two centroids come closer than
+    3*fuzz, and ValueError for a non-finite endpoint or a non-(E, 4) array.
     """
     ends = segment_array(split).reshape(-1, 2)
     if not np.isfinite(ends).all():
@@ -331,14 +332,14 @@ def cluster_endpoints(
     uniq, inverse = np.unique(xs + 1j * ys, return_inverse=True)
     fuzz = tol.point_fuzzy
 
-    # every point takes the smallest index in its component: min over the
-    # neighbours, then pointer jumping, until nothing changes
-    points = np.column_stack((uniq.real, uniq.imag))
-    i, j = close_pairs(points, points, fuzz)
+    # every point takes the smallest index in its component: min over both
+    # ends of each pair, then pointer jumping, until nothing changes
+    i, j = close_pairs(np.column_stack((uniq.real, uniq.imag)), fuzz)
     root = np.arange(len(uniq))
     while True:
         nxt = root.copy()
         np.minimum.at(nxt, i, root[j])
+        np.minimum.at(nxt, j, root[i])
         nxt = nxt[nxt]
         if np.array_equal(nxt, root):
             break
@@ -352,11 +353,11 @@ def cluster_endpoints(
 
     pitch = 3.0 * fuzz
     centres = np.column_stack((cxs, cys))
-    i, j = close_pairs(centres, centres, pitch)
+    i, j = close_pairs(centres, pitch)
     dx = cxs[i] - cxs[j]
     dy = cys[i] - cys[j]
     gap2 = dx * dx + dy * dy
-    near = np.flatnonzero((i < j) & (gap2 < pitch * pitch))
+    near = np.flatnonzero(gap2 < pitch * pitch)
     if len(near):
         k = near[0]
         raise AmbiguousClustering(

@@ -66,9 +66,12 @@ def segment_array(segs: "list[Segment] | np.ndarray") -> np.ndarray:
     """Segments as a (k, 4) float array of x0, y0, x1, y1 rows.
 
     An array passes through unchanged, so pipeline stages accept either a
-    Segment list or the arrays the previous stage produced.
+    Segment list or the arrays the previous stage produced; an array of any
+    other shape raises ValueError.
     """
     if isinstance(segs, np.ndarray):
+        if segs.ndim != 2 or segs.shape[1] != 4:
+            raise ValueError(f"segments must be a (k, 4) array, got shape {segs.shape}")
         return segs
     return np.array([(*s.p0, *s.p1) for s in segs], dtype=float).reshape(-1, 4)
 
@@ -178,35 +181,33 @@ def group_order(group: np.ndarray, values: np.ndarray) -> np.ndarray:
     return order
 
 
-def close_pairs(a: np.ndarray, b: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (i, j) of every pair of points with |a[i] - b[j]| <= radius.
+def close_pairs(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of every pair of points with |points[i] - points[j]| <= radius.
 
-    ``a`` and ``b`` are (k, 2) arrays of x, y. The points of ``b`` are
-    bucketed into square cells of side ``radius`` and sorted once by cell
-    key gx + 1j*gy; complex keys sort by gx and then by gy, so for each
-    column offset the three cells next to a point of ``a`` form one run of
-    the sorted keys, found with two binary searches. Cell keys are complex
-    numbers of float-valued cell coordinates, which stay exact where an
-    int64 key would overflow for a small radius.
+    ``points`` is a (k, 2) array of x, y. Each unordered pair comes back
+    once, as (i, j) or (j, i), and no point is paired with itself. The
+    points are bucketed into square cells of side ``radius`` and sorted once
+    by cell key gx + 1j*gy; complex keys sort by gx and then by gy. So the
+    points after a point in its own cell, with the cell above, form one run
+    of the sorted keys that starts right after it, and the three cells of
+    the next column form a second run; its other neighbour cells find it
+    from their side (the half-neighbourhood self-join of Bentley, Stanat
+    and Williams, 1977). Cell keys are complex numbers of float-valued cell
+    coordinates, which stay exact where an int64 key would overflow for a
+    small radius.
     """
-    bg = np.floor(b / radius)
-    bkeys = bg[:, 0] + 1j * bg[:, 1]
-    order = np.argsort(bkeys, kind="stable")
-    bkeys = bkeys[order]
-    ag = np.floor(a / radius)
-    limit2 = radius * radius
-    found_i, found_j = [], []
-    for ox in (-1.0, 0.0, 1.0):
-        keys = (ag[:, 0] + ox) + 1j * ag[:, 1]
-        lo = np.searchsorted(bkeys, keys - 1j, "left")
-        hits = np.searchsorted(bkeys, keys + 1j, "right") - lo
-        i = np.repeat(np.arange(len(a)), hits)
-        # position of each candidate in the sorted b: lo of its a-point
-        # plus its rank among that point's candidates
-        j = order[np.arange(len(i)) + np.repeat(lo - (np.cumsum(hits) - hits), hits)]
-        dx = a[i, 0] - b[j, 0]
-        dy = a[i, 1] - b[j, 1]
-        keep = dx * dx + dy * dy <= limit2
-        found_i.append(i[keep])
-        found_j.append(j[keep])
-    return np.concatenate(found_i), np.concatenate(found_j)
+    grid = np.floor(points / radius)
+    keys = grid[:, 0] + 1j * grid[:, 1]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    at = np.arange(len(keys))
+    lo = np.concatenate((at + 1, np.searchsorted(keys, keys + (1 - 1j), "left")))
+    hits = np.concatenate((np.searchsorted(keys, keys + 1j, "right"),
+                           np.searchsorted(keys, keys + (1 + 1j), "right"))) - lo
+    # sorted position of each candidate: lo of its run plus its rank in the run
+    j = order[np.arange(hits.sum()) + np.repeat(lo - (np.cumsum(hits) - hits), hits)]
+    i = order[np.repeat(np.tile(at, 2), hits)]
+    dx = points[i, 0] - points[j, 0]
+    dy = points[i, 1] - points[j, 1]
+    keep = dx * dx + dy * dy <= radius * radius
+    return i[keep], j[keep]

@@ -163,9 +163,9 @@ def enumerate_faces(g: PlanarGraph) -> Faces:
     smallest half-edge of its cycle; cycles start there and come in the
     order of it, and all of them are read off in lockstep into ``cycle``;
     areas and centroids are summed per face over it. Raises
-    TraversalIncomplete unless the rings hold every half-edge once, in the
-    ring of its origin, the successor is a permutation, and there is
-    exactly one outer face.
+    TraversalIncomplete unless every ring has a vertex, the rings hold
+    every half-edge once, in the ring of its origin, the successor is a
+    permutation, and there is exactly one outer face.
     """
     xy, ring_start, half = g.vertices, g.ring_start, g.ring_half
     origin = g.edges.reshape(-1)
@@ -181,6 +181,8 @@ def enumerate_faces(g: PlanarGraph) -> Faces:
     ring_size = np.diff(ring_start)
     if ring_start[0] != 0 or ring_start[-1] != nh or np.any(ring_size < 0):
         raise TraversalIncomplete(f"ring offsets do not run from 0 to {nh} in order")
+    if len(xy) < len(ring_size):
+        raise TraversalIncomplete(f"{len(ring_size)} rings for {len(xy)} vertices")
     ring_of = np.repeat(np.arange(len(ring_size)), ring_size)
     stray = np.flatnonzero(ring_of != origin[half])
     if len(stray):
@@ -241,17 +243,20 @@ def orbit_census(faces: Faces, spec: PolygonSpec) -> OrbitCensus:
     The rotation rho is a map on the half-edges: one step along the outer
     face there, spread by rho(nxt h) = nxt(rho h) and rho(h ^ 1) = rho(h) ^ 1,
     where nxt is the face successor read off ``cycle``. Raises OrbitMismatch
-    unless every half-edge and its twin are in ``cycle`` once, the one outer
-    face has N sides, rho reaches every half-edge, is a permutation, commutes
-    with nxt (so it maps faces to faces of the same size) and with the twin,
-    and has orbits of size N or 1 (the central face, even n). Orbits are
-    numbered in the order of their first face.
+    unless every half-edge and its twin are in ``cycle`` once, each face
+    cycle has one signed area, the one outer face has N sides, rho reaches
+    every half-edge, is a permutation, commutes with nxt (so it maps faces
+    to faces of the same size) and with the twin, and has orbits of size N
+    or 1 (the central face, even n). Orbits are numbered in the order of
+    their first face.
     """
     cycle, start = faces.cycle, faces.start
     nh, nf, size = len(cycle), len(faces), np.diff(start)
     if (nh % 2 or start[0] != 0 or start[-1] != nh or np.any(size < 1)
             or cycle.min(initial=0) < 0 or np.any(np.bincount(cycle, minlength=nh) != 1)):
         raise OrbitMismatch("the face cycles do not hold every half-edge exactly once")
+    if nf != len(size):
+        raise OrbitMismatch(f"{len(size)} face cycles but {nf} signed areas")
     outer = np.flatnonzero(faces.signed_area < 0.0)
     if len(outer) != 1 or size[outer[0]] != spec.N:
         raise OrbitMismatch(f"expected one outer face with N={spec.N} sides: {size[outer]}")

@@ -9,6 +9,7 @@ carries n-2 such diagonals.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,10 @@ class PolygonSpec:
     n: int
 
     def __post_init__(self) -> None:
+        try:
+            operator.index(self.n)
+        except TypeError:
+            raise TypeError(f"n must be an integer, got {self.n!r}") from None
         if self.n < 2:
             raise ValueError(f"need n >= 2, got {self.n}")
 

@@ -15,8 +15,10 @@ from polydissect import (
     base_segments,
     build_graph,
     cluster_endpoints,
+    count_vertices,
     counts,
     enumerate_faces,
+    render_svg,
     split_all,
     split_all_fast,
 )
@@ -86,6 +88,37 @@ def test_ring_order_is_pinned(n):
     assert hashlib.sha256(g.ring_half.tobytes()).hexdigest() == RING_DIGESTS[n]
 
 
+# SHA-256 of the vertex labels' bytes followed by the centroids' bytes:
+# the vertex identity the graph, the faces and the SVGs are built on
+CLUSTER_DIGESTS = {
+    5: "717718f6460cf5c642578c219171aa65facd50852c070ab2525087eac3f66d9a",
+    12: "d838d30e40b33c60f8d720414250e0dc25db6942de1226fcaa85586817fc3ae3",
+    24: "3eb021f00b53075fad7fb5f41a381ecf9e542b52b5151acff9dac23094902023",
+}
+
+
+@pytest.mark.parametrize("n", sorted(CLUSTER_DIGESTS))
+def test_vertex_clusters_are_pinned(n):
+    labels, centroids = cluster_endpoints(split_all_fast(base_array(PolygonSpec(n))))
+    assert labels.dtype == np.int64
+    digest = hashlib.sha256(labels.tobytes() + centroids.tobytes()).hexdigest()
+    assert digest == CLUSTER_DIGESTS[n]
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,)])
+@pytest.mark.parametrize("stage", [split_all, split_all_fast, cluster_endpoints,
+                                   count_vertices, build_graph, render_svg])
+def test_a_segment_array_that_is_not_k_by_4_raises(stage, shape):
+    # rows of three or two numbers, or one flat row, are not segments
+    with pytest.raises(ValueError, match=r"\(k, 4\) array"):
+        stage(np.arange(np.prod(shape), dtype=float).reshape(shape) / 10.0)
+
+
+def test_an_empty_segment_array_is_accepted():
+    assert segment_array(np.empty((0, 4))).shape == (0, 4)
+    assert count_vertices(np.empty((0, 4))) == 0
+
+
 def test_counts_beyond_the_reference_table_are_pinned():
     # SHA-256 of "n V E F per_ray central" lines for n = 40..64, which no
     # published table covers
@@ -121,6 +154,12 @@ def test_ring_offsets_out_of_order_raise(ring_start):
     # offsets running backwards, or not starting at 0
     with pytest.raises(TraversalIncomplete, match="ring offsets"):
         enumerate_faces(one_edge_graph(ring_start, [0, 1]))
+
+
+def test_fewer_vertices_than_rings_raise():
+    g = one_edge_graph([0, 1, 2], [0, 1])
+    with pytest.raises(TraversalIncomplete, match="2 rings for 1 vertices"):
+        enumerate_faces(PlanarGraph(g.vertices[:1], g.edges, g.ring_start, g.ring_half))
 
 
 def test_a_half_edge_in_another_vertex_ring_raises():

@@ -148,26 +148,48 @@ class TestMergeRuns:
 
 
 
+def brute_close_pairs(points, radius):
+    """Every i < j with |points[i] - points[j]| <= radius, from the distance matrix."""
+    d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+    i, j = np.nonzero(np.triu(d2 <= radius * radius, k=1))
+    return sorted(zip(i.tolist(), j.tolist()))
+
+
+def found_once(points, radius):
+    """The pairs close_pairs finds, as sorted (i < j) tuples; none repeats or is (i, i)."""
+    i, j = close_pairs(points, radius)
+    assert not np.any(i == j)
+    pairs = sorted(zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist()))
+    assert len(set(pairs)) == len(pairs)
+    return pairs
+
+
 class TestClosePairs:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("radius", [1e-10, 3e-10, 0.25])
     def test_matches_brute_force(self, seed, radius):
-        # quarter-cell snapping puts many points on cell borders and many
-        # pairs at exactly the radius
+        # quarter-cell snapping around the origin puts many points on cell
+        # borders, at negative coordinates, on top of each other and at
+        # exactly the radius from each other
         rng = np.random.default_rng(seed)
-        a = rng.integers(-12, 12, size=(40 + seed, 2)) * (radius / 4)
-        b = rng.integers(-12, 12, size=(25 + 3 * seed, 2)) * (radius / 4)
-        i, j = close_pairs(a, b, radius)
-        d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-        expected = sorted(zip(*(k.tolist() for k in np.nonzero(d2 <= radius * radius))))
+        points = rng.integers(-12, 12, size=(60 + 5 * seed, 2)) * (radius / 4)
+        expected = brute_close_pairs(points, radius)
         assert expected
-        assert sorted(zip(i.tolist(), j.tolist())) == expected
+        assert found_once(points, radius) == expected
+
+    def test_duplicates_borders_and_the_exact_radius(self):
+        # cell side 0.5: (0, 0) twice and (0.5, 0), (0, 0.5), (-0.5, -0.5)
+        # on cell borders at exactly the radius or sqrt(2) times it
+        points = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.0], [0.0, 0.5],
+                           [-0.5, -0.5], [-0.5, 0.0], [1.0, 1.0]])
+        assert found_once(points, 0.5) == [(0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (2, 3),
+                                           (2, 5), (4, 5)]
+        assert found_once(points, 0.5) == brute_close_pairs(points, 0.5)
 
     def test_empty_inputs(self):
-        some = np.array([[0.0, 0.0], [1e-10, 0.0]])
-        empty = np.empty((0, 2))
-        for a, b in ((empty, some), (some, empty), (empty, empty)):
-            i, j = close_pairs(a, b, 1e-10)
+        # no points, or one point, which is never paired with itself
+        for points in (np.empty((0, 2)), np.array([[0.0, 0.0]]), np.array([[-3e-10, 7e-10]])):
+            i, j = close_pairs(points, 1e-10)
             assert len(i) == 0 and len(j) == 0
 
 

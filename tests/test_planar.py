@@ -285,6 +285,12 @@ class TestOrbitCensus:
             orbit_census(Faces(cycle, faces.start, faces.signed_area, faces.centroid),
                          PolygonSpec(4))
 
+    def test_fewer_signed_areas_than_face_cycles_raise(self):
+        faces = enumerate_faces(graph_for(4))
+        short = Faces(faces.cycle, faces.start, faces.signed_area[:-1], faces.centroid)
+        with pytest.raises(OrbitMismatch, match="signed areas"):
+            orbit_census(short, PolygonSpec(4))
+
     def test_faces_without_an_outer_face_raise(self):
         faces = enumerate_faces(graph_for(4))
         flipped = Faces(faces.cycle, faces.start, np.abs(faces.signed_area), faces.centroid)

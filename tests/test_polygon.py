@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from polydissect import PolygonSpec, base_segments, corners, diagonal_census
+from polydissect import PolygonSpec, base_segments, corners, counts, diagonal_census
 from polydissect.polygon import orbit_representatives
 
 
@@ -10,6 +11,17 @@ def test_spec_requires_n_at_least_two():
     with pytest.raises(ValueError):
         PolygonSpec(1)
     assert PolygonSpec(2).N == 4
+
+
+@pytest.mark.parametrize("bad", [3.0, "3", None, 2.5])
+def test_spec_requires_an_integer_n(bad):
+    with pytest.raises(TypeError, match="integer"):
+        PolygonSpec(bad)
+
+
+def test_spec_accepts_numpy_integers():
+    assert PolygonSpec(np.int64(4)).N == 8
+    assert counts(PolygonSpec(np.int32(4))).F == 25
 
 
 def test_corners_of_the_square():
