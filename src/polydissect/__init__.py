@@ -12,15 +12,11 @@ from .errors import (
 from .geom import (
     DEFAULT_FUZZ,
     DEFAULT_TOL,
-    ParamClass,
-    Params,
     Point2,
     Segment,
     Tolerance,
-    classify_param,
-    intersect,
 )
-from .polygon import DiagonalCensus, PolygonSpec, base_segments, corners, diagonal_census
+from .polygon import PolygonSpec, base_segments
 from .arrangement import (
     CountSummary,
     cluster_endpoints,
@@ -52,18 +48,11 @@ __all__ = [
     "TraversalIncomplete",
     "DEFAULT_FUZZ",
     "DEFAULT_TOL",
-    "ParamClass",
-    "Params",
     "Point2",
     "Segment",
     "Tolerance",
-    "classify_param",
-    "intersect",
-    "DiagonalCensus",
     "PolygonSpec",
     "base_segments",
-    "corners",
-    "diagonal_census",
     "CountSummary",
     "cluster_endpoints",
     "count_vertices",

@@ -1,15 +1,14 @@
-"""Tolerance-aware points, segments and parametric segment intersection.
+"""Tolerance-aware points and segments, and the array helpers of the pipeline.
 
 All geometry in this package lives in the closed unit disk, so a single
 absolute distance threshold (``point_fuzzy``) serves both for point
-identity and for the parallelism test of the intersection solver.
+identity and for the parallelism test of ``arrangement``'s pair solvers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -74,58 +73,6 @@ def segment_array(segs: "list[Segment] | np.ndarray") -> np.ndarray:
             raise ValueError(f"segments must be a (k, 4) array, got shape {segs.shape}")
         return segs
     return np.array([(*s.p0, *s.p1) for s in segs], dtype=float).reshape(-1, 4)
-
-
-class ParamClass(Enum):
-    """Where a line parameter sits relative to the segment [0, 1]."""
-
-    INTERIOR = "interior"
-    END = "end"
-    OUTSIDE = "outside"
-
-
-class Params(NamedTuple):
-    """Intersection parameters: ``t`` on the receiver, ``u`` on the argument."""
-
-    t: float
-    u: float
-
-
-def intersect(a: Segment, b: Segment, tol: Tolerance = DEFAULT_TOL) -> Params | None:
-    """Solve for the crossing of the two supporting lines by Cramer's rule.
-
-    Returns None when the determinant is below ``point_fuzzy`` scaled by
-    both segment lengths (parallel lines), otherwise the pair of line
-    parameters. Whether the crossing lies on either segment is up to the
-    caller (see classify_param).
-    """
-    a00 = a.p1.x - a.p0.x
-    a01 = b.p0.x - b.p1.x
-    a10 = a.p1.y - a.p0.y
-    a11 = b.p0.y - b.p1.y
-    rhs0 = b.p0.x - a.p0.x
-    rhs1 = b.p0.y - a.p0.y
-
-    det = a00 * a11 - a01 * a10
-    if abs(det) < tol.point_fuzzy * abs(a.length() * b.length()):
-        return None
-    t = (rhs0 * a11 - a01 * rhs1) / det
-    u = (a00 * rhs1 - rhs0 * a10) / det
-    return Params(t, u)
-
-
-def classify_param(t: float, tol: Tolerance = DEFAULT_TOL) -> ParamClass:
-    """Classify a line parameter as interior, endpoint, or outside.
-
-    The three classes partition the reals: END within ``point_fuzzy`` of 0
-    or 1, INTERIOR strictly between the fuzz bands, OUTSIDE otherwise.
-    """
-    fuzz = tol.point_fuzzy
-    if abs(t) < fuzz or abs(t - 1.0) < fuzz:
-        return ParamClass.END
-    if fuzz < t < 1.0 - fuzz:
-        return ParamClass.INTERIOR
-    return ParamClass.OUTSIDE
 
 
 def merge_runs(params: list[float], fuzz: float) -> tuple[list[float], list[int]]:

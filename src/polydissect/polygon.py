@@ -36,32 +36,15 @@ class PolygonSpec:
         return 2 * self.n
 
 
-@dataclass(frozen=True)
-class DiagonalCensus:
-    """Closed-form diagonal counts for one polygon."""
-
-    parallel: int
-    total: int
-    excluded: int
-    per_direction: int
-    directions: int
-
-
-def corners(spec: PolygonSpec) -> list[Point2]:
-    """The 2n corners on the unit circle, corner k at angle pi*k/n."""
-    n = spec.n
-    return [Point2(math.cos(math.pi * k / n), math.sin(math.pi * k / n)) for k in range(2 * n)]
-
-
 def base_array(spec: PolygonSpec) -> np.ndarray:
     """The base segments as an (m, 4) array of x0, y0, x1, y1 rows.
 
-    Perimeter edges come first, then the side-parallel diagonals. Corner
-    indices are reduced mod 2n before the corner lookup, so shared
-    endpoints are bit-identical between segments.
+    Perimeter edges come first, then the side-parallel diagonals. Corner k
+    sits at angle pi*k/n on the unit circle; corner indices are reduced mod
+    2n before the lookup, so shared endpoints are bit-identical.
     """
     n = spec.n
-    pts = np.array(corners(spec), dtype=float)
+    pts = np.array([(math.cos(math.pi * k / n), math.sin(math.pi * k / n)) for k in range(2 * n)])
     e = np.arange(2 * n)
     side = np.repeat(np.arange(n), n - 2)
     k = np.tile(np.arange(1, n - 1), n)
@@ -90,15 +73,3 @@ def orbit_representatives(spec: PolygonSpec) -> list[tuple[int, int]]:
     for k in range(1, (n - 1) // 2 + 1):
         reps.append((2 * n + k - 1, n if 2 * k + 1 == n else 2 * n))
     return reps
-
-
-def diagonal_census(spec: PolygonSpec) -> DiagonalCensus:
-    """Evaluate the diagonal count formulas for the polygon."""
-    n = spec.n
-    return DiagonalCensus(
-        parallel=n * (n - 2),
-        total=n * (2 * n - 3),
-        excluded=n * (n - 1),
-        per_direction=n - 2,
-        directions=n,
-    )

@@ -1,19 +1,42 @@
 import math
 
-from polydissect import ParamClass, Point2, Segment, classify_param, intersect
+import numpy as np
+
+from polydissect import Point2, Segment
+from polydissect.arrangement import _segment_arrays
+from polydissect.geom import segment_array
+
+
+def dense_classes(arrays, rows, fuzz):
+    """Solve and classify every pair of the whole (rows, m) block at once.
+
+    ``arrays`` is ``_segment_arrays`` of the m segments. Returns ``t`` on the
+    row segment with the classes of ``t`` and of ``u`` (on the column): 2
+    strictly inside the fuzz bands, 1 within fuzz of 0 or 1, 0 otherwise and
+    for parallel pairs.
+    """
+    x0, y0, dx, dy, seglen = arrays
+    rdx, rdy = dx[rows, None], dy[rows, None]
+    det = rdy * dx - rdx * dy
+    live = np.abs(det) >= fuzz * (seglen[rows, None] * seglen)
+    rhsx, rhsy = x0 - x0[rows, None], y0 - y0[rows, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (dx * rhsy - rhsx * dy) / det
+        u = (rdx * rhsy - rhsx * rdy) / det
+
+    def classes(p):
+        interior = live & (p > fuzz) & (p < 1.0 - fuzz)
+        end = live & ((np.abs(p) < fuzz) | (np.abs(p - 1.0) < fuzz))
+        return interior * np.int8(2) + end * np.int8(1)
+
+    return t, classes(t), classes(u)
 
 
 def crossing_free(split, tol):
-    """Exhaustive pairwise check: no Interior x Interior hit remains."""
-    for i, a in enumerate(split):
-        for b in split[i + 1:]:
-            hit = intersect(a, b, tol)
-            if hit is None:
-                continue
-            if (classify_param(hit.t, tol) is ParamClass.INTERIOR
-                    and classify_param(hit.u, tol) is ParamClass.INTERIOR):
-                return False
-    return True
+    """Exhaustive pairwise check: no pair i < j meets Interior x Interior."""
+    arrays = _segment_arrays(segment_array(split))
+    _, t_cls, u_cls = dense_classes(arrays, np.arange(len(arrays[0])), tol.point_fuzzy)
+    return not np.triu((t_cls == 2) & (u_cls == 2), 1).any()
 
 
 def rotate_segments(segments, angle):

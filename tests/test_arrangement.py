@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import crossing_free, rotate_segments
+from conftest import crossing_free, dense_classes, rotate_segments
 from polydissect import (
     DEFAULT_TOL,
     AmbiguousClustering,
@@ -87,6 +87,13 @@ class TestSplitting:
             assert total == pytest.approx(b.length(), abs=1e-8)
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_the_crossing_oracle_sees_the_crossings_of_the_unsplit_base(n):
+    # the square has no diagonals, so nothing crosses; from the hexagon on,
+    # the diagonals do, and crossing_free must say so
+    assert crossing_free(base_array(PolygonSpec(n)), DEFAULT_TOL) == (n == 2)
+
+
 @pytest.mark.parametrize("row", [[0.0, 0.0, 0.0, 0.0], [math.nan, 0.0, 1.0, 1.0]])
 def test_a_single_degenerate_base_row_raises(row):
     # one base row takes the same fragment check as many
@@ -124,22 +131,8 @@ def test_collinear_segments_that_only_touch_are_kept():
 
 def dense_hits(arrays, rows, fuzz):
     """_hits by classifying every pair of the whole (rows, m) block."""
-    x0, y0, dx, dy, seglen = arrays
-    rdx, rdy = dx[rows, None], dy[rows, None]
-    det = rdy * dx - rdx * dy
-    live = np.abs(det) >= fuzz * (seglen[rows, None] * seglen)
-    rhsx, rhsy = x0 - x0[rows, None], y0 - y0[rows, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (dx * rhsy - rhsx * dy) / det
-        u = (rdx * rhsy - rhsx * rdy) / det
-
-    def classes(p):
-        interior = live & (p > fuzz) & (p < 1.0 - fuzz)
-        end = live & ((np.abs(p) < fuzz) | (np.abs(p - 1.0) < fuzz))
-        return interior * np.int8(2) + end * np.int8(1)
-
-    t_cls = classes(t)
-    r, c = np.nonzero((t_cls != 0) & (classes(u) != 0))
+    t, t_cls, u_cls = dense_classes(arrays, rows, fuzz)
+    r, c = np.nonzero((t_cls != 0) & (u_cls != 0))
     return r, t[r, c], t_cls[r, c]
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import polydissect
-from polydissect import Faces, PlanarGraph, geom, planar, render
+from polydissect import Faces, PlanarGraph, geom, planar, polygon, render
 
 
 def test_every_exported_name_resolves():
@@ -21,7 +21,11 @@ def test_removed_names_are_gone():
                          (planar, "_point_array"), (render, "_clip_segment"),
                          (render, "_clip_polygon"),
                          (planar, "close_pairs"),
-                         (polydissect, "face_vertices"), (planar, "face_vertices")):
+                         (polydissect, "face_vertices"), (planar, "face_vertices"),
+                         *((m, name) for m in (polydissect, geom)
+                           for name in ("intersect", "classify_param", "ParamClass", "Params")),
+                         *((m, name) for m in (polydissect, polygon)
+                           for name in ("corners", "diagonal_census", "DiagonalCensus"))):
         assert not hasattr(module, name), f"{module.__name__}.{name}"
     for name in ("arrays", "dest"):
         assert not hasattr(PlanarGraph, name), name

@@ -4,16 +4,12 @@ import random
 import numpy as np
 import pytest
 
-from polydissect import (
-    ParamClass,
-    Point2,
-    Segment,
-    Tolerance,
-    classify_param,
-    intersect,
+from polydissect import Point2, PolygonSpec, Segment, Tolerance, arrangement
+from polydissect.arrangement import (
+    _END, _INTERIOR, _MISS, _param_class, _segment_arrays, _solve_pairs, _split_tuple,
 )
-from polydissect.arrangement import _split_tuple
-from polydissect.geom import close_pairs, group_order, merge_runs
+from polydissect.geom import close_pairs, group_order, merge_runs, segment_array
+from polydissect.polygon import base_array
 
 FUZZ = 1e-10
 
@@ -22,20 +18,26 @@ def seg(x0, y0, x1, y1):
     return Segment(Point2(x0, y0), Point2(x1, y1))
 
 
+def solve(a, b):
+    """(t on a, t on b) when the pair kernel finds a and b meeting, else None."""
+    k, t, _ = _solve_pairs(_segment_arrays(segment_array([a, b])), np.arange(2), FUZZ)
+    # flat index 1 is row a against column b, 2 is row b against column a
+    assert k.tolist() in ([], [1, 2])
+    return tuple(t.tolist()) or None
+
+
 class TestIntersect:
+    """The pair kernel ``arrangement._solve_pairs``, the package's vectorized
+    segment intersection, on one pair at a time and on whole blocks."""
+
     def test_symmetric_crossing(self):
-        hit = intersect(seg(0, 0, 1, 1), seg(0, 1, 1, 0))
-        assert hit is not None
-        assert hit.t == pytest.approx(0.5)
-        assert hit.u == pytest.approx(0.5)
+        assert solve(seg(0, 0, 1, 1), seg(0, 1, 1, 0)) == pytest.approx((0.5, 0.5))
 
     def test_horizontal_pair_is_parallel(self):
-        assert intersect(seg(0, 0, 1, 0), seg(0, 1, 1, 1)) is None
+        assert solve(seg(0, 0, 1, 0), seg(0, 1, 1, 1)) is None
 
     def test_endpoint_touch(self):
-        hit = intersect(seg(0, 0, 1, 0), seg(1, 0, 1, 1))
-        assert hit.t == pytest.approx(1.0)
-        assert hit.u == pytest.approx(0.0)
+        assert solve(seg(0, 0, 1, 0), seg(1, 0, 1, 1)) == pytest.approx((1.0, 0.0))
 
     def test_parallel_detection_is_symmetric(self):
         rng = random.Random(7)
@@ -50,55 +52,70 @@ class TestIntersect:
                 Point2(a.p0.x - dy * shift, a.p0.y + dx * shift),
                 Point2(a.p0.x - dy * shift + dx * scale, a.p0.y + dx * shift + dy * scale),
             )
-            assert intersect(a, b) is None
-            assert intersect(b, a) is None
+            assert solve(a, b) is None
+            assert solve(b, a) is None
 
-    def test_swap_symmetry_on_crossing_pairs(self):
-        rng = random.Random(21)
-        for _ in range(300):
-            a, b = _crossing_pair(rng)
-            ab = intersect(a, b)
-            ba = intersect(b, a)
-            assert ab is not None and ba is not None
-            assert ab.t == pytest.approx(ba.u, abs=1e-9)
-            assert ab.u == pytest.approx(ba.t, abs=1e-9)
+    def test_swap_symmetry_on_crossing_pairs(self, monkeypatch):
+        # _hits reads the cut on the column segment of a pair (r, c) as t of
+        # (c, r), so u of (r, c) must equal t of (c, r) bit for bit.
+        # _solve_pairs hands t and then u of every pair it classifies to
+        # _param_class; calling each of them an end makes it return them all.
+        seen = []
+
+        def every_pair_meets(p, fuzz):
+            seen.append(p)
+            return np.full(len(p), _END, dtype=np.int8)
+
+        monkeypatch.setattr(arrangement, "_param_class", every_pair_meets)
+        rng = np.random.default_rng(21)
+        for base in (base_array(PolygonSpec(13)), rng.uniform(-1, 1, size=(300, 4))):
+            m = len(base)
+            seen.clear()
+            k, t, _ = _solve_pairs(_segment_arrays(base), np.arange(m), FUZZ)
+            assert len(seen) == 2 and np.array_equal(seen[0], t)
+            r, c = np.divmod(k, m)
+            t_of, u_of = np.full((m, m), np.nan), np.full((m, m), np.nan)
+            t_of[r, c], u_of[r, c] = t, seen[1]
+            assert len(k) > 5 * m
+            assert np.array_equal(u_of, t_of.T, equal_nan=True)
 
     def test_params_locate_a_common_point(self):
         rng = random.Random(4)
         for _ in range(300):
             a, b = _crossing_pair(rng)
-            hit = intersect(a, b)
-            t, u = hit
+            t, u = solve(a, b)
             pa = Point2(t * a.p1.x + (1 - t) * a.p0.x, t * a.p1.y + (1 - t) * a.p0.y)
             pb = Point2(u * b.p1.x + (1 - u) * b.p0.x, u * b.p1.y + (1 - u) * b.p0.y)
             assert pa.dist(pb) <= 1e-9
 
 
 class TestClassifyParam:
+    """``arrangement._param_class``, the one classifier of a line parameter."""
+
     @pytest.mark.parametrize("t,expected", [
-        (0.5, ParamClass.INTERIOR),
-        (1e-12, ParamClass.END),
-        (-0.5, ParamClass.OUTSIDE),
-        (1.0, ParamClass.END),
-        (1.0 + 5e-11, ParamClass.END),
-        (2.0, ParamClass.OUTSIDE),
-        (-5e-11, ParamClass.END),
+        (0.5, "_INTERIOR"),
+        (1e-12, "_END"),
+        (-0.5, "_MISS"),
+        (1.0, "_END"),
+        (1.0 + 5e-11, "_END"),
+        (2.0, "_MISS"),
+        (-5e-11, "_END"),
     ])
     def test_examples(self, t, expected):
-        assert classify_param(t) is expected
+        assert _param_class(np.array([t]), FUZZ).tolist() == [getattr(arrangement, expected)]
 
     def test_every_finite_value_gets_exactly_one_class(self):
-        fuzz = 1e-10
-        probes = [-1.0, -fuzz, -fuzz / 2, 0.0, fuzz / 2, fuzz, 2 * fuzz, 0.3,
+        fuzz = FUZZ
+        probes = [-1.0, -2 * fuzz, -fuzz, -fuzz / 2, 0.0, fuzz / 2, fuzz, 2 * fuzz, 0.3,
                   1.0 - 2 * fuzz, 1.0 - fuzz, 1.0 - fuzz / 2, 1.0, 1.0 + fuzz / 2,
-                  1.0 + fuzz, 5.0]
-        for t in probes:
-            cls = classify_param(t)
+                  1.0 + fuzz, 1.0 + 2 * fuzz, 5.0]
+        for t, cls in zip(probes, _param_class(np.array(probes), fuzz).tolist()):
             in_end = abs(t) < fuzz or abs(t - 1.0) < fuzz
             in_interior = fuzz < t < 1.0 - fuzz
-            assert (cls is ParamClass.END) == in_end
-            assert (cls is ParamClass.INTERIOR) == in_interior
-            assert (cls is ParamClass.OUTSIDE) == (not in_end and not in_interior)
+            assert cls in (_MISS, _END, _INTERIOR)
+            assert (cls == _END) == in_end
+            assert (cls == _INTERIOR) == in_interior
+            assert (cls == _MISS) == (not in_end and not in_interior)
 
 
 class TestSplitAtParams:

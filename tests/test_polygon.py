@@ -3,8 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from polydissect import PolygonSpec, base_segments, corners, counts, diagonal_census
-from polydissect.polygon import orbit_representatives
+from polydissect import PolygonSpec, base_segments, counts
+from polydissect.polygon import base_array, orbit_representatives
+
+
+def corners(spec):
+    """The 2n corners as a (2n, 2) array: perimeter row e starts at corner e."""
+    return base_array(spec)[:2 * spec.n, :2]
 
 
 def test_spec_requires_n_at_least_two():
@@ -28,27 +33,26 @@ def test_corners_of_the_square():
     pts = corners(PolygonSpec(2))
     expected = [(1, 0), (0, 1), (-1, 0), (0, -1)]
     assert len(pts) == 4
-    for p, (x, y) in zip(pts, expected):
-        assert p.x == pytest.approx(x, abs=1e-12)
-        assert p.y == pytest.approx(y, abs=1e-12)
+    for (px, py), (x, y) in zip(pts, expected):
+        assert px == pytest.approx(x, abs=1e-12)
+        assert py == pytest.approx(y, abs=1e-12)
 
 
 def test_corners_of_the_hexagon():
     pts = corners(PolygonSpec(3))
     r3 = math.sqrt(3) / 2
     expected = {(1, 0), (0.5, r3), (-0.5, r3), (-1, 0), (-0.5, -r3), (0.5, -r3)}
-    for p in pts:
-        assert any(abs(p.x - x) < 1e-12 and abs(p.y - y) < 1e-12 for x, y in expected)
+    assert len(pts) == 6
+    for px, py in pts:
+        assert any(abs(px - x) < 1e-12 and abs(py - y) < 1e-12 for x, y in expected)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 21])
 def test_corners_lie_on_the_unit_circle(n):
     pts = corners(PolygonSpec(n))
     assert len(pts) == 2 * n
-    assert pts[0].x == pytest.approx(1.0, abs=1e-12)
-    assert pts[0].y == pytest.approx(0.0, abs=1e-12)
-    for p in pts:
-        assert math.hypot(p.x, p.y) == pytest.approx(1.0, abs=1e-12)
+    assert pts[0] == pytest.approx((1.0, 0.0), abs=1e-12)
+    assert np.hypot(pts[:, 0], pts[:, 1]) == pytest.approx(np.ones(2 * n), abs=1e-12)
 
 
 @pytest.mark.parametrize("n,total", [
@@ -73,25 +77,21 @@ def test_base_segments_have_no_duplicates(n):
     assert len(keys) == len(segs)
 
 
-def test_diagonal_census_examples():
-    c5 = diagonal_census(PolygonSpec(5))
-    assert (c5.parallel, c5.total, c5.excluded) == (15, 35, 20)
-    assert (c5.per_direction, c5.directions) == (3, 5)
-
-    c2 = diagonal_census(PolygonSpec(2))
-    assert (c2.parallel, c2.total, c2.excluded) == (0, 2, 2)
-
-    c4 = diagonal_census(PolygonSpec(4))
-    assert c4.parallel == 8
-    assert c4.per_direction == 2
-    assert c4.directions == 4
-
-
 @pytest.mark.parametrize("n", range(2, 30))
 def test_census_invariants(n):
-    c = diagonal_census(PolygonSpec(n))
-    assert c.parallel + c.excluded == c.total
-    assert c.parallel == c.directions * c.per_direction
+    # every chord joins two corners bit for bit; chords a-b and c-d are
+    # parallel exactly when a + b = c + d mod 2n, and side e-(e+1) has the
+    # odd sum 2e + 1, so each base segment runs along one of the n side
+    # directions, and each direction carries n - 2 diagonals
+    spec = PolygonSpec(n)
+    base = base_array(spec)
+    corner = {p: k for k, p in enumerate(map(tuple, corners(spec).tolist()))}
+    a = np.array([corner[p] for p in map(tuple, base[:, :2].tolist())])
+    b = np.array([corner[p] for p in map(tuple, base[:, 2:].tolist())])
+    direction = (a + b) % (2 * n)
+    assert len(base) == 2 * n + n * (n - 2)
+    assert (direction % 2 == 1).all()
+    assert np.bincount(direction[2 * n:] // 2, minlength=n).tolist() == [n - 2] * n
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 9])
@@ -120,8 +120,7 @@ def test_each_diagonal_is_parallel_to_one_side_direction(n):
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_diagonals_span_an_odd_number_of_corner_steps(n):
     spec = PolygonSpec(n)
-    pts = corners(spec)
-    index_of = {(round(p.x, 9), round(p.y, 9)): i for i, p in enumerate(pts)}
+    index_of = {(round(x, 9), round(y, 9)): i for i, (x, y) in enumerate(corners(spec).tolist())}
     diameters = 0
     for d in base_segments(spec)[2 * n:]:
         i = index_of[(round(d.p0.x, 9), round(d.p0.y, 9))]
