@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -130,7 +131,13 @@ def cmd_render(n: int, out_path: str, opts: RenderOptions, tol: Tolerance) -> in
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first ``main`` call.
+
+    ``parse_args`` returns a fresh namespace on every call, and ``error``
+    writes to the ``sys.stderr`` of its call, so calls share nothing.
+    """
     parser = argparse.ArgumentParser(
         prog="polydissect",
         description="Dissect the regular 2n-gon by its side-parallel diagonals "

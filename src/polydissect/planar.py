@@ -189,19 +189,26 @@ def enumerate_faces(g: PlanarGraph) -> Faces:
         raise TraversalIncomplete(
             f"half-edge {half[stray[0]]} sits in the ring of vertex {ring_of[stray[0]]}")
 
-    # slot of each half-edge's twin, and the slot before it in its ring
+    # slot of each half-edge's twin, and the slot before it in its ring; the
+    # half-edge-sized temporaries here and below are dropped once used, since
+    # they, not the result, set the walk's peak memory
     slot = np.empty(nh, dtype=np.int64)
     slot[half] = np.arange(nh)
     twin = slot[np.arange(nh) ^ 1]
+    del slot
     ring = ring_of[twin]
+    del ring_of
     pred = np.where(twin > ring_start[ring], twin - 1, ring_start[ring + 1] - 1)
+    del twin, ring
     nxt = half[pred]
+    del pred
     if np.any(np.bincount(nxt, minlength=nh) != 1):
         raise TraversalIncomplete("the face successor of the half-edges is not a permutation")
 
     label = _cycle_labels(nxt)
     lead = np.flatnonzero(label == np.arange(nh))
     size = np.bincount(label, minlength=nh)[lead]
+    del label
     first = np.cumsum(size) - size
     # all faces advance one half-edge a round: as many rounds as the longest face
     cyc = np.empty(nh, dtype=np.int64)
@@ -210,25 +217,41 @@ def enumerate_faces(g: PlanarGraph) -> Faces:
         cyc[at] = h
         live = left > 1
         h, at, left = nxt[h[live]], at[live] + 1, left[live] - 1
+    del nxt
 
     # Work relative to each face's first vertex: in absolute coordinates the
     # shoelace terms of a tile far from the origin cancel, and the smallest
     # tiles' centroids, where the orbit labels are drawn, lose their digits.
-    pts = xy[origin[cyc]]
-    base = np.repeat(pts[first], size, axis=0)
-    ax, ay = (pts - base).T
+    v = origin[cyc]
+    lead_v = np.repeat(v[first], size)
+    ax = xy[v, 0] - xy[lead_v, 0]
+    ay = xy[v, 1] - xy[lead_v, 1]
+    x0, y0 = xy[v[first]].T
+    del v, lead_v
     step = np.arange(1, nh + 1)
     step[first + size - 1] = first
     bx, by = ax[step], ay[step]
-    w = ax * by - bx * ay
+    del step
+    w = ax * by
+    w -= bx * ay
     area2 = np.add.reduceat(w, first)
-    cx6 = np.add.reduceat((ax + bx) * w, first)
-    cy6 = np.add.reduceat((ay + by) * w, first)
+    ax += bx
+    del bx
+    ax *= w
+    cx6 = np.add.reduceat(ax, first)
+    ay += by
+    del by
+    ay *= w
+    cy6 = np.add.reduceat(ay, first)
+    solid = np.abs(area2) > 1e-30
     with np.errstate(divide="ignore", invalid="ignore"):
-        cx = np.where(np.abs(area2) > 1e-30, base[first, 0] + cx6 / (3.0 * area2),
-                      np.add.reduceat(pts[:, 0], first) / size)
-        cy = np.where(np.abs(area2) > 1e-30, base[first, 1] + cy6 / (3.0 * area2),
-                      np.add.reduceat(pts[:, 1], first) / size)
+        cx = x0 + cx6 / (3.0 * area2)
+        cy = y0 + cy6 / (3.0 * area2)
+    if not solid.all():
+        # faces too thin for the shoelace sums take their vertex mean
+        pts = xy[origin[cyc]]
+        cx = np.where(solid, cx, np.add.reduceat(pts[:, 0], first) / size)
+        cy = np.where(solid, cy, np.add.reduceat(pts[:, 1], first) / size)
     area = 0.5 * area2
 
     negatives = int(np.count_nonzero(area < 0.0))

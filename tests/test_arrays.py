@@ -1,6 +1,7 @@
 """The array form of the full route agrees with the Segment-list form."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,37 @@ RING_DIGESTS = {
 def test_ring_order_is_pinned(n):
     g = build_graph(split_all_fast(base_array(PolygonSpec(n))))
     assert hashlib.sha256(g.ring_half.tobytes()).hexdigest() == RING_DIGESTS[n]
+
+
+# SHA-256 of the face cycles, offsets, signed areas and centroids, in that
+# order: the faces the census and the tile fills are read from
+FACE_DIGESTS = {
+    5: "4d5124d7f9ee6f00bff80a434bbc7edbed50e7ffcc48f240db8b40b7bb0f88e3",
+    12: "bf47a640574a07c7f721dfbc1c817493f95302c7adcb99ecb712e71cc71f0b0f",
+    24: "3db7c7bbea32e6cd4c9b0cd2a25343a5c82dc6b3fa6f85b9d8cfec0d35b0f227",
+}
+
+
+@pytest.mark.parametrize("n", sorted(FACE_DIGESTS))
+def test_faces_are_pinned(n):
+    f = enumerate_faces(build_graph(split_all_fast(base_array(PolygonSpec(n)))))
+    data = (f.cycle.tobytes() + f.start.tobytes() + f.signed_area.tobytes()
+            + f.centroid.tobytes())
+    assert hashlib.sha256(data).hexdigest() == FACE_DIGESTS[n]
+
+
+def test_the_face_walk_frees_its_temporaries():
+    # the walk's own peak above its input; 33 MB when it kept every
+    # half-edge-sized temporary alive to the end
+    g = build_graph(split_all_fast(base_array(PolygonSpec(24))))
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        enumerate_faces(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - entry <= 16 * 2**20
 
 
 # SHA-256 of the vertex labels' bytes followed by the centroids' bytes:

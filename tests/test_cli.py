@@ -1,9 +1,15 @@
+import argparse
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polydissect
 from polydissect import NumericalDegeneracy
 from polydissect import cli
 from polydissect import reference
@@ -209,3 +215,72 @@ class TestRender:
             main(["render", "--n", "2", "--out", str(tmp_path / "x.svg"),
                   "--zoom", "4,4,5,5"])
         assert err.value.code == 2
+
+
+def _count_parsers(monkeypatch) -> list:
+    """Wrap ``ArgumentParser.__init__``; the list gets one item per parser built."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(parser, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return built
+
+
+class TestRepeatedCalls:
+    """``main`` builds its parser once per process, and calls share nothing."""
+
+    def test_later_calls_build_no_parser(self, tmp_path, capsys, monkeypatch):
+        assert main(["count", "--n", "3"]) == 0
+        built = _count_parsers(monkeypatch)
+        assert main(["count", "--n", "5"]) == 0
+        assert main(["verify", "--max-n", "3", "--jobs", "2"]) == 0
+        assert main(["render", "--n", "4", "--out", str(tmp_path / "x.svg")]) == 0
+        assert built == []
+
+    def test_a_flag_does_not_carry_into_the_next_call(self, tmp_path, capsys):
+        out = tmp_path / "octagon.svg"
+        assert main(["render", "--n", "4", "--out", str(out), "--faces"]) == 0
+        assert out.read_text().count("<polygon ") == 25
+        assert main(["render", "--n", "4", "--out", str(out)]) == 0
+        assert "<polygon" not in out.read_text()
+
+    def test_a_usage_error_does_not_break_the_next_call(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["count", "--n", "1"])
+        assert err.value.code == 2
+        assert "--n must be in 2..64" in capsys.readouterr().err
+        assert main(["count", "--n", "8"]) == 0
+        assert "960 edges 464 vertices 497 tiles" in capsys.readouterr().out
+
+    def test_verify_with_and_without_jobs(self, capsys):
+        assert main(["verify", "--max-n", "4", "--jobs", "3"]) == 0
+        assert main(["verify", "--max-n", "4"]) == 0
+        assert capsys.readouterr().out.count("all 3 rows match") == 2
+
+    def test_importing_the_cli_builds_no_parser(self):
+        # the benchmark's setup_s times a fresh import, and a parser built
+        # there would move it; the second count shows the counter works
+        probe = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counted(parser, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(parser, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counted\n"
+            "import polydissect.cli\n"
+            "print(len(built))\n"
+            "polydissect.cli._build_parser()\n"
+            "print(len(built))\n")
+        src = str(Path(polydissect.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        at_import, after_build = map(int, done.stdout.split())
+        assert at_import == 0
+        assert after_build > 0

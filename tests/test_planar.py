@@ -130,6 +130,19 @@ class TestEnumerateFaces:
             enumerate_faces(PlanarGraph(v, e, ring_start=np.array([0, 2, 3]),
                                         ring_half=np.array([0, 1, 1])))
 
+    def test_a_face_too_thin_for_the_shoelace_takes_its_vertex_mean(self):
+        # a unit square with a triangle hung inside corner 0 whose shoelace
+        # terms underflow to zero; the other two faces keep their own centroids
+        v = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [2e-170, 1e-170], [1e-170, 2e-170]])
+        e = np.array([[0, 1], [1, 2], [2, 3], [3, 0], [0, 4], [4, 5], [5, 0]])
+        origin, toward = e.reshape(-1), e[:, ::-1].reshape(-1)
+        d = v[toward] - v[origin]
+        half = np.lexsort((np.arctan2(d[:, 1], d[:, 0]), origin))
+        ring_start = np.searchsorted(origin[half], np.arange(len(v) + 1))
+        faces = enumerate_faces(PlanarGraph(v.astype(float), e, ring_start, half))
+        assert faces.signed_area.tolist() == [1.0, -1.0, 0.0]
+        assert faces.centroid.tolist() == [[0.5, 0.5], [0.5, 0.5], [1e-170, 1e-170]]
+
     @pytest.mark.parametrize("n", range(2, 13))
     def test_each_face_is_a_closed_walk_from_its_smallest_half_edge(self, n):
         g = graph_for(n)
