@@ -116,7 +116,7 @@ def cmd_table(max_n: int, fmt: str, tol: Tolerance) -> int:
 def cmd_render(n: int, out_path: str, opts: RenderOptions, tol: Tolerance) -> int:
     split = split_all_fast(base_array(PolygonSpec(n)), tol)
     graph = None
-    if opts.color_faces or opts.label_orbits:
+    if opts.color_faces:
         graph = build_graph(split, tol)
     document = render_svg(split, graph, opts)
     try:

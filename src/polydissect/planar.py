@@ -12,8 +12,8 @@ face successor and with the twin, spread from one step along the outer face.
 A ``PlanarGraph`` is four numpy arrays: the vertex coordinates, the
 endpoint labels of each edge, and the rings in CSR form (one half-edge
 array sorted by origin and angle, with per-vertex offsets). ``Faces`` is
-four arrays too: the face cycles in CSR form, the signed areas and the
-centroids. A ``FaceRecord`` is built only when a caller indexes ``Faces``.
+three arrays: the face cycles in CSR form and the signed areas. A
+``FaceRecord`` is built only when a caller indexes ``Faces``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousClustering, OrbitMismatch, TraversalIncomplete
-from .geom import DEFAULT_TOL, Point2, Tolerance, group_order
+from .geom import DEFAULT_TOL, Tolerance, group_order
 from .arrangement import SplitSegmentSet, cluster_endpoints
 from .polygon import PolygonSpec
 
@@ -68,10 +68,9 @@ class PlanarGraph:
 
 @dataclass(frozen=True)
 class FaceRecord:
-    """One face cycle: its half-edges, area centroid and orientation."""
+    """One face cycle: its half-edges, signed area and orientation."""
 
     boundary: tuple[int, ...]
-    centroid: Point2
     signed_area: float
     is_outer: bool
 
@@ -88,7 +87,6 @@ class Faces(Sequence):
     cycle: np.ndarray        # (2E,) half-edges, face after face
     start: np.ndarray        # (F + 1,) offsets into cycle
     signed_area: np.ndarray  # (F,)
-    centroid: np.ndarray     # (F, 2)
 
     def __len__(self) -> int:
         return len(self.signed_area)
@@ -97,7 +95,7 @@ class Faces(Sequence):
         i = range(len(self))[i]
         area = float(self.signed_area[i])
         return FaceRecord(tuple(self.cycle[self.start[i]:self.start[i + 1]].tolist()),
-                          Point2(*self.centroid[i].tolist()), area, area < 0.0)
+                          area, area < 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,7 +160,7 @@ def enumerate_faces(g: PlanarGraph) -> Faces:
     single outer face clockwise. Each half-edge is labelled with the
     smallest half-edge of its cycle; cycles start there and come in the
     order of it, and all of them are read off in lockstep into ``cycle``;
-    areas and centroids are summed per face over it. Raises
+    the shoelace areas are summed per face over it. Raises
     TraversalIncomplete unless every ring has a vertex, the rings hold
     every half-edge once, in the ring of its origin, the successor is a
     permutation, and there is exactly one outer face.
@@ -221,43 +219,23 @@ def enumerate_faces(g: PlanarGraph) -> Faces:
 
     # Work relative to each face's first vertex: in absolute coordinates the
     # shoelace terms of a tile far from the origin cancel, and the smallest
-    # tiles' centroids, where the orbit labels are drawn, lose their digits.
+    # tiles' areas lose their digits.
     v = origin[cyc]
     lead_v = np.repeat(v[first], size)
     ax = xy[v, 0] - xy[lead_v, 0]
     ay = xy[v, 1] - xy[lead_v, 1]
-    x0, y0 = xy[v[first]].T
     del v, lead_v
     step = np.arange(1, nh + 1)
     step[first + size - 1] = first
-    bx, by = ax[step], ay[step]
+    w = ax * ay[step]
+    w -= ax[step] * ay
     del step
-    w = ax * by
-    w -= bx * ay
-    area2 = np.add.reduceat(w, first)
-    ax += bx
-    del bx
-    ax *= w
-    cx6 = np.add.reduceat(ax, first)
-    ay += by
-    del by
-    ay *= w
-    cy6 = np.add.reduceat(ay, first)
-    solid = np.abs(area2) > 1e-30
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cx = x0 + cx6 / (3.0 * area2)
-        cy = y0 + cy6 / (3.0 * area2)
-    if not solid.all():
-        # faces too thin for the shoelace sums take their vertex mean
-        pts = xy[origin[cyc]]
-        cx = np.where(solid, cx, np.add.reduceat(pts[:, 0], first) / size)
-        cy = np.where(solid, cy, np.add.reduceat(pts[:, 1], first) / size)
-    area = 0.5 * area2
+    area = 0.5 * np.add.reduceat(w, first)
 
     negatives = int(np.count_nonzero(area < 0.0))
     if negatives != 1:
         raise TraversalIncomplete(f"expected exactly one outer face, found {negatives}")
-    return Faces(cyc, np.append(first, nh), area, np.column_stack((cx, cy)))
+    return Faces(cyc, np.append(first, nh), area)
 
 
 def orbit_census(faces: Faces, spec: PolygonSpec) -> OrbitCensus:
@@ -288,18 +266,23 @@ def orbit_census(faces: Faces, spec: PolygonSpec) -> OrbitCensus:
     nxt = np.empty(nh, dtype=np.int64)
     nxt[cycle] = cycle[step]
 
-    # each half-edge takes the first image it is offered; one that disagrees
-    # with a later offer fails the commuting checks below
+    # each half-edge takes one of the images offered to it in the round it is
+    # first reached, no matter which; an offer that disagrees with it fails
+    # the permutation and commuting checks below
     rho = np.full(nh, -1)
+    stamp = np.empty(nh, dtype=np.int64)
     new = cycle[start[outer[0]]:start[outer[0] + 1]]
     rho[new] = nxt[new]
     while len(new):
         h = np.concatenate((nxt[new], new ^ 1))
         image = np.concatenate((nxt[rho[new]], rho[new] ^ 1))
-        h, first = np.unique(h, return_index=True)
         fresh = rho[h] < 0
-        new = h[fresh]
-        rho[new] = image[first[fresh]]
+        h = h[fresh]
+        rho[h] = image[fresh]
+        # one copy of each half-edge offered twice, or the frontier grows
+        slot = np.arange(len(h))
+        stamp[h] = slot
+        new = h[stamp[h] == slot]
 
     if np.any(rho < 0) or np.any(np.bincount(rho, minlength=nh) != 1):
         raise OrbitMismatch("the rotation does not map the half-edges one to one")

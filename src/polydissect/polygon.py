@@ -19,13 +19,14 @@ from .geom import Point2, Segment
 
 @dataclass(frozen=True)
 class PolygonSpec:
-    """Regular polygon with an even number 2n of sides."""
+    """Regular polygon with an even number 2n of sides; ``n`` is kept as a
+    Python int, whatever integer type it is given as."""
 
     n: int
 
     def __post_init__(self) -> None:
         try:
-            operator.index(self.n)
+            object.__setattr__(self, "n", operator.index(self.n))
         except TypeError:
             raise TypeError(f"n must be an integer, got {self.n!r}") from None
         if self.n < 2:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingGraph
+from .errors import MissingGraph, OrbitMismatch
 from .geom import segment_array
 from .arrangement import SplitSegmentSet
 from .planar import PlanarGraph, enumerate_faces, orbit_census
@@ -41,16 +41,12 @@ MAX_CANVAS = _EXACT / 2
 @dataclass(frozen=True)
 class RenderOptions:
     scale: float = 400.0
-    stroke_width: float = 1.0
     color_faces: bool = False
     zoom: tuple[float, float, float, float] | None = None
-    label_orbits: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("scale", "stroke_width"):
-            v = getattr(self, name)
-            if not 0.0 < v < math.inf:  # false for NaN as well
-                raise ValueError(f"{name} must be positive and finite, got {v!r}")
+        if not 0.0 < self.scale < math.inf:  # false for NaN as well
+            raise ValueError(f"scale must be positive and finite, got {self.scale!r}")
         if self.zoom is not None:
             x0, y0, x1, y1 = self.zoom
             if not (all(map(math.isfinite, self.zoom)) and x0 < x1 and y0 < y1):
@@ -61,8 +57,7 @@ class RenderOptions:
             if math.hypot(nx, ny) > 1.0:
                 raise ValueError(f"zoom window {self.zoom!r} does not intersect the unit disk")
         x0, y0, x1, y1 = self.zoom if self.zoom is not None else FULL_WINDOW
-        largest = max((x1 - x0) * self.scale, (y1 - y0) * self.scale,
-                      0.03 * self.scale, self.stroke_width)
+        largest = max((x1 - x0) * self.scale, (y1 - y0) * self.scale)
         if not largest < MAX_CANVAS:
             raise ValueError(f"canvas size {largest!r} is beyond {MAX_CANVAS!r}, "
                              f"where six decimals are no longer written exactly")
@@ -205,46 +200,36 @@ def _points(cx, cy):
     return np.char.add(np.char.add(x, b","), y)
 
 
-def _tiles(graph: PlanarGraph, opts: RenderOptions, win, to_canvas):
-    """The <polygon> elements of the inner faces (with color_faces) and the
-    <text> orbit label at each face centroid inside the window (with
-    label_orbits), as blocks of bytes.
+def _tiles(graph: PlanarGraph, win, to_canvas) -> list[bytes]:
+    """The <polygon> elements of the inner faces, as blocks of bytes, each
+    filled by its rotation orbit.
 
     Reads the face arrays, all faces at once, and n from the outer face's
-    2n sides. Draws the inner faces left with three points or more after
-    _clip_rings; each point's text is written once. A function of its own
-    so that the face arrays are freed before the lines are formatted and
-    the document is joined, which lowers the peak memory of a large render.
+    2n sides; an outer face of fewer than 4 sides raises OrbitMismatch.
+    Draws the inner faces left with three points or more after _clip_rings;
+    each point's text is written once. A function of its own so that the
+    face arrays are freed before the lines are formatted and the document
+    is joined, which lowers the peak memory of a large render.
     """
     faces = enumerate_faces(graph)
     start = faces.start
     outer = int(np.argmin(faces.signed_area))
-    census = orbit_census(faces, PolygonSpec(int(np.diff(start)[outer]) // 2))
+    sides = int(start[outer + 1] - start[outer])
+    if sides < 4:
+        raise OrbitMismatch(f"the outer face has {sides} sides, not the 2n >= 4 of a 2n-gon")
+    census = orbit_census(faces, PolygonSpec(sides // 2))
     orbit = census.face_orbits
-    polygons: list[bytes] = []
-    if opts.color_faces:
-        total = len(census.orbit_sizes)
-        hue = np.arange(total) * 360 // max(1, total)  # below 360: three digits
-        fill = np.char.add(np.char.add(b'" fill="hsl(', hue.astype("S3")), b',70%,55%)"/>\n')
-        x, y, ring, start = _clip_rings(*graph.vertices.T, graph.edges.reshape(-1)[faces.cycle],
-                                        start, win)
-        kept = np.flatnonzero((orbit >= 0) & (np.diff(start) >= 3))
-        # clipped rings hold only points inside the window; write the text of those alone
-        used = np.zeros(len(x), dtype=bool)
-        used[ring] = True
-        point = _points(*to_canvas(x[used], y[used]))
-        polygons = _polygon_blocks(point, (np.cumsum(used) - 1)[ring], start, kept,
-                                   fill[orbit[kept]])
-    labels = b""
-    if opts.label_orbits:
-        wx0, wy0, wx1, wy1 = win
-        inner = np.flatnonzero(orbit >= 0)
-        x, y = faces.centroid[inner].T
-        seen = (wx0 <= x) & (x <= wx1) & (wy0 <= y) & (y <= wy1)
-        cx, cy = _fixed6(np.stack(to_canvas(x[seen], y[seen])))
-        labels = _rows(b'<text x="', cx, b'" y="', cy, b'">', orbit[inner][seen].astype("S"),
-                       b"</text>\n")
-    return polygons, labels
+    total = len(census.orbit_sizes)
+    hue = np.arange(total) * 360 // max(1, total)  # below 360: three digits
+    fill = np.char.add(np.char.add(b'" fill="hsl(', hue.astype("S3")), b',70%,55%)"/>\n')
+    x, y, ring, start = _clip_rings(*graph.vertices.T, graph.edges.reshape(-1)[faces.cycle],
+                                    start, win)
+    kept = np.flatnonzero((orbit >= 0) & (np.diff(start) >= 3))
+    # clipped rings hold only points inside the window; write the text of those alone
+    used = np.zeros(len(x), dtype=bool)
+    used[ring] = True
+    point = _points(*to_canvas(x[used], y[used]))
+    return _polygon_blocks(point, (np.cumsum(used) - 1)[ring], start, kept, fill[orbit[kept]])
 
 
 def _line_blocks(frags: np.ndarray, to_canvas) -> list[bytes]:
@@ -267,14 +252,13 @@ def render_svg(
     """Render the arrangement as an SVG 1.1 document.
 
     ``split`` is a Segment list or an (E, 4) fragment array. One <line>
-    element per (possibly clipped) split segment; with color_faces one
-    <polygon> per inner face, filled by rotation orbit; with label_orbits
-    one <text> with the orbit id at each face centroid. Both face options
-    require the graph.
+    element per (possibly clipped) split segment; with color_faces, which
+    requires the graph, one <polygon> per inner face beneath the lines,
+    filled by rotation orbit.
     """
     opts = opts or RenderOptions()
-    if (opts.color_faces or opts.label_orbits) and graph is None:
-        raise MissingGraph("color_faces/label_orbits need the planar graph")
+    if opts.color_faces and graph is None:
+        raise MissingGraph("color_faces needs the planar graph")
 
     win = opts.zoom if opts.zoom is not None else FULL_WINDOW
     wx0, wy0, wx1, wy1 = win
@@ -285,29 +269,19 @@ def render_svg(
         """Canvas position of plane coordinates, floats or arrays."""
         return (x - wx0) * opts.scale, (wy1 - y) * opts.scale
 
-    w, h, stroke, font = (v.decode() for v in _fixed6(
-        [width, height, opts.stroke_width, 0.03 * opts.scale]).tolist())
+    w, h = (v.decode() for v in _fixed6([width, height]).tolist())
     blocks = ['<?xml version="1.0" encoding="UTF-8"?>\n'
               f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
               f'width="{w}" height="{h}" viewBox="0 0 {w} {h}">\n'.encode()]
 
-    labels = b""
-    if opts.color_faces or opts.label_orbits:
-        polygons, labels = _tiles(graph, opts, win, to_canvas)
-        if opts.color_faces:
-            blocks += [b'<g stroke="none">\n', *polygons, b"</g>\n"]
+    if opts.color_faces:
+        blocks += [b'<g stroke="none">\n', *_tiles(graph, win, to_canvas), b"</g>\n"]
 
-    blocks.append(f'<g fill="none" stroke="#000000" '
-                  f'stroke-width="{stroke}" stroke-linecap="round">\n'.encode())
+    blocks.append(b'<g fill="none" stroke="#000000" '
+                  b'stroke-width="1.000000" stroke-linecap="round">\n')
     frags = segment_array(split) if opts.zoom is None else _clip_lines(segment_array(split), win)
     blocks += _line_blocks(frags, to_canvas)
-    blocks.append(b"</g>\n")
-
-    if labels:
-        blocks += [f'<g font-family="sans-serif" font-size="{font}" '
-                   f'text-anchor="middle" fill="#000000">\n'.encode(), labels, b"</g>\n"]
-
-    blocks.append(b"</svg>\n")
+    blocks += [b"</g>\n", b"</svg>\n"]
     document = b"".join(blocks)
     blocks.clear()  # free the blocks before the str copy is made
     return document.decode("ascii")

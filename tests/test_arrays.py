@@ -55,7 +55,7 @@ def test_graph_from_arrays_equals_graph_from_segments(n):
     for name in ("vertices", "edges", "ring_start", "ring_half"):
         assert np.array_equal(getattr(from_array, name), getattr(from_list, name))
     faces, same_faces = enumerate_faces(from_array), enumerate_faces(from_list)
-    for name in ("cycle", "start", "signed_area", "centroid"):
+    for name in ("cycle", "start", "signed_area"):
         assert np.array_equal(getattr(faces, name), getattr(same_faces, name))
 
 
@@ -89,20 +89,19 @@ def test_ring_order_is_pinned(n):
     assert hashlib.sha256(g.ring_half.tobytes()).hexdigest() == RING_DIGESTS[n]
 
 
-# SHA-256 of the face cycles, offsets, signed areas and centroids, in that
-# order: the faces the census and the tile fills are read from
+# SHA-256 of the face cycles, offsets and signed areas, in that order: the
+# faces the census and the tile fills are read from
 FACE_DIGESTS = {
-    5: "4d5124d7f9ee6f00bff80a434bbc7edbed50e7ffcc48f240db8b40b7bb0f88e3",
-    12: "bf47a640574a07c7f721dfbc1c817493f95302c7adcb99ecb712e71cc71f0b0f",
-    24: "3db7c7bbea32e6cd4c9b0cd2a25343a5c82dc6b3fa6f85b9d8cfec0d35b0f227",
+    5: "377fd5f12c3dfaad57bdb4be9fc4b87d1db99f87e395ff6e1032ed1e0bc2903e",
+    12: "d203e24128f370c03d282a9e5cc4a493033ded225cc8d71c899a1200d05b6ad7",
+    24: "249d0eb3f7a9d49f6cf49133edde870bb9a9dd939fa3f4a93ff5c0a91c92ec3e",
 }
 
 
 @pytest.mark.parametrize("n", sorted(FACE_DIGESTS))
 def test_faces_are_pinned(n):
     f = enumerate_faces(build_graph(split_all_fast(base_array(PolygonSpec(n)))))
-    data = (f.cycle.tobytes() + f.start.tobytes() + f.signed_area.tobytes()
-            + f.centroid.tobytes())
+    data = f.cycle.tobytes() + f.start.tobytes() + f.signed_area.tobytes()
     assert hashlib.sha256(data).hexdigest() == FACE_DIGESTS[n]
 
 
@@ -235,7 +234,7 @@ def test_vectorized_runs_follow_the_loop_in_every_group(seed):
 
 
 @pytest.mark.parametrize("n", [5, 8])
-def test_face_areas_and_centroids_follow_the_loop(n):
+def test_face_areas_follow_the_loop(n):
     # the vectorized sums run in another order, so they may differ from the
     # loop in the last bits only
     g = build_graph(split_all_fast(base_array(PolygonSpec(n))))
@@ -243,12 +242,5 @@ def test_face_areas_and_centroids_follow_the_loop(n):
         pts = [g.vertices[g.origin(h)].tolist() for h in face.boundary]
         ox, oy = pts[0]
         rel = [(x - ox, y - oy) for x, y in pts]
-        area2 = cx6 = cy6 = 0.0
-        for (ax, ay), (bx, by) in zip(rel, rel[1:] + rel[:1]):
-            w = ax * by - bx * ay
-            area2 += w
-            cx6 += (ax + bx) * w
-            cy6 += (ay + by) * w
+        area2 = sum(ax * by - bx * ay for (ax, ay), (bx, by) in zip(rel, rel[1:] + rel[:1]))
         assert face.signed_area == pytest.approx(0.5 * area2, rel=1e-12, abs=1e-15)
-        assert face.centroid.x == pytest.approx(ox + cx6 / (3.0 * area2), abs=1e-14)
-        assert face.centroid.y == pytest.approx(oy + cy6 / (3.0 * area2), abs=1e-14)

@@ -199,12 +199,12 @@ class TestRender:
         assert err.value.code == 2
         assert not out.exists()
 
-    @pytest.mark.slow
-    def test_the_largest_published_figure_matches_its_row(self, tmp_path, capsys):
-        out = tmp_path / "n39.svg"
-        assert main(["render", "--n", "39", "--out", str(out), "--faces"]) == 0
-        row = reference_table()[-1]
-        assert row.n == 39
+    # the benchmark's figure sizes, and the largest published row
+    @pytest.mark.parametrize("n", [20, 24, pytest.param(39, marks=pytest.mark.slow)])
+    def test_a_published_figure_matches_its_row(self, n, tmp_path, capsys):
+        out = tmp_path / f"n{n}.svg"
+        assert main(["render", "--n", str(n), "--out", str(out), "--faces"]) == 0
+        row = {r.n: r for r in reference_table()}[n]
         assert f"{row.E} edges {row.V} vertices {row.F} tiles" in capsys.readouterr().out
         doc = out.read_text()
         assert doc.count("<polygon ") == row.F

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 import polydissect
-from polydissect import Faces, PlanarGraph, geom, planar, polygon, render
+from polydissect import (
+    FaceRecord, Faces, PlanarGraph, RenderOptions, geom, planar, polygon, render)
 
 
 def test_every_exported_name_resolves():
@@ -35,8 +36,16 @@ def test_a_planar_graph_is_its_four_arrays():
     assert [f.name for f in fields(PlanarGraph)] == ["vertices", "edges", "ring_start", "ring_half"]
 
 
-def test_faces_are_their_four_arrays():
-    assert [f.name for f in fields(Faces)] == ["cycle", "start", "signed_area", "centroid"]
+def test_faces_are_their_three_arrays():
+    assert [f.name for f in fields(Faces)] == ["cycle", "start", "signed_area"]
+
+
+def test_a_face_record_is_its_boundary_area_and_side():
+    assert [f.name for f in fields(FaceRecord)] == ["boundary", "signed_area", "is_outer"]
+
+
+def test_render_options_are_what_the_cli_sets():
+    assert [f.name for f in fields(RenderOptions)] == ["scale", "color_faces", "zoom"]
 
 
 def test_the_census_and_the_renderer_take_no_tolerance():

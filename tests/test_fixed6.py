@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from polydissect import PolygonSpec, RenderOptions, base_segments, build_graph, render_svg
-from polydissect import split_all_fast
+from polydissect import RenderOptions
 from polydissect.render import MAX_CANVAS, _fixed6, _rows
 
 
@@ -69,17 +68,8 @@ def test_a_canvas_beyond_the_exact_range_is_refused():
         RenderOptions(scale=MAX_CANVAS / 2.0)  # the full window is 2.1 wide
     with pytest.raises(ValueError, match="six decimals"):
         RenderOptions(scale=2 * MAX_CANVAS, zoom=(0.0, 0.0, 0.5, 0.5))
-    with pytest.raises(ValueError, match="six decimals"):
-        RenderOptions(stroke_width=MAX_CANVAS)
 
 
 def test_rows_of_no_elements_are_empty():
     assert _rows(b'<text x="', np.empty(0, dtype="S9"), b'"/>\n') == b""
     assert _rows(b"<a>", np.array([b"1", b"22"]), b"</a>") == b"<a>1</a><a>22</a>"
-
-
-def test_labels_outside_every_centroid_leave_no_text_group():
-    split = split_all_fast(base_segments(PolygonSpec(3)))
-    doc = render_svg(split, build_graph(split),
-                     RenderOptions(label_orbits=True, zoom=(0.99, -0.001, 1.0, 0.001)))
-    assert "<text" not in doc and "font-family" not in doc

@@ -1,11 +1,11 @@
 """Pinned SHA-256 digests of rendered figures.
 
-The first nine digests were taken from the renderer before the full
-route moved to numpy arrays, faces-24 and faces-labels-zoom-12 from the
-renderer before numbers were written by the vectorized kernel, and
-faces-zoom-24 from the renderer that clipped one face at a time; any change
-to the bytes of a figure (coordinates, element order, fills, labels)
-fails here.
+Seven digests were taken from the renderer before the full route moved
+to numpy arrays, faces-24 from the renderer before numbers were written
+by the vectorized kernel, faces-zoom-24 from the renderer that clipped one
+face at a time, and faces-zoom-8 and faces-zoom-12 from the last renderer
+that could also write orbit labels; any change to the bytes of a figure
+(coordinates, element order, fills) fails here.
 """
 
 import hashlib
@@ -33,19 +33,16 @@ GOLDEN = {
                 "d18a14ed8d6bcd76ae51d329e43b274a872ff2613afd0669e379106f6b01b853"),
     "zoom-10": (10, RenderOptions(zoom=(0.55, -0.25, 1.05, 0.25)),
                 "07c336e1e6ce5d5e59393e5162b3986504c9d3e743f1090343f811080e4ffe95"),
-    "labels-6": (6, RenderOptions(label_orbits=True),
-                 "a808c8d9276f909a1664b27f8131ec1da49ccb3d0ac1787271e61fbb601cc626"),
     "faces-zoom-10": (10, RenderOptions(color_faces=True, zoom=(0.55, -0.25, 1.05, 0.25)),
                       "af5767b6da9d1c2dcda14b469850f716ab7c860f7db8dc0f5dcc766d0596b2a3"),
-    "faces-labels-zoom-8": (8, RenderOptions(color_faces=True, label_orbits=True,
-                                             zoom=(-0.2, -0.2, 0.6, 0.5), scale=250.0),
-                            "b4e58574983df0669e87d31c71e7758efbf9e966c407e6c9bcc4b51aaff468ab"),
+    "faces-zoom-8": (8, RenderOptions(color_faces=True, zoom=(-0.2, -0.2, 0.6, 0.5), scale=250.0),
+                     "36c0bf437eb7aba3f2da335e6a525f36a0e78706036559e70a158c6f01a87ce1"),
     # 49,105 polygons and 97,728 lines
     "faces-24": (24, FACES, "5eebd632a5f55a604236c2d0a53fa66a72929ed4ac0a981efd16d6ebfdd2ef8e"),
-    # a 2125 x 1875 canvas: 4-digit coordinates in points, lines and labels
-    "faces-labels-zoom-12": (12, RenderOptions(color_faces=True, label_orbits=True,
-                                              zoom=(-0.3, -0.35, 0.55, 0.4), scale=2500.0),
-                             "434f9db3db289268e2f5c4cdfb90fc5def538b1de3bc5a0404f5c0efe0cdabf4"),
+    # a 2125 x 1875 canvas: 4-digit coordinates in points and lines
+    "faces-zoom-12": (12, RenderOptions(color_faces=True, zoom=(-0.3, -0.35, 0.55, 0.4),
+                                        scale=2500.0),
+                      "1b63114a8405a5df6293c3d61c34d6d9eb7cd68f54256db609651dde5b7ea848"),
     # a window that cuts faces on all four sides: 12,454 polygons and 24,640 lines
     "faces-zoom-24": (24, RenderOptions(color_faces=True, zoom=(-0.5, -0.4, 0.7, 0.45)),
                       "1b00e846135b8343c691abd97e15ed8da5a8cbc05f4c0287e56ac577c08866ac"),
@@ -60,7 +57,7 @@ def sha256(text: str) -> str:
 def test_render_svg_bytes_are_pinned(case):
     n, opts, digest = GOLDEN[case]
     split = split_all_fast(base_segments(PolygonSpec(n)))
-    graph = build_graph(split) if opts.color_faces or opts.label_orbits else None
+    graph = build_graph(split) if opts.color_faces else None
     assert sha256(render_svg(split, graph, opts)) == digest
 
 

@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from polydissect import PolygonSpec, base_segments, counts
+from polydissect.cli import _summary_dict
 from polydissect.polygon import base_array, orbit_representatives
 
 
@@ -25,8 +27,12 @@ def test_spec_requires_an_integer_n(bad):
 
 
 def test_spec_accepts_numpy_integers():
-    assert PolygonSpec(np.int64(4)).N == 8
+    spec = PolygonSpec(np.int64(5))
+    assert type(spec.n) is int and spec.N == 10
     assert counts(PolygonSpec(np.int32(4))).F == 25
+    # the summary of a numpy-typed n is plain JSON
+    row = json.loads(json.dumps(_summary_dict(counts(spec))))
+    assert row == {"N": 10, "n": 5, "F": 50, "E": 80, "V": 31, "per_ray": 5, "central": 0}
 
 
 def test_corners_of_the_square():

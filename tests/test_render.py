@@ -6,6 +6,7 @@ import pytest
 
 from polydissect import (
     MissingGraph,
+    OrbitMismatch,
     PolygonSpec,
     RenderOptions,
     base_segments,
@@ -52,15 +53,6 @@ def test_orbits_share_a_single_color():
     assert len(set(fills)) == 4
 
 
-def test_orbit_labels():
-    split = split_for(3)
-    graph = build_graph(split)
-    doc = render_svg(split, graph, RenderOptions(label_orbits=True))
-    texts = re.findall(r"<text[^>]*>(\d+)</text>", doc)
-    assert len(texts) == 6
-    assert set(texts) == {"0"}
-
-
 def test_no_face_record_is_built_on_the_way_to_the_svg(monkeypatch):
     def refuse(*args):
         raise AssertionError("a FaceRecord view was built")
@@ -70,15 +62,19 @@ def test_no_face_record_is_built_on_the_way_to_the_svg(monkeypatch):
     monkeypatch.setattr(planar, "FaceRecord", refuse)
     with pytest.raises(AssertionError, match="view was built"):
         enumerate_faces(graph)[0]
-    doc = render_svg(split, graph, RenderOptions(color_faces=True, label_orbits=True))
-    assert doc.count("<polygon ") == doc.count("<text ") == 145
+    doc = render_svg(split, graph, RenderOptions(color_faces=True))
+    assert doc.count("<polygon ") == 145
 
 
 def test_face_options_require_a_graph():
     with pytest.raises(MissingGraph):
         render_svg(split_for(3), None, RenderOptions(color_faces=True))
-    with pytest.raises(MissingGraph):
-        render_svg(split_for(3), None, RenderOptions(label_orbits=True))
+
+
+def test_a_figure_whose_outer_face_is_no_2n_gon_raises():
+    tri = np.array([[0.0, 0.0, 0.5, 0.0], [0.5, 0.0, 0.0, 0.5], [0.0, 0.5, 0.0, 0.0]])
+    with pytest.raises(OrbitMismatch, match="3 sides"):
+        render_svg(tri, build_graph(tri), RenderOptions(color_faces=True))
 
 
 def test_zoom_clips_and_reduces_element_count():
@@ -125,8 +121,6 @@ def test_option_validation():
     with pytest.raises(ValueError):
         RenderOptions(scale=0.0)
     with pytest.raises(ValueError):
-        RenderOptions(stroke_width=-1.0)
-    with pytest.raises(ValueError):
         RenderOptions(zoom=(0.5, 0.5, 0.1, 0.9))  # not ordered
     with pytest.raises(ValueError):
         RenderOptions(zoom=(5.0, 5.0, 6.0, 6.0))  # misses the unit disk
@@ -134,7 +128,7 @@ def test_option_validation():
 
 @pytest.mark.parametrize("opts", [
     {"scale": math.nan}, {"scale": math.inf},
-    {"stroke_width": math.nan}, {"stroke_width": math.inf},
+    {"scale": -math.inf}, {"zoom": (-0.5, -0.5, 0.5, math.inf)},
     {"zoom": (-math.inf, -0.5, math.inf, 0.5)}, {"zoom": (math.nan, -0.5, 0.5, 0.5)},
 ])
 def test_non_finite_options_are_rejected(opts):
