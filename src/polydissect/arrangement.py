@@ -49,7 +49,7 @@ import numpy as np
 from .errors import AmbiguousClustering, NumericalDegeneracy, SymmetryViolation
 from .geom import (
     DEFAULT_FUZZ, DEFAULT_TOL, Point2, Segment, Tolerance, close_pairs, group_order,
-    merge_runs, merge_sorted_runs, segment_array,
+    merge_sorted_runs, segment_array,
 )
 # base_segments is not called here; perfbench/tracing.py wraps it under
 # this module's name, so it stays importable from it
@@ -92,8 +92,9 @@ def _cut_tuple(wx0, wy0, wx1, wy1, u, fuzz):
 
 def _split_tuple(x0, y0, x1, y1, params, fuzz):
     """Cut one segment (as coordinates) at merged interior parameters."""
-    merged = merge_runs(params + [0.0, 1.0], fuzz)[0]
-    pts = [(t * x1 + (1.0 - t) * x0, t * y1 + (1.0 - t) * y0) for t in merged]
+    ts = np.sort(params + [0.0, 1.0])
+    merged = ts[merge_sorted_runs(np.zeros(len(ts), dtype=np.int64), ts, fuzz)[0]]
+    pts = [(t * x1 + (1.0 - t) * x0, t * y1 + (1.0 - t) * y0) for t in merged.tolist()]
     out = []
     for (ax, ay), (bx, by) in zip(pts, pts[1:]):
         ln = math.hypot(bx - ax, by - ay)
@@ -102,6 +103,17 @@ def _split_tuple(x0, y0, x1, y1, params, fuzz):
                 f"fragment shorter than fuzz {fuzz:g} near ({ax:.12g}, {ay:.12g})")
         out.append((ax, ay, bx, by, ln))
     return out
+
+
+def _check_lengths(rows: np.ndarray, fuzz: float) -> None:
+    """NumericalDegeneracy unless each row is finite and longer than DEFAULT_FUZZ and fuzz."""
+    length = np.hypot(rows[:, 2] - rows[:, 0], rows[:, 3] - rows[:, 1])
+    short = np.flatnonzero(~(np.isfinite(length) & (length > DEFAULT_FUZZ) & (length >= fuzz)))
+    if len(short):
+        ax, ay = rows[short[0], :2].tolist()
+        raise NumericalDegeneracy(
+            f"segment of length {length[short[0]]:.3e} near ({ax:.12g}, {ay:.12g})"
+            f" is shorter than fuzz {fuzz:g} or degenerate")
 
 
 def _parallel_overlap(sx0, sy0, sdx, sdy, slen, wx0, wy0, wx1, wy1, fuzz):
@@ -122,13 +134,16 @@ def split_all(base: SegmentSet, tol: Tolerance = DEFAULT_TOL) -> SplitSegmentSet
     Working-set rescan: each base segment is intersected against all
     fragments accumulated so far. An interior-interior hit cuts both
     sides; a hit at a fragment endpoint cuts only the side whose interior
-    was met. Raises ValueError for collinear overlapping base segments.
-    ``base`` is a Segment list or an (m, 4) array; the fragments come back
-    as a Segment list.
+    was met. Raises ValueError for collinear overlapping base segments, and
+    NumericalDegeneracy for a base row or fragment shorter than fuzz or not
+    finite. ``base`` is a Segment list or an (m, 4) array; the fragments
+    come back as a Segment list.
     """
     fuzz = tol.point_fuzzy
+    base = segment_array(base)
+    _check_lengths(base, fuzz)
     working: list[tuple] = []
-    for sx0, sy0, sx1, sy1 in segment_array(base).tolist():
+    for sx0, sy0, sx1, sy1 in base.tolist():
         sdx = sx1 - sx0
         sdy = sy1 - sy0
         slen = math.hypot(sdx, sdy)
@@ -273,11 +288,13 @@ def split_all_fast(base: SegmentSet, tol: Tolerance = DEFAULT_TOL) -> SplitSegme
 def _points_along(owner: np.ndarray, ts: np.ndarray, k: int, fuzz: float):
     """The points along k segments, from the hit parameters ``ts`` on segment ``owner``.
 
-    Each segment's ends 0 and 1 join its hits, and the parameters along
-    each segment merge by the ``merge_runs`` rule. Returns the owner,
-    parameter and run size of every point, by owner and then along it;
-    these are values only, so the order ``group_order`` leaves among equal
-    (owner, parameter) pairs cannot change them.
+    Each segment's ends 0 and 1 join its hits, and the sorted parameters
+    along each segment merge into runs (``merge_sorted_runs``): the values
+    less than ``fuzz`` above the smallest become that smallest one, and each
+    later run of values closer than ``fuzz`` apart becomes its last value.
+    Returns the owner, parameter and run size of every point, by owner and
+    then along it; these are values only, so the order ``group_order``
+    leaves among equal (owner, parameter) pairs cannot change them.
     """
     owner = np.concatenate((owner, np.arange(k), np.arange(k)))
     ts = np.concatenate((ts, np.zeros(k), np.ones(k)))
@@ -299,14 +316,7 @@ def _fragments(base: np.ndarray, tol: Tolerance) -> np.ndarray:
     px = t * x1 + (1.0 - t) * x0
     py = t * y1 + (1.0 - t) * y0
     frags = np.column_stack((px[:-1], py[:-1], px[1:], py[1:]))[owner[1:] == owner[:-1]]
-
-    length = np.hypot(frags[:, 2] - frags[:, 0], frags[:, 3] - frags[:, 1])
-    short = np.flatnonzero(~(np.isfinite(length) & (length > DEFAULT_FUZZ) & (length >= fuzz)))
-    if len(short):
-        ax, ay = frags[short[0], :2].tolist()
-        raise NumericalDegeneracy(
-            f"fragment of length {length[short[0]]:.3e} near ({ax:.12g}, {ay:.12g})"
-            f" is shorter than fuzz {fuzz:g} or degenerate")
+    _check_lengths(frags, fuzz)
     return frags
 
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 from .arrangement import CountSummary, count_vertices, counts, split_all_fast
 from .errors import GeometryError
-from .geom import DEFAULT_FUZZ, Tolerance
 from .planar import build_graph
 # base_segments is not called here; perfbench/tracing.py wraps it under
 # this module's name, so it stays importable from it
@@ -38,12 +37,12 @@ class VerifyReport:
     all_match: bool
 
 
-def _count_range(ns: list[int], tol: Tolerance) -> list[tuple[int, CountSummary, float]]:
+def _count_range(ns: list[int]) -> list[tuple[int, CountSummary, float]]:
     """(n, counts, seconds) for each n, counted one after another."""
     results = []
     for n in ns:
         start = time.perf_counter()
-        summary = counts(PolygonSpec(n), tol)
+        summary = counts(PolygonSpec(n))
         results.append((n, summary, time.perf_counter() - start))
     return results
 
@@ -53,11 +52,13 @@ def _summary_dict(s: CountSummary) -> dict:
             "per_ray": s.per_ray, "central": s.central}
 
 
-def verify(max_n: int, tol: Tolerance = Tolerance()) -> VerifyReport:
-    """Recompute n = 2..max_n and diff against the reference table."""
+def verify(max_n: int) -> VerifyReport:
+    """Recompute n = 2..max_n (ValueError outside 2..39) and diff against the reference."""
+    if not 2 <= max_n <= REFERENCE_MAX_N:
+        raise ValueError(f"max_n must be in 2..{REFERENCE_MAX_N}, got {max_n!r}")
     reference = {r.n: r for r in reference_table()}
     rows = []
-    for n, summary, elapsed in _count_range(list(range(2, max_n + 1)), tol):
+    for n, summary, elapsed in _count_range(list(range(2, max_n + 1))):
         ref = reference[n]
         match = summary.V == ref.V and summary.E == ref.E and summary.F == ref.F
         rows.append(VerifyRow(n=n, computed=summary, reference=ref,
@@ -65,8 +66,8 @@ def verify(max_n: int, tol: Tolerance = Tolerance()) -> VerifyReport:
     return VerifyReport(rows=rows, all_match=all(r.match for r in rows))
 
 
-def cmd_count(n: int, tol: Tolerance, as_json: bool = False) -> int:
-    summary = counts(PolygonSpec(n), tol)
+def cmd_count(n: int, as_json: bool = False) -> int:
+    summary = counts(PolygonSpec(n))
     if as_json:
         json.dump(_summary_dict(summary), sys.stdout)
         print()
@@ -77,8 +78,8 @@ def cmd_count(n: int, tol: Tolerance, as_json: bool = False) -> int:
     return 0
 
 
-def cmd_verify(max_n: int, tol: Tolerance) -> int:
-    report = verify(max_n, tol)
+def cmd_verify(max_n: int) -> int:
+    report = verify(max_n)
     for row in report.rows:
         status = "ok" if row.match else "MISMATCH"
         c = row.computed
@@ -95,8 +96,8 @@ def cmd_verify(max_n: int, tol: Tolerance) -> int:
     return 5
 
 
-def cmd_table(max_n: int, fmt: str, tol: Tolerance) -> int:
-    results = _count_range(list(range(2, max_n + 1)), tol)
+def cmd_table(max_n: int, fmt: str) -> int:
+    results = _count_range(list(range(2, max_n + 1)))
     summaries = [s for _, s, _ in results]
     if fmt == "csv":
         print("N,n,F,E,V,per_ray,central")
@@ -113,11 +114,11 @@ def cmd_table(max_n: int, fmt: str, tol: Tolerance) -> int:
     return 0
 
 
-def cmd_render(n: int, out_path: str, opts: RenderOptions, tol: Tolerance) -> int:
-    split = split_all_fast(base_array(PolygonSpec(n)), tol)
+def cmd_render(n: int, out_path: str, opts: RenderOptions) -> int:
+    split = split_all_fast(base_array(PolygonSpec(n)))
     graph = None
     if opts.color_faces:
-        graph = build_graph(split, tol)
+        graph = build_graph(split)
     document = render_svg(split, graph, opts)
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -126,7 +127,7 @@ def cmd_render(n: int, out_path: str, opts: RenderOptions, tol: Tolerance) -> in
         print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
         return 4
     e = len(split)
-    v = len(graph.vertices) if graph is not None else count_vertices(split, tol)
+    v = len(graph.vertices) if graph is not None else count_vertices(split)
     print(f"{e} edges {v} vertices {1 + e - v} tiles -> {out_path}")
     return 0
 
@@ -144,24 +145,17 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and count vertices, edges and tiles.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_fuzz(p):
-        p.add_argument("--fuzz", type=float, default=DEFAULT_FUZZ,
-                       help="point identity threshold (default 1e-10)")
-
     p_count = sub.add_parser("count", help="count V, E, F for one polygon")
     p_count.add_argument("--n", type=int, required=True, help="half the side count")
-    add_fuzz(p_count)
     p_count.add_argument("--json", action="store_true", dest="as_json",
                          help="emit a JSON object instead of text")
 
     p_table = sub.add_parser("table", help="tabulate counts for n = 2..max-n")
     p_table.add_argument("--max-n", type=int, required=True, dest="max_n")
     p_table.add_argument("--format", required=True, choices=("text", "csv", "json"))
-    add_fuzz(p_table)
 
     p_verify = sub.add_parser("verify", help="check counts against the reference tables")
     p_verify.add_argument("--max-n", type=int, required=True, dest="max_n")
-    add_fuzz(p_verify)
     p_verify.add_argument("--jobs", type=int, default=1,
                           help="accepted for compatibility; rows are counted in one process")
 
@@ -172,7 +166,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--zoom", help="clip window as x0,y0,x1,y1 in unit-circle units")
     p_render.add_argument("--scale", type=float, default=400.0,
                           help="canvas units per unit-circle radius")
-    add_fuzz(p_render)
     return parser
 
 
@@ -181,25 +174,20 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        tol = Tolerance(args.fuzz)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-    try:
         if args.command == "count":
             if not 2 <= args.n <= MAX_N:
                 parser.error(f"--n must be in 2..{MAX_N}")
-            return cmd_count(args.n, tol, as_json=args.as_json)
+            return cmd_count(args.n, as_json=args.as_json)
         if args.command == "table":
             if not 2 <= args.max_n <= REFERENCE_MAX_N:
                 parser.error(f"--max-n must be in 2..{REFERENCE_MAX_N}")
-            return cmd_table(args.max_n, args.format, tol)
+            return cmd_table(args.max_n, args.format)
         if args.command == "verify":
             if not 2 <= args.max_n <= REFERENCE_MAX_N:
                 parser.error(f"--max-n must be in 2..{REFERENCE_MAX_N}")
             if args.jobs < 1:
                 parser.error("--jobs must be at least 1")
-            return cmd_verify(args.max_n, tol)
+            return cmd_verify(args.max_n)
         if args.command == "render":
             if not 2 <= args.n <= MAX_N:
                 parser.error(f"--n must be in 2..{MAX_N}")
@@ -216,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
                 opts = RenderOptions(scale=args.scale, color_faces=args.faces, zoom=zoom)
             except ValueError as exc:
                 parser.error(str(exc))
-            return cmd_render(args.n, args.out, opts, tol)
+            return cmd_render(args.n, args.out, opts)
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

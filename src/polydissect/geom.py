@@ -75,22 +75,10 @@ def segment_array(segs: "list[Segment] | np.ndarray") -> np.ndarray:
     return np.array([(*s.p0, *s.p1) for s in segs], dtype=float).reshape(-1, 4)
 
 
-def merge_runs(params: list[float], fuzz: float) -> tuple[list[float], list[int]]:
-    """Sort split parameters and collapse runs closer than ``fuzz``.
-
-    Returns the surviving value of each run and the number of parameters
-    in it. The first element of the sorted list always survives; within
-    any later run of near-equal values the last one survives.
-    """
-    ts = np.sort(np.asarray(params, dtype=float), kind="stable")
-    keep, sizes = merge_sorted_runs(np.zeros(len(ts), dtype=np.int64), ts, fuzz)
-    return ts[keep].tolist(), sizes.tolist()
-
-
 def merge_sorted_runs(
     group: np.ndarray, ts: np.ndarray, fuzz: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The ``merge_runs`` rule applied to many sorted lists at once.
+    """Collapse the runs of values closer than ``fuzz`` in many sorted lists at once.
 
     ``group`` labels each value with its list; the lists are contiguous and
     ``ts`` is sorted within each. A list's first run holds the values less

@@ -59,12 +59,6 @@ class PlanarGraph:
     ring_start: np.ndarray  # (V + 1,) offsets into ring_half
     ring_half: np.ndarray   # (2E,) half-edges sorted by (origin, angle)
 
-    def origin(self, h: int) -> int:
-        return int(self.edges[h >> 1, h & 1])
-
-    def degree(self, v: int) -> int:
-        return int(self.ring_start[v + 1] - self.ring_start[v])
-
 
 @dataclass(frozen=True)
 class FaceRecord:

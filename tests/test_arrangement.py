@@ -96,9 +96,20 @@ def test_the_crossing_oracle_sees_the_crossings_of_the_unsplit_base(n):
 
 @pytest.mark.parametrize("row", [[0.0, 0.0, 0.0, 0.0], [math.nan, 0.0, 1.0, 1.0]])
 def test_a_single_degenerate_base_row_raises(row):
-    # one base row takes the same fragment check as many
+    # one base row takes the same length check as many, in both splitters
+    for splitter in (split_all, split_all_fast):
+        with pytest.raises(NumericalDegeneracy):
+            splitter(np.array([row]))
+
+
+@pytest.mark.parametrize("splitter", [split_all, split_all_fast])
+@pytest.mark.parametrize("row", [[0.0, 0.0, 0.0, 0.0], [math.nan, 0.0, 1.0, 1.0]])
+@pytest.mark.parametrize("first", [True, False])
+def test_a_degenerate_base_row_beside_a_good_one_raises(splitter, row, first):
+    # the bad row may come first or second: every base row is checked before the scan
+    good = [0.0, 1.0, 1.0, 0.0]
     with pytest.raises(NumericalDegeneracy):
-        split_all_fast(np.array([row]))
+        splitter(np.array([row, good] if first else [good, row]))
 
 
 def test_a_single_base_row_comes_back_whole():

@@ -64,6 +64,9 @@ class TestCount:
         ["count", "--n", "4", "--fuzz", "0.5"],
         ["count"],
         ["bogus"],
+        # the tolerance is the library's alone: even the default is refused
+        ["count", "--n", "4", "--fuzz", "1e-10"],
+        ["render", "--n", "4", "--out", os.devnull, "--fuzz", "1e-10"],
     ])
     def test_bad_arguments_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as err:
@@ -153,6 +156,11 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "MISMATCH" in out
         assert "expected" in out
+
+    @pytest.mark.parametrize("max_n", [1, 40])
+    def test_a_max_n_outside_the_reference_raises(self, max_n):
+        with pytest.raises(ValueError, match="max_n must be in 2..39"):
+            cli.verify(max_n)
 
 
 class TestRender:

@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import inspect
 from dataclasses import fields
@@ -7,7 +8,7 @@ import pytest
 
 import polydissect
 from polydissect import (
-    FaceRecord, Faces, PlanarGraph, RenderOptions, geom, planar, polygon, render)
+    FaceRecord, Faces, PlanarGraph, RenderOptions, cli, geom, planar, polygon, render)
 
 
 def test_every_exported_name_resolves():
@@ -21,14 +22,15 @@ def test_removed_names_are_gone():
                          (polydissect, "point_at"), (geom, "point_at"),
                          (planar, "_point_array"), (render, "_clip_segment"),
                          (render, "_clip_polygon"),
-                         (planar, "close_pairs"),
+                         (planar, "close_pairs"), (geom, "merge_runs"),
+                         (polydissect, "merge_runs"),
                          (polydissect, "face_vertices"), (planar, "face_vertices"),
                          *((m, name) for m in (polydissect, geom)
                            for name in ("intersect", "classify_param", "ParamClass", "Params")),
                          *((m, name) for m in (polydissect, polygon)
                            for name in ("corners", "diagonal_census", "DiagonalCensus"))):
         assert not hasattr(module, name), f"{module.__name__}.{name}"
-    for name in ("arrays", "dest"):
+    for name in ("arrays", "dest", "origin", "degree"):
         assert not hasattr(PlanarGraph, name), name
 
 
@@ -46,6 +48,21 @@ def test_a_face_record_is_its_boundary_area_and_side():
 
 def test_render_options_are_what_the_cli_sets():
     assert [f.name for f in fields(RenderOptions)] == ["scale", "color_faces", "zoom"]
+
+
+def test_each_subcommand_takes_exactly_these_options():
+    parser = cli._build_parser()
+    (commands,) = (a.choices for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    options = {name: [s for a in p._actions for s in a.option_strings
+                      if s not in ("-h", "--help")]
+               for name, p in commands.items()}
+    assert options == {
+        "count": ["--n", "--json"],
+        "table": ["--max-n", "--format"],
+        "verify": ["--max-n", "--jobs"],
+        "render": ["--n", "--out", "--faces", "--zoom", "--scale"],
+    }
 
 
 def test_the_census_and_the_renderer_take_no_tolerance():

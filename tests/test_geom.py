@@ -8,7 +8,7 @@ from polydissect import Point2, PolygonSpec, Segment, Tolerance, arrangement
 from polydissect.arrangement import (
     _END, _INTERIOR, _MISS, _param_class, _segment_arrays, _solve_pairs, _split_tuple,
 )
-from polydissect.geom import close_pairs, group_order, merge_runs, segment_array
+from polydissect.geom import close_pairs, group_order, merge_sorted_runs, segment_array
 from polydissect.polygon import base_array
 
 FUZZ = 1e-10
@@ -152,14 +152,21 @@ class TestSplitAtParams:
             assert a[2:4] == b[0:2]
 
 
+def merge_one_list(values, fuzz):
+    """The surviving values and run sizes of one list, sorted first."""
+    ts = np.sort(values)
+    keep, sizes = merge_sorted_runs(np.zeros(len(ts), dtype=np.int64), ts, fuzz)
+    return ts[keep].tolist(), sizes.tolist()
+
+
 class TestMergeRuns:
     def test_runs_and_their_sizes(self):
-        values, sizes = merge_runs([0.7, 0.0, 0.3 + 1e-12, 1.0, 0.3, 0.3 + 2e-12], 1e-10)
+        values, sizes = merge_one_list([0.7, 0.0, 0.3 + 1e-12, 1.0, 0.3, 0.3 + 2e-12], 1e-10)
         assert values == [0.0, 0.3 + 2e-12, 0.7, 1.0]
         assert sizes == [1, 3, 1, 1]
 
     def test_first_value_survives_in_the_first_run(self):
-        values, sizes = merge_runs([4e-11, -4e-11, 0.5], 1e-10)
+        values, sizes = merge_one_list([4e-11, -4e-11, 0.5], 1e-10)
         assert values == [-4e-11, 0.5]
         assert sizes == [2, 1]
 
