@@ -3,7 +3,6 @@
 from .errors import (
     AmbiguousClustering,
     GeometryError,
-    MissingGraph,
     NumericalDegeneracy,
     OrbitMismatch,
     SymmetryViolation,
@@ -41,7 +40,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbiguousClustering",
     "GeometryError",
-    "MissingGraph",
     "NumericalDegeneracy",
     "OrbitMismatch",
     "SymmetryViolation",

@@ -114,11 +114,9 @@ def cmd_table(max_n: int, fmt: str) -> int:
     return 0
 
 
-def cmd_render(n: int, out_path: str, opts: RenderOptions) -> int:
+def cmd_render(n: int, out_path: str, faces: bool, opts: RenderOptions) -> int:
     split = split_all_fast(base_array(PolygonSpec(n)))
-    graph = None
-    if opts.color_faces:
-        graph = build_graph(split)
+    graph = build_graph(split) if faces else None
     document = render_svg(split, graph, opts)
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -201,10 +199,10 @@ def main(argv: list[str] | None = None) -> int:
                     parser.error("--zoom expects four numbers: x0,y0,x1,y1")
                 zoom = tuple(parts)
             try:
-                opts = RenderOptions(scale=args.scale, color_faces=args.faces, zoom=zoom)
+                opts = RenderOptions(scale=args.scale, zoom=zoom)
             except ValueError as exc:
                 parser.error(str(exc))
-            return cmd_render(args.n, args.out, opts)
+            return cmd_render(args.n, args.out, args.faces, opts)
     except GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -23,7 +23,3 @@ class TraversalIncomplete(GeometryError):
 
 class OrbitMismatch(GeometryError):
     """The face cycles are not invariant under the rotation by 2pi/N."""
-
-
-class MissingGraph(ValueError):
-    """A render option that needs face data was used without a graph."""

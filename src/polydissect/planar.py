@@ -3,17 +3,17 @@
 Builds a rotation system (angularly sorted incidence lists) on the
 deduplicated vertices; the faces are the cycles of the standard
 most-clockwise-turn successor of the half-edges, labelled by pointer
-doubling (``_cycle_labels``, which labels the rotation orbits too). The
-inner face count provides a check on the Euler formula that shares nothing
-with it beyond the vertex dedup. The orbit census is exact integer work on
-the face cycles: the rotation is the half-edge map that commutes with the
-face successor and with the twin, spread from one step along the outer face.
+doubling (``_cycle_labels``, which labels the rotation orbits too), and
+their number is checked against Euler's formula. The orbit census is exact
+integer work on the face cycles: the rotation is the half-edge map that
+commutes with the face successor and with the twin, spread from one step
+along the outer face.
 
-A ``PlanarGraph`` is four numpy arrays: the vertex coordinates, the
-endpoint labels of each edge, and the rings in CSR form (one half-edge
-array sorted by origin and angle, with per-vertex offsets). ``Faces`` is
-three arrays: the face cycles in CSR form and the signed areas. A
-``FaceRecord`` is built only when a caller indexes ``Faces``.
+A ``PlanarGraph`` is three numpy arrays: the vertex coordinates, the
+endpoint labels of each edge, and the rings (one half-edge array sorted by
+origin and angle). ``Faces`` is three arrays: the face cycles in CSR form
+and the signed areas. A ``FaceRecord`` is built only when a caller indexes
+``Faces``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import numpy as np
 from .errors import AmbiguousClustering, OrbitMismatch, TraversalIncomplete
 from .geom import DEFAULT_TOL, Tolerance, group_order
 from .arrangement import SplitSegmentSet, cluster_endpoints
-from .polygon import PolygonSpec
 
 
 def _cycle_labels(succ: np.ndarray) -> np.ndarray:
@@ -49,15 +48,14 @@ class PlanarGraph:
     """Vertices, edges and per-vertex rings of outgoing half-edges, as arrays.
 
     Half-edge 2k runs along edge k from ``edges[k, 0]`` to ``edges[k, 1]``,
-    2k+1 back. The ring of vertex v is
-    ``ring_half[ring_start[v]:ring_start[v + 1]]``: its outgoing half-edges
-    in increasing angular order.
+    2k+1 back. The rings come vertex after vertex: the ring of vertex v is
+    the next degree(v) entries of ``ring_half``, its outgoing half-edges in
+    increasing angular order.
     """
 
-    vertices: np.ndarray    # (V, 2) vertex coordinates
-    edges: np.ndarray       # (E, 2) endpoint vertex of each edge
-    ring_start: np.ndarray  # (V + 1,) offsets into ring_half
-    ring_half: np.ndarray   # (2E,) half-edges sorted by (origin, angle)
+    vertices: np.ndarray   # (V, 2) vertex coordinates
+    edges: np.ndarray      # (E, 2) endpoint vertex of each edge
+    ring_half: np.ndarray  # (2E,) half-edges sorted by (origin, angle)
 
 
 @dataclass(frozen=True)
@@ -107,43 +105,35 @@ def build_graph(split: SplitSegmentSet, tol: Tolerance = DEFAULT_TOL) -> PlanarG
 
     ``split`` is a Segment list or an (E, 4) fragment array. Vertices are
     the same endpoint clusters the vertex count uses, so the two agree by
-    construction. Incident edges closer than 1e-9 rad in angle indicate a
-    dedup failure and raise AmbiguousClustering. Equal angles at one vertex
-    raise too, so whenever a graph comes back its rings are exactly the
-    lexsort order by origin and angle.
+    construction. Each half-edge is compared with the next one around its
+    vertex, the last with the first plus 2pi: two closer than 1e-9 rad
+    indicate a dedup failure and raise AmbiguousClustering. A fragment
+    whose ends merged meets its own twin at angle 0, so it raises too, and
+    whenever a graph comes back its rings are exactly the lexsort order by
+    origin and angle.
     """
     labels, xy = cluster_endpoints(split, tol)
-    merged = np.flatnonzero(labels[0::2] == labels[1::2])
-    if len(merged):
-        k = merged[0]
-        raise AmbiguousClustering(
-            f"both endpoints of segment {k} merged into vertex {labels[2 * k]}")
 
     # half-edge h runs from endpoint h to endpoint h ^ 1 of its segment
     origin = labels
     d = xy[labels.reshape(-1, 2)[:, ::-1].reshape(-1)] - xy[origin]
     angle = np.arctan2(d[:, 1], d[:, 0])
     half = group_order(origin, angle)
-    ring_start = np.concatenate(([0], np.cumsum(np.bincount(origin, minlength=len(xy)))))
 
-    # neighbours in one ring, then each ring's last edge against its first
-    # one turn later
+    # each half-edge against the next one around its vertex
     sorted_angle = angle[half]
     owner = origin[half]
-    gap = np.diff(sorted_angle)
-    pair = np.flatnonzero((owner[1:] == owner[:-1]) & (gap < 1e-9))
-    if len(pair):
-        k = pair[0]
+    last = np.flatnonzero(np.diff(owner, append=-1))
+    first = np.concatenate(([0], last + 1))[:-1]
+    gap = np.roll(sorted_angle, -1)
+    gap[last] = sorted_angle[first] + 2.0 * math.pi
+    gap -= sorted_angle
+    close = np.flatnonzero(gap < 1e-9)
+    if len(close):
+        k = close[0]
         raise AmbiguousClustering(f"two edges at vertex {owner[k]} are {gap[k]:.3e} rad apart")
-    first = ring_start[:-1]
-    last = ring_start[1:] - 1
-    wrap = np.flatnonzero((last > first)
-                          & ((sorted_angle[first] + 2.0 * math.pi) - sorted_angle[last] < 1e-9))
-    if len(wrap):
-        raise AmbiguousClustering(f"two edges at vertex {wrap[0]} nearly coincide across the cut")
 
-    return PlanarGraph(vertices=xy, edges=labels.reshape(-1, 2),
-                       ring_start=ring_start, ring_half=half)
+    return PlanarGraph(vertices=xy, edges=labels.reshape(-1, 2), ring_half=half)
 
 
 def enumerate_faces(g: PlanarGraph) -> Faces:
@@ -155,13 +145,18 @@ def enumerate_faces(g: PlanarGraph) -> Faces:
     smallest half-edge of its cycle; cycles start there and come in the
     order of it, and all of them are read off in lockstep into ``cycle``;
     the shoelace areas are summed per face over it. Raises
-    TraversalIncomplete unless every ring has a vertex, the rings hold
-    every half-edge once, in the ring of its origin, the successor is a
-    permutation, and there is exactly one outer face.
+    TraversalIncomplete unless the edges join vertex ids in 0..V-1, the
+    rings hold every half-edge once, in the ring of its origin, there is
+    exactly one outer face, and the faces satisfy Euler's formula
+    F = E - V + 2 over the vertices with edges. Valid rings make the
+    successor a permutation: slot, twin and ring predecessor composed.
     """
-    xy, ring_start, half = g.vertices, g.ring_start, g.ring_half
+    xy, half = g.vertices, g.ring_half
     origin = g.edges.reshape(-1)
-    nh = len(origin)
+    nh, nv = len(origin), len(xy)
+    if not np.issubdtype(origin.dtype, np.integer) or (
+            nh and (origin.min() < 0 or origin.max() >= nv)):
+        raise TraversalIncomplete(f"the edges do not join integer vertex ids in 0..{nv - 1}")
     if len(half) and (half.min() < 0 or half.max() >= nh):
         raise TraversalIncomplete(f"rings hold half-edges outside 0..{nh - 1}")
     repeated = np.flatnonzero(np.bincount(half, minlength=nh) > 1)
@@ -170,12 +165,9 @@ def enumerate_faces(g: PlanarGraph) -> Faces:
             f"half-edge {repeated[0]} appears in more than one ring slot")
     if len(half) != nh:
         raise TraversalIncomplete(f"rings hold {len(half)} half-edges, expected {nh}")
-    ring_size = np.diff(ring_start)
-    if ring_start[0] != 0 or ring_start[-1] != nh or np.any(ring_size < 0):
-        raise TraversalIncomplete(f"ring offsets do not run from 0 to {nh} in order")
-    if len(xy) < len(ring_size):
-        raise TraversalIncomplete(f"{len(ring_size)} rings for {len(xy)} vertices")
-    ring_of = np.repeat(np.arange(len(ring_size)), ring_size)
+    ring_size = np.bincount(origin, minlength=nv)
+    ring_start = np.concatenate(([0], np.cumsum(ring_size)))
+    ring_of = np.repeat(np.arange(nv), ring_size)
     stray = np.flatnonzero(ring_of != origin[half])
     if len(stray):
         raise TraversalIncomplete(
@@ -194,8 +186,6 @@ def enumerate_faces(g: PlanarGraph) -> Faces:
     del twin, ring
     nxt = half[pred]
     del pred
-    if np.any(np.bincount(nxt, minlength=nh) != 1):
-        raise TraversalIncomplete("the face successor of the half-edges is not a permutation")
 
     label = _cycle_labels(nxt)
     lead = np.flatnonzero(label == np.arange(nh))
@@ -229,21 +219,25 @@ def enumerate_faces(g: PlanarGraph) -> Faces:
     negatives = int(np.count_nonzero(area < 0.0))
     if negatives != 1:
         raise TraversalIncomplete(f"expected exactly one outer face, found {negatives}")
+    euler = nh // 2 - int(np.count_nonzero(ring_size)) + 2
+    if len(area) != euler:
+        raise TraversalIncomplete(f"the rings give {len(area)} faces, Euler's formula {euler}")
     return Faces(cyc, np.append(first, nh), area)
 
 
-def orbit_census(faces: Faces, spec: PolygonSpec) -> OrbitCensus:
+def orbit_census(faces: Faces) -> OrbitCensus:
     """Partition inner faces into orbits under rotation by 2pi/N, exactly.
 
     The rotation rho is a map on the half-edges: one step along the outer
     face there, spread by rho(nxt h) = nxt(rho h) and rho(h ^ 1) = rho(h) ^ 1,
-    where nxt is the face successor read off ``cycle``. Raises OrbitMismatch
+    where nxt is the face successor read off ``cycle``. N is the number of
+    sides of the outer face, the 2n of a 2n-gon. Raises OrbitMismatch
     unless every half-edge and its twin are in ``cycle`` once, each face
-    cycle has one signed area, the one outer face has N sides, rho reaches
-    every half-edge, is a permutation, commutes with nxt (so it maps faces
-    to faces of the same size) and with the twin, and has orbits of size N
-    or 1 (the central face, even n). Orbits are numbered in the order of
-    their first face.
+    cycle has one signed area, there is one outer face, N is even and at
+    least 4, rho reaches every half-edge, is a permutation, commutes with
+    nxt (so it maps faces to faces of the same size) and with the twin, and
+    has orbits of size N or 1 (the central face, even n). Orbits are
+    numbered in the order of their first face.
     """
     cycle, start = faces.cycle, faces.start
     nh, nf, size = len(cycle), len(faces), np.diff(start)
@@ -253,8 +247,11 @@ def orbit_census(faces: Faces, spec: PolygonSpec) -> OrbitCensus:
     if nf != len(size):
         raise OrbitMismatch(f"{len(size)} face cycles but {nf} signed areas")
     outer = np.flatnonzero(faces.signed_area < 0.0)
-    if len(outer) != 1 or size[outer[0]] != spec.N:
-        raise OrbitMismatch(f"expected one outer face with N={spec.N} sides: {size[outer]}")
+    if len(outer) != 1:
+        raise OrbitMismatch(f"expected one outer face, found {len(outer)}")
+    N = int(size[outer[0]])
+    if N < 4 or N % 2:
+        raise OrbitMismatch(f"the outer face has {N} sides, not the even N >= 4 of a 2n-gon")
     step = np.arange(1, nh + 1)
     step[start[1:] - 1] = start[:-1]
     nxt = np.empty(nh, dtype=np.int64)
@@ -290,11 +287,11 @@ def orbit_census(faces: Faces, spec: PolygonSpec) -> OrbitCensus:
     label[outer] = -1
     face_orbits = np.unique(label, return_inverse=True)[1] - 1
     sizes = np.bincount(face_orbits[face_orbits >= 0])
-    bad = sizes[(sizes != 1) & (sizes != spec.N)]
+    bad = sizes[(sizes != 1) & (sizes != N)]
     if len(bad):
-        raise OrbitMismatch(f"orbit sizes {bad.tolist()} are neither 1 nor N={spec.N}")
+        raise OrbitMismatch(f"orbit sizes {bad.tolist()} are neither 1 nor N={N}")
     return OrbitCensus(
-        per_ray=int(np.count_nonzero(sizes == spec.N)),
+        per_ray=int(np.count_nonzero(sizes == N)),
         central=int(np.count_nonzero(sizes == 1)),
         orbit_sizes=tuple(np.sort(sizes).tolist()),
         face_orbits=face_orbits,

@@ -19,11 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingGraph, OrbitMismatch
 from .geom import segment_array
 from .arrangement import SplitSegmentSet
 from .planar import PlanarGraph, enumerate_faces, orbit_census
-from .polygon import PolygonSpec
 
 FULL_WINDOW = (-1.05, -1.05, 1.05, 1.05)
 
@@ -41,7 +39,6 @@ MAX_CANVAS = _EXACT / 2
 @dataclass(frozen=True)
 class RenderOptions:
     scale: float = 400.0
-    color_faces: bool = False
     zoom: tuple[float, float, float, float] | None = None
 
     def __post_init__(self) -> None:
@@ -204,26 +201,20 @@ def _tiles(graph: PlanarGraph, win, to_canvas) -> list[bytes]:
     """The <polygon> elements of the inner faces, as blocks of bytes, each
     filled by its rotation orbit.
 
-    Reads the face arrays, all faces at once, and n from the outer face's
-    2n sides; an outer face of fewer than 4 sides raises OrbitMismatch.
-    Draws the inner faces left with three points or more after _clip_rings;
-    each point's text is written once. A function of its own so that the
-    face arrays are freed before the lines are formatted and the document
-    is joined, which lowers the peak memory of a large render.
+    Reads the face arrays, all faces at once; the census reads n from the
+    outer face. Draws the inner faces left with three points or more after
+    _clip_rings; each point's text is written once. A function of its own
+    so that the face arrays are freed before the lines are formatted and
+    the document is joined, which lowers the peak memory of a large render.
     """
     faces = enumerate_faces(graph)
-    start = faces.start
-    outer = int(np.argmin(faces.signed_area))
-    sides = int(start[outer + 1] - start[outer])
-    if sides < 4:
-        raise OrbitMismatch(f"the outer face has {sides} sides, not the 2n >= 4 of a 2n-gon")
-    census = orbit_census(faces, PolygonSpec(sides // 2))
+    census = orbit_census(faces)
     orbit = census.face_orbits
     total = len(census.orbit_sizes)
     hue = np.arange(total) * 360 // max(1, total)  # below 360: three digits
     fill = np.char.add(np.char.add(b'" fill="hsl(', hue.astype("S3")), b',70%,55%)"/>\n')
     x, y, ring, start = _clip_rings(*graph.vertices.T, graph.edges.reshape(-1)[faces.cycle],
-                                    start, win)
+                                    faces.start, win)
     kept = np.flatnonzero((orbit >= 0) & (np.diff(start) >= 3))
     # clipped rings hold only points inside the window; write the text of those alone
     used = np.zeros(len(x), dtype=bool)
@@ -252,13 +243,14 @@ def render_svg(
     """Render the arrangement as an SVG 1.1 document.
 
     ``split`` is a Segment list or an (E, 4) fragment array. One <line>
-    element per (possibly clipped) split segment; with color_faces, which
-    requires the graph, one <polygon> per inner face beneath the lines,
-    filled by rotation orbit.
+    element per (possibly clipped) split segment; given the split's graph,
+    one <polygon> per inner face beneath the lines, filled by rotation
+    orbit. A graph with another number of edges than the split raises
+    ValueError.
     """
     opts = opts or RenderOptions()
-    if opts.color_faces and graph is None:
-        raise MissingGraph("color_faces needs the planar graph")
+    if graph is not None and len(graph.edges) != len(split):
+        raise ValueError(f"the graph has {len(graph.edges)} edges, the split {len(split)}")
 
     win = opts.zoom if opts.zoom is not None else FULL_WINDOW
     wx0, wy0, wx1, wy1 = win
@@ -274,7 +266,7 @@ def render_svg(
               f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
               f'width="{w}" height="{h}" viewBox="0 0 {w} {h}">\n'.encode()]
 
-    if opts.color_faces:
+    if graph is not None:
         blocks += [b'<g stroke="none">\n', *_tiles(graph, win, to_canvas), b"</g>\n"]
 
     blocks.append(b'<g fill="none" stroke="#000000" '

@@ -102,7 +102,7 @@ def test_criterion_4_orbit_decomposition():
     for n in range(3, 15):
         spec = PolygonSpec(n)
         split = split_all_fast(base_segments(spec))
-        census = orbit_census(enumerate_faces(build_graph(split)), spec)
+        census = orbit_census(enumerate_faces(build_graph(split)))
         expected_central = 1 if n % 2 == 0 else 0
         if census.per_ray != CAPTION_PER_RAY[n] or census.central != expected_central:
             bad.append((n, census.per_ray, census.central))

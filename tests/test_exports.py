@@ -8,7 +8,7 @@ import pytest
 
 import polydissect
 from polydissect import (
-    FaceRecord, Faces, PlanarGraph, RenderOptions, cli, geom, planar, polygon, render)
+    FaceRecord, Faces, PlanarGraph, RenderOptions, cli, errors, geom, planar, polygon, render)
 
 
 def test_every_exported_name_resolves():
@@ -25,17 +25,22 @@ def test_removed_names_are_gone():
                          (planar, "close_pairs"), (geom, "merge_runs"),
                          (polydissect, "merge_runs"),
                          (polydissect, "face_vertices"), (planar, "face_vertices"),
+                         (polydissect, "MissingGraph"), (errors, "MissingGraph"),
                          *((m, name) for m in (polydissect, geom)
                            for name in ("intersect", "classify_param", "ParamClass", "Params")),
                          *((m, name) for m in (polydissect, polygon)
                            for name in ("corners", "diagonal_census", "DiagonalCensus"))):
         assert not hasattr(module, name), f"{module.__name__}.{name}"
-    for name in ("arrays", "dest", "origin", "degree"):
-        assert not hasattr(PlanarGraph, name), name
+    # an instance, so that a dataclass field without a default counts too
+    graph = PlanarGraph(None, None, None)
+    for name in ("arrays", "dest", "origin", "degree", "ring_start"):
+        assert not hasattr(graph, name), name
+    assert not hasattr(RenderOptions(), "color_faces")
+    assert list(inspect.signature(polydissect.orbit_census).parameters) == ["faces"]
 
 
-def test_a_planar_graph_is_its_four_arrays():
-    assert [f.name for f in fields(PlanarGraph)] == ["vertices", "edges", "ring_start", "ring_half"]
+def test_a_planar_graph_is_its_three_arrays():
+    assert [f.name for f in fields(PlanarGraph)] == ["vertices", "edges", "ring_half"]
 
 
 def test_faces_are_their_three_arrays():
@@ -47,7 +52,7 @@ def test_a_face_record_is_its_boundary_area_and_side():
 
 
 def test_render_options_are_what_the_cli_sets():
-    assert [f.name for f in fields(RenderOptions)] == ["scale", "color_faces", "zoom"]
+    assert [f.name for f in fields(RenderOptions)] == ["scale", "zoom"]
 
 
 def test_each_subcommand_takes_exactly_these_options():

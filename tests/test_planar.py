@@ -37,6 +37,11 @@ def pick(faces, idx):
                  signed_area=faces.signed_area[idx])
 
 
+def degrees(g):
+    """The number of edges at each vertex."""
+    return np.bincount(g.edges.reshape(-1), minlength=len(g.vertices))
+
+
 def vertex_means(g, faces):
     """The mean of each face's vertices, as an (F, 2) array."""
     pts = g.vertices[g.edges.reshape(-1)[faces.cycle]]
@@ -50,12 +55,12 @@ class TestBuildGraph:
         assert len(g.edges) == 12
         center = min(range(7), key=lambda v: math.hypot(*g.vertices[v]))
         assert math.hypot(*g.vertices[center]) < 1e-9
-        assert np.diff(g.ring_start)[center] == 6
+        assert degrees(g)[center] == 6
 
     def test_square_structure(self):
         g = graph_for(2)
         assert len(g.vertices) == 4
-        assert np.diff(g.ring_start).tolist() == [2] * 4
+        assert degrees(g).tolist() == [2] * 4
 
     def test_octagon_structure(self):
         g = graph_for(4)
@@ -65,13 +70,13 @@ class TestBuildGraph:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_minimum_degree_is_two(self, n):
         g = graph_for(n)
-        assert np.diff(g.ring_start).min() >= 2
+        assert degrees(g).min() >= 2
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_center_degree_for_odd_n(self, n):
         g = graph_for(n)
         center = min(range(len(g.vertices)), key=lambda v: math.hypot(*g.vertices[v]))
-        assert np.diff(g.ring_start)[center] == 2 * n
+        assert degrees(g)[center] == 2 * n
 
     def test_coincident_edges_raise(self):
         # duplicate segments collapse onto the same vertices and angles
@@ -127,15 +132,45 @@ class TestEnumerateFaces:
         seen = [h for f in faces for h in f.boundary]
         assert sorted(seen) == list(range(2 * len(g.edges)))
 
+    def test_a_ring_order_that_is_not_planar_raises(self):
+        # two half-edges swapped at a vertex of degree 3: the walk finds 5
+        # faces where Euler's formula asks for 7
+        g = graph_for(3)
+        assert degrees(g)[0] == 3
+        half = g.ring_half.copy()
+        half[[0, 1]] = half[[1, 0]]
+        with pytest.raises(TraversalIncomplete, match="5 faces, Euler's formula 7"):
+            enumerate_faces(PlanarGraph(g.vertices, g.edges, half))
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_shuffled_rings_give_faces_or_a_typed_error(self, n, seed):
+        # the successor is a permutation for any order inside the rings, so
+        # the walk ends; it either covers every half-edge once or is refused
+        # by the outer-face or Euler check
+        g = graph_for(n)
+        origin = g.edges.reshape(-1)
+        rng = np.random.default_rng(seed)
+        half = g.ring_half[np.lexsort((rng.random(len(origin)), origin[g.ring_half]))]
+        try:
+            faces = enumerate_faces(PlanarGraph(g.vertices, g.edges, half))
+        except TraversalIncomplete as exc:
+            assert "outer face" in str(exc) or "Euler" in str(exc), exc
+        else:
+            assert sorted(faces.cycle.tolist()) == list(range(len(origin)))
+
+    def test_edges_that_are_not_integer_vertex_ids_raise(self):
+        g = graph_for(3)
+        with pytest.raises(TraversalIncomplete, match="integer vertex ids"):
+            enumerate_faces(PlanarGraph(g.vertices, g.edges.astype(float), g.ring_half))
+
     def test_inconsistent_rings_raise(self):
         v = np.array([[0.0, 0.0], [1.0, 0.0]])
         e = np.array([[0, 1]])
         with pytest.raises(TraversalIncomplete):
-            enumerate_faces(PlanarGraph(v, e, ring_start=np.array([0, 1, 1]),
-                                        ring_half=np.array([0])))
+            enumerate_faces(PlanarGraph(v, e, ring_half=np.array([0])))
         with pytest.raises(TraversalIncomplete):
-            enumerate_faces(PlanarGraph(v, e, ring_start=np.array([0, 2, 3]),
-                                        ring_half=np.array([0, 1, 1])))
+            enumerate_faces(PlanarGraph(v, e, ring_half=np.array([0, 1, 1])))
 
     def test_a_face_too_thin_for_the_shoelace_has_zero_area(self):
         # a unit square with a triangle hung inside corner 0 whose shoelace
@@ -145,8 +180,7 @@ class TestEnumerateFaces:
         origin, toward = e.reshape(-1), e[:, ::-1].reshape(-1)
         d = v[toward] - v[origin]
         half = np.lexsort((np.arctan2(d[:, 1], d[:, 0]), origin))
-        ring_start = np.searchsorted(origin[half], np.arange(len(v) + 1))
-        faces = enumerate_faces(PlanarGraph(v.astype(float), e, ring_start, half))
+        faces = enumerate_faces(PlanarGraph(v.astype(float), e, half))
         assert faces.signed_area.tolist() == [1.0, -1.0, 0.0]
 
     @pytest.mark.parametrize("n", range(2, 13))
@@ -233,9 +267,8 @@ class TestCycleLabels:
 class TestOrbitCensus:
     @pytest.mark.parametrize("n,per_ray", [(3, 1), (4, 3), (5, 5), (6, 12), (7, 16), (8, 31)])
     def test_caption_counts(self, n, per_ray):
-        spec = PolygonSpec(n)
         faces = enumerate_faces(graph_for(n))
-        census = orbit_census(faces, spec)
+        census = orbit_census(faces)
         assert census.per_ray == per_ray
         assert census.central == (1 if n % 2 == 0 else 0)
 
@@ -243,7 +276,7 @@ class TestOrbitCensus:
     def test_orbit_partition(self, n):
         spec = PolygonSpec(n)
         faces = enumerate_faces(graph_for(n))
-        census = orbit_census(faces, spec)
+        census = orbit_census(faces)
         inner_count = sum(1 for f in faces if not f.is_outer)
         assert sum(census.orbit_sizes) == inner_count
         assert set(census.orbit_sizes) <= {1, spec.N}
@@ -255,39 +288,45 @@ class TestOrbitCensus:
         # tiles down to area ~2e-10: the rotation must spread from the outer
         # face over ~0.5*n**2 to 0.75*n**2 rounds of one half-edge step each
         spec = PolygonSpec(n)
-        census = orbit_census(enumerate_faces(graph_for(n)), spec)
+        census = orbit_census(enumerate_faces(graph_for(n)))
         reference = {r.n: r for r in reference_table()}[n]
         assert census.per_ray * spec.N + census.central == reference.F
 
     def test_face_orbit_assignment_covers_inner_faces(self):
-        spec = PolygonSpec(4)
         faces = enumerate_faces(graph_for(4))
-        census = orbit_census(faces, spec)
+        census = orbit_census(faces)
         assert census.face_orbits.dtype == np.int64
         for face, orbit in zip(faces, census.face_orbits):
             assert (orbit == -1) == face.is_outer
         assert len(set(census.face_orbits) - {-1}) == len(census.orbit_sizes)
 
     def test_wrong_rotation_order_raises(self):
-        faces = enumerate_faces(graph_for(4))
-        with pytest.raises(OrbitMismatch, match="N=10 sides"):
-            orbit_census(faces, PolygonSpec(5))
+        # N is read off the outer face: an odd number of sides, or fewer than 4
+        for corners in (3, 5):
+            z = np.exp(2j * np.pi * np.arange(corners) / corners)
+            sides = np.column_stack((z.real, z.imag, np.roll(z.real, -1), np.roll(z.imag, -1)))
+            with pytest.raises(OrbitMismatch, match=f"outer face has {corners} sides"):
+                orbit_census(enumerate_faces(build_graph(sides)))
+        # two edges between the same two vertices, bounding one inner face
+        faces = Faces(np.array([0, 3, 1, 2]), np.array([0, 2, 4]), np.array([-1.0, 1.0]))
+        with pytest.raises(OrbitMismatch, match="outer face has 2 sides"):
+            orbit_census(faces)
 
     def test_a_repeated_face_or_half_edge_raises(self):
         faces = enumerate_faces(graph_for(4))
         k = next(i for i, f in enumerate(faces) if not f.is_outer)
         with pytest.raises(OrbitMismatch, match="every half-edge exactly once"):
-            orbit_census(pick(faces, [*range(len(faces)), k]), PolygonSpec(4))
+            orbit_census(pick(faces, [*range(len(faces)), k]))
         cycle = faces.cycle.copy()
         cycle[1] = cycle[0]
         with pytest.raises(OrbitMismatch, match="every half-edge exactly once"):
-            orbit_census(Faces(cycle, faces.start, faces.signed_area), PolygonSpec(4))
+            orbit_census(Faces(cycle, faces.start, faces.signed_area))
 
     def test_an_odd_number_of_half_edges_raises(self):
         # the last half-edge would have no twin
         faces = Faces(np.array([0, 1, 2, 4, 3]), np.array([0, 4, 5]), np.array([-1.0, 1.0]))
         with pytest.raises(OrbitMismatch):
-            orbit_census(faces, PolygonSpec(2))
+            orbit_census(faces)
 
     def test_a_half_edge_swapped_between_two_faces_raises(self):
         # the cycles still hold every half-edge once, but not as the faces do
@@ -299,32 +338,31 @@ class TestOrbitCensus:
         i, j = faces.start[a], faces.start[b]
         cycle[[i, j]] = cycle[[j, i]]
         with pytest.raises(OrbitMismatch):
-            orbit_census(Faces(cycle, faces.start, faces.signed_area), PolygonSpec(4))
+            orbit_census(Faces(cycle, faces.start, faces.signed_area))
 
     def test_fewer_signed_areas_than_face_cycles_raise(self):
         faces = enumerate_faces(graph_for(4))
         short = Faces(faces.cycle, faces.start, faces.signed_area[:-1])
         with pytest.raises(OrbitMismatch, match="signed areas"):
-            orbit_census(short, PolygonSpec(4))
+            orbit_census(short)
 
     def test_faces_without_an_outer_face_raise(self):
         faces = enumerate_faces(graph_for(4))
         flipped = Faces(faces.cycle, faces.start, np.abs(faces.signed_area))
         with pytest.raises(OrbitMismatch, match="one outer face"):
-            orbit_census(flipped, PolygonSpec(4))
+            orbit_census(flipped)
 
     def test_an_asymmetric_arrangement_raises(self):
         # one diagonal missing: the rotation of the face cycles cannot close
         spec = PolygonSpec(6)
         split = split_all_fast(np.delete(base_array(spec), 2 * 6, axis=0))
         with pytest.raises(OrbitMismatch):
-            orbit_census(enumerate_faces(build_graph(split)), spec)
+            orbit_census(enumerate_faces(build_graph(split)))
 
     @pytest.mark.slow
     def test_census_at_n_64_matches_the_orbit_route(self):
         spec = PolygonSpec(64)
-        census = orbit_census(enumerate_faces(build_graph(split_all_fast(base_array(spec)))),
-                              spec)
+        census = orbit_census(enumerate_faces(build_graph(split_all_fast(base_array(spec)))))
         orbit = counts(spec)
         assert (census.per_ray, census.central) == (orbit.per_ray, orbit.central)
 
@@ -335,7 +373,7 @@ class TestOrbitCensus:
         spec = PolygonSpec(n)
         g = graph_for(n)
         faces = enumerate_faces(g)
-        orbit = orbit_census(faces, spec).face_orbits
+        orbit = orbit_census(faces).face_orbits
         inner = np.flatnonzero(orbit >= 0)
         size = np.bincount(orbit[inner])[orbit[inner]]
         central, ray = inner[size == 1], inner[size == spec.N]

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from polydissect import (
-    MissingGraph,
     OrbitMismatch,
     PolygonSpec,
     RenderOptions,
@@ -38,7 +37,7 @@ def test_line_element_count_equals_e(n, edges):
 def test_face_fill_adds_one_polygon_per_inner_face():
     split = split_for(4)
     graph = build_graph(split)
-    doc = render_svg(split, graph, RenderOptions(color_faces=True))
+    doc = render_svg(split, graph)
     assert doc.count("<line ") == 48
     assert doc.count("<polygon ") == 25
 
@@ -46,7 +45,7 @@ def test_face_fill_adds_one_polygon_per_inner_face():
 def test_orbits_share_a_single_color():
     split = split_for(4)
     graph = build_graph(split)
-    doc = render_svg(split, graph, RenderOptions(color_faces=True))
+    doc = render_svg(split, graph)
     fills = re.findall(r'fill="(hsl[^"]*)"', doc)
     # 3 per-ray orbits plus the central tile
     assert len(fills) == 25
@@ -62,19 +61,19 @@ def test_no_face_record_is_built_on_the_way_to_the_svg(monkeypatch):
     monkeypatch.setattr(planar, "FaceRecord", refuse)
     with pytest.raises(AssertionError, match="view was built"):
         enumerate_faces(graph)[0]
-    doc = render_svg(split, graph, RenderOptions(color_faces=True))
+    doc = render_svg(split, graph)
     assert doc.count("<polygon ") == 145
 
 
-def test_face_options_require_a_graph():
-    with pytest.raises(MissingGraph):
-        render_svg(split_for(3), None, RenderOptions(color_faces=True))
+def test_a_graph_of_another_split_raises():
+    with pytest.raises(ValueError, match="48 edges, the split 12"):
+        render_svg(split_for(3), build_graph(split_for(4)))
 
 
 def test_a_figure_whose_outer_face_is_no_2n_gon_raises():
     tri = np.array([[0.0, 0.0, 0.5, 0.0], [0.5, 0.0, 0.0, 0.5], [0.0, 0.5, 0.0, 0.0]])
     with pytest.raises(OrbitMismatch, match="3 sides"):
-        render_svg(tri, build_graph(tri), RenderOptions(color_faces=True))
+        render_svg(tri, build_graph(tri))
 
 
 def test_zoom_clips_and_reduces_element_count():
@@ -105,15 +104,14 @@ def test_all_coordinates_live_inside_the_viewport():
     split = split_for(6)
     assert _coordinates_in_viewport(render_svg(split))
     graph = build_graph(split)
-    zoomed = render_svg(split, graph,
-                        RenderOptions(color_faces=True, zoom=(-0.3, -0.3, 0.3, 0.3)))
+    zoomed = render_svg(split, graph, RenderOptions(zoom=(-0.3, -0.3, 0.3, 0.3)))
     assert _coordinates_in_viewport(zoomed)
 
 
 def test_zoomed_faces_are_clipped_polygons():
     split = split_for(6)
     graph = build_graph(split)
-    doc = render_svg(split, graph, RenderOptions(color_faces=True, zoom=(-0.2, -0.2, 0.2, 0.2)))
+    doc = render_svg(split, graph, RenderOptions(zoom=(-0.2, -0.2, 0.2, 0.2)))
     assert 0 < doc.count("<polygon ") < 145
 
 
@@ -140,7 +138,7 @@ def test_a_small_window_at_a_large_scale_writes_only_points_inside_it():
     # vertices outside the window map beyond the exact range of the number kernel
     split = split_for(6)
     doc = render_svg(split, build_graph(split),
-                     RenderOptions(color_faces=True, zoom=(0.99, -0.01, 1.01, 0.01), scale=5e10))
+                     RenderOptions(zoom=(0.99, -0.01, 1.01, 0.01), scale=5e10))
     assert doc.count("<polygon ") == 5
     assert _coordinates_in_viewport(doc)
 
