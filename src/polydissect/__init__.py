@@ -13,6 +13,7 @@ from .geom import (
     DEFAULT_TOL,
     Point2,
     Segment,
+    Split,
     Tolerance,
 )
 from .polygon import PolygonSpec, base_segments
@@ -48,6 +49,7 @@ __all__ = [
     "DEFAULT_TOL",
     "Point2",
     "Segment",
+    "Split",
     "Tolerance",
     "PolygonSpec",
     "base_segments",

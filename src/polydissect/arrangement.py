@@ -6,9 +6,9 @@ There are three routes from the base segments to the counts:
   orbit with all base segments, merges the cut parameters along each
   representative, and weighs every point by its orbit size and by the
   number of segments through it. It never builds the full arrangement.
-* ``split_all_fast`` + ``count_vertices`` (the full route) cuts every base
-  segment at its pairwise intersections and clusters the fragment
-  endpoints. Figures need it, and the tests use it as the oracle for
+* ``split_all_fast`` (the full route) cuts every base segment at its
+  pairwise intersections and reads the vertex of every fragment end off
+  the same hits. Figures need it, and the tests use it as the oracle for
   ``counts``.
 * ``split_all`` is the reference splitter: a working set is rescanned for
   every base segment, crossings cut both sides, endpoint touches cut only
@@ -17,26 +17,29 @@ There are three routes from the base segments to the counts:
 
 ``split_all_fast`` and ``counts`` share one hit kernel, ``_hits``: it
 solves some base segments against all of them in cache-sized blocks and
-returns every pair that meets, with the line parameter on the first
-segment classified as interior or end within ``point_fuzzy``; only the
-pairs whose two parameters lie near [0, 1] are classified, and parallel
-pairs are checked for collinear overlap as in ``split_all``. ``counts``
-asks for the representatives, ``split_all_fast`` for every segment and
-keeps the interior hits; each cut is found once, on the segment it cuts,
-and ``geom.group_order`` sorts the cuts along each segment.
+returns every pair that meets, with the other segment and the line
+parameter on the first segment classified as interior or end within
+``point_fuzzy``; only the pairs whose two parameters lie near [0, 1] are
+classified, and parallel pairs are checked for collinear overlap as in
+``split_all`` and meet where their ends touch. ``counts`` asks for the
+representatives, ``split_all_fast`` for every segment and keeps the
+interior hits; each cut is found once, on the segment it cuts, and
+``geom.group_order`` sorts the cuts along each segment.
 
-Vertices of the full route are the connected components of the fragment
-endpoints under the distance <= ``point_fuzzy`` relation. The one
-neighbour search, ``geom.close_pairs``, is a self-join that returns each
-close pair of distinct unique endpoints once; the result is deterministic
-and independent of segment order.
+Vertices of the full route are exact: a hit (r, c) joins the point of r
+it merged into with the point of c that its partner (c, r) merged into,
+and a vertex is a connected component of these links (Poonen and
+Rubinstein: the segments through a point, not distances, define it). No
+2-D distance decides a vertex; ``geom.close_pairs`` only guards that no
+two vertices come closer than 3*fuzz.
 
 The stages pass (k, 4) float arrays of x0, y0, x1, y1 rows: ``base_array``
-feeds the pair kernel, ``split_all_fast`` turns a base array into a
-fragment array, and ``cluster_endpoints`` reads it and returns a label per
-endpoint with a (V, 2) centroid array, which ``planar.build_graph`` keeps
-as the graph's vertices. Segment objects are built only where a public
-function is given or returns a Segment list.
+feeds the pair kernel, and ``split_all_fast`` turns a base array into a
+``geom.Split``: the fragment array, a vertex label per fragment end and
+the (V, 2) vertex array, which ``cluster_endpoints`` hands out as they
+are and ``planar.build_graph`` keeps as the graph's vertices. Segment
+objects are built only where a public function is given or returns a
+Segment list.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import numpy as np
 
 from .errors import AmbiguousClustering, NumericalDegeneracy, SymmetryViolation
 from .geom import (
-    DEFAULT_FUZZ, DEFAULT_TOL, Point2, Segment, Tolerance, close_pairs, group_order,
+    DEFAULT_FUZZ, DEFAULT_TOL, Point2, Segment, Split, Tolerance, close_pairs, group_order,
     merge_sorted_runs, segment_array,
 )
 # base_segments is not called here; perfbench/tracing.py wraps it under
@@ -56,10 +59,10 @@ from .geom import (
 from .polygon import PolygonSpec, base_array, base_segments, orbit_representatives  # noqa: F401
 
 # Segment lists, or (k, 4) arrays of x0, y0, x1, y1 rows; a SplitSegmentSet
-# additionally satisfies the crossing-free invariant (no Interior x Interior
-# intersection remains).
+# is a Split or a segment set that satisfies the crossing-free invariant (no
+# Interior x Interior intersection remains).
 SegmentSet = list[Segment] | np.ndarray
-SplitSegmentSet = list[Segment] | np.ndarray
+SplitSegmentSet = list[Segment] | np.ndarray | Split
 
 
 @dataclass(frozen=True)
@@ -218,10 +221,13 @@ def _solve_pairs(arrays: tuple[np.ndarray, ...], rows: np.ndarray, fuzz: float):
 
     A pair meets when it is not parallel and neither ``t`` (on the row
     segment) nor ``u`` (on the column) is _MISS. Only the pairs with both in
-    (-2*fuzz, 1 + 2*fuzz), a superset of those, are classified. Returns the
-    flat index into the (len(rows), m) block, ``t`` and the class of ``t``
-    of each pair that meets. Raises ValueError when two distinct parallel
-    segments overlap by the ``_parallel_overlap`` rule.
+    (-2*fuzz, 1 + 2*fuzz), a superset of those, are classified. A parallel
+    pair meets only where an end of one lies within fuzz of an end of the
+    other, as collinear pieces laid end to end do; there ``t`` is exactly 0
+    or 1, of class _END. Returns the flat index into the (len(rows), m)
+    block, ``t`` and the class of ``t`` of each pair that meets. Raises
+    ValueError when two distinct parallel segments overlap by the
+    ``_parallel_overlap`` rule.
     """
     x0, y0, dx, dy, seglen = arrays
     rdx = dx[rows, None]
@@ -233,12 +239,29 @@ def _solve_pairs(arrays: tuple[np.ndarray, ...], rows: np.ndarray, fuzz: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (dx[None, :] * rhsy - rhsx * dy[None, :]) / det
         u = (rdx * rhsy - rhsx * rdy) / det
-        k = np.flatnonzero(~live)
-        r, c = rows[k // len(x0)], k % len(x0)
-        r, c = r[r != c], c[r != c]
+    # A parallel pair can overlap or touch only where c starts within
+    # fuzz * (1 + |c|) of r's line, since c turns from r by less than fuzz
+    # rad; d0 is the distance _parallel_overlap tests against fuzz, and the
+    # bound keeps a factor 2 to spare.
+    k = np.flatnonzero(~live)
+    r, c = rows[k // len(x0)], k % len(x0)
+    d0 = np.abs((x0[c] - x0[r]) * dy[r] - (y0[c] - y0[r]) * dx[r]) / seglen[r]
+    near = np.flatnonzero((r != c) & (d0 <= 2.0 * fuzz * (1.0 + seglen[c])))
+    if len(near):
+        k, r, c = k[near], r[near], c[near]
         if _parallel_overlap(x0[r], y0[r], dx[r], dy[r], seglen[r], x0[c], y0[c],
                              x0[c] + dx[c], y0[c] + dy[c], fuzz).any():
             raise ValueError("collinear overlapping segments in the base set")
+        # touch[i, j]: end i of r (0 the start, 1 the end) lies within fuzz of
+        # end j of c; (c, r) measures each distance with the opposite sign
+        ends = ((x0, y0), (x0 + dx, y0 + dy))
+        touch = np.array([[np.hypot(ex[r] - fx[c], ey[r] - fy[c]) <= fuzz
+                           for fx, fy in ends] for ex, ey in ends])
+        meet = touch.any(axis=(0, 1))
+        k = k[meet]
+        t.flat[k] = touch[1].any(axis=0)[meet]
+        u.flat[k] = touch[:, 1].any(axis=0)[meet]
+        live.flat[k] = True
     lo, hi = -2.0 * fuzz, 1.0 + 2.0 * fuzz
     k = np.flatnonzero(live & (t > lo) & (t < hi) & (u > lo) & (u < hi))
     t = t.reshape(-1)[k]
@@ -252,21 +275,24 @@ def _hits(arrays: tuple[np.ndarray, ...], rows: np.ndarray, fuzz: float):
 
     Solves the rows against all m segments with ``_solve_pairs``, in blocks
     of about ``_BLOCK_PAIRS`` pairs. Returns, for each pair whose two
-    parameters are both not _MISS, the row's index in ``rows``, ``t`` on the
-    row segment and the class of ``t``, in row-major order. The other side
-    of a pair needs no second extraction: ``u`` of (r, c) is ``t`` of (c, r)
-    bit for bit, since both the right-hand side and the determinant only
-    change sign.
+    parameters are both not _MISS, the row's index in ``rows``, the other
+    segment (the column), ``t`` on the row segment and the class of ``t``,
+    in row-major order. The other side of a pair needs no second
+    extraction: ``u`` of (r, c) is ``t`` of (c, r) bit for bit, since both
+    the right-hand side and the determinant only change sign, so over all
+    rows (r, c) meets exactly when (c, r) does.
     """
     m = len(arrays[0])
-    at, ts, classes = [], [], []
+    at, col, ts, classes = [], [], [], []
     block = max(1, _BLOCK_PAIRS // m)
     for lo in range(0, len(rows), block):
         k, t, t_cls = _solve_pairs(arrays, rows[lo:lo + block], fuzz)
-        at.append(lo + k // m)
+        r, c = np.divmod(k, m)
+        at.append(lo + r)
+        col.append(c)
         ts.append(t)
         classes.append(t_cls)
-    return np.concatenate(at), np.concatenate(ts), np.concatenate(classes)
+    return tuple(np.concatenate(a) for a in (at, col, ts, classes))
 
 
 def split_all_fast(base: SegmentSet, tol: Tolerance = DEFAULT_TOL) -> SplitSegmentSet:
@@ -276,13 +302,16 @@ def split_all_fast(base: SegmentSet, tol: Tolerance = DEFAULT_TOL) -> SplitSegme
     it suffices to solve all base-segment pairs (in blocks, vectorized)
     and split each base segment once at its accumulated parameters. The
     fragments come grouped by base segment, in base order, and ordered
-    along each. Given an (m, 4) array the result is an (E, 4) array; given
-    a Segment list it is a Segment list.
+    along each. Given an (m, 4) array the result is a ``Split``: the (E, 4)
+    fragments with the vertex of each end (see ``_split``); given a Segment
+    list it is a Segment list. Raises NumericalDegeneracy for a fragment
+    shorter than fuzz, AmbiguousClustering when two vertices come closer
+    than 3*fuzz, and ValueError for collinear overlapping segments.
     """
-    frags = _fragments(segment_array(base), tol)
+    split = _split(segment_array(base), tol)
     if isinstance(base, np.ndarray):
-        return frags
-    return [Segment(Point2(x0, y0), Point2(x1, y1)) for x0, y0, x1, y1 in frags.tolist()]
+        return split
+    return [Segment(Point2(x0, y0), Point2(x1, y1)) for x0, y0, x1, y1 in split.frags.tolist()]
 
 
 def _points_along(owner: np.ndarray, ts: np.ndarray, k: int, fuzz: float):
@@ -293,93 +322,135 @@ def _points_along(owner: np.ndarray, ts: np.ndarray, k: int, fuzz: float):
     less than ``fuzz`` above the smallest become that smallest one, and each
     later run of values closer than ``fuzz`` apart becomes its last value.
     Returns the owner, parameter and run size of every point, by owner and
-    then along it; these are values only, so the order ``group_order``
-    leaves among equal (owner, parameter) pairs cannot change them.
+    then along it, and the point each hit merged into; these are values
+    only, so the order ``group_order`` leaves among equal (owner, parameter)
+    pairs cannot change them.
     """
+    hits = len(owner)
     owner = np.concatenate((owner, np.arange(k), np.arange(k)))
     ts = np.concatenate((ts, np.zeros(k), np.ones(k)))
     order = group_order(owner, ts)
     keep, sizes = merge_sorted_runs(owner[order], ts[order], fuzz)
-    return owner[order[keep]], ts[order[keep]], sizes
+    point = np.empty(len(order), dtype=np.int64)
+    point[order] = np.repeat(np.arange(len(keep)), sizes)
+    return owner[order[keep]], ts[order[keep]], sizes, point[:hits]
 
 
-def _fragments(base: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """The (E, 4) fragments of an (m, 4) base array; see split_all_fast."""
-    m = len(base)
-    if m == 0:  # _hits divides its block size by m
-        return base
-    fuzz = tol.point_fuzzy
-    row, t, t_cls = _hits(_segment_arrays(base), np.arange(m), fuzz)
-    cut = t_cls == _INTERIOR
-    owner, t, _ = _points_along(row[cut], t[cut], m, fuzz)
-    x0, y0, x1, y1 = base[owner].T
-    px = t * x1 + (1.0 - t) * x0
-    py = t * y1 + (1.0 - t) * y0
-    frags = np.column_stack((px[:-1], py[:-1], px[1:], py[1:]))[owner[1:] == owner[:-1]]
-    _check_lengths(frags, fuzz)
-    return frags
+def _hit_points(base: np.ndarray, fuzz: float):
+    """The points along the m base segments, and the links the hits make between them.
 
-
-def cluster_endpoints(
-    split: SplitSegmentSet, tol: Tolerance = DEFAULT_TOL,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Group the 2E fragment endpoints into vertex clusters.
-
-    ``split`` is a Segment list or an (E, 4) fragment array. Returns a label
-    per endpoint (p0 then p1 of each segment, in order) and the (V, 2)
-    array of cluster centroids. Exactly equal points are collapsed first;
-    the clusters are the connected components of the distance <= fuzz
-    relation among the rest, whose pairs ``close_pairs`` lists once each,
-    and are numbered in the order of their first point in sorted (x, y)
-    order. Raises AmbiguousClustering when two centroids come closer than
-    3*fuzz, and ValueError for a non-finite endpoint or a non-(E, 4) array.
+    A point is one merged run on one segment (``_points_along`` of the
+    interior hits). Returns the owner and parameter of every point, by
+    owner and then along it, and for each hit (r, c) the point of r it
+    merged into (for a hit at an end of r, the point at that end) with the
+    point of c that its partner (c, r) merged into.
     """
-    ends = segment_array(split).reshape(-1, 2)
-    if not np.isfinite(ends).all():
-        raise ValueError("non-finite fragment endpoint")
-    xs = ends[:, 0]
-    ys = ends[:, 1]
-    uniq, inverse = np.unique(xs + 1j * ys, return_inverse=True)
-    fuzz = tol.point_fuzzy
+    m = len(base)
+    row, col, t, t_cls = _hits(_segment_arrays(base), np.arange(m), fuzz)
+    cut = t_cls == _INTERIOR
+    at_end = t > 0.5
+    t = t[cut]
+    del t_cls  # hit-sized arrays are dropped as soon as they are used
+    owner, along, _, cut_point = _points_along(row[cut], t, m, fuzz)
+    del t
+    head = np.flatnonzero(np.diff(owner, prepend=-1))  # each segment's first point
+    tail = np.append(head[1:], len(owner)) - 1
+    point = np.where(at_end, tail[row], head[row])
+    point[cut] = cut_point
+    del cut, at_end, cut_point, head, tail
 
-    # every point takes the smallest index in its component: min over both
-    # ends of each pair, then pointer jumping, until nothing changes
-    i, j = close_pairs(np.column_stack((uniq.real, uniq.imag)), fuzz)
-    root = np.arange(len(uniq))
+    # in row-major order, hit i is (row[i], col[i]); sorted stably by column
+    # the hits come as (col, row), so the i-th of them is hit i's partner
+    partner = np.argsort(col, kind="stable")
+    if not (np.array_equal(row[partner], col) and np.array_equal(col[partner], row)):
+        raise AmbiguousClustering("a pair of segments meets on one of its sides only")
+    return owner, along, point, point[partner]
+
+
+def _split(base: np.ndarray, tol: Tolerance) -> Split:
+    """The ``Split`` of an (m, 4) base array.
+
+    The vertices are the connected components of the links ``_hit_points``
+    reads off the hits: the segments through a point, not a distance,
+    decide which points are one vertex. Vertices are numbered in the order
+    of their first fragment end, and each is placed at the mean of its
+    fragment ends.
+    """
+    if len(base) == 0:  # _hits divides its block size by m
+        return Split(base, np.empty(0, dtype=np.int64), np.empty((0, 2)))
+    fuzz = tol.point_fuzzy
+    owner, along, point, far = _hit_points(base, fuzz)
+    # every point takes the smallest point in its component: min over the
+    # links, then pointer jumping, until nothing changes
+    root = np.arange(len(owner))
     while True:
         nxt = root.copy()
-        np.minimum.at(nxt, i, root[j])
-        np.minimum.at(nxt, j, root[i])
+        np.minimum.at(nxt, point, root[far])
         nxt = nxt[nxt]
         if np.array_equal(nxt, root):
             break
         root = nxt
-    # a root is the smallest index of its component: number the roots in order
-    labels = (np.cumsum(root == np.arange(len(uniq))) - 1)[root][inverse]
+    del point, far
 
-    counts_per = np.bincount(labels)
-    cxs = np.bincount(labels, weights=xs) / counts_per
-    cys = np.bincount(labels, weights=ys) / counts_per
+    x0, y0, x1, y1 = base[owner].T
+    px = along * x1 + (1.0 - along) * x0
+    py = along * y1 + (1.0 - along) * y0
+    inner = np.flatnonzero(owner[1:] == owner[:-1])
+    frags = np.column_stack((px[inner], py[inner], px[inner + 1], py[inner + 1]))
+    del x0, y0, x1, y1, px, py, owner, along
+    _check_lengths(frags, fuzz)
+    # a root is the smallest point of its component, and points come in the
+    # order of their first fragment end: number the roots in order
+    vertex = (np.cumsum(root == np.arange(len(root))) - 1)[root]
+    labels = np.column_stack((vertex[inner], vertex[inner + 1])).reshape(-1)
+    del vertex, root, inner
+    ends = frags.reshape(-1, 2)
+    size = np.bincount(labels)
+    points = np.column_stack((np.bincount(labels, weights=ends[:, 0]) / size,
+                              np.bincount(labels, weights=ends[:, 1]) / size))
+    _check_separation(points, fuzz)
+    return Split(frags, labels, points)
 
+
+def _check_separation(points: np.ndarray, fuzz: float) -> None:
+    """AmbiguousClustering when two vertices are closer than 3*fuzz."""
     pitch = 3.0 * fuzz
-    centres = np.column_stack((cxs, cys))
-    i, j = close_pairs(centres, pitch)
-    dx = cxs[i] - cxs[j]
-    dy = cys[i] - cys[j]
+    i, j = close_pairs(points, pitch)
+    dx = points[i, 0] - points[j, 0]
+    dy = points[i, 1] - points[j, 1]
     gap2 = dx * dx + dy * dy
     near = np.flatnonzero(gap2 < pitch * pitch)
     if len(near):
         k = near[0]
         raise AmbiguousClustering(
-            f"vertex clusters {i[k]} and {j[k]} are {math.sqrt(gap2[k]):.3e}"
+            f"vertices {i[k]} and {j[k]} are {math.sqrt(gap2[k]):.3e}"
             f" apart, closer than 3*fuzz = {pitch:g}")
-    return labels, centres
+
+
+def cluster_endpoints(
+    split: SplitSegmentSet, tol: Tolerance = DEFAULT_TOL,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The vertex of each fragment end, and the (V, 2) vertex coordinates.
+
+    Labels come p0 then p1 of each fragment, in order. A ``Split`` already
+    holds both, and they are returned as they are, with no float decision.
+    Any other input, a Segment list or an (E, 4) array, is split by
+    ``split_all_fast`` first (with ``tol``), and the labels are those of the
+    fragments it returns: the input's own when no two segments cross.
+    Raises ValueError for a non-finite endpoint or a non-(E, 4) array.
+    """
+    if not isinstance(split, Split):
+        frags = segment_array(split)
+        if not np.isfinite(frags).all():
+            raise ValueError("non-finite fragment endpoint")
+        split = split_all_fast(frags, tol)
+    return split.labels, split.points
 
 
 def count_vertices(split: SplitSegmentSet, tol: Tolerance = DEFAULT_TOL) -> int:
     """Number of distinct vertices among the fragment endpoints."""
-    _, centroids = cluster_endpoints(split, tol)
-    return len(centroids)
+    _, points = cluster_endpoints(split, tol)
+    return len(points)
 
 
 def counts(spec: PolygonSpec, tol: Tolerance = DEFAULT_TOL) -> CountSummary:
@@ -405,9 +476,9 @@ def counts(spec: PolygonSpec, tol: Tolerance = DEFAULT_TOL) -> CountSummary:
     seglen = arrays[4]
     reps = np.array(orbit_representatives(spec))
     rows, orbit = reps[:, 0], reps[:, 1]
-    rep, t, _ = _hits(arrays, rows, fuzz)
+    rep, _, t, _ = _hits(arrays, rows, fuzz)
 
-    owner, points, sizes = _points_along(rep, t, len(reps), fuzz)
+    owner, points, sizes, _ = _points_along(rep, t, len(reps), fuzz)
     same = owner[1:] == owner[:-1]
 
     gaps = np.where(same, np.diff(points) * seglen[rows[owner[1:]]], math.inf)

@@ -61,13 +61,32 @@ class Segment:
         return self.p0.dist(self.p1)
 
 
-def segment_array(segs: "list[Segment] | np.ndarray") -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class Split:
+    """The fragments of a split arrangement with the vertex of each fragment end.
+
+    Fragment k runs from vertex ``labels[2k]`` to vertex ``labels[2k + 1]``;
+    ``points`` holds each vertex's position. Its length is the number of
+    fragments.
+    """
+
+    frags: np.ndarray   # (E, 4) x0, y0, x1, y1 rows
+    labels: np.ndarray  # (2E,) vertex of each fragment end, p0 then p1
+    points: np.ndarray  # (V, 2) vertex coordinates
+
+    def __len__(self) -> int:
+        return len(self.frags)
+
+
+def segment_array(segs: "list[Segment] | np.ndarray | Split") -> np.ndarray:
     """Segments as a (k, 4) float array of x0, y0, x1, y1 rows.
 
-    An array passes through unchanged, so pipeline stages accept either a
-    Segment list or the arrays the previous stage produced; an array of any
-    other shape raises ValueError.
+    An array passes through unchanged and a Split gives its fragments, so
+    pipeline stages accept a Segment list or what the previous stage
+    produced; an array of any other shape raises ValueError.
     """
+    if isinstance(segs, Split):
+        return segs.frags
     if isinstance(segs, np.ndarray):
         if segs.ndim != 2 or segs.shape[1] != 4:
             raise ValueError(f"segments must be a (k, 4) array, got shape {segs.shape}")

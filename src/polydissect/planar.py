@@ -1,7 +1,7 @@
 """Half-edge face oracle for the split arrangement.
 
 Builds a rotation system (angularly sorted incidence lists) on the
-deduplicated vertices; the faces are the cycles of the standard
+split's vertices; the faces are the cycles of the standard
 most-clockwise-turn successor of the half-edges, labelled by pointer
 doubling (``_cycle_labels``, which labels the rotation orbits too), and
 their number is checked against Euler's formula. The orbit census is exact
@@ -101,16 +101,18 @@ class OrbitCensus:
 
 
 def build_graph(split: SplitSegmentSet, tol: Tolerance = DEFAULT_TOL) -> PlanarGraph:
-    """Assemble the incidence structure from a crossing-free split set.
+    """Assemble the incidence structure of a split.
 
-    ``split`` is a Segment list or an (E, 4) fragment array. Vertices are
-    the same endpoint clusters the vertex count uses, so the two agree by
+    ``split`` is a ``Split`` from ``split_all_fast``, or a Segment list or
+    (E, 4) array, which ``cluster_endpoints`` splits first. Edges are the
+    fragments and vertices are the split's own vertices, read through
+    ``cluster_endpoints``, so the graph and the vertex count agree by
     construction. Each half-edge is compared with the next one around its
     vertex, the last with the first plus 2pi: two closer than 1e-9 rad
     indicate a dedup failure and raise AmbiguousClustering. A fragment
-    whose ends merged meets its own twin at angle 0, so it raises too, and
-    whenever a graph comes back its rings are exactly the lexsort order by
-    origin and angle.
+    whose ends are one vertex meets its own twin at angle 0, so it raises
+    too, and whenever a graph comes back its rings are exactly the lexsort
+    order by origin and angle.
     """
     labels, xy = cluster_endpoints(split, tol)
 
@@ -146,10 +148,11 @@ def enumerate_faces(g: PlanarGraph) -> Faces:
     order of it, and all of them are read off in lockstep into ``cycle``;
     the shoelace areas are summed per face over it. Raises
     TraversalIncomplete unless the edges join vertex ids in 0..V-1, the
-    rings hold every half-edge once, in the ring of its origin, there is
-    exactly one outer face, and the faces satisfy Euler's formula
-    F = E - V + 2 over the vertices with edges. Valid rings make the
-    successor a permutation: slot, twin and ring predecessor composed.
+    rings hold integer half-edge ids, every half-edge once, in the ring of
+    its origin, there is exactly one outer face, and the faces satisfy
+    Euler's formula F = E - V + 2 over the vertices with edges. Valid rings
+    make the successor a permutation: slot, twin and ring predecessor
+    composed.
     """
     xy, half = g.vertices, g.ring_half
     origin = g.edges.reshape(-1)
@@ -157,8 +160,9 @@ def enumerate_faces(g: PlanarGraph) -> Faces:
     if not np.issubdtype(origin.dtype, np.integer) or (
             nh and (origin.min() < 0 or origin.max() >= nv)):
         raise TraversalIncomplete(f"the edges do not join integer vertex ids in 0..{nv - 1}")
-    if len(half) and (half.min() < 0 or half.max() >= nh):
-        raise TraversalIncomplete(f"rings hold half-edges outside 0..{nh - 1}")
+    if not np.issubdtype(half.dtype, np.integer) or (
+            len(half) and (half.min() < 0 or half.max() >= nh)):
+        raise TraversalIncomplete(f"rings hold half-edges outside the integers 0..{nh - 1}")
     repeated = np.flatnonzero(np.bincount(half, minlength=nh) > 1)
     if len(repeated):
         raise TraversalIncomplete(

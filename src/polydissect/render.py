@@ -242,11 +242,11 @@ def render_svg(
 ) -> str:
     """Render the arrangement as an SVG 1.1 document.
 
-    ``split`` is a Segment list or an (E, 4) fragment array. One <line>
-    element per (possibly clipped) split segment; given the split's graph,
-    one <polygon> per inner face beneath the lines, filled by rotation
-    orbit. A graph with another number of edges than the split raises
-    ValueError.
+    ``split`` is a ``Split``, a Segment list or an (E, 4) fragment array.
+    One <line> element per (possibly clipped) split segment; given the
+    split's graph, one <polygon> per inner face beneath the lines, filled by
+    rotation orbit. A graph with another number of edges than the split
+    raises ValueError.
     """
     opts = opts or RenderOptions()
     if graph is not None and len(graph.edges) != len(split):

@@ -4,7 +4,7 @@ import numpy as np
 
 from polydissect import Point2, Segment
 from polydissect.arrangement import _segment_arrays
-from polydissect.geom import segment_array
+from polydissect.geom import close_pairs, segment_array
 
 
 def dense_classes(arrays, rows, fuzz):
@@ -48,3 +48,31 @@ def rotate_segments(segments, angle):
         return Point2(c * p.x - s * p.y, s * p.x + c * p.y)
 
     return [Segment(rot(seg.p0), rot(seg.p1)) for seg in segments]
+
+
+def float_clusters(split, fuzz):
+    """Vertex labels and centroids of fragment endpoints found by distance alone.
+
+    The float clustering the full route once used: exactly equal endpoints
+    collapse, the clusters are the connected components of the distance
+    <= fuzz relation among the rest, numbered in the order of their first
+    point in sorted (x, y) order, and each centroid is the ``np.bincount``
+    mean of its endpoints, summed in endpoint order.
+    """
+    ends = segment_array(split).reshape(-1, 2)
+    xs, ys = ends[:, 0], ends[:, 1]
+    uniq, inverse = np.unique(xs + 1j * ys, return_inverse=True)
+    i, j = close_pairs(np.column_stack((uniq.real, uniq.imag)), fuzz)
+    root = np.arange(len(uniq))
+    while True:
+        nxt = root.copy()
+        np.minimum.at(nxt, i, root[j])
+        np.minimum.at(nxt, j, root[i])
+        nxt = nxt[nxt]
+        if np.array_equal(nxt, root):
+            break
+        root = nxt
+    labels = (np.cumsum(root == np.arange(len(uniq))) - 1)[root][inverse]
+    size = np.bincount(labels)
+    return labels, np.column_stack((np.bincount(labels, weights=xs) / size,
+                                    np.bincount(labels, weights=ys) / size))

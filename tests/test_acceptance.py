@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from conftest import crossing_free, rotate_segments
+from conftest import crossing_free, float_clusters, rotate_segments
 from polydissect import (
     DEFAULT_TOL,
     CountSummary,
@@ -27,6 +27,8 @@ from polydissect import (
     split_all,
     split_all_fast,
 )
+from polydissect.geom import segment_array
+from polydissect.polygon import base_array
 from polydissect.reference import reference_table
 
 REFERENCE = {r.n: r for r in reference_table()}
@@ -87,7 +89,7 @@ def test_criterion_2_stretch_full_range():
 def test_criterion_3_face_oracle_equivalence():
     bad = []
     for n in range(2, 13):
-        split = split_all_fast(base_segments(PolygonSpec(n)))
+        split = split_all_fast(base_array(PolygonSpec(n)))
         graph = build_graph(split)
         inner = sum(1 for f in enumerate_faces(graph) if not f.is_outer)
         euler = 1 + len(split) - len(graph.vertices)
@@ -101,7 +103,7 @@ def test_criterion_4_orbit_decomposition():
     bad = []
     for n in range(3, 15):
         spec = PolygonSpec(n)
-        split = split_all_fast(base_segments(spec))
+        split = split_all_fast(base_array(spec))
         census = orbit_census(enumerate_faces(build_graph(split)))
         expected_central = 1 if n % 2 == 0 else 0
         if census.per_ray != CAPTION_PER_RAY[n] or census.central != expected_central:
@@ -159,13 +161,13 @@ def test_criterion_6_property_tests():
         for trial in range(20):
             shuffled = base[:]
             rng.shuffle(shuffled)
-            split = split_all_fast(shuffled)
+            split = split_all_fast(segment_array(shuffled))
             v = count_vertices(split)
             if (v, len(split)) != (expected.V, expected.E):
                 failures.append((n, "shuffle", trial))
         for trial in range(20):
             rotated = rotate_segments(base, rng.uniform(0.0, 2.0 * math.pi))
-            split = split_all_fast(rotated)
+            split = split_all_fast(segment_array(rotated))
             v = count_vertices(split)
             if (v, len(split)) != (expected.V, expected.E):
                 failures.append((n, "rotation", trial))
@@ -193,14 +195,16 @@ def test_criterion_7_fast_splitter_equivalence():
     slow_total = 0.0
     fast_total = 0.0
     for n in range(2, 21):
-        base = base_segments(PolygonSpec(n))
+        base = base_array(PolygonSpec(n))
         t0 = time.perf_counter()
         slow = split_all(base)
         slow_total += time.perf_counter() - t0
         t0 = time.perf_counter()
         fast = split_all_fast(base)
         fast_total += time.perf_counter() - t0
-        vs, vf = count_vertices(slow), count_vertices(fast)
+        # the reference split has no vertex identity of its own: cluster it by distance
+        vs = len(float_clusters(slow, DEFAULT_TOL.point_fuzzy)[1])
+        vf = count_vertices(fast)
         if (len(slow), vs) != (len(fast), vf):
             bad.append((n, len(slow), len(fast), vs, vf))
     speedup = slow_total / fast_total if fast_total > 0 else float("inf")

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import crossing_free, dense_classes, rotate_segments
+from conftest import crossing_free, dense_classes, float_clusters, rotate_segments
 from polydissect import (
     DEFAULT_TOL,
     AmbiguousClustering,
@@ -23,6 +23,7 @@ from polydissect import (
 )
 from polydissect import arrangement
 from polydissect.arrangement import _hits, _segment_arrays
+from polydissect.geom import segment_array
 from polydissect.polygon import base_array, orbit_representatives
 
 
@@ -114,8 +115,11 @@ def test_a_degenerate_base_row_beside_a_good_one_raises(splitter, row, first):
 
 def test_a_single_base_row_comes_back_whole():
     row = np.array([[0.1, -0.3, 0.7, 0.25]])
-    assert np.array_equal(split_all_fast(row), row)
-    assert split_all_fast(np.empty((0, 4))).shape == (0, 4)
+    split = split_all_fast(row)
+    assert np.array_equal(split.frags, row) and split.labels.tolist() == [0, 1]
+    assert np.array_equal(split.points, row.reshape(2, 2))
+    empty = split_all_fast(np.empty((0, 4)))
+    assert (empty.frags.shape, empty.labels.shape, empty.points.shape) == ((0, 4), (0,), (0, 2))
 
 
 def test_split_all_refuses_collinear_overlapping_segments():
@@ -136,15 +140,17 @@ def test_split_all_fast_refuses_collinear_overlapping_segments(as_list):
 
 
 def test_collinear_segments_that_only_touch_are_kept():
-    frags = split_all_fast(np.array([[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 2.0, 0.0]]))
-    assert frags.tolist() == [[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 2.0, 0.0]]
+    split = split_all_fast(np.array([[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 2.0, 0.0]]))
+    assert split.frags.tolist() == [[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 2.0, 0.0]]
+    assert split.labels.tolist() == [0, 1, 1, 2]
 
 
 def dense_hits(arrays, rows, fuzz):
-    """_hits by classifying every pair of the whole (rows, m) block."""
+    """_hits by classifying every pair of the whole (rows, m) block; no
+    parallel pair meets, which holds where no two segments are collinear."""
     t, t_cls, u_cls = dense_classes(arrays, rows, fuzz)
     r, c = np.nonzero((t_cls != 0) & (u_cls != 0))
-    return r, t[r, c], t_cls[r, c]
+    return r, c, t[r, c], t_cls[r, c]
 
 
 def assert_hits_match_the_dense_reference(base, rows, fuzz=DEFAULT_TOL.point_fuzzy):
@@ -179,7 +185,7 @@ def test_hits_match_a_dense_classification_at_the_fuzz_bands():
         for q in params:
             cross = np.array([[0.0, q, 1.0, q], [p, 0.0, p, 1.0]])
             base = np.vstack((cross, rng.uniform(-0.5, 1.5, size=(6, 4))))
-            row, t, _ = assert_hits_match_the_dense_reference(base, np.arange(len(base)))
+            row, _, t, _ = assert_hits_match_the_dense_reference(base, np.arange(len(base)))
             seen.update(t[row < 2].tolist())
     # hits just inside the outer edges of the end bands, none beyond them
     assert {np.nextafter(-fuzz, 1), 0.0, 1.0, np.nextafter(1 + fuzz, 0)} <= seen
@@ -220,15 +226,14 @@ class TestCountVertices:
         with pytest.raises(AmbiguousClustering):
             count_vertices(split)
 
-    def test_clusters_follow_chains(self):
-        # six endpoints 0.9*fuzz apart form one vertex although the chain's
-        # ends are 4.5*fuzz apart; each is joined to its own far point
+    def test_ends_chained_under_fuzz_apart_are_refused(self):
+        # six starts 0.9*fuzz apart in a chain: by distance alone they were one
+        # vertex, but the segments cross each other between them, and the
+        # split refuses the pieces shorter than fuzz that this leaves
         step = 0.9 * DEFAULT_TOL.point_fuzzy
         split = [seg(0.3 + k * step, 0.2, -0.5, -0.5 + 0.1 * k) for k in (3, 0, 5, 1, 4, 2)]
-        labels, centroids = cluster_endpoints(split)
-        assert len(centroids) == 7
-        assert len(set(labels[0::2].tolist())) == 1
-        assert len(set(labels[1::2].tolist())) == 6
+        with pytest.raises(NumericalDegeneracy, match="shorter than fuzz"):
+            cluster_endpoints(split)
 
     def test_independent_of_segment_order(self):
         split = split_all(base_segments(PolygonSpec(5)))
@@ -238,21 +243,104 @@ class TestCountVertices:
             rng.shuffle(shuffled)
             assert count_vertices(shuffled) == 31
 
-    def test_clusters_are_numbered_in_the_order_of_their_smallest_endpoint(self):
+    def test_vertices_are_numbered_in_the_order_of_their_first_end(self):
         split = split_all_fast(base_array(PolygonSpec(5)))
-        split = split[np.random.default_rng(5).permutation(len(split))]
-        labels, centroids = cluster_endpoints(split)
-        assert np.array_equal(np.unique(labels), np.arange(len(centroids)))
-        ends = split.reshape(-1, 2).tolist()
-        smallest = [min(p for p, k in zip(ends, labels.tolist()) if k == label)
-                    for label in range(len(centroids))]
-        assert all(a < b for a, b in zip(smallest, smallest[1:]))
+        shuffled = split.frags[np.random.default_rng(5).permutation(len(split))]
+        for labels, points in (cluster_endpoints(split), cluster_endpoints(shuffled)):
+            values, first = np.unique(labels, return_index=True)
+            assert np.array_equal(values, np.arange(len(points)))
+            assert np.all(np.diff(first) > 0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("caller", [count_vertices, build_graph])
     def test_a_non_finite_endpoint_raises(self, caller, bad):
         with pytest.raises(ValueError, match="non-finite"):
             caller(np.array([[0.0, 0.0, bad, 1.0], [0.0, 0.0, 1.0, 0.0]]))
+
+
+def same_partition(labels, other):
+    """Assert that two labellings of the same items are one partition; return
+    the map from the first's labels to the second's."""
+    to_other = np.zeros(labels.max(initial=-1) + 1, dtype=np.int64)
+    to_other[labels] = other
+    assert np.array_equal(to_other[labels], other)
+    assert np.array_equal(np.sort(to_other), np.arange(other.max(initial=-1) + 1))
+    return to_other
+
+
+class TestVertexIdentity:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 13, 24])
+    def test_a_pair_meets_exactly_when_its_partner_does(self, n):
+        base = base_array(PolygonSpec(n))
+        m = len(base)
+        row, col, t, _ = _hits(_segment_arrays(base), np.arange(m), DEFAULT_TOL.point_fuzzy)
+        key = row * m + col
+        assert np.all(np.diff(key) > 0)  # row-major, each ordered pair once
+        partner = np.searchsorted(key, col * m + row)
+        assert np.array_equal(key[np.minimum(partner, len(key) - 1)], col * m + row)
+        # t of the partner is the parameter of the same point on the column
+        x0, y0, x1, y1 = base.T
+        tp = t[partner]
+        gap = np.hypot(t * x1[row] + (1.0 - t) * x0[row] - tp * x1[col] - (1.0 - tp) * x0[col],
+                       t * y1[row] + (1.0 - t) * y0[row] - tp * y1[col] - (1.0 - tp) * y0[col])
+        assert gap.max() < 1e-14
+
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_a_point_on_k_segments_has_k_minus_1_partners(self, n):
+        base = base_array(PolygonSpec(n))
+        owner, _, point, far = arrangement._hit_points(base, DEFAULT_TOL.point_fuzzy)
+        split = split_all_fast(base)
+        # the vertex of each point, from the fragments between consecutive points
+        vertex = np.empty(len(owner), dtype=np.int64)
+        inner = np.flatnonzero(owner[1:] == owner[:-1])
+        vertex[inner], vertex[inner + 1] = split.labels[0::2], split.labels[1::2]
+        # a vertex holds one point per segment through it, and every link stays inside it
+        assert len(np.unique(vertex * len(base) + owner)) == len(owner)
+        assert np.array_equal(vertex[point], vertex[far])
+        k = np.bincount(vertex)[vertex]
+        assert k.min() >= 2 and np.array_equal(np.bincount(point, minlength=len(owner)), k - 1)
+
+    @pytest.mark.parametrize("n", range(2, 40))
+    def test_the_split_vertices_are_the_float_clusters(self, n):
+        # the same partition, and coordinates equal to the last bit
+        split = split_all_fast(base_array(PolygonSpec(n)))
+        labels, points = float_clusters(split.frags, DEFAULT_TOL.point_fuzzy)
+        to_split = same_partition(labels, split.labels)
+        assert np.array_equal(split.points[to_split], points)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_a_split_without_crossings_keeps_its_fragments_and_vertices(self, n):
+        # split_all's fragments meet only at their ends, and no single segment
+        # runs through a crossing; the links still join every end there
+        slow = split_all(base_array(PolygonSpec(n)))
+        split = split_all_fast(segment_array(slow))
+        assert np.array_equal(split.frags, segment_array(slow))
+        same_partition(float_clusters(slow, DEFAULT_TOL.point_fuzzy)[0], split.labels)
+        assert len(split.points) == counts(PolygonSpec(n)).V
+
+    @pytest.mark.parametrize("rows,labels", [
+        ([[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 2.0, 0.0], [0.0, 0.0, 0.0, 1.0]], [0, 1, 1, 2, 0, 3]),
+        # each way two pieces can touch: end to start, end to end, start to start
+        ([[0.0, 0.0, 1.0, 0.0], [2.0, 0.0, 1.0, 0.0], [2.0, 0.0, 3.0, 0.0]], [0, 1, 2, 1, 2, 3]),
+        # turned by 7.5e-11 rad, parallel within fuzz: the far start is 1.5*fuzz off the line
+        ([[0.0, 0.0, 1.0, 0.0], [-2.0, 1.5e-10, 0.0, 0.0]], [0, 1, 2, 0]),
+    ])
+    def test_a_collinear_chain_meets_at_one_vertex(self, rows, labels):
+        # collinear pieces laid end to end are parallel, so only their
+        # touching ends link them: the contact is a hit on both sides
+        base = np.array(rows)
+        split = split_all_fast(base)
+        assert split.labels.tolist() == labels
+        row, col, t, t_cls = _hits(_segment_arrays(base), np.arange(len(base)),
+                                   DEFAULT_TOL.point_fuzzy)
+        assert sorted(zip(row.tolist(), col.tolist())) == sorted(zip(col.tolist(), row.tolist()))
+        assert set(t.tolist()) <= {0.0, 1.0} and np.all(t_cls == arrangement._END)
+
+    @pytest.mark.slow
+    def test_vertex_counts_beyond_the_reference_table(self):
+        for n in range(40, 65):
+            spec = PolygonSpec(n)
+            assert count_vertices(split_all_fast(base_array(spec))) == counts(spec).V, n
 
 
 class TestCounts:

@@ -23,7 +23,7 @@ from polydissect import (
     split_all,
     split_all_fast,
 )
-from polydissect.geom import merge_sorted_runs, segment_array
+from polydissect.geom import Split, merge_sorted_runs, segment_array
 from polydissect.polygon import base_array
 
 
@@ -37,13 +37,15 @@ def test_base_segments_wrap_the_base_array(n):
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 13])
 def test_array_split_matches_the_segment_split(n):
     spec = PolygonSpec(n)
-    frags = split_all_fast(base_array(spec))
-    assert isinstance(frags, np.ndarray) and frags.shape[1] == 4
-    assert np.array_equal(frags, segment_array(split_all_fast(base_segments(spec))))
-    labels, centroids = cluster_endpoints(frags)
-    same_labels, same_centroids = cluster_endpoints(split_all_fast(base_segments(spec)))
+    split = split_all_fast(base_array(spec))
+    assert isinstance(split, Split) and split.frags.shape[1] == 4
+    assert len(split) == len(split.frags) and segment_array(split) is split.frags
+    assert np.array_equal(split.frags, segment_array(split_all_fast(base_segments(spec))))
+    # an array of fragments is split again, which leaves the fragments and vertices as they are
+    labels, points = cluster_endpoints(split)
+    same_labels, same_points = cluster_endpoints(split.frags)
     assert np.array_equal(labels, same_labels)
-    assert np.array_equal(centroids, same_centroids)
+    assert np.array_equal(points, same_points)
     assert split_all(base_array(spec)) == split_all(base_segments(spec))
 
 
@@ -71,15 +73,16 @@ FRAGMENT_DIGESTS = {
 
 @pytest.mark.parametrize("n", sorted(FRAGMENT_DIGESTS))
 def test_fragment_bytes_are_pinned(n):
-    frags = split_all_fast(base_array(PolygonSpec(n)))
+    frags = split_all_fast(base_array(PolygonSpec(n))).frags
     assert hashlib.sha256(frags.tobytes()).hexdigest() == FRAGMENT_DIGESTS[n]
 
 
-# SHA-256 of the rings' half-edge order, which the SVGs do not show
+# SHA-256 of the rings' half-edge order, which the SVGs do not show; the
+# rings come in the order of the vertex numbers (first fragment end)
 RING_DIGESTS = {
-    5: "ef203364baf0a78383d96c6ce803f8625b371dede6b802f66f40b7cfedaccb1b",
-    12: "d97f8584e5b29356beb2577b8370d342920c503ab2d7900d77eca7da2d9d5f8e",
-    24: "f32e96e8f889278edb203613023816d6bb03094f4798fb3de9f4db8c9932c591",
+    5: "cac3e99a3fba7ff74913dbfa2a17659216cddb9ab95ee80c4af974084f88bb6b",
+    12: "3ce65868c9f9be3350c0660198e9aeb87f8202e66bfbc6ea49c89b0f34724c8f",
+    24: "0b9a69f458a1485a3c4d188f6b58438ce36a63688abcc937e2dd882bfe1b4224",
 }
 
 
@@ -119,20 +122,20 @@ def test_the_face_walk_frees_its_temporaries():
     assert peak - entry <= 16 * 2**20
 
 
-# SHA-256 of the vertex labels' bytes followed by the centroids' bytes:
-# the vertex identity the graph, the faces and the SVGs are built on
+# SHA-256 of the vertex labels' bytes followed by the vertex coordinates'
+# bytes: the vertex identity the graph, the faces and the SVGs are built on
 CLUSTER_DIGESTS = {
-    5: "717718f6460cf5c642578c219171aa65facd50852c070ab2525087eac3f66d9a",
-    12: "d838d30e40b33c60f8d720414250e0dc25db6942de1226fcaa85586817fc3ae3",
-    24: "3eb021f00b53075fad7fb5f41a381ecf9e542b52b5151acff9dac23094902023",
+    5: "8655e9bb532bff90a4ffa929083b390d712f59dd5104df5ef87830df836fc518",
+    12: "0c51e1426ddb225c9786243468b8c050b63f5f562cb25ae7a31c9c926d47e607",
+    24: "bf20dabfa7fa927006a07481feeef0be8e57c12cfc467a1895e4dcb9712b6d1f",
 }
 
 
 @pytest.mark.parametrize("n", sorted(CLUSTER_DIGESTS))
 def test_vertex_clusters_are_pinned(n):
-    labels, centroids = cluster_endpoints(split_all_fast(base_array(PolygonSpec(n))))
+    labels, points = cluster_endpoints(split_all_fast(base_array(PolygonSpec(n))))
     assert labels.dtype == np.int64
-    digest = hashlib.sha256(labels.tobytes() + centroids.tobytes()).hexdigest()
+    digest = hashlib.sha256(labels.tobytes() + points.tobytes()).hexdigest()
     assert digest == CLUSTER_DIGESTS[n]
 
 
@@ -170,9 +173,16 @@ def test_edges_coinciding_across_the_cut_raise():
 
 
 def test_a_fragment_whose_ends_merged_raises():
-    # both ends fall in one cluster, so the fragment meets its own twin at angle 0
-    with pytest.raises(AmbiguousClustering, match="0.000e[+]00 rad apart"):
-        build_graph(np.array([[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 1.0 + 1e-11, 0.0]]))
+    # s = (0, 0)-(1, 0) meets the vertical c at x = 0.5 and the long line d
+    # 2e-10 further on; c's and d's two hits each lie within fuzz of each
+    # other and merge, so the piece of s between them has both ends at one
+    # vertex, and the angles of its half-edges there say nothing
+    p, d = np.array([0.5 + 2e-10, 0.0]), 1.2 * np.array([-4.0, 1.0]) / np.sqrt(17.0)
+    base = np.array([[0.0, 0.0, 1.0, 0.0], [0.5, -1.0, 0.5, 1.0], [*(p - d), *(p + d)]])
+    split = split_all_fast(base)
+    assert split.labels[2] == split.labels[3]
+    with pytest.raises(AmbiguousClustering, match="rad apart"):
+        build_graph(split)
 
 
 def one_edge_graph(ring_half):
@@ -191,6 +201,12 @@ def test_fewer_vertices_than_rings_raise():
     g = one_edge_graph([0, 1])
     with pytest.raises(TraversalIncomplete, match=r"vertex ids in 0\.\.0"):
         enumerate_faces(PlanarGraph(g.vertices[:1], g.edges, g.ring_half))
+
+
+def test_rings_of_float_half_edges_raise():
+    g = build_graph(split_all_fast(base_array(PolygonSpec(3))))
+    with pytest.raises(TraversalIncomplete, match="outside the integers"):
+        enumerate_faces(PlanarGraph(g.vertices, g.edges, g.ring_half.astype(float)))
 
 
 def test_a_half_edge_in_another_vertex_ring_raises():

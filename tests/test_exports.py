@@ -8,7 +8,8 @@ import pytest
 
 import polydissect
 from polydissect import (
-    FaceRecord, Faces, PlanarGraph, RenderOptions, cli, errors, geom, planar, polygon, render)
+    FaceRecord, Faces, PlanarGraph, RenderOptions, Split, arrangement, cli, errors, geom, planar,
+    polygon, render)
 
 
 def test_every_exported_name_resolves():
@@ -26,6 +27,7 @@ def test_removed_names_are_gone():
                          (polydissect, "merge_runs"),
                          (polydissect, "face_vertices"), (planar, "face_vertices"),
                          (polydissect, "MissingGraph"), (errors, "MissingGraph"),
+                         (arrangement, "_fragments"),
                          *((m, name) for m in (polydissect, geom)
                            for name in ("intersect", "classify_param", "ParamClass", "Params")),
                          *((m, name) for m in (polydissect, polygon)
@@ -41,6 +43,10 @@ def test_removed_names_are_gone():
 
 def test_a_planar_graph_is_its_three_arrays():
     assert [f.name for f in fields(PlanarGraph)] == ["vertices", "edges", "ring_half"]
+
+
+def test_a_split_is_its_fragments_and_their_vertices():
+    assert [f.name for f in fields(Split)] == ["frags", "labels", "points"]
 
 
 def test_faces_are_their_three_arrays():
