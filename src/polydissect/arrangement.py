@@ -34,12 +34,12 @@ Rubinstein: the segments through a point, not distances, define it). No
 two vertices come closer than 3*fuzz.
 
 The stages pass (k, 4) float arrays of x0, y0, x1, y1 rows: ``base_array``
-feeds the pair kernel, and ``split_all_fast`` turns a base array into a
-``geom.Split``: the fragment array, a vertex label per fragment end and
-the (V, 2) vertex array, which ``cluster_endpoints`` hands out as they
-are and ``planar.build_graph`` keeps as the graph's vertices. Segment
-objects are built only where a public function is given or returns a
-Segment list.
+feeds the pair kernel, and ``split_all_fast`` turns a base array (or a
+Segment list) into a ``geom.Split``: the fragment array, a vertex label
+per fragment end and the (V, 2) vertex array, which ``cluster_endpoints``
+hands out as they are and ``planar.build_graph`` keeps as the graph's
+vertices. Segment objects are built only where a public function is
+given a Segment list or, as ``split_all`` does, returns one.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ def _parallel_overlap(sx0, sy0, sdx, sdy, slen, wx0, wy0, wx1, wy1, fuzz):
             & ((t0 > fuzz) | (t1 > fuzz)) & ((1.0 - t0 > fuzz) | (1.0 - t1 > fuzz)))
 
 
-def split_all(base: SegmentSet, tol: Tolerance = DEFAULT_TOL) -> SplitSegmentSet:
+def split_all(base: SegmentSet, tol: Tolerance = DEFAULT_TOL) -> list[Segment]:
     """Fragment every base segment at every crossing or touch.
 
     Working-set rescan: each base segment is intersected against all
@@ -295,23 +295,20 @@ def _hits(arrays: tuple[np.ndarray, ...], rows: np.ndarray, fuzz: float):
     return tuple(np.concatenate(a) for a in (at, col, ts, classes))
 
 
-def split_all_fast(base: SegmentSet, tol: Tolerance = DEFAULT_TOL) -> SplitSegmentSet:
+def split_all_fast(base: SegmentSet, tol: Tolerance = DEFAULT_TOL) -> Split:
     """Same fragment multiset as split_all, via pairwise base intersections.
 
     Every cut on a fragment corresponds to a cut on its base segment, so
     it suffices to solve all base-segment pairs (in blocks, vectorized)
     and split each base segment once at its accumulated parameters. The
     fragments come grouped by base segment, in base order, and ordered
-    along each. Given an (m, 4) array the result is a ``Split``: the (E, 4)
-    fragments with the vertex of each end (see ``_split``); given a Segment
-    list it is a Segment list. Raises NumericalDegeneracy for a fragment
-    shorter than fuzz, AmbiguousClustering when two vertices come closer
-    than 3*fuzz, and ValueError for collinear overlapping segments.
+    along each. ``base`` is a Segment list or an (m, 4) array, and the
+    result is a ``Split``: the (E, 4) fragments with the vertex of each end
+    (see ``_split``). Raises NumericalDegeneracy for a fragment shorter than
+    fuzz, AmbiguousClustering when two vertices come closer than 3*fuzz, and
+    ValueError for collinear overlapping segments.
     """
-    split = _split(segment_array(base), tol)
-    if isinstance(base, np.ndarray):
-        return split
-    return [Segment(Point2(x0, y0), Point2(x1, y1)) for x0, y0, x1, y1 in split.frags.tolist()]
+    return _split(segment_array(base), tol)
 
 
 def _points_along(owner: np.ndarray, ts: np.ndarray, k: int, fuzz: float):
@@ -434,10 +431,11 @@ def cluster_endpoints(
 
     Labels come p0 then p1 of each fragment, in order. A ``Split`` already
     holds both, and they are returned as they are, with no float decision.
-    Any other input, a Segment list or an (E, 4) array, is split by
-    ``split_all_fast`` first (with ``tol``), and the labels are those of the
-    fragments it returns: the input's own when no two segments cross.
-    Raises ValueError for a non-finite endpoint or a non-(E, 4) array.
+    Any other input, a Segment list or an (E, 4) array such as ``split_all``
+    returns, is split by ``split_all_fast`` first (with ``tol``), a pair
+    solve over all E segments, and the labels are those of the fragments it
+    returns: the input's own when no two segments cross. Raises ValueError
+    for a non-finite endpoint or a non-(E, 4) array.
     """
     if not isinstance(split, Split):
         frags = segment_array(split)

@@ -39,6 +39,12 @@ def crossing_free(split, tol):
     return not np.triu((t_cls == 2) & (u_cls == 2), 1).any()
 
 
+def as_segments(split):
+    """The fragments of a split (a Split, an array or a Segment list) as Segments."""
+    return [Segment(Point2(x0, y0), Point2(x1, y1))
+            for x0, y0, x1, y1 in segment_array(split).tolist()]
+
+
 def rotate_segments(segments, angle):
     """Rigidly rotate a segment list about the origin."""
     c = math.cos(angle)

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from conftest import crossing_free, float_clusters, rotate_segments
+from conftest import as_segments, crossing_free, float_clusters, rotate_segments
 from polydissect import (
     DEFAULT_TOL,
     CountSummary,
@@ -27,8 +27,6 @@ from polydissect import (
     split_all,
     split_all_fast,
 )
-from polydissect.geom import segment_array
-from polydissect.polygon import base_array
 from polydissect.reference import reference_table
 
 REFERENCE = {r.n: r for r in reference_table()}
@@ -89,7 +87,7 @@ def test_criterion_2_stretch_full_range():
 def test_criterion_3_face_oracle_equivalence():
     bad = []
     for n in range(2, 13):
-        split = split_all_fast(base_array(PolygonSpec(n)))
+        split = split_all_fast(base_segments(PolygonSpec(n)))
         graph = build_graph(split)
         inner = sum(1 for f in enumerate_faces(graph) if not f.is_outer)
         euler = 1 + len(split) - len(graph.vertices)
@@ -103,7 +101,7 @@ def test_criterion_4_orbit_decomposition():
     bad = []
     for n in range(3, 15):
         spec = PolygonSpec(n)
-        split = split_all_fast(base_array(spec))
+        split = split_all_fast(base_segments(spec))
         census = orbit_census(enumerate_faces(build_graph(split)))
         expected_central = 1 if n % 2 == 0 else 0
         if census.per_ray != CAPTION_PER_RAY[n] or census.central != expected_central:
@@ -135,7 +133,7 @@ def test_criterion_6_property_tests():
     # split length conservation, per base segment, within 1e-8
     for n in (4, 6, 8):
         base = base_segments(PolygonSpec(n))
-        split = split_all_fast(base)
+        split = as_segments(split_all_fast(base))
         sums = [0.0] * len(base)
         for frag in split:
             owners = [i for i, b in enumerate(base) if _lies_on(frag, b)]
@@ -161,13 +159,13 @@ def test_criterion_6_property_tests():
         for trial in range(20):
             shuffled = base[:]
             rng.shuffle(shuffled)
-            split = split_all_fast(segment_array(shuffled))
+            split = split_all_fast(shuffled)
             v = count_vertices(split)
             if (v, len(split)) != (expected.V, expected.E):
                 failures.append((n, "shuffle", trial))
         for trial in range(20):
             rotated = rotate_segments(base, rng.uniform(0.0, 2.0 * math.pi))
-            split = split_all_fast(segment_array(rotated))
+            split = split_all_fast(rotated)
             v = count_vertices(split)
             if (v, len(split)) != (expected.V, expected.E):
                 failures.append((n, "rotation", trial))
@@ -195,7 +193,7 @@ def test_criterion_7_fast_splitter_equivalence():
     slow_total = 0.0
     fast_total = 0.0
     for n in range(2, 21):
-        base = base_array(PolygonSpec(n))
+        base = base_segments(PolygonSpec(n))
         t0 = time.perf_counter()
         slow = split_all(base)
         slow_total += time.perf_counter() - t0

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import crossing_free, dense_classes, float_clusters, rotate_segments
+from conftest import as_segments, crossing_free, dense_classes, float_clusters, rotate_segments
 from polydissect import (
     DEFAULT_TOL,
     AmbiguousClustering,
@@ -49,7 +49,7 @@ class TestSplitting:
         assert len(split) == 12
 
     def test_two_crossing_diagonals(self, splitter):
-        split = splitter([seg(0, 0, 1, 1), seg(0, 1, 1, 0)])
+        split = as_segments(splitter([seg(0, 0, 1, 1), seg(0, 1, 1, 0)]))
         assert len(split) == 4
         center = Point2(0.5, 0.5)
         for s in split:
@@ -57,7 +57,7 @@ class TestSplitting:
 
     def test_endpoint_touch_cuts_only_the_touched_segment(self, splitter):
         # vertical reaches the horizontal's interior with its endpoint
-        split = splitter([seg(0, 0, 1, 0), seg(0.5, 0, 0.5, 1)])
+        split = as_segments(splitter([seg(0, 0, 1, 0), seg(0.5, 0, 0.5, 1)]))
         horizontals = [s for s in split if abs(s.p0.y - s.p1.y) < 1e-12]
         verticals = [s for s in split if abs(s.p0.x - s.p1.x) < 1e-12]
         assert len(horizontals) == 2
@@ -78,7 +78,7 @@ class TestSplitting:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_fragments_cover_each_base_segment(self, splitter, n):
         base = base_segments(PolygonSpec(n))
-        split = splitter(base)
+        split = as_segments(splitter(base))
         sums = [0.0] * len(base)
         for frag in split:
             owners = [i for i, b in enumerate(base) if _on_segment(frag, b)]
@@ -418,7 +418,7 @@ class TestCounts:
 
 @pytest.mark.parametrize("n", [2, 5, 8])
 def test_all_produced_points_stay_in_the_unit_disk(n):
-    for s in split_all_fast(base_segments(PolygonSpec(n))):
+    for s in as_segments(split_all_fast(base_segments(PolygonSpec(n)))):
         for p in (s.p0, s.p1):
             assert abs(p.x) <= 1 + 1e-9
             assert abs(p.y) <= 1 + 1e-9

@@ -23,6 +23,7 @@ from polydissect import (
     split_all,
     split_all_fast,
 )
+from polydissect import arrangement
 from polydissect.geom import Split, merge_sorted_runs, segment_array
 from polydissect.polygon import base_array
 
@@ -40,7 +41,11 @@ def test_array_split_matches_the_segment_split(n):
     split = split_all_fast(base_array(spec))
     assert isinstance(split, Split) and split.frags.shape[1] == 4
     assert len(split) == len(split.frags) and segment_array(split) is split.frags
-    assert np.array_equal(split.frags, segment_array(split_all_fast(base_segments(spec))))
+    # a Segment list gives the same Split as the array
+    from_list = split_all_fast(base_segments(spec))
+    assert isinstance(from_list, Split)
+    for name in ("frags", "labels", "points"):
+        assert np.array_equal(getattr(from_list, name), getattr(split, name))
     # an array of fragments is split again, which leaves the fragments and vertices as they are
     labels, points = cluster_endpoints(split)
     same_labels, same_points = cluster_endpoints(split.frags)
@@ -146,6 +151,19 @@ def test_a_segment_array_that_is_not_k_by_4_raises(stage, shape):
     # rows of three or two numbers, or one flat row, are not segments
     with pytest.raises(ValueError, match=r"\(k, 4\) array"):
         stage(np.arange(np.prod(shape), dtype=float).reshape(shape) / 10.0)
+
+
+def test_a_split_is_read_not_split_again(monkeypatch):
+    # what split_all_fast returns, from a Segment list too, reaches the
+    # vertex count, the graph and the SVG without a second pair solve
+    split = split_all_fast(base_segments(PolygonSpec(6)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Split was split again")
+
+    monkeypatch.setattr(arrangement, "_split", refuse)
+    assert count_vertices(split) == counts(PolygonSpec(6)).V
+    render_svg(split, build_graph(split))
 
 
 def test_an_empty_segment_array_is_accepted():

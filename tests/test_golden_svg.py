@@ -15,12 +15,12 @@ import pytest
 from polydissect import (
     PolygonSpec,
     RenderOptions,
+    base_segments,
     build_graph,
     render_svg,
     split_all_fast,
 )
 from polydissect.cli import main
-from polydissect.polygon import base_array
 
 GOLDEN = {
     "faces-4": (4, True, RenderOptions(),
@@ -58,7 +58,7 @@ def sha256(text: str) -> str:
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_render_svg_bytes_are_pinned(case):
     n, faces, opts, digest = GOLDEN[case]
-    split = split_all_fast(base_array(PolygonSpec(n)))
+    split = split_all_fast(base_segments(PolygonSpec(n)))
     graph = build_graph(split) if faces else None
     assert sha256(render_svg(split, graph, opts)) == digest
 

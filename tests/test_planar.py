@@ -11,6 +11,7 @@ from polydissect import (
     PolygonSpec,
     Segment,
     TraversalIncomplete,
+    base_segments,
     build_graph,
     counts,
     enumerate_faces,
@@ -23,7 +24,7 @@ from polydissect.reference import reference_table
 
 
 def graph_for(n):
-    return build_graph(split_all_fast(base_array(PolygonSpec(n))))
+    return build_graph(split_all_fast(base_segments(PolygonSpec(n))))
 
 
 def pick(faces, idx):
@@ -108,7 +109,7 @@ class TestEnumerateFaces:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_inner_face_count_equals_euler(self, n):
-        split = split_all_fast(base_array(PolygonSpec(n)))
+        split = split_all_fast(base_segments(PolygonSpec(n)))
         g = build_graph(split)
         faces = enumerate_faces(g)
         inner = [f for f in faces if not f.is_outer]

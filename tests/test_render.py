@@ -8,18 +8,18 @@ from polydissect import (
     OrbitMismatch,
     PolygonSpec,
     RenderOptions,
+    base_segments,
     build_graph,
     enumerate_faces,
     render_svg,
     split_all_fast,
 )
 from polydissect import planar
-from polydissect.polygon import base_array
 from polydissect.render import _clip_lines, _clip_rings
 
 
 def split_for(n):
-    return split_all_fast(base_array(PolygonSpec(n)))
+    return split_all_fast(base_segments(PolygonSpec(n)))
 
 
 def test_two_renders_are_byte_identical():

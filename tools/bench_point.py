@@ -1,7 +1,7 @@
 """Record one point of the benchmark trajectory: raw wall times and peak RSS.
 
     python3 tools/bench_point.py --label head
-    python3 tools/bench_point.py --label base --root ../other-checkout --runs 7
+    python3 tools/bench_point.py --label base --root ../other-checkout
 
 Times four commands of the checkout at ``--root`` (by default the one
 holding this file), each in a fresh interpreter that imports the package
@@ -12,16 +12,17 @@ from that checkout's ``src/``:
     render --n 24 --faces
     render --n 39 --faces
 
-Each command runs ``--runs`` times (at least 5), interleaved: one run of
-every command per round, so slow stretches of a shared host spread over
-all of them. For each command the point records every run's wall time
+Each command runs ``RUNS`` times, interleaved: one run of every command
+per round, so slow stretches of a shared host spread over all of them.
+For each command the point records every run's wall time
 (from start to exit of the child, interpreter start-up included), the
 minimum and the median, and the child's own ``ru_maxrss`` (from
 ``os.wait4``), with the exit status of any run that failed. The times are
 raw: nothing is scaled to a reference speed. The point also records the
 commit (``-dirty`` when the tree has changes), Python, numpy and the
 number of CPUs, and is written as JSON to ``BENCH_<label>.json`` at the
-root of the checkout holding this file, or to ``--out``.
+root of the checkout holding this file. The exit status is 1 when any run
+failed, else 0.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 REPO = HERE.parent
+
+RUNS = 5  # runs of each command
 
 COMMANDS = {
     "count-n39": ["count", "--n", "39"],
@@ -84,12 +87,12 @@ def numpy_version() -> str | None:
     return numpy.__version__
 
 
-def measure(root: Path, runs: int) -> dict:
+def measure(root: Path) -> dict:
     src = root / "src"
     results = {name: {"argv": argv, "wall_s": [], "maxrss_mb": [], "failed": []}
                for name, argv in COMMANDS.items()}
     with tempfile.TemporaryDirectory() as tmp:
-        for round_ in range(runs):
+        for round_ in range(RUNS):
             for name, argv in COMMANDS.items():
                 if argv[0] == "render":
                     argv = [*argv, "--out", str(Path(tmp) / f"{name}.svg")]
@@ -111,11 +114,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
     parser.add_argument("--root", type=Path, default=REPO,
                         help="checkout whose src/ is timed (default: this one)")
-    parser.add_argument("--runs", type=int, default=5, help="runs of each command, at least 5")
-    parser.add_argument("--out", type=Path, help="output path (default: BENCH_<label>.json)")
     args = parser.parse_args(argv)
-    if args.runs < 5:
-        parser.error("--runs must be at least 5")
     root = args.root.resolve()
     if not (root / "src" / "polydissect").is_dir():
         parser.error(f"{root} has no src/polydissect")
@@ -126,17 +125,17 @@ def main(argv: list[str] | None = None) -> int:
         "python": platform.python_version(),
         "numpy": numpy_version(),
         "nproc": os.cpu_count(),
-        "runs": args.runs,
-        "commands": measure(root, args.runs),
+        "runs": RUNS,
+        "commands": measure(root),
     }
-    out = args.out or REPO / f"BENCH_{args.label}.json"
+    out = REPO / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(point, indent=2) + "\n", encoding="utf-8")
     for name, entry in point["commands"].items():
         print(f"{name:18s} min {entry['wall_min_s']:7.3f} s"
               f"  median {entry['wall_median_s']:7.3f} s  rss {entry['maxrss_mb_max']:7.1f} MB"
               f"  failed {len(entry['failed'])}")
     print(f"-> {out}")
-    return 0
+    return 1 if any(entry["failed"] for entry in point["commands"].values()) else 0
 
 
 if __name__ == "__main__":
