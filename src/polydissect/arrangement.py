@@ -36,10 +36,11 @@ two vertices come closer than 3*fuzz.
 The stages pass (k, 4) float arrays of x0, y0, x1, y1 rows: ``base_array``
 feeds the pair kernel, and ``split_all_fast`` turns a base array (or a
 Segment list) into a ``geom.Split``: the fragment array, a vertex label
-per fragment end and the (V, 2) vertex array, which ``cluster_endpoints``
-hands out as they are and ``planar.build_graph`` keeps as the graph's
-vertices. Segment objects are built only where a public function is
-given a Segment list or, as ``split_all`` does, returns one.
+and a heading (the angular rank of its base direction) per fragment end,
+and the (V, 2) vertex array. The graph stages take this ``Split`` and
+nothing else, and ``cluster_endpoints`` hands out its vertices as they
+are. Segment objects are built only where a public function is given a
+Segment list or, as ``split_all`` does, returns one.
 """
 
 from __future__ import annotations
@@ -58,11 +59,8 @@ from .geom import (
 # this module's name, so it stays importable from it
 from .polygon import PolygonSpec, base_array, base_segments, orbit_representatives  # noqa: F401
 
-# Segment lists, or (k, 4) arrays of x0, y0, x1, y1 rows; a SplitSegmentSet
-# is a Split or a segment set that satisfies the crossing-free invariant (no
-# Interior x Interior intersection remains).
+# Segment lists, or (k, 4) arrays of x0, y0, x1, y1 rows
 SegmentSet = list[Segment] | np.ndarray
-SplitSegmentSet = list[Segment] | np.ndarray | Split
 
 
 @dataclass(frozen=True)
@@ -303,10 +301,10 @@ def split_all_fast(base: SegmentSet, tol: Tolerance = DEFAULT_TOL) -> Split:
     and split each base segment once at its accumulated parameters. The
     fragments come grouped by base segment, in base order, and ordered
     along each. ``base`` is a Segment list or an (m, 4) array, and the
-    result is a ``Split``: the (E, 4) fragments with the vertex of each end
-    (see ``_split``). Raises NumericalDegeneracy for a fragment shorter than
-    fuzz, AmbiguousClustering when two vertices come closer than 3*fuzz, and
-    ValueError for collinear overlapping segments.
+    result is a ``Split``: the (E, 4) fragments with the vertex and heading
+    of each end (see ``_split``). Raises NumericalDegeneracy for a fragment
+    shorter than fuzz, AmbiguousClustering when two vertices come closer
+    than 3*fuzz, and ValueError for collinear overlapping segments.
     """
     return _split(segment_array(base), tol)
 
@@ -371,10 +369,12 @@ def _split(base: np.ndarray, tol: Tolerance) -> Split:
     reads off the hits: the segments through a point, not a distance,
     decide which points are one vertex. Vertices are numbered in the order
     of their first fragment end, and each is placed at the mean of its
-    fragment ends.
+    fragment ends. The 2m base directions, forward and back, are ranked by
+    ``arctan2`` once; an end's heading is the rank of the one leaving it.
     """
     if len(base) == 0:  # _hits divides its block size by m
-        return Split(base, np.empty(0, dtype=np.int64), np.empty((0, 2)))
+        return Split(base, np.empty(0, dtype=np.int64), np.empty((0, 2)),
+                     np.empty(0, dtype=np.uint8))
     fuzz = tol.point_fuzzy
     owner, along, point, far = _hit_points(base, fuzz)
     # every point takes the smallest point in its component: min over the
@@ -394,7 +394,12 @@ def _split(base: np.ndarray, tol: Tolerance) -> Split:
     py = along * y1 + (1.0 - along) * y0
     inner = np.flatnonzero(owner[1:] == owner[:-1])
     frags = np.column_stack((px[inner], py[inner], px[inner + 1], py[inner + 1]))
-    del x0, y0, x1, y1, px, py, owner, along
+    dx, dy = base[:, 2] - base[:, 0], base[:, 3] - base[:, 1]
+    angle = np.arctan2(np.column_stack((dy, -dy)), np.column_stack((dx, -dx))).reshape(-1)
+    rank = np.empty(len(angle), dtype=np.min_scalar_type(len(angle) - 1))
+    rank[np.argsort(angle)] = np.arange(len(angle))
+    heading = rank.reshape(-1, 2)[owner[inner]].reshape(-1)  # forward at p0, back at p1
+    del x0, y0, x1, y1, px, py, owner, along, dx, dy, angle, rank
     _check_lengths(frags, fuzz)
     # a root is the smallest point of its component, and points come in the
     # order of their first fragment end: number the roots in order
@@ -406,7 +411,7 @@ def _split(base: np.ndarray, tol: Tolerance) -> Split:
     points = np.column_stack((np.bincount(labels, weights=ends[:, 0]) / size,
                               np.bincount(labels, weights=ends[:, 1]) / size))
     _check_separation(points, fuzz)
-    return Split(frags, labels, points)
+    return Split(frags, labels, points, heading)
 
 
 def _check_separation(points: np.ndarray, fuzz: float) -> None:
@@ -424,30 +429,23 @@ def _check_separation(points: np.ndarray, fuzz: float) -> None:
             f" apart, closer than 3*fuzz = {pitch:g}")
 
 
-def cluster_endpoints(
-    split: SplitSegmentSet, tol: Tolerance = DEFAULT_TOL,
-) -> tuple[np.ndarray, np.ndarray]:
+def cluster_endpoints(split: Split) -> tuple[np.ndarray, np.ndarray]:
     """The vertex of each fragment end, and the (V, 2) vertex coordinates.
 
-    Labels come p0 then p1 of each fragment, in order. A ``Split`` already
-    holds both, and they are returned as they are, with no float decision.
-    Any other input, a Segment list or an (E, 4) array such as ``split_all``
-    returns, is split by ``split_all_fast`` first (with ``tol``), a pair
-    solve over all E segments, and the labels are those of the fragments it
-    returns: the input's own when no two segments cross. Raises ValueError
-    for a non-finite endpoint or a non-(E, 4) array.
+    Labels come p0 then p1 of each fragment. The ``Split`` from
+    ``split_all_fast`` holds both, and they are returned as they are. This
+    is the one door of ``count_vertices`` and ``planar.build_graph``:
+    anything else raises TypeError.
     """
     if not isinstance(split, Split):
-        frags = segment_array(split)
-        if not np.isfinite(frags).all():
-            raise ValueError("non-finite fragment endpoint")
-        split = split_all_fast(frags, tol)
+        raise TypeError(f"the graph stages take a Split, not {type(split).__name__}:"
+                        f" pass the Split from split_all_fast")
     return split.labels, split.points
 
 
-def count_vertices(split: SplitSegmentSet, tol: Tolerance = DEFAULT_TOL) -> int:
+def count_vertices(split: Split) -> int:
     """Number of distinct vertices among the fragment endpoints."""
-    _, points = cluster_endpoints(split, tol)
+    _, points = cluster_endpoints(split)
     return len(points)
 
 

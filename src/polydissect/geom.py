@@ -66,13 +66,15 @@ class Split:
     """The fragments of a split arrangement with the vertex of each fragment end.
 
     Fragment k runs from vertex ``labels[2k]`` to vertex ``labels[2k + 1]``;
-    ``points`` holds each vertex's position. Its length is the number of
-    fragments.
+    ``points`` holds each vertex's position, and ``heading`` the angular
+    rank of the base direction that leaves each end (forward at p0, back at
+    p1), a small integer. Its length is the number of fragments.
     """
 
-    frags: np.ndarray   # (E, 4) x0, y0, x1, y1 rows
-    labels: np.ndarray  # (2E,) vertex of each fragment end, p0 then p1
-    points: np.ndarray  # (V, 2) vertex coordinates
+    frags: np.ndarray    # (E, 4) x0, y0, x1, y1 rows
+    labels: np.ndarray   # (2E,) vertex of each fragment end, p0 then p1
+    points: np.ndarray   # (V, 2) vertex coordinates
+    heading: np.ndarray  # (2E,) direction rank of the half-edge leaving each end
 
     def __len__(self) -> int:
         return len(self.frags)

@@ -1,7 +1,7 @@
 """Half-edge face oracle for the split arrangement.
 
-Builds a rotation system (angularly sorted incidence lists) on the
-split's vertices; the faces are the cycles of the standard
+Builds a rotation system (incidence lists sorted by the split's integer
+headings) on the split's vertices; the faces are the cycles of the standard
 most-clockwise-turn successor of the half-edges, labelled by pointer
 doubling (``_cycle_labels``, which labels the rotation orbits too), and
 their number is checked against Euler's formula. The orbit census is exact
@@ -11,22 +11,22 @@ along the outer face.
 
 A ``PlanarGraph`` is three numpy arrays: the vertex coordinates, the
 endpoint labels of each edge, and the rings (one half-edge array sorted by
-origin and angle). ``Faces`` is three arrays: the face cycles in CSR form
+origin and heading). ``Faces`` is three arrays: the face cycles in CSR form
 and the signed areas. A ``FaceRecord`` is built only when a caller indexes
 ``Faces``.
 """
 
 from __future__ import annotations
 
-import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AmbiguousClustering, OrbitMismatch, TraversalIncomplete
-from .geom import DEFAULT_TOL, Tolerance, group_order
-from .arrangement import SplitSegmentSet, cluster_endpoints
+from .geom import Split
+from .arrangement import cluster_endpoints
 
 
 def _cycle_labels(succ: np.ndarray) -> np.ndarray:
@@ -55,7 +55,7 @@ class PlanarGraph:
 
     vertices: np.ndarray   # (V, 2) vertex coordinates
     edges: np.ndarray      # (E, 2) endpoint vertex of each edge
-    ring_half: np.ndarray  # (2E,) half-edges sorted by (origin, angle)
+    ring_half: np.ndarray  # (2E,) half-edges sorted by (origin, heading)
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ class Faces(Sequence):
         return len(self.signed_area)
 
     def __getitem__(self, i: int) -> FaceRecord:
-        i = range(len(self))[i]
+        i = range(len(self))[operator.index(i)]
         area = float(self.signed_area[i])
         return FaceRecord(tuple(self.cycle[self.start[i]:self.start[i + 1]].tolist()),
                           area, area < 0.0)
@@ -100,42 +100,34 @@ class OrbitCensus:
     face_orbits: np.ndarray  # orbit id per input face, -1 for the outer face
 
 
-def build_graph(split: SplitSegmentSet, tol: Tolerance = DEFAULT_TOL) -> PlanarGraph:
-    """Assemble the incidence structure of a split.
+def build_graph(split: Split) -> PlanarGraph:
+    """Assemble the incidence structure of the ``Split`` from ``split_all_fast``.
 
-    ``split`` is a ``Split`` from ``split_all_fast``, or a Segment list or
-    (E, 4) array, which ``cluster_endpoints`` splits first. Edges are the
-    fragments and vertices are the split's own vertices, read through
-    ``cluster_endpoints``, so the graph and the vertex count agree by
-    construction. Each half-edge is compared with the next one around its
-    vertex, the last with the first plus 2pi: two closer than 1e-9 rad
-    indicate a dedup failure and raise AmbiguousClustering. A fragment
-    whose ends are one vertex meets its own twin at angle 0, so it raises
-    too, and whenever a graph comes back its rings are exactly the lexsort
-    order by origin and angle.
+    Edges are the fragments and vertices are the split's own vertices, read
+    through ``cluster_endpoints``, so the graph and the vertex count agree
+    by construction. Rings are sorted by the split's headings, the angular
+    ranks of the base directions: no angle is measured. Two exact checks
+    raise AmbiguousClustering: a fragment whose two ends are one vertex,
+    and two half-edges that leave one vertex with one heading.
     """
-    labels, xy = cluster_endpoints(split, tol)
+    labels, xy = cluster_endpoints(split)
+    edges = labels.reshape(-1, 2)
+    loop = np.flatnonzero(edges[:, 0] == edges[:, 1])
+    if len(loop):
+        k = loop[0]
+        raise AmbiguousClustering(f"both ends of fragment {k} are vertex {edges[k, 0]}")
 
-    # half-edge h runs from endpoint h to endpoint h ^ 1 of its segment
-    origin = labels
-    d = xy[labels.reshape(-1, 2)[:, ::-1].reshape(-1)] - xy[origin]
-    angle = np.arctan2(d[:, 1], d[:, 0])
-    half = group_order(origin, angle)
-
-    # each half-edge against the next one around its vertex
-    sorted_angle = angle[half]
-    owner = origin[half]
-    last = np.flatnonzero(np.diff(owner, append=-1))
-    first = np.concatenate(([0], last + 1))[:-1]
-    gap = np.roll(sorted_angle, -1)
-    gap[last] = sorted_angle[first] + 2.0 * math.pi
-    gap -= sorted_angle
-    close = np.flatnonzero(gap < 1e-9)
-    if len(close):
-        k = close[0]
-        raise AmbiguousClustering(f"two edges at vertex {owner[k]} are {gap[k]:.3e} rad apart")
-
-    return PlanarGraph(vertices=xy, edges=labels.reshape(-1, 2), ring_half=half)
+    # half-edge h leaves endpoint h of its fragment; one integer key sorts
+    # the half-edges by origin and then by heading
+    key = labels * (int(split.heading.max(initial=0)) + 1) + split.heading
+    half = np.argsort(key)
+    key = key[half]
+    same = np.flatnonzero(key[1:] == key[:-1])
+    if len(same):
+        h = half[same[0]]
+        raise AmbiguousClustering(f"half-edges {h} and {half[same[0] + 1]} leave vertex"
+                                  f" {labels[h]} with one heading")
+    return PlanarGraph(vertices=xy, edges=edges, ring_half=half)
 
 
 def enumerate_faces(g: PlanarGraph) -> Faces:

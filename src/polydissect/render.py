@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import segment_array
-from .arrangement import SplitSegmentSet
+from .geom import Split, segment_array
 from .planar import PlanarGraph, enumerate_faces, orbit_census
 
 FULL_WINDOW = (-1.05, -1.05, 1.05, 1.05)
@@ -236,17 +235,17 @@ def _line_blocks(frags: np.ndarray, to_canvas) -> list[bytes]:
 
 
 def render_svg(
-    split: SplitSegmentSet,
+    split: Split,
     graph: PlanarGraph | None = None,
     opts: RenderOptions | None = None,
 ) -> str:
     """Render the arrangement as an SVG 1.1 document.
 
-    ``split`` is a ``Split``, a Segment list or an (E, 4) fragment array.
-    One <line> element per (possibly clipped) split segment; given the
-    split's graph, one <polygon> per inner face beneath the lines, filled by
-    rotation orbit. A graph with another number of edges than the split
-    raises ValueError.
+    ``split`` is the ``Split`` from ``split_all_fast``, and ``graph`` its
+    ``build_graph``. One <line> element per (possibly clipped) fragment,
+    read through ``segment_array``; given the graph, one <polygon> per
+    inner face beneath the lines, filled by rotation orbit. A graph with
+    another number of edges than the split raises ValueError.
     """
     opts = opts or RenderOptions()
     if graph is not None and len(graph.edges) != len(split):

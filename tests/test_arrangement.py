@@ -23,7 +23,7 @@ from polydissect import (
 )
 from polydissect import arrangement
 from polydissect.arrangement import _hits, _segment_arrays
-from polydissect.geom import segment_array
+from polydissect.geom import Split, segment_array
 from polydissect.polygon import base_array, orbit_representatives
 
 
@@ -32,10 +32,15 @@ def seg(x0, y0, x1, y1):
 
 
 def full_route(spec, tol=DEFAULT_TOL, splitter=split_all_fast):
-    """(V, E, F) from the whole arrangement: split every segment, cluster endpoints."""
-    split = splitter(base_array(spec), tol)
-    v = count_vertices(split, tol)
-    return v, len(split), 1 + len(split) - v
+    """(V, E, F) from the whole arrangement: split every segment, count its vertices.
+
+    ``split_all``'s fragments go through ``split_all_fast``, which leaves
+    a crossing-free set as it is and reads its vertices.
+    """
+    frags = splitter(base_array(spec), tol)
+    split = frags if isinstance(frags, Split) else split_all_fast(frags, tol)
+    v = count_vertices(split)
+    return v, len(frags), 1 + len(frags) - v
 
 
 @pytest.mark.parametrize("splitter", [split_all, split_all_fast])
@@ -206,25 +211,25 @@ def _on_segment(frag, base):
 
 
 class TestCountVertices:
+    # split_all's fragments are crossing-free: split_all_fast reads their vertices
     def test_hexagon_has_six_corners_and_a_center(self):
-        split = split_all(base_segments(PolygonSpec(3)))
+        split = split_all_fast(split_all(base_segments(PolygonSpec(3))))
         assert count_vertices(split) == 7
 
     def test_square(self):
-        split = split_all(base_segments(PolygonSpec(2)))
+        split = split_all_fast(split_all(base_segments(PolygonSpec(2))))
         assert count_vertices(split) == 4
 
     def test_octagon(self):
         # V = E - F + 1 = 48 - 25 + 1
-        split = split_all(base_segments(PolygonSpec(4)))
+        split = split_all_fast(split_all(base_segments(PolygonSpec(4))))
         assert count_vertices(split) == 24
 
     def test_nearby_clusters_raise(self):
         # two parallel segments 2e-10 apart: distinct clusters, centroids
         # within the 3*fuzz guard band
-        split = [seg(0, 0, 1, 0), seg(0, 2e-10, 1, 2e-10)]
         with pytest.raises(AmbiguousClustering):
-            count_vertices(split)
+            split_all_fast([seg(0, 0, 1, 0), seg(0, 2e-10, 1, 2e-10)])
 
     def test_ends_chained_under_fuzz_apart_are_refused(self):
         # six starts 0.9*fuzz apart in a chain: by distance alone they were one
@@ -233,7 +238,7 @@ class TestCountVertices:
         step = 0.9 * DEFAULT_TOL.point_fuzzy
         split = [seg(0.3 + k * step, 0.2, -0.5, -0.5 + 0.1 * k) for k in (3, 0, 5, 1, 4, 2)]
         with pytest.raises(NumericalDegeneracy, match="shorter than fuzz"):
-            cluster_endpoints(split)
+            split_all_fast(split)
 
     def test_independent_of_segment_order(self):
         split = split_all(base_segments(PolygonSpec(5)))
@@ -241,21 +246,23 @@ class TestCountVertices:
         for _ in range(5):
             shuffled = split[:]
             rng.shuffle(shuffled)
-            assert count_vertices(shuffled) == 31
+            assert count_vertices(split_all_fast(shuffled)) == 31
 
     def test_vertices_are_numbered_in_the_order_of_their_first_end(self):
         split = split_all_fast(base_array(PolygonSpec(5)))
-        shuffled = split.frags[np.random.default_rng(5).permutation(len(split))]
+        shuffled = split_all_fast(split.frags[np.random.default_rng(5).permutation(len(split))])
         for labels, points in (cluster_endpoints(split), cluster_endpoints(shuffled)):
             values, first = np.unique(labels, return_index=True)
             assert np.array_equal(values, np.arange(len(points)))
             assert np.all(np.diff(first) > 0)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("form", ["list", "array"])
     @pytest.mark.parametrize("caller", [count_vertices, build_graph])
-    def test_a_non_finite_endpoint_raises(self, caller, bad):
-        with pytest.raises(ValueError, match="non-finite"):
-            caller(np.array([[0.0, 0.0, bad, 1.0], [0.0, 0.0, 1.0, 0.0]]))
+    def test_segments_that_are_not_a_split_raise(self, caller, form):
+        # the graph stages read the splitter's vertices; they split nothing themselves
+        segments = [seg(0, 0, 1, 1), seg(0, 1, 1, 0)]
+        with pytest.raises(TypeError, match="pass the Split from split_all_fast"):
+            caller(segments if form == "list" else segment_array(segments))
 
 
 def same_partition(labels, other):

@@ -44,13 +44,12 @@ def test_array_split_matches_the_segment_split(n):
     # a Segment list gives the same Split as the array
     from_list = split_all_fast(base_segments(spec))
     assert isinstance(from_list, Split)
-    for name in ("frags", "labels", "points"):
+    for name in ("frags", "labels", "points", "heading"):
         assert np.array_equal(getattr(from_list, name), getattr(split, name))
-    # an array of fragments is split again, which leaves the fragments and vertices as they are
-    labels, points = cluster_endpoints(split)
-    same_labels, same_points = cluster_endpoints(split.frags)
-    assert np.array_equal(labels, same_labels)
-    assert np.array_equal(points, same_points)
+    # splitting the fragments again leaves the fragments and vertices as they are
+    again = split_all_fast(split.frags)
+    for name in ("frags", "labels", "points"):
+        assert np.array_equal(getattr(again, name), getattr(split, name))
     assert split_all(base_array(spec)) == split_all(base_segments(spec))
 
 
@@ -83,9 +82,12 @@ def test_fragment_bytes_are_pinned(n):
 
 
 # SHA-256 of the rings' half-edge order, which the SVGs do not show; the
-# rings come in the order of the vertex numbers (first fragment end)
+# rings come in the order of the vertex numbers (first fragment end), each
+# in the order of its headings. For odd n the sides parallel to side
+# (n - 1)/2 are horizontal, and a leftward direction ranks first or last by
+# the sign of its base row's dy, so only there a ring may start elsewhere
 RING_DIGESTS = {
-    5: "cac3e99a3fba7ff74913dbfa2a17659216cddb9ab95ee80c4af974084f88bb6b",
+    5: "7937a96f0f93a433df17dd3e1bf10e39871829a141adf0a820a4d581a710abd0",
     12: "3ce65868c9f9be3350c0660198e9aeb87f8202e66bfbc6ea49c89b0f34724c8f",
     24: "0b9a69f458a1485a3c4d188f6b58438ce36a63688abcc937e2dd882bfe1b4224",
 }
@@ -144,12 +146,18 @@ def test_vertex_clusters_are_pinned(n):
     assert digest == CLUSTER_DIGESTS[n]
 
 
+GRAPH_STAGES = (cluster_endpoints, count_vertices, build_graph)
+
+
 @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,)])
 @pytest.mark.parametrize("stage", [split_all, split_all_fast, cluster_endpoints,
                                    count_vertices, build_graph, render_svg])
 def test_a_segment_array_that_is_not_k_by_4_raises(stage, shape):
-    # rows of three or two numbers, or one flat row, are not segments
-    with pytest.raises(ValueError, match=r"\(k, 4\) array"):
+    # rows of three or two numbers, or one flat row, are not segments; the
+    # graph stages take only a Split
+    error, match = ((TypeError, "pass the Split") if stage in GRAPH_STAGES
+                    else (ValueError, r"\(k, 4\) array"))
+    with pytest.raises(error, match=match):
         stage(np.arange(np.prod(shape), dtype=float).reshape(shape) / 10.0)
 
 
@@ -168,7 +176,7 @@ def test_a_split_is_read_not_split_again(monkeypatch):
 
 def test_an_empty_segment_array_is_accepted():
     assert segment_array(np.empty((0, 4))).shape == (0, 4)
-    assert count_vertices(np.empty((0, 4))) == 0
+    assert count_vertices(split_all_fast(np.empty((0, 4)))) == 0
 
 
 def test_counts_beyond_the_reference_table_are_pinned():
@@ -180,27 +188,64 @@ def test_counts_beyond_the_reference_table_are_pinned():
         "162546c2556f7768f0d051c8bdee78e5695f9a64ad480213483a01b60582d8fd")
 
 
-def test_edges_coinciding_across_the_cut_raise():
+def test_edges_close_across_the_cut_are_ordered_by_heading():
     # at the origin the two edges point at angles just below +pi and just
-    # above -pi: 8e-10 rad apart through the cut, while their far ends stay
-    # more than 3*fuzz apart
+    # above -pi, 8e-10 rad apart through the cut; their directions are not
+    # parallel, so they have two headings, and the ring runs b, a
     a = Segment(Point2(0.0, 0.0), Point2(-1.0, 4e-10))
     b = Segment(Point2(0.0, 0.0), Point2(-1.0, -4e-10))
-    with pytest.raises(AmbiguousClustering, match="rad apart"):
-        build_graph([a, b])
+    g = build_graph(split_all_fast([a, b]))
+    assert g.edges.tolist() == [[0, 1], [0, 2]]
+    assert g.ring_half.tolist() == [2, 0, 1, 3]
 
 
 def test_a_fragment_whose_ends_merged_raises():
     # s = (0, 0)-(1, 0) meets the vertical c at x = 0.5 and the long line d
     # 2e-10 further on; c's and d's two hits each lie within fuzz of each
     # other and merge, so the piece of s between them has both ends at one
-    # vertex, and the angles of its half-edges there say nothing
+    # vertex
     p, d = np.array([0.5 + 2e-10, 0.0]), 1.2 * np.array([-4.0, 1.0]) / np.sqrt(17.0)
     base = np.array([[0.0, 0.0, 1.0, 0.0], [0.5, -1.0, 0.5, 1.0], [*(p - d), *(p + d)]])
     split = split_all_fast(base)
     assert split.labels[2] == split.labels[3]
-    with pytest.raises(AmbiguousClustering, match="rad apart"):
+    with pytest.raises(AmbiguousClustering, match="both ends of fragment 1 are vertex"):
         build_graph(split)
+
+
+def test_a_single_fragment_whose_ends_merged_raises():
+    # a base row 1.06e-10 long from one line of a crossing to the other is
+    # one fragment, with both ends at the crossing: no second half-edge of
+    # its row shares a heading with it there, so only the ends say so
+    base = np.array([[-1.0, 0.0, 1.0, 0.0], [0.0, -1.0, 0.0, 1.0],
+                     [-0.75e-10, 0.0, 0.0, 0.75e-10]])
+    split = split_all_fast(base)
+    assert len(split) == 5 and split.labels[8] == split.labels[9]
+    with pytest.raises(AmbiguousClustering, match="both ends of fragment 4 are vertex 1"):
+        build_graph(split)
+
+
+def test_two_half_edges_with_one_heading_at_a_vertex_raise():
+    # both fragments leave vertex 0 along heading 0
+    split = Split(frags=np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 2.0, 0.0]]),
+                  labels=np.array([0, 1, 0, 2]),
+                  points=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
+                  heading=np.array([0, 1, 0, 1], dtype=np.uint8))
+    with pytest.raises(AmbiguousClustering, match="leave vertex 0 with one heading"):
+        build_graph(split)
+
+
+def test_headings_are_small_integers_ranking_the_base_directions():
+    # forward at p0 and backward at p1 of each fragment, ranked among the 2m
+    # base directions by angle; the ranks fit the smallest unsigned dtype
+    base = base_array(PolygonSpec(6))
+    split = split_all_fast(base)
+    assert split.heading.dtype == np.min_scalar_type(2 * len(base) - 1)
+    f = split.frags
+    ends = np.column_stack((f[:, 2] - f[:, 0], f[:, 3] - f[:, 1],
+                            f[:, 0] - f[:, 2], f[:, 1] - f[:, 3])).reshape(-1, 2)
+    angle = np.arctan2(ends[:, 1], ends[:, 0])
+    order = np.argsort(split.heading, kind="stable")
+    assert np.all(np.diff(angle[order]) > -1e-12)
 
 
 def one_edge_graph(ring_half):

@@ -27,7 +27,7 @@ def test_removed_names_are_gone():
                          (polydissect, "merge_runs"),
                          (polydissect, "face_vertices"), (planar, "face_vertices"),
                          (polydissect, "MissingGraph"), (errors, "MissingGraph"),
-                         (arrangement, "_fragments"),
+                         (arrangement, "_fragments"), (arrangement, "SplitSegmentSet"),
                          *((m, name) for m in (polydissect, geom)
                            for name in ("intersect", "classify_param", "ParamClass", "Params")),
                          *((m, name) for m in (polydissect, polygon)
@@ -46,7 +46,7 @@ def test_a_planar_graph_is_its_three_arrays():
 
 
 def test_a_split_is_its_fragments_and_their_vertices():
-    assert [f.name for f in fields(Split)] == ["frags", "labels", "points"]
+    assert [f.name for f in fields(Split)] == ["frags", "labels", "points", "heading"]
 
 
 def test_faces_are_their_three_arrays():
@@ -77,8 +77,11 @@ def test_each_subcommand_takes_exactly_these_options():
 
 
 def test_the_census_and_the_renderer_take_no_tolerance():
-    # the census is exact, and the renderer passed a tolerance only to it
-    for fn in (polydissect.orbit_census, polydissect.render_svg, render._tiles):
+    # the census is exact, the renderer passed a tolerance only to it, and
+    # the graph stages read the split's vertices and headings as they are
+    for fn in (polydissect.orbit_census, polydissect.render_svg, render._tiles,
+               polydissect.build_graph, polydissect.count_vertices,
+               polydissect.cluster_endpoints):
         assert "tol" not in inspect.signature(fn).parameters, fn.__name__
 
 

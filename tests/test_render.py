@@ -71,7 +71,8 @@ def test_a_graph_of_another_split_raises():
 
 
 def test_a_figure_whose_outer_face_is_no_2n_gon_raises():
-    tri = np.array([[0.0, 0.0, 0.5, 0.0], [0.5, 0.0, 0.0, 0.5], [0.0, 0.5, 0.0, 0.0]])
+    tri = split_all_fast(np.array([[0.0, 0.0, 0.5, 0.0], [0.5, 0.0, 0.0, 0.5],
+                                   [0.0, 0.5, 0.0, 0.0]]))
     with pytest.raises(OrbitMismatch, match="3 sides"):
         render_svg(tri, build_graph(tri))
 

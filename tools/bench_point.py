@@ -3,11 +3,12 @@
     python3 tools/bench_point.py --label head
     python3 tools/bench_point.py --label base --root ../other-checkout
 
-Times four commands of the checkout at ``--root`` (by default the one
+Times five commands of the checkout at ``--root`` (by default the one
 holding this file), each in a fresh interpreter that imports the package
 from that checkout's ``src/``:
 
     count --n 39
+    count --n 64
     verify --max-n 39
     render --n 24 --faces
     render --n 39 --faces
@@ -45,6 +46,7 @@ RUNS = 5  # runs of each command
 
 COMMANDS = {
     "count-n39": ["count", "--n", "39"],
+    "count-n64": ["count", "--n", "64"],
     "verify-39": ["verify", "--max-n", "39"],
     "render-faces-n24": ["render", "--n", "24", "--faces"],
     "render-faces-n39": ["render", "--n", "39", "--faces"],
