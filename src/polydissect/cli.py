@@ -21,6 +21,9 @@ from .render import RenderOptions, render_svg
 MAX_N = 64
 REFERENCE_MAX_N = 39
 
+# characters of the SVG document encoded and written per call
+WRITE_SLICE = 1 << 22
+
 
 @dataclass(frozen=True)
 class VerifyRow:
@@ -119,8 +122,11 @@ def cmd_render(n: int, out_path: str, faces: bool, opts: RenderOptions) -> int:
     graph = build_graph(split) if faces else None
     document = render_svg(split, graph, opts)
     try:
+        # a slice at a time, so that the encoded copy of the document is a
+        # few MB, not as large as the document
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(document)
+            for at in range(0, len(document), WRITE_SLICE):
+                fh.write(document[at:at + WRITE_SLICE])
     except OSError as exc:
         print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
         return 4

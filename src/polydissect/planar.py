@@ -2,12 +2,13 @@
 
 Builds a rotation system (incidence lists sorted by the split's integer
 headings) on the split's vertices; the faces are the cycles of the standard
-most-clockwise-turn successor of the half-edges, labelled by pointer
-doubling (``_cycle_labels``, which labels the rotation orbits too), and
-their number is checked against Euler's formula. The orbit census is exact
-integer work on the face cycles: the rotation is the half-edge map that
-commutes with the face successor and with the twin, spread from one step
-along the outer face.
+most-clockwise-turn successor of the half-edges, and their number is
+checked against Euler's formula. One kernel, ``_cycles``, finds the cycles
+of a permutation, both the faces and the rotation orbits of the tiles: a
+bounded leader walk, with pointer doubling for the cycles it leaves open.
+The orbit census is exact integer work on the face cycles: the rotation is
+the half-edge map that commutes with the face successor and with the twin,
+spread from one step along the outer face.
 
 A ``PlanarGraph`` is three numpy arrays: the vertex coordinates, the
 endpoint labels of each edge, and the rings (one half-edge array sorted by
@@ -29,18 +30,63 @@ from .geom import Split
 from .arrangement import cluster_endpoints
 
 
-def _cycle_labels(succ: np.ndarray) -> np.ndarray:
-    """The smallest member of each item's cycle under the permutation ``succ``.
+# leader-walk steps per item before pointer doubling takes over in _cycles
+WALK_STEPS = 8
 
-    Pointer doubling: after r rounds a label is the minimum over the item
-    and the 2**r - 1 after it, so a cycle of length L takes log2(L) rounds.
-    On a map that is not a permutation the loop need not end.
+
+def _cycles(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cycles of the permutation ``succ``, each led by its smallest item.
+
+    Returns ``(lead, size, members)``: the leads in increasing order, the
+    length of each cycle, and the cycles one after another, each listed
+    from its lead along ``succ``.
+
+    Every item walks its cycle, all of them in lockstep, while the items it
+    meets are larger; an item that gets back to itself is a lead, and the
+    round it does so gives the length of its cycle. Most items stop within
+    a step or two, but on a long cycle of increasing items the walk is
+    quadratic, so it ends once it has taken WALK_STEPS steps per item. The
+    cycles it leaves without a lead are then labelled by pointer doubling:
+    after r rounds a label is the minimum over the item and the 2**r - 1
+    after it, so a cycle of length L takes log2(L) rounds. On a map that is
+    not a permutation the doubling need not end.
     """
-    label, ptr = np.arange(len(succ)), succ
-    while not np.array_equal(label, label[succ]):
-        label = np.minimum(label, label[ptr])
-        ptr = ptr[ptr]
-    return label
+    n = len(succ)
+    size_of = np.zeros(n, dtype=np.int64)  # the cycle length at a lead, else 0
+    h, at, length, steps = np.arange(n), succ, 1, 0
+    while len(h) and steps <= WALK_STEPS * n:
+        size_of[h[at == h]] = length
+        live = at > h
+        h, at = h[live], succ[at[live]]
+        length, steps = length + 1, steps + len(h)
+    if len(h):
+        # number the items of the open cycles in their own order, so that the
+        # smallest number in a cycle is its lead's
+        done = np.flatnonzero(size_of)
+        rest = np.ones(n, dtype=bool)
+        rest[_members(succ, done, size_of[done])] = False
+        rest = np.flatnonzero(rest)
+        sub = np.searchsorted(rest, succ[rest])
+        label, ptr = np.arange(len(rest)), sub
+        while not np.array_equal(label, label[sub]):
+            label = np.minimum(label, label[ptr])
+            ptr = ptr[ptr]
+        # every label is a lead's number, so only leads count items
+        size_of[rest] = np.bincount(label, minlength=len(rest))
+    lead = np.flatnonzero(size_of)
+    return lead, size_of[lead], _members(succ, lead, size_of[lead])
+
+
+def _members(succ: np.ndarray, lead: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The cycles of the given leads and sizes, listed from each lead along
+    ``succ`` one after another; all cycles advance one item a round."""
+    members = np.empty(int(size.sum()), dtype=np.int64)
+    h, at, left = lead, np.cumsum(size) - size, size
+    while len(h):
+        members[at] = h
+        live = left > 1
+        h, at, left = succ[h[live]], at[live] + 1, left[live] - 1
+    return members
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,10 +181,9 @@ def enumerate_faces(g: PlanarGraph) -> Faces:
 
     The successor of a half-edge is the ring predecessor of its twin, which
     traverses inner faces counterclockwise (positive signed area) and the
-    single outer face clockwise. Each half-edge is labelled with the
-    smallest half-edge of its cycle; cycles start there and come in the
-    order of it, and all of them are read off in lockstep into ``cycle``;
-    the shoelace areas are summed per face over it. Raises
+    single outer face clockwise. ``_cycles`` lists each cycle from its
+    smallest half-edge, in the order of it, into ``cycle``; the shoelace
+    areas are summed per face over it. Raises
     TraversalIncomplete unless the edges join vertex ids in 0..V-1, the
     rings hold integer half-edge ids, every half-edge once, in the ring of
     its origin, there is exactly one outer face, and the faces satisfy
@@ -183,19 +228,9 @@ def enumerate_faces(g: PlanarGraph) -> Faces:
     nxt = half[pred]
     del pred
 
-    label = _cycle_labels(nxt)
-    lead = np.flatnonzero(label == np.arange(nh))
-    size = np.bincount(label, minlength=nh)[lead]
-    del label
-    first = np.cumsum(size) - size
-    # all faces advance one half-edge a round: as many rounds as the longest face
-    cyc = np.empty(nh, dtype=np.int64)
-    h, at, left = lead, first, size
-    while len(h):
-        cyc[at] = h
-        live = left > 1
-        h, at, left = nxt[h[live]], at[live] + 1, left[live] - 1
+    _, size, cyc = _cycles(nxt)
     del nxt
+    first = np.cumsum(size) - size
 
     # Work relative to each face's first vertex: in absolute coordinates the
     # shoelace terms of a tile far from the origin cancel, and the smallest
@@ -279,10 +314,12 @@ def orbit_census(faces: Faces) -> OrbitCensus:
                             " face successor and the twin")
     face_of = np.empty(nh, dtype=np.int64)
     face_of[cycle] = np.repeat(np.arange(nf), size)
-    label = _cycle_labels(face_of[rho[cycle[start[:-1]]]])
-    label[outer] = -1
-    face_orbits = np.unique(label, return_inverse=True)[1] - 1
-    sizes = np.bincount(face_orbits[face_orbits >= 0])
+    # rho maps the outer face onto itself: a cycle of its own, numbered -1
+    lead, sizes, members = _cycles(face_of[rho[cycle[start[:-1]]]])
+    inner = lead != outer[0]
+    face_orbits = np.empty(nf, dtype=np.int64)
+    face_orbits[members] = np.repeat(np.where(inner, np.cumsum(inner) - 1, -1), sizes)
+    sizes = sizes[inner]
     bad = sizes[(sizes != 1) & (sizes != N)]
     if len(bad):
         raise OrbitMismatch(f"orbit sizes {bad.tolist()} are neither 1 nor N={N}")

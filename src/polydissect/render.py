@@ -2,14 +2,18 @@
 
 Every number in the document is written by one vectorized kernel,
 `_fixed6`, which gives the text of Python's correctly rounded ``'%.6f'``,
-so two renders of the same input are byte-identical. Elements are built
-as numpy byte-string arrays, a block at a time, and joined once. The
-optional zoom window is applied by analytic clipping, not by viewer-side
-cropping, which keeps element counts testable. The renderer reads the
-fragments and the graph's vertex and edge arrays directly. Tiles take one
-path, zoomed or not: all face rings are clipped at once, and a vertex that
-no side cuts keeps its index, so its canvas position is written once and
-shared by the tiles around it.
+so two renders of the same input are byte-identical. Each number is
+written once: a line's end shares the text of the next line's start when
+the two points are the same floats, and a tile corner's text is shared by
+the tiles around it. Elements are laid out as rows of a fixed-width byte
+array, a block at a time, from which the NUL padding of the number
+columns is dropped; each block is read into a str and the blocks are
+joined once. The optional zoom window is applied by analytic clipping,
+not by viewer-side cropping, which keeps element counts testable. The
+renderer reads the split's fragments and the graph's vertex and edge
+arrays directly. Tiles take one path, zoomed or not: all face rings are
+clipped at once, and a vertex that no side cuts keeps its index, so its
+canvas position is written once.
 """
 
 from __future__ import annotations
@@ -19,12 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import Split, segment_array
+from .geom import Split
 from .planar import PlanarGraph, enumerate_faces, orbit_census
 
 FULL_WINDOW = (-1.05, -1.05, 1.05, 1.05)
 
-# lines, or faces, formatted per numpy pass
+# lines, or polygon ring slots (about four a face), formatted per numpy pass
 BLOCK = 1 << 14
 
 # _fixed6 is exact below this magnitude, where |x|*1e6 and the half-units
@@ -62,6 +66,9 @@ class RenderOptions:
 def _fixed6(values) -> np.ndarray:
     """``'%.6f' % v`` of every value, as a bytes ('S') array of the same shape.
 
+    The texts are right-aligned in one width: NUL bytes pad the shorter ones
+    on the left, and ``_rows`` drops them.
+
     p = |x|*1e6 rounds to the integer that the exact product rounds to,
     unless p is exactly halfway between two integers; those rare values
     are settled by Python's own correctly rounded '%.6f'. The digits are
@@ -91,28 +98,36 @@ def _fixed6(values) -> np.ndarray:
         cols[:, j] = frac - q * 10 + 48
         frac = q
     cols[:, units + 1] = ord(".")
-    sign = np.where(np.signbit(x).reshape(-1), np.uint8(ord("-")), np.uint8(ord(" ")))
+    sign = np.where(np.signbit(x).reshape(-1), np.uint8(ord("-")), np.uint8(0))
     right = True  # the column right of j shows a digit
     for j in range(units, -1, -1):
         shown = (whole > 0) | (j == units)
         q = whole // 10
         cols[:, j] = np.where(shown, (whole - q * 10 + 48).astype(np.uint8),
-                              np.where(right, sign, np.uint8(ord(" "))))
+                              np.where(right, sign, np.uint8(0)))
         whole, right = q, shown
-    return np.char.lstrip(cols.view(f"S{units + 8}")).reshape(x.shape)
+    return cols.view(f"S{units + 8}").reshape(x.shape)
 
 
-def _rows(*parts) -> bytes:
+def _rows(*parts) -> str:
     """Literals and equal-length bytes columns, side by side in one
-    fixed-width byte array, row after row; the NUL padding is dropped."""
+    fixed-width byte array, row after row; the NUL padding is dropped, and
+    the ASCII bytes left are read into a str without a bytes copy.
+
+    Every row starts as a copy of one template row that holds the literals;
+    the columns are copied in over it.
+    """
     parts = [np.asarray(p) for p in parts]
     (n,) = np.broadcast_shapes(*(p.shape for p in parts))
-    row = np.zeros((n, sum(p.itemsize for p in parts)), dtype=np.uint8)
+    template = b"".join(p.tobytes() if p.ndim == 0 else bytes(p.itemsize) for p in parts)
+    row = np.empty((n, len(template)), dtype=np.uint8)
+    row[:] = np.frombuffer(template, dtype=np.uint8)
     at = 0
     for p in parts:
-        row[:, at:at + p.itemsize] = p.reshape(-1, 1).view(np.uint8)
+        if p.ndim:
+            row[:, at:at + p.itemsize] = p.reshape(-1, 1).view(np.uint8)
         at += p.itemsize
-    return row[row != 0].tobytes()
+    return str(row[row != 0].data, "ascii")
 
 
 def _clip_lines(frags: np.ndarray, win) -> np.ndarray:
@@ -173,31 +188,28 @@ def _clip_rings(x, y, ring, start, win):
     return x, y, ring, start
 
 
-def _polygon_blocks(point, ring, start, faces, tail) -> list[bytes]:
-    """The <polygon> elements, BLOCK faces at a time: faces[i] lists the
-    points point[ring[start[f]:start[f + 1]]], f = faces[i], and ends with tail[i]."""
+def _polygon_blocks(px, py, ring, start, faces, tail) -> list[str]:
+    """The <polygon> elements, BLOCK // 4 faces at a time: faces[i] lists the
+    points (px, py)[ring[start[f]:start[f + 1]]], f = faces[i], as "x,y"
+    text, and ends with tail[i]."""
     blocks = []
-    for lo in range(0, len(faces), BLOCK):
-        f = faces[lo:lo + BLOCK]
+    for lo in range(0, len(faces), BLOCK // 4):
+        f = faces[lo:lo + BLOCK // 4]
         size = start[f + 1] - start[f]
         bounds = np.concatenate(([0], np.cumsum(size)))
         slots = np.repeat(start[f] - bounds[:-1], size) + np.arange(bounds[-1])
         first = np.zeros(bounds[-1], dtype=bool)
         first[bounds[:-1]] = True
         sep = np.full(bounds[-1], b" ", dtype=tail.dtype)
-        sep[bounds[1:] - 1] = tail[lo:lo + BLOCK]
-        blocks.append(_rows(np.where(first, b'<polygon points="', b""), point[ring[slots]], sep))
+        sep[bounds[1:] - 1] = tail[lo:lo + BLOCK // 4]
+        point = ring[slots]
+        blocks.append(_rows(np.where(first, b'<polygon points="', b""), px[point], b",",
+                            py[point], sep))
     return blocks
 
 
-def _points(cx, cy):
-    """The "x,y" text of each canvas point."""
-    x, y = _fixed6(np.stack((cx, cy)))
-    return np.char.add(np.char.add(x, b","), y)
-
-
-def _tiles(graph: PlanarGraph, win, to_canvas) -> list[bytes]:
-    """The <polygon> elements of the inner faces, as blocks of bytes, each
+def _tiles(graph: PlanarGraph, win, to_canvas) -> list[str]:
+    """The <polygon> elements of the inner faces, as blocks of text, each
     filled by its rotation orbit.
 
     Reads the face arrays, all faces at once; the census reads n from the
@@ -218,19 +230,32 @@ def _tiles(graph: PlanarGraph, win, to_canvas) -> list[bytes]:
     # clipped rings hold only points inside the window; write the text of those alone
     used = np.zeros(len(x), dtype=bool)
     used[ring] = True
-    point = _points(*to_canvas(x[used], y[used]))
-    return _polygon_blocks(point, (np.cumsum(used) - 1)[ring], start, kept, fill[orbit[kept]])
+    px, py = _fixed6(np.stack(to_canvas(x[used], y[used])))
+    return _polygon_blocks(px, py, (np.cumsum(used) - 1)[ring], start, kept, fill[orbit[kept]])
 
 
-def _line_blocks(frags: np.ndarray, to_canvas) -> list[bytes]:
-    """One <line> element per (x0, y0, x1, y1) row, BLOCK rows at a time."""
+def _line_blocks(frags: np.ndarray, to_canvas) -> list[str]:
+    """One <line> element per (x0, y0, x1, y1) row, BLOCK rows at a time.
+
+    Along a base segment each fragment ends where the next one starts, bit
+    for bit, so the text of that point is written once, for the start:
+    (x1, y1) of row k takes the text of (x0, y0) of row k + 1 when their
+    canvas floats are equal bit for bit, and its own text otherwise.
+    """
     blocks = []
     for lo in range(0, len(frags), BLOCK):
         f = frags[lo:lo + BLOCK]
-        ends = to_canvas(f[:, 0], f[:, 1]) + to_canvas(f[:, 2], f[:, 3])
-        x1, y1, x2, y2 = _fixed6(np.stack(ends))
-        blocks.append(_rows(b'<line x1="', x1, b'" y1="', y1, b'" x2="', x2, b'" y2="', y2,
-                            b'"/>\n'))
+        x0, y0 = to_canvas(f[:, 0], f[:, 1])
+        x1, y1 = to_canvas(f[:, 2], f[:, 3])
+        own = np.ones(len(f), dtype=bool)
+        own[:-1] = ((x1[:-1].view(np.int64) != x0[1:].view(np.int64))
+                    | (y1[:-1].view(np.int64) != y0[1:].view(np.int64)))
+        # text k is the start of row k; the ends of their own follow the starts
+        end = np.arange(1, len(f) + 1)
+        end[own] = len(f) + np.arange(np.count_nonzero(own))
+        x, y = _fixed6(np.stack((np.concatenate((x0, x1[own])), np.concatenate((y0, y1[own])))))
+        blocks.append(_rows(b'<line x1="', x[:len(f)], b'" y1="', y[:len(f)],
+                            b'" x2="', x[end], b'" y2="', y[end], b'"/>\n'))
     return blocks
 
 
@@ -241,12 +266,16 @@ def render_svg(
 ) -> str:
     """Render the arrangement as an SVG 1.1 document.
 
-    ``split`` is the ``Split`` from ``split_all_fast``, and ``graph`` its
-    ``build_graph``. One <line> element per (possibly clipped) fragment,
-    read through ``segment_array``; given the graph, one <polygon> per
-    inner face beneath the lines, filled by rotation orbit. A graph with
-    another number of edges than the split raises ValueError.
+    ``split`` is the ``Split`` from ``split_all_fast`` (anything else
+    raises TypeError), and ``graph`` its ``build_graph``. One <line>
+    element per (possibly clipped) fragment of ``split.frags``; given the
+    graph, one <polygon> per inner face beneath the lines, filled by
+    rotation orbit. A graph with another number of edges than the split
+    raises ValueError.
     """
+    if not isinstance(split, Split):
+        raise TypeError(f"render_svg takes a Split, not {type(split).__name__}:"
+                        f" pass the Split from split_all_fast")
     opts = opts or RenderOptions()
     if graph is not None and len(graph.edges) != len(split):
         raise ValueError(f"the graph has {len(graph.edges)} edges, the split {len(split)}")
@@ -260,19 +289,17 @@ def render_svg(
         """Canvas position of plane coordinates, floats or arrays."""
         return (x - wx0) * opts.scale, (wy1 - y) * opts.scale
 
-    w, h = (v.decode() for v in _fixed6([width, height]).tolist())
+    w, h = (v.lstrip(b"\0").decode() for v in _fixed6([width, height]).tolist())
     blocks = ['<?xml version="1.0" encoding="UTF-8"?>\n'
               f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-              f'width="{w}" height="{h}" viewBox="0 0 {w} {h}">\n'.encode()]
+              f'width="{w}" height="{h}" viewBox="0 0 {w} {h}">\n']
 
     if graph is not None:
-        blocks += [b'<g stroke="none">\n', *_tiles(graph, win, to_canvas), b"</g>\n"]
+        blocks += ['<g stroke="none">\n', *_tiles(graph, win, to_canvas), "</g>\n"]
 
-    blocks.append(b'<g fill="none" stroke="#000000" '
-                  b'stroke-width="1.000000" stroke-linecap="round">\n')
-    frags = segment_array(split) if opts.zoom is None else _clip_lines(segment_array(split), win)
+    blocks.append('<g fill="none" stroke="#000000" '
+                  'stroke-width="1.000000" stroke-linecap="round">\n')
+    frags = split.frags if opts.zoom is None else _clip_lines(split.frags, win)
     blocks += _line_blocks(frags, to_canvas)
-    blocks += [b"</g>\n", b"</svg>\n"]
-    document = b"".join(blocks)
-    blocks.clear()  # free the blocks before the str copy is made
-    return document.decode("ascii")
+    blocks += ["</g>\n", "</svg>\n"]
+    return "".join(blocks)

@@ -188,11 +188,12 @@ def _lies_on(frag, base):
     return True
 
 
-def test_criterion_7_fast_splitter_equivalence():
+def check_fast_splitter(ns: range) -> None:
+    """The reference and the fast splitter give the same (V, E, F) for each n."""
     bad = []
     slow_total = 0.0
     fast_total = 0.0
-    for n in range(2, 21):
+    for n in ns:
         base = base_segments(PolygonSpec(n))
         t0 = time.perf_counter()
         slow = split_all(base)
@@ -207,9 +208,20 @@ def test_criterion_7_fast_splitter_equivalence():
             bad.append((n, len(slow), len(fast), vs, vf))
     speedup = slow_total / fast_total if fast_total > 0 else float("inf")
     report("7", not bad,
-           f"identical (V, E, F) for n = 2..20; splitter speedup x{speedup:.1f} "
-           f"({slow_total:.2f}s -> {fast_total:.2f}s)")
+           f"identical (V, E, F) for n = {ns.start}..{ns.stop - 1}; splitter speedup"
+           f" x{speedup:.1f} ({slow_total:.2f}s -> {fast_total:.2f}s)")
     assert not bad, f"splitter disagreements: {bad}"
+
+
+# the reference split_all takes most of its time on n >= 17: those sizes
+# run with the slow tests, and the two together cover n = 2..20
+def test_criterion_7_fast_splitter_equivalence():
+    check_fast_splitter(range(2, 17))
+
+
+@pytest.mark.slow
+def test_criterion_7_fast_splitter_equivalence_large():
+    check_fast_splitter(range(17, 21))
 
 
 def test_criterion_8_render_determinism():

@@ -146,7 +146,7 @@ def test_vertex_clusters_are_pinned(n):
     assert digest == CLUSTER_DIGESTS[n]
 
 
-GRAPH_STAGES = (cluster_endpoints, count_vertices, build_graph)
+GRAPH_STAGES = (cluster_endpoints, count_vertices, build_graph, render_svg)
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,)])
@@ -154,7 +154,7 @@ GRAPH_STAGES = (cluster_endpoints, count_vertices, build_graph)
                                    count_vertices, build_graph, render_svg])
 def test_a_segment_array_that_is_not_k_by_4_raises(stage, shape):
     # rows of three or two numbers, or one flat row, are not segments; the
-    # graph stages take only a Split
+    # graph stages and the renderer take only a Split
     error, match = ((TypeError, "pass the Split") if stage in GRAPH_STAGES
                     else (ValueError, r"\(k, 4\) array"))
     with pytest.raises(error, match=match):

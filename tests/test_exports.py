@@ -28,6 +28,7 @@ def test_removed_names_are_gone():
                          (polydissect, "face_vertices"), (planar, "face_vertices"),
                          (polydissect, "MissingGraph"), (errors, "MissingGraph"),
                          (arrangement, "_fragments"), (arrangement, "SplitSegmentSet"),
+                         (planar, "_cycle_labels"),
                          *((m, name) for m in (polydissect, geom)
                            for name in ("intersect", "classify_param", "ParamClass", "Params")),
                          *((m, name) for m in (polydissect, polygon)

@@ -18,7 +18,7 @@ from polydissect import (
     orbit_census,
     split_all_fast,
 )
-from polydissect.planar import _cycle_labels
+from polydissect.planar import _cycles
 from polydissect.polygon import base_array
 from polydissect.reference import reference_table
 
@@ -227,15 +227,27 @@ class TestFaces:
             faces[index]
 
 
-def cycle_min_oracle(succ):
-    """Smallest member of each item's cycle, by walking every cycle once."""
-    label = [-1] * len(succ)
+def cycles_oracle(succ):
+    """(lead, size, members) of the permutation, by walking every cycle once
+    from its smallest item."""
+    seen = [False] * len(succ)
+    lead, size, members = [], [], []
     for i in range(len(succ)):
+        if seen[i]:
+            continue
+        lead.append(i)
         j = i
-        while label[j] < 0:
-            label[j] = i
+        while not seen[j]:
+            seen[j] = True
+            members.append(j)
             j = succ[j]
-    return label
+        size.append(len(members) - sum(size))
+    return lead, size, members
+
+
+def assert_cycles_like_the_oracle(succ):
+    got = tuple(a.tolist() for a in _cycles(succ))
+    assert got == cycles_oracle(succ.tolist())
 
 
 def cycle_through(order):
@@ -245,30 +257,49 @@ def cycle_through(order):
     return succ
 
 
+def short_cycles(rng, items, n):
+    """A permutation of 0..n-1: cycles of 1 to 5 of ``items`` each, the rest fixed."""
+    succ = np.arange(n)
+    cuts = np.cumsum(rng.integers(1, 6, size=len(items)))
+    for chunk in np.split(items, cuts[cuts < len(items)]):
+        succ[chunk] = np.roll(chunk, -1)
+    return succ
+
+
 class TestCycleLabels:
     @pytest.mark.parametrize("seed", range(5))
     def test_many_short_cycles(self, seed):
         rng = np.random.default_rng(seed)
-        items = rng.permutation(20_000)
-        cuts = np.cumsum(rng.integers(1, 6, size=len(items)))
-        succ = np.empty(len(items), dtype=np.int64)
-        for chunk in np.split(items, cuts[cuts < len(items)]):
-            succ[chunk] = np.roll(chunk, -1)
-        assert _cycle_labels(succ).tolist() == cycle_min_oracle(succ.tolist())
+        assert_cycles_like_the_oracle(short_cycles(rng, rng.permutation(20_000), 20_000))
 
     @pytest.mark.parametrize("kind", ["increasing", "decreasing", "random"])
     def test_one_long_cycle(self, kind):
+        # an increasing cycle makes every item walk to the end: the walk
+        # must hand it to pointer doubling, or it is quadratic
         order = {"increasing": np.arange(100_000),
                  "decreasing": np.arange(100_000)[::-1],
                  "random": np.random.default_rng(7).permutation(100_000)}[kind]
         succ = cycle_through(order)
-        assert _cycle_labels(succ).tolist() == cycle_min_oracle(succ.tolist())
-        assert not np.any(_cycle_labels(succ))
+        assert_cycles_like_the_oracle(succ)
+        lead, size, members = _cycles(succ)
+        assert lead.tolist() == [0] and size.tolist() == [100_000]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_long_cycles_among_short_ones(self, seed):
+        # the walk closes the short cycles and leaves the long ones open
+        rng = np.random.default_rng(seed)
+        items = rng.permutation(30_000)
+        succ = short_cycles(rng, items[:20_000], 30_000)
+        for part in np.split(np.sort(items[20_000:]), [3_000, 7_000]):
+            succ[part] = np.roll(part, -1)
+        assert_cycles_like_the_oracle(succ)
 
     def test_identity(self):
         succ = np.arange(1000)
-        assert np.array_equal(_cycle_labels(succ), succ)
-        assert len(_cycle_labels(np.arange(0))) == 0
+        lead, size, members = _cycles(succ)
+        assert np.array_equal(lead, succ) and np.array_equal(members, succ)
+        assert not np.any(size - 1)
+        assert all(len(a) == 0 for a in _cycles(np.arange(0)))
 
 
 class TestOrbitCensus:

@@ -8,6 +8,7 @@ from polydissect import (
     OrbitMismatch,
     PolygonSpec,
     RenderOptions,
+    Split,
     base_segments,
     build_graph,
     enumerate_faces,
@@ -75,6 +76,30 @@ def test_a_figure_whose_outer_face_is_no_2n_gon_raises():
                                    [0.0, 0.5, 0.0, 0.0]]))
     with pytest.raises(OrbitMismatch, match="3 sides"):
         render_svg(tri, build_graph(tri))
+
+
+def fragments_split(frags):
+    """A Split of the given fragments, each end a vertex of its own."""
+    frags = np.array(frags, dtype=float)
+    return Split(frags=frags, labels=np.arange(2 * len(frags)),
+                 points=frags.reshape(-1, 2), heading=np.zeros(2 * len(frags), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("zoom", [None, (0.0, -1.0, 1.0, 1.0)])
+def test_line_ends_shared_only_when_bit_equal(zoom):
+    # rows 0-1 and 3-4 meet bit for bit; row 2 starts at row 1's x but not
+    # its y, and row 3 at +0.0 where row 2 ends at -0.0, which the window
+    # at x = 0 writes as -0.000000 and 0.000000
+    frags = [[0.1, 0.2, 0.3, 0.4], [0.3, 0.4, 0.5, 0.6], [0.5, 0.65, -0.0, 0.7],
+             [0.0, 0.7, 0.25, -0.5], [0.25, -0.5, 0.75, 0.125]]
+    opts = RenderOptions(scale=37.5, zoom=zoom)
+    doc = render_svg(fragments_split(frags), opts=opts)
+    x0, _, _, y1 = zoom or (-1.05, -1.05, 1.05, 1.05)
+    expected = ['<line x1="%.6f" y1="%.6f" x2="%.6f" y2="%.6f"/>' % (
+        (a - x0) * opts.scale, (y1 - b) * opts.scale, (c - x0) * opts.scale, (y1 - d) * opts.scale)
+        for a, b, c, d in frags]
+    assert re.findall(r"<line [^>]*>", doc) == expected
+    assert ('x2="-0.000000"' in doc) == (zoom is not None)
 
 
 def test_zoom_clips_and_reduces_element_count():
