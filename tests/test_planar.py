@@ -281,8 +281,6 @@ class TestCycleLabels:
                  "random": np.random.default_rng(7).permutation(100_000)}[kind]
         succ = cycle_through(order)
         assert_cycles_like_the_oracle(succ)
-        lead, size, members = _cycles(succ)
-        assert lead.tolist() == [0] and size.tolist() == [100_000]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_long_cycles_among_short_ones(self, seed):
