@@ -26,12 +26,12 @@ representatives, ``split_all_fast`` for every segment and keeps the
 interior hits; each cut is found once, on the segment it cuts, and
 ``geom.group_order`` sorts the cuts along each segment.
 
-Vertices of the full route are exact: a hit (r, c) joins the point of r
+Vertices of the full route are exact: a hit (r, c) links the point of r
 it merged into with the point of c that its partner (c, r) merged into,
-and a vertex is a connected component of these links (Poonen and
-Rubinstein: the segments through a point, not distances, define it). No
-2-D distance decides a vertex; ``geom.close_pairs`` only guards that no
-two vertices come closer than 3*fuzz.
+and a vertex is a clique of these links (Poonen and Rubinstein: the
+segments through a point, not distances, define it); a link between two
+vertices raises. No 2-D distance decides a vertex; ``geom.close_pairs``
+only guards that no two vertices come closer than 3*fuzz.
 
 The stages pass (k, 4) float arrays of x0, y0, x1, y1 rows: ``base_array``
 feeds the pair kernel, and ``split_all_fast`` turns a base array (or a
@@ -303,8 +303,9 @@ def split_all_fast(base: SegmentSet, tol: Tolerance = DEFAULT_TOL) -> Split:
     along each. ``base`` is a Segment list or an (m, 4) array, and the
     result is a ``Split``: the (E, 4) fragments with the vertex and heading
     of each end (see ``_split``). Raises NumericalDegeneracy for a fragment
-    shorter than fuzz, AmbiguousClustering when two vertices come closer
-    than 3*fuzz, and ValueError for collinear overlapping segments.
+    shorter than fuzz, AmbiguousClustering for a hit that joins two vertices
+    or when two vertices come closer than 3*fuzz, and ValueError for
+    collinear overlapping segments.
     """
     return _split(segment_array(base), tol)
 
@@ -365,9 +366,10 @@ def _hit_points(base: np.ndarray, fuzz: float):
 def _split(base: np.ndarray, tol: Tolerance) -> Split:
     """The ``Split`` of an (m, 4) base array.
 
-    The vertices are the connected components of the links ``_hit_points``
-    reads off the hits: the segments through a point, not a distance,
-    decide which points are one vertex. Vertices are numbered in the order
+    The vertices are the cliques of the links ``_hit_points`` reads off the
+    hits: the segments through a point, not a distance, decide which points
+    are one vertex. A link between two vertices raises AmbiguousClustering,
+    after the fragment lengths are checked. Vertices are numbered in the order
     of their first fragment end, and each is placed at the mean of its
     fragment ends. The 2m base directions, forward and back, are ranked by
     ``arctan2`` once; an end's heading is the rank of the one leaving it.
@@ -377,17 +379,13 @@ def _split(base: np.ndarray, tol: Tolerance) -> Split:
                      np.empty(0, dtype=np.uint8))
     fuzz = tol.point_fuzzy
     owner, along, point, far = _hit_points(base, fuzz)
-    # every point takes the smallest point in its component: min over the
-    # links, then pointer jumping, until nothing changes
+    # the segments through a vertex meet pairwise there, so one minimum over
+    # the links gives every point the smallest point of its vertex
     root = np.arange(len(owner))
-    while True:
-        nxt = root.copy()
-        np.minimum.at(nxt, point, root[far])
-        nxt = nxt[nxt]
-        if np.array_equal(nxt, root):
-            break
-        root = nxt
-    del point, far
+    np.minimum.at(root, point, far)
+    bad = np.flatnonzero(root[point] != root[far])[:1]
+    broken = owner[point[bad]].tolist() + owner[far[bad]].tolist()
+    del point, far, bad
 
     x0, y0, x1, y1 = base[owner].T
     px = along * x1 + (1.0 - along) * x0
@@ -401,7 +399,10 @@ def _split(base: np.ndarray, tol: Tolerance) -> Split:
     heading = rank.reshape(-1, 2)[owner[inner]].reshape(-1)  # forward at p0, back at p1
     del x0, y0, x1, y1, px, py, owner, along, dx, dy, angle, rank
     _check_lengths(frags, fuzz)
-    # a root is the smallest point of its component, and points come in the
+    if broken:
+        raise AmbiguousClustering(f"the hit of segments {broken[0]} and {broken[1]} joins"
+                                  f" two vertices: their points are not one clique")
+    # a root is the smallest point of its vertex, and points come in the
     # order of their first fragment end: number the roots in order
     vertex = (np.cumsum(root == np.arange(len(root))) - 1)[root]
     labels = np.column_stack((vertex[inner], vertex[inner + 1])).reshape(-1)

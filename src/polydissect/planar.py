@@ -77,6 +77,15 @@ def _cycles(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return lead, size_of[lead], _members(succ, lead, size_of[lead])
 
 
+def _ring_next(start: np.ndarray) -> np.ndarray:
+    """The slot after each slot of the rings ``start[i]:start[i + 1]`` (CSR
+    offsets from 0), the last slot of a ring back to its first."""
+    full = start[1:] > start[:-1]
+    nxt = np.arange(1, start[-1] + 1)
+    nxt[start[1:][full] - 1] = start[:-1][full]
+    return nxt
+
+
 def _members(succ: np.ndarray, lead: np.ndarray, size: np.ndarray) -> np.ndarray:
     """The cycles of the given leads and sizes, listed from each lead along
     ``succ`` one after another; all cycles advance one item a round."""
@@ -230,22 +239,21 @@ def enumerate_faces(g: PlanarGraph) -> Faces:
 
     _, size, cyc = _cycles(nxt)
     del nxt
-    first = np.cumsum(size) - size
+    start = np.append(0, np.cumsum(size))
 
     # Work relative to each face's first vertex: in absolute coordinates the
     # shoelace terms of a tile far from the origin cancel, and the smallest
     # tiles' areas lose their digits.
     v = origin[cyc]
-    lead_v = np.repeat(v[first], size)
+    lead_v = np.repeat(v[start[:-1]], size)
     ax = xy[v, 0] - xy[lead_v, 0]
     ay = xy[v, 1] - xy[lead_v, 1]
     del v, lead_v
-    step = np.arange(1, nh + 1)
-    step[first + size - 1] = first
+    step = _ring_next(start)
     w = ax * ay[step]
     w -= ax[step] * ay
     del step
-    area = 0.5 * np.add.reduceat(w, first)
+    area = 0.5 * np.add.reduceat(w, start[:-1])
 
     negatives = int(np.count_nonzero(area < 0.0))
     if negatives != 1:
@@ -253,7 +261,7 @@ def enumerate_faces(g: PlanarGraph) -> Faces:
     euler = nh // 2 - int(np.count_nonzero(ring_size)) + 2
     if len(area) != euler:
         raise TraversalIncomplete(f"the rings give {len(area)} faces, Euler's formula {euler}")
-    return Faces(cyc, np.append(first, nh), area)
+    return Faces(cyc, start, area)
 
 
 def orbit_census(faces: Faces) -> OrbitCensus:
@@ -283,10 +291,8 @@ def orbit_census(faces: Faces) -> OrbitCensus:
     N = int(size[outer[0]])
     if N < 4 or N % 2:
         raise OrbitMismatch(f"the outer face has {N} sides, not the even N >= 4 of a 2n-gon")
-    step = np.arange(1, nh + 1)
-    step[start[1:] - 1] = start[:-1]
     nxt = np.empty(nh, dtype=np.int64)
-    nxt[cycle] = cycle[step]
+    nxt[cycle] = cycle[_ring_next(start)]
 
     # each half-edge takes one of the images offered to it in the round it is
     # first reached, no matter which; an offer that disagrees with it fails

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .arrangement import CountSummary
 
 # Published (F, E) reference counts for n = 2..39 (N = 4..78). V, per_ray
 # and central are derived: V = E - F + 1, F = N*per_ray + central.
@@ -48,23 +48,12 @@ _REFERENCE_F_E = [
 ]
 
 
-@dataclass(frozen=True)
-class ReferenceRow:
-    n: int
-    N: int
-    F: int
-    E: int
-    V: int
-    per_ray: int
-    central: int
-
-
-def reference_table() -> list[ReferenceRow]:
+def reference_table() -> list[CountSummary]:
     """The 38 published (n, F, E) rows with their derived columns."""
     rows = []
     for i, (f, e) in enumerate(_REFERENCE_F_E):
         n = i + 2
         central = 1 if n % 2 == 0 else 0
-        rows.append(ReferenceRow(n=n, N=2 * n, F=f, E=e, V=e - f + 1,
+        rows.append(CountSummary(n=n, V=e - f + 1, E=e, F=f,
                                  per_ray=(f - central) // (2 * n), central=central))
     return rows

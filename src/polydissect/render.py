@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import Split
-from .planar import PlanarGraph, enumerate_faces, orbit_census
+from .planar import PlanarGraph, _ring_next, enumerate_faces, orbit_census
 
 FULL_WINDOW = (-1.05, -1.05, 1.05, 1.05)
 
@@ -168,10 +168,8 @@ def _clip_rings(x, y, ring, start, win):
         ina = va >= bound if keep_greater else va <= bound
         if ina.all():
             continue
-        # each slot's edge a -> b runs to the next slot, the last one back to the first
-        full = start[1:] > start[:-1]
-        nxt = np.arange(1, len(ring) + 1)
-        nxt[start[1:][full] - 1] = start[:-1][full]
+        # each slot's edge a -> b runs to the next slot of its ring
+        nxt = _ring_next(start)
         cut = ina != ina[nxt]
         # an edge emits a when a is inside, then the crossing when it cuts the side
         count = ina.astype(np.int64) + cut

@@ -201,26 +201,33 @@ def test_edges_close_across_the_cut_are_ordered_by_heading():
 
 def test_a_fragment_whose_ends_merged_raises():
     # s = (0, 0)-(1, 0) meets the vertical c at x = 0.5 and the long line d
-    # 2e-10 further on; c's and d's two hits each lie within fuzz of each
-    # other and merge, so the piece of s between them has both ends at one
-    # vertex
+    # 2e-10 further on: the two hits on s stay apart, but the hits of s and
+    # of each other merge on c and on d, so the hit of c and d joins s's two
+    # points; a closure of the links would give the piece of s between them
+    # both ends at one vertex
     p, d = np.array([0.5 + 2e-10, 0.0]), 1.2 * np.array([-4.0, 1.0]) / np.sqrt(17.0)
     base = np.array([[0.0, 0.0, 1.0, 0.0], [0.5, -1.0, 0.5, 1.0], [*(p - d), *(p + d)]])
-    split = split_all_fast(base)
-    assert split.labels[2] == split.labels[3]
-    with pytest.raises(AmbiguousClustering, match="both ends of fragment 1 are vertex"):
-        build_graph(split)
+    with pytest.raises(AmbiguousClustering, match="hit of segments 1 and 2 joins two vertices"):
+        split_all_fast(base)
 
 
 def test_a_single_fragment_whose_ends_merged_raises():
     # a base row 1.06e-10 long from one line of a crossing to the other is
-    # one fragment, with both ends at the crossing: no second half-edge of
-    # its row shares a heading with it there, so only the ends say so
+    # one fragment; its hits with both lines link its two ends to the
+    # crossing, which a closure of the links would merge into one vertex
     base = np.array([[-1.0, 0.0, 1.0, 0.0], [0.0, -1.0, 0.0, 1.0],
                      [-0.75e-10, 0.0, 0.0, 0.75e-10]])
-    split = split_all_fast(base)
-    assert len(split) == 5 and split.labels[8] == split.labels[9]
-    with pytest.raises(AmbiguousClustering, match="both ends of fragment 4 are vertex 1"):
+    with pytest.raises(AmbiguousClustering, match="hit of segments 1 and 2 joins two vertices"):
+        split_all_fast(base)
+
+
+def test_a_fragment_with_both_ends_at_one_vertex_raises():
+    # fragment 1 runs from vertex 1 back to vertex 1
+    split = Split(frags=np.array([[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 1.0, 1e-12]]),
+                  labels=np.array([0, 1, 1, 1]),
+                  points=np.array([[0.0, 0.0], [1.0, 0.0]]),
+                  heading=np.array([0, 2, 1, 3], dtype=np.uint8))
+    with pytest.raises(AmbiguousClustering, match="both ends of fragment 1 are vertex 1"):
         build_graph(split)
 
 

@@ -9,7 +9,7 @@ import pytest
 import polydissect
 from polydissect import (
     FaceRecord, Faces, PlanarGraph, RenderOptions, Split, arrangement, cli, errors, geom, planar,
-    polygon, render)
+    polygon, reference, render)
 
 
 def test_every_exported_name_resolves():
@@ -28,7 +28,7 @@ def test_removed_names_are_gone():
                          (polydissect, "face_vertices"), (planar, "face_vertices"),
                          (polydissect, "MissingGraph"), (errors, "MissingGraph"),
                          (arrangement, "_fragments"), (arrangement, "SplitSegmentSet"),
-                         (planar, "_cycle_labels"),
+                         (planar, "_cycle_labels"), (reference, "ReferenceRow"),
                          *((m, name) for m in (polydissect, geom)
                            for name in ("intersect", "classify_param", "ParamClass", "Params")),
                          *((m, name) for m in (polydissect, polygon)
