@@ -11,8 +11,6 @@ from .errors import (
 from .geom import (
     DEFAULT_FUZZ,
     DEFAULT_TOL,
-    Point2,
-    Segment,
     Split,
     Tolerance,
 )
@@ -47,8 +45,6 @@ __all__ = [
     "TraversalIncomplete",
     "DEFAULT_FUZZ",
     "DEFAULT_TOL",
-    "Point2",
-    "Segment",
     "Split",
     "Tolerance",
     "PolygonSpec",

@@ -33,14 +33,13 @@ segments through a point, not distances, define it); a link between two
 vertices raises. No 2-D distance decides a vertex; ``geom.close_pairs``
 only guards that no two vertices come closer than 3*fuzz.
 
-The stages pass (k, 4) float arrays of x0, y0, x1, y1 rows: ``base_array``
-feeds the pair kernel, and ``split_all_fast`` turns a base array (or a
-Segment list) into a ``geom.Split``: the fragment array, a vertex label
-and a heading (the angular rank of its base direction) per fragment end,
-and the (V, 2) vertex array. The graph stages take this ``Split`` and
-nothing else, and ``cluster_endpoints`` hands out its vertices as they
-are. Segment objects are built only where a public function is given a
-Segment list or, as ``split_all`` does, returns one.
+A segment is one x0, y0, x1, y1 row of a (k, 4) float array:
+``base_segments`` feeds the pair kernel, ``split_all`` returns its
+fragments as such an array, and ``split_all_fast`` turns a base array
+into a ``geom.Split``: the fragment array, a vertex label and a heading
+(the angular rank of its base direction) per fragment end, and the (V, 2)
+vertex array. The graph stages take this ``Split`` and nothing else, and
+``cluster_endpoints`` hands out its vertices as they are.
 """
 
 from __future__ import annotations
@@ -52,15 +51,9 @@ import numpy as np
 
 from .errors import AmbiguousClustering, NumericalDegeneracy, SymmetryViolation
 from .geom import (
-    DEFAULT_FUZZ, DEFAULT_TOL, Point2, Segment, Split, Tolerance, close_pairs, group_order,
-    merge_sorted_runs, segment_array,
+    DEFAULT_FUZZ, DEFAULT_TOL, Split, Tolerance, close_pairs, group_order, merge_sorted_runs,
 )
-# base_segments is not called here; perfbench/tracing.py wraps it under
-# this module's name, so it stays importable from it
-from .polygon import PolygonSpec, base_array, base_segments, orbit_representatives  # noqa: F401
-
-# Segment lists, or (k, 4) arrays of x0, y0, x1, y1 rows
-SegmentSet = list[Segment] | np.ndarray
+from .polygon import PolygonSpec, base_segments, orbit_representatives
 
 
 @dataclass(frozen=True)
@@ -106,8 +99,18 @@ def _split_tuple(x0, y0, x1, y1, params, fuzz):
     return out
 
 
-def _check_lengths(rows: np.ndarray, fuzz: float) -> None:
-    """NumericalDegeneracy unless each row is finite and longer than DEFAULT_FUZZ and fuzz."""
+def _check_rows(rows: np.ndarray, fuzz: float) -> None:
+    """Refuse all but a (k, 4) array of finite rows longer than DEFAULT_FUZZ and fuzz.
+
+    Raises TypeError for anything but an ndarray, ValueError for an array of
+    another shape, and NumericalDegeneracy for a row that is too short or
+    not finite.
+    """
+    if not isinstance(rows, np.ndarray):
+        raise TypeError(f"segments must be an ndarray, not {type(rows).__name__}:"
+                        f" pass an (m, 4) array of x0, y0, x1, y1 rows")
+    if rows.ndim != 2 or rows.shape[1] != 4:
+        raise ValueError(f"segments must be a (k, 4) array, got shape {rows.shape}")
     length = np.hypot(rows[:, 2] - rows[:, 0], rows[:, 3] - rows[:, 1])
     short = np.flatnonzero(~(np.isfinite(length) & (length > DEFAULT_FUZZ) & (length >= fuzz)))
     if len(short):
@@ -129,7 +132,7 @@ def _parallel_overlap(sx0, sy0, sdx, sdy, slen, wx0, wy0, wx1, wy1, fuzz):
             & ((t0 > fuzz) | (t1 > fuzz)) & ((1.0 - t0 > fuzz) | (1.0 - t1 > fuzz)))
 
 
-def split_all(base: SegmentSet, tol: Tolerance = DEFAULT_TOL) -> list[Segment]:
+def split_all(base: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Fragment every base segment at every crossing or touch.
 
     Working-set rescan: each base segment is intersected against all
@@ -137,12 +140,11 @@ def split_all(base: SegmentSet, tol: Tolerance = DEFAULT_TOL) -> list[Segment]:
     sides; a hit at a fragment endpoint cuts only the side whose interior
     was met. Raises ValueError for collinear overlapping base segments, and
     NumericalDegeneracy for a base row or fragment shorter than fuzz or not
-    finite. ``base`` is a Segment list or an (m, 4) array; the fragments
-    come back as a Segment list.
+    finite, and TypeError or ValueError for a base that is not an (m, 4)
+    array. The fragments come back as an (E, 4) array.
     """
     fuzz = tol.point_fuzzy
-    base = segment_array(base)
-    _check_lengths(base, fuzz)
+    _check_rows(base, fuzz)
     working: list[tuple] = []
     for sx0, sy0, sx1, sy1 in base.tolist():
         sdx = sx1 - sx0
@@ -190,7 +192,7 @@ def split_all(base: SegmentSet, tol: Tolerance = DEFAULT_TOL) -> list[Segment]:
         else:
             working.append((sx0, sy0, sx1, sy1, slen))
 
-    return [Segment(Point2(x0, y0), Point2(x1, y1)) for x0, y0, x1, y1, _ in working]
+    return np.array([w[:4] for w in working], dtype=float).reshape(-1, 4)
 
 
 # Classes of a line parameter, as _solve_pairs returns them.
@@ -293,21 +295,23 @@ def _hits(arrays: tuple[np.ndarray, ...], rows: np.ndarray, fuzz: float):
     return tuple(np.concatenate(a) for a in (at, col, ts, classes))
 
 
-def split_all_fast(base: SegmentSet, tol: Tolerance = DEFAULT_TOL) -> Split:
+def split_all_fast(base: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Split:
     """Same fragment multiset as split_all, via pairwise base intersections.
 
     Every cut on a fragment corresponds to a cut on its base segment, so
     it suffices to solve all base-segment pairs (in blocks, vectorized)
     and split each base segment once at its accumulated parameters. The
     fragments come grouped by base segment, in base order, and ordered
-    along each. ``base`` is a Segment list or an (m, 4) array, and the
-    result is a ``Split``: the (E, 4) fragments with the vertex and heading
-    of each end (see ``_split``). Raises NumericalDegeneracy for a fragment
-    shorter than fuzz, AmbiguousClustering for a hit that joins two vertices
-    or when two vertices come closer than 3*fuzz, and ValueError for
-    collinear overlapping segments.
+    along each. ``base`` is an (m, 4) array, and the result is a ``Split``:
+    the (E, 4) fragments with the vertex and heading of each end (see
+    ``_split``). The base rows take ``split_all``'s check before the pair
+    solve. Raises NumericalDegeneracy for a base row or fragment shorter
+    than fuzz or not finite, AmbiguousClustering for a hit that joins two
+    vertices or when two vertices come closer than 3*fuzz, and ValueError
+    for collinear overlapping segments.
     """
-    return _split(segment_array(base), tol)
+    _check_rows(base, tol.point_fuzzy)
+    return _split(base, tol)
 
 
 def _points_along(owner: np.ndarray, ts: np.ndarray, k: int, fuzz: float):
@@ -398,7 +402,7 @@ def _split(base: np.ndarray, tol: Tolerance) -> Split:
     rank[np.argsort(angle)] = np.arange(len(angle))
     heading = rank.reshape(-1, 2)[owner[inner]].reshape(-1)  # forward at p0, back at p1
     del x0, y0, x1, y1, px, py, owner, along, dx, dy, angle, rank
-    _check_lengths(frags, fuzz)
+    _check_rows(frags, fuzz)
     if broken:
         raise AmbiguousClustering(f"the hit of segments {broken[0]} and {broken[1]} joins"
                                   f" two vertices: their points are not one clique")
@@ -469,7 +473,7 @@ def counts(spec: PolygonSpec, tol: Tolerance = DEFAULT_TOL) -> CountSummary:
     SymmetryViolation is raised.
     """
     fuzz = tol.point_fuzzy
-    arrays = _segment_arrays(base_array(spec))
+    arrays = _segment_arrays(base_segments(spec))
     seglen = arrays[4]
     reps = np.array(orbit_representatives(spec))
     rows, orbit = reps[:, 0], reps[:, 1]

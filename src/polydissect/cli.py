@@ -12,9 +12,7 @@ from dataclasses import dataclass
 from .arrangement import CountSummary, count_vertices, counts, split_all_fast
 from .errors import GeometryError
 from .planar import build_graph
-# base_segments is not called here; perfbench/tracing.py wraps it under
-# this module's name, so it stays importable from it
-from .polygon import PolygonSpec, base_array, base_segments  # noqa: F401
+from .polygon import PolygonSpec, base_segments
 from .reference import reference_table
 from .render import RenderOptions, render_svg
 
@@ -116,7 +114,7 @@ def cmd_table(max_n: int, fmt: str) -> int:
 
 
 def cmd_render(n: int, out_path: str, faces: bool, opts: RenderOptions) -> int:
-    split = split_all_fast(base_array(PolygonSpec(n)))
+    split = split_all_fast(base_segments(PolygonSpec(n)))
     graph = build_graph(split) if faces else None
     document = render_svg(split, graph, opts)
     try:

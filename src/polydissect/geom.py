@@ -1,4 +1,4 @@
-"""Tolerance-aware points and segments, and the array helpers of the pipeline.
+"""The tolerance, the split record and the array helpers of the pipeline.
 
 All geometry in this package lives in the closed unit disk, so a single
 absolute distance threshold (``point_fuzzy``) serves both for point
@@ -7,23 +7,11 @@ identity and for the parallelism test of ``arrangement``'s pair solvers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 DEFAULT_FUZZ = 1e-10
-
-
-class Point2(NamedTuple):
-    """A position in the plane."""
-
-    x: float
-    y: float
-
-    def dist(self, other: "Point2") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
 
 
 @dataclass(frozen=True)
@@ -38,27 +26,6 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
-
-
-@dataclass(frozen=True, slots=True)
-class Segment:
-    """A straight line segment between two points.
-
-    Degenerate (near-zero-length or non-finite) segments are rejected at
-    construction: they would poison the determinant scale test used for
-    parallelism detection.
-    """
-
-    p0: Point2
-    p1: Point2
-
-    def __post_init__(self) -> None:
-        length = self.p0.dist(self.p1)
-        if not (math.isfinite(length) and length > DEFAULT_FUZZ):
-            raise ValueError(f"degenerate segment {self.p0} -> {self.p1} (length {length!r})")
-
-    def length(self) -> float:
-        return self.p0.dist(self.p1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,22 +45,6 @@ class Split:
 
     def __len__(self) -> int:
         return len(self.frags)
-
-
-def segment_array(segs: "list[Segment] | np.ndarray | Split") -> np.ndarray:
-    """Segments as a (k, 4) float array of x0, y0, x1, y1 rows.
-
-    An array passes through unchanged and a Split gives its fragments, so
-    pipeline stages accept a Segment list or what the previous stage
-    produced; an array of any other shape raises ValueError.
-    """
-    if isinstance(segs, Split):
-        return segs.frags
-    if isinstance(segs, np.ndarray):
-        if segs.ndim != 2 or segs.shape[1] != 4:
-            raise ValueError(f"segments must be a (k, 4) array, got shape {segs.shape}")
-        return segs
-    return np.array([(*s.p0, *s.p1) for s in segs], dtype=float).reshape(-1, 4)
 
 
 def merge_sorted_runs(

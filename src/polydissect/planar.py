@@ -271,14 +271,17 @@ def orbit_census(faces: Faces) -> OrbitCensus:
     face there, spread by rho(nxt h) = nxt(rho h) and rho(h ^ 1) = rho(h) ^ 1,
     where nxt is the face successor read off ``cycle``. N is the number of
     sides of the outer face, the 2n of a 2n-gon. Raises OrbitMismatch
-    unless every half-edge and its twin are in ``cycle`` once, each face
-    cycle has one signed area, there is one outer face, N is even and at
-    least 4, rho reaches every half-edge, is a permutation, commutes with
-    nxt (so it maps faces to faces of the same size) and with the twin, and
-    has orbits of size N or 1 (the central face, even n). Orbits are
-    numbered in the order of their first face.
+    unless ``cycle`` and ``start`` are integer arrays, every half-edge and
+    its twin are in ``cycle`` once, each face cycle has one signed area,
+    there is one outer face, N is even and at least 4, rho reaches every
+    half-edge, is a permutation, commutes with nxt (so it maps faces to
+    faces of the same size) and with the twin, and has orbits of size N or 1
+    (the central face, even n). Orbits are numbered in the order of their
+    first face.
     """
     cycle, start = faces.cycle, faces.start
+    if not all(np.issubdtype(a.dtype, np.integer) for a in (cycle, start)):
+        raise OrbitMismatch("the face cycles and their offsets are not integer arrays")
     nh, nf, size = len(cycle), len(faces), np.diff(start)
     if (nh % 2 or start[0] != 0 or start[-1] != nh or np.any(size < 1)
             or cycle.min(initial=0) < 0 or np.any(np.bincount(cycle, minlength=nh) != 1)):

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import Point2, Segment
-
 
 @dataclass(frozen=True)
 class PolygonSpec:
@@ -37,7 +35,7 @@ class PolygonSpec:
         return 2 * self.n
 
 
-def base_array(spec: PolygonSpec) -> np.ndarray:
+def base_segments(spec: PolygonSpec) -> np.ndarray:
     """The base segments as an (m, 4) array of x0, y0, x1, y1 rows.
 
     Perimeter edges come first, then the side-parallel diagonals. Corner k
@@ -54,16 +52,10 @@ def base_array(spec: PolygonSpec) -> np.ndarray:
     return np.hstack((pts[start], pts[end]))
 
 
-def base_segments(spec: PolygonSpec) -> list[Segment]:
-    """``base_array`` as Segment objects."""
-    return [Segment(Point2(x0, y0), Point2(x1, y1))
-            for x0, y0, x1, y1 in base_array(spec).tolist()]
-
-
 def orbit_representatives(spec: PolygonSpec) -> list[tuple[int, int]]:
     """One base segment per orbit under rotation by 2pi/N, with the orbit size.
 
-    Indices are into ``base_array(spec)``. The rotation takes corner j to
+    Indices are into ``base_segments(spec)``. The rotation takes corner j to
     j+1, so the 2n perimeter edges form one orbit. It takes the diagonal of
     family k on side e = n-1 to the diagonal of family n-1-k on side 0, so
     families k and n-1-k together form one orbit of size 2n, except the

@@ -2,9 +2,8 @@ import math
 
 import numpy as np
 
-from polydissect import Point2, Segment
 from polydissect.arrangement import _segment_arrays
-from polydissect.geom import close_pairs, segment_array
+from polydissect.geom import Split, close_pairs
 
 
 def dense_classes(arrays, rows, fuzz):
@@ -32,31 +31,56 @@ def dense_classes(arrays, rows, fuzz):
     return t, classes(t), classes(u)
 
 
+def frags_of(split):
+    """The (E, 4) fragment rows of a splitter's result: a Split or an array."""
+    return split.frags if isinstance(split, Split) else split
+
+
+def lengths(rows):
+    """The length of each (k, 4) segment row."""
+    return np.hypot(rows[:, 2] - rows[:, 0], rows[:, 3] - rows[:, 1])
+
+
+def lies_on(frag, base):
+    """Whether both ends of the row ``frag`` lie on the row ``base``, within 1e-9."""
+    bx, by, ex, ey = base
+    dx, dy = ex - bx, ey - by
+    norm = math.hypot(dx, dy)
+    for px, py in (frag[:2], frag[2:]):
+        if abs((px - bx) * dy - (py - by) * dx) / norm > 1e-9:
+            return False
+        t = ((px - bx) * dx + (py - by) * dy) / (norm * norm)
+        if not -1e-9 <= t <= 1 + 1e-9:
+            return False
+    return True
+
+
 def crossing_free(split, tol):
     """Exhaustive pairwise check: no pair i < j meets Interior x Interior."""
-    arrays = _segment_arrays(segment_array(split))
+    arrays = _segment_arrays(frags_of(split))
     _, t_cls, u_cls = dense_classes(arrays, np.arange(len(arrays[0])), tol.point_fuzzy)
     return not np.triu((t_cls == 2) & (u_cls == 2), 1).any()
 
 
-def as_segments(split):
-    """The fragments of a split (a Split, an array or a Segment list) as Segments."""
-    return [Segment(Point2(x0, y0), Point2(x1, y1))
-            for x0, y0, x1, y1 in segment_array(split).tolist()]
-
-
-def rotate_segments(segments, angle):
-    """Rigidly rotate a segment list about the origin."""
+def rotate_segments(rows, angle):
+    """Rigidly rotate (k, 4) segment rows about the origin."""
     c = math.cos(angle)
     s = math.sin(angle)
+    x, y = rows[:, 0::2], rows[:, 1::2]
+    out = np.empty_like(rows)
+    out[:, 0::2] = c * x - s * y
+    out[:, 1::2] = s * x + c * y
+    return out
 
-    def rot(p):
-        return Point2(c * p.x - s * p.y, s * p.x + c * p.y)
 
-    return [Segment(rot(seg.p0), rot(seg.p1)) for seg in segments]
+def shuffled_rows(rows, rng):
+    """The rows in the order ``rng.shuffle`` gives a list of their indices."""
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    return rows[order]
 
 
-def float_clusters(split, fuzz):
+def float_clusters(frags, fuzz):
     """Vertex labels and centroids of fragment endpoints found by distance alone.
 
     The float clustering the full route once used: exactly equal endpoints
@@ -65,7 +89,7 @@ def float_clusters(split, fuzz):
     point in sorted (x, y) order, and each centroid is the ``np.bincount``
     mean of its endpoints, summed in endpoint order.
     """
-    ends = segment_array(split).reshape(-1, 2)
+    ends = frags.reshape(-1, 2)
     xs, ys = ends[:, 0], ends[:, 1]
     uniq, inverse = np.unique(xs + 1j * ys, return_inverse=True)
     i, j = close_pairs(np.column_stack((uniq.real, uniq.imag)), fuzz)

@@ -12,7 +12,9 @@ import time
 
 import pytest
 
-from conftest import as_segments, crossing_free, float_clusters, rotate_segments
+from conftest import (
+    crossing_free, float_clusters, lengths, lies_on, rotate_segments, shuffled_rows,
+)
 from polydissect import (
     DEFAULT_TOL,
     CountSummary,
@@ -133,17 +135,17 @@ def test_criterion_6_property_tests():
     # split length conservation, per base segment, within 1e-8
     for n in (4, 6, 8):
         base = base_segments(PolygonSpec(n))
-        split = as_segments(split_all_fast(base))
+        frags = split_all_fast(base).frags
         sums = [0.0] * len(base)
-        for frag in split:
-            owners = [i for i, b in enumerate(base) if _lies_on(frag, b)]
+        for frag, length in zip(frags.tolist(), lengths(frags).tolist()):
+            owners = [i for i, b in enumerate(base.tolist()) if lies_on(frag, b)]
             if len(owners) != 1:
                 failures.append((n, "fragment ownership", str(frag)))
                 continue
-            sums[owners[0]] += frag.length()
-        for i, b in enumerate(base):
-            if abs(sums[i] - b.length()) > 1e-8:
-                failures.append((n, "coverage", i, sums[i] - b.length()))
+            sums[owners[0]] += length
+        for i, length in enumerate(lengths(base).tolist()):
+            if abs(sums[i] - length) > 1e-8:
+                failures.append((n, "coverage", i, sums[i] - length))
 
     # crossing-freeness, exhaustive pairwise for n <= 8
     for n in range(2, 9):
@@ -157,9 +159,7 @@ def test_criterion_6_property_tests():
         base = base_segments(spec)
         expected = summary_for(n)
         for trial in range(20):
-            shuffled = base[:]
-            rng.shuffle(shuffled)
-            split = split_all_fast(shuffled)
+            split = split_all_fast(shuffled_rows(base, rng))
             v = count_vertices(split)
             if (v, len(split)) != (expected.V, expected.E):
                 failures.append((n, "shuffle", trial))
@@ -173,19 +173,6 @@ def test_criterion_6_property_tests():
     report("6", not failures,
            "length conservation 1e-8, crossing-freeness n<=8, 20 shuffles/rotations n<=10")
     assert not failures, f"property failures: {failures}"
-
-
-def _lies_on(frag, base):
-    bx, by = base.p0.x, base.p0.y
-    dx, dy = base.p1.x - bx, base.p1.y - by
-    norm = math.hypot(dx, dy)
-    for p in (frag.p0, frag.p1):
-        if abs((p.x - bx) * dy - (p.y - by) * dx) / norm > 1e-9:
-            return False
-        t = ((p.x - bx) * dx + (p.y - by) * dy) / (norm * norm)
-        if not -1e-9 <= t <= 1 + 1e-9:
-            return False
-    return True
 
 
 def check_fast_splitter(ns: range) -> None:

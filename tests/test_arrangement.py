@@ -4,14 +4,15 @@ import random
 import numpy as np
 import pytest
 
-from conftest import as_segments, crossing_free, dense_classes, float_clusters, rotate_segments
+from conftest import (
+    crossing_free, dense_classes, float_clusters, frags_of, lengths, lies_on, rotate_segments,
+    shuffled_rows,
+)
 from polydissect import (
     DEFAULT_TOL,
     AmbiguousClustering,
     NumericalDegeneracy,
-    Point2,
     PolygonSpec,
-    Segment,
     Tolerance,
     base_segments,
     build_graph,
@@ -23,12 +24,13 @@ from polydissect import (
 )
 from polydissect import arrangement
 from polydissect.arrangement import _hits, _segment_arrays
-from polydissect.geom import Split, segment_array
-from polydissect.polygon import base_array, orbit_representatives
+from polydissect.geom import Split
+from polydissect.polygon import orbit_representatives
 
 
-def seg(x0, y0, x1, y1):
-    return Segment(Point2(x0, y0), Point2(x1, y1))
+def segs(*rows):
+    """Segments as a (k, 4) array, one x0, y0, x1, y1 row each."""
+    return np.array(rows, dtype=float)
 
 
 def full_route(spec, tol=DEFAULT_TOL, splitter=split_all_fast):
@@ -37,7 +39,7 @@ def full_route(spec, tol=DEFAULT_TOL, splitter=split_all_fast):
     ``split_all``'s fragments go through ``split_all_fast``, which leaves
     a crossing-free set as it is and reads its vertices.
     """
-    frags = splitter(base_array(spec), tol)
+    frags = splitter(base_segments(spec), tol)
     split = frags if isinstance(frags, Split) else split_all_fast(frags, tol)
     v = count_vertices(split)
     return v, len(frags), 1 + len(frags) - v
@@ -54,26 +56,22 @@ class TestSplitting:
         assert len(split) == 12
 
     def test_two_crossing_diagonals(self, splitter):
-        split = as_segments(splitter([seg(0, 0, 1, 1), seg(0, 1, 1, 0)]))
-        assert len(split) == 4
-        center = Point2(0.5, 0.5)
-        for s in split:
-            assert min(s.p0.dist(center), s.p1.dist(center)) < 1e-12
+        frags = frags_of(splitter(segs([0, 0, 1, 1], [0, 1, 1, 0])))
+        assert len(frags) == 4
+        # one end of each fragment is the center
+        gap = np.hypot(frags[:, 0::2] - 0.5, frags[:, 1::2] - 0.5)
+        assert np.all(gap.min(axis=1) < 1e-12)
 
     def test_endpoint_touch_cuts_only_the_touched_segment(self, splitter):
         # vertical reaches the horizontal's interior with its endpoint
-        split = as_segments(splitter([seg(0, 0, 1, 0), seg(0.5, 0, 0.5, 1)]))
-        horizontals = [s for s in split if abs(s.p0.y - s.p1.y) < 1e-12]
-        verticals = [s for s in split if abs(s.p0.x - s.p1.x) < 1e-12]
-        assert len(horizontals) == 2
-        assert len(verticals) == 1
+        frags = frags_of(splitter(segs([0, 0, 1, 0], [0.5, 0, 0.5, 1])))
+        assert np.count_nonzero(np.abs(frags[:, 1] - frags[:, 3]) < 1e-12) == 2
+        assert np.count_nonzero(np.abs(frags[:, 0] - frags[:, 2]) < 1e-12) == 1
 
     def test_degenerate_fragment_raises(self, splitter):
         # the crossing sits 8e-11 from an endpoint: below fuzz once scaled
-        a = seg(0.0, 0.0, 0.2, 0.0)
-        b = seg(8e-11, -0.1, 8e-11, 0.1)
         with pytest.raises(NumericalDegeneracy):
-            splitter([a, b])
+            splitter(segs([0.0, 0.0, 0.2, 0.0], [8e-11, -0.1, 8e-11, 0.1]))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_output_is_crossing_free(self, splitter, n):
@@ -83,24 +81,31 @@ class TestSplitting:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_fragments_cover_each_base_segment(self, splitter, n):
         base = base_segments(PolygonSpec(n))
-        split = as_segments(splitter(base))
-        sums = [0.0] * len(base)
-        for frag in split:
-            owners = [i for i, b in enumerate(base) if _on_segment(frag, b)]
+        frags = frags_of(splitter(base))
+        sums = np.zeros(len(base))
+        for frag, length in zip(frags.tolist(), lengths(frags)):
+            owners = [i for i, b in enumerate(base.tolist()) if lies_on(frag, b)]
             assert len(owners) == 1
-            sums[owners[0]] += frag.length()
-        for b, total in zip(base, sums):
-            assert total == pytest.approx(b.length(), abs=1e-8)
+            sums[owners[0]] += length
+        assert sums == pytest.approx(lengths(base), abs=1e-8)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_the_crossing_oracle_sees_the_crossings_of_the_unsplit_base(n):
     # the square has no diagonals, so nothing crosses; from the hexagon on,
     # the diagonals do, and crossing_free must say so
-    assert crossing_free(base_array(PolygonSpec(n)), DEFAULT_TOL) == (n == 2)
+    assert crossing_free(base_segments(PolygonSpec(n)), DEFAULT_TOL) == (n == 2)
 
 
-@pytest.mark.parametrize("row", [[0.0, 0.0, 0.0, 0.0], [math.nan, 0.0, 1.0, 1.0]])
+# each base row is checked before the pair solve, so a non-finite row raises
+# no numpy warning on its way; run with warnings as errors
+DEGENERATE_ROWS = [
+    [0.0, 0.0, 0.0, 0.0], [math.nan, 0.0, 1.0, 1.0], [0.0, 0.0, math.inf, 0.0],
+    [0.0, 0.0, 5e-11, 0.0]]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("row", DEGENERATE_ROWS)
 def test_a_single_degenerate_base_row_raises(row):
     # one base row takes the same length check as many, in both splitters
     for splitter in (split_all, split_all_fast):
@@ -108,8 +113,9 @@ def test_a_single_degenerate_base_row_raises(row):
             splitter(np.array([row]))
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("splitter", [split_all, split_all_fast])
-@pytest.mark.parametrize("row", [[0.0, 0.0, 0.0, 0.0], [math.nan, 0.0, 1.0, 1.0]])
+@pytest.mark.parametrize("row", DEGENERATE_ROWS)
 @pytest.mark.parametrize("first", [True, False])
 def test_a_degenerate_base_row_beside_a_good_one_raises(splitter, row, first):
     # the bad row may come first or second: every base row is checked before the scan
@@ -137,9 +143,10 @@ def test_split_all_refuses_collinear_overlapping_segments():
 OVERLAP = [[0.0, 0.0, 2.0, 0.0], [1.0, 0.0, 3.0, 0.0], [1.5, -1.0, 1.5, 1.0]]
 
 
-@pytest.mark.parametrize("as_list", [False, True])
-def test_split_all_fast_refuses_collinear_overlapping_segments(as_list):
-    base = [seg(*row) for row in OVERLAP] if as_list else np.array(OVERLAP)
+@pytest.mark.parametrize("reverse", [False, True])
+def test_split_all_fast_refuses_collinear_overlapping_segments(reverse):
+    # whichever of the overlapping rows comes first
+    base = np.array(OVERLAP[::-1] if reverse else OVERLAP)
     with pytest.raises(ValueError, match="collinear overlapping"):
         split_all_fast(base)
 
@@ -171,7 +178,7 @@ def assert_hits_match_the_dense_reference(base, rows, fuzz=DEFAULT_TOL.point_fuz
 def test_hits_match_a_dense_classification_on_the_polygon(n, block, monkeypatch):
     monkeypatch.setattr(arrangement, "_BLOCK_PAIRS", block)
     spec = PolygonSpec(n)
-    base = base_array(spec)
+    base = base_segments(spec)
     assert_hits_match_the_dense_reference(base, np.arange(len(base)))
     assert_hits_match_the_dense_reference(base, np.array(orbit_representatives(spec))[:, 0])
 
@@ -197,19 +204,6 @@ def test_hits_match_a_dense_classification_at_the_fuzz_bands():
     assert not {-2 * fuzz, -fuzz, 1 + 2 * fuzz} & seen
 
 
-def _on_segment(frag, base):
-    bx, by = base.p0.x, base.p0.y
-    dx, dy = base.p1.x - bx, base.p1.y - by
-    ln2 = dx * dx + dy * dy
-    for p in (frag.p0, frag.p1):
-        if abs((p.x - bx) * dy - (p.y - by) * dx) / math.sqrt(ln2) > 1e-9:
-            return False
-        t = ((p.x - bx) * dx + (p.y - by) * dy) / ln2
-        if not -1e-9 <= t <= 1 + 1e-9:
-            return False
-    return True
-
-
 class TestCountVertices:
     # split_all's fragments are crossing-free: split_all_fast reads their vertices
     def test_hexagon_has_six_corners_and_a_center(self):
@@ -229,27 +223,25 @@ class TestCountVertices:
         # two parallel segments 2e-10 apart: distinct clusters, centroids
         # within the 3*fuzz guard band
         with pytest.raises(AmbiguousClustering):
-            split_all_fast([seg(0, 0, 1, 0), seg(0, 2e-10, 1, 2e-10)])
+            split_all_fast(segs([0, 0, 1, 0], [0, 2e-10, 1, 2e-10]))
 
     def test_ends_chained_under_fuzz_apart_are_refused(self):
         # six starts 0.9*fuzz apart in a chain: by distance alone they were one
         # vertex, but the segments cross each other between them, and the
         # split refuses the pieces shorter than fuzz that this leaves
         step = 0.9 * DEFAULT_TOL.point_fuzzy
-        split = [seg(0.3 + k * step, 0.2, -0.5, -0.5 + 0.1 * k) for k in (3, 0, 5, 1, 4, 2)]
+        base = segs(*([0.3 + k * step, 0.2, -0.5, -0.5 + 0.1 * k] for k in (3, 0, 5, 1, 4, 2)))
         with pytest.raises(NumericalDegeneracy, match="shorter than fuzz"):
-            split_all_fast(split)
+            split_all_fast(base)
 
     def test_independent_of_segment_order(self):
         split = split_all(base_segments(PolygonSpec(5)))
         rng = random.Random(3)
         for _ in range(5):
-            shuffled = split[:]
-            rng.shuffle(shuffled)
-            assert count_vertices(split_all_fast(shuffled)) == 31
+            assert count_vertices(split_all_fast(shuffled_rows(split, rng))) == 31
 
     def test_vertices_are_numbered_in_the_order_of_their_first_end(self):
-        split = split_all_fast(base_array(PolygonSpec(5)))
+        split = split_all_fast(base_segments(PolygonSpec(5)))
         shuffled = split_all_fast(split.frags[np.random.default_rng(5).permutation(len(split))])
         for labels, points in (cluster_endpoints(split), cluster_endpoints(shuffled)):
             values, first = np.unique(labels, return_index=True)
@@ -260,9 +252,9 @@ class TestCountVertices:
     @pytest.mark.parametrize("caller", [count_vertices, build_graph])
     def test_segments_that_are_not_a_split_raise(self, caller, form):
         # the graph stages read the splitter's vertices; they split nothing themselves
-        segments = [seg(0, 0, 1, 1), seg(0, 1, 1, 0)]
+        segments = [[0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 0.0]]
         with pytest.raises(TypeError, match="pass the Split from split_all_fast"):
-            caller(segments if form == "list" else segment_array(segments))
+            caller(segments if form == "list" else np.array(segments))
 
 
 def same_partition(labels, other):
@@ -278,7 +270,7 @@ def same_partition(labels, other):
 class TestVertexIdentity:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 13, 24])
     def test_a_pair_meets_exactly_when_its_partner_does(self, n):
-        base = base_array(PolygonSpec(n))
+        base = base_segments(PolygonSpec(n))
         m = len(base)
         row, col, t, _ = _hits(_segment_arrays(base), np.arange(m), DEFAULT_TOL.point_fuzzy)
         key = row * m + col
@@ -294,7 +286,7 @@ class TestVertexIdentity:
 
     @pytest.mark.parametrize("n", range(2, 21))
     def test_a_point_on_k_segments_has_k_minus_1_partners(self, n):
-        base = base_array(PolygonSpec(n))
+        base = base_segments(PolygonSpec(n))
         owner, _, point, far = arrangement._hit_points(base, DEFAULT_TOL.point_fuzzy)
         split = split_all_fast(base)
         # the vertex of each point, from the fragments between consecutive points
@@ -310,7 +302,7 @@ class TestVertexIdentity:
     @pytest.mark.parametrize("n", range(2, 40))
     def test_the_split_vertices_are_the_float_clusters(self, n):
         # the same partition, and coordinates equal to the last bit
-        split = split_all_fast(base_array(PolygonSpec(n)))
+        split = split_all_fast(base_segments(PolygonSpec(n)))
         labels, points = float_clusters(split.frags, DEFAULT_TOL.point_fuzzy)
         to_split = same_partition(labels, split.labels)
         assert np.array_equal(split.points[to_split], points)
@@ -319,9 +311,9 @@ class TestVertexIdentity:
     def test_a_split_without_crossings_keeps_its_fragments_and_vertices(self, n):
         # split_all's fragments meet only at their ends, and no single segment
         # runs through a crossing; the links still join every end there
-        slow = split_all(base_array(PolygonSpec(n)))
-        split = split_all_fast(segment_array(slow))
-        assert np.array_equal(split.frags, segment_array(slow))
+        slow = split_all(base_segments(PolygonSpec(n)))
+        split = split_all_fast(slow)
+        assert np.array_equal(split.frags, slow)
         same_partition(float_clusters(slow, DEFAULT_TOL.point_fuzzy)[0], split.labels)
         assert len(split.points) == counts(PolygonSpec(n)).V
 
@@ -347,7 +339,7 @@ class TestVertexIdentity:
     def test_vertex_counts_beyond_the_reference_table(self):
         for n in range(40, 65):
             spec = PolygonSpec(n)
-            assert count_vertices(split_all_fast(base_array(spec))) == counts(spec).V, n
+            assert count_vertices(split_all_fast(base_segments(spec))) == counts(spec).V, n
 
 
 class TestCounts:
@@ -407,9 +399,7 @@ class TestCounts:
         base = base_segments(spec)
         reference = counts(spec)
         for _ in range(5):
-            shuffled = base[:]
-            rng.shuffle(shuffled)
-            split = split_all_fast(shuffled)
+            split = split_all_fast(shuffled_rows(base, rng))
             v = count_vertices(split)
             assert (v, len(split)) == (reference.V, reference.E)
 
@@ -425,7 +415,5 @@ class TestCounts:
 
 @pytest.mark.parametrize("n", [2, 5, 8])
 def test_all_produced_points_stay_in_the_unit_disk(n):
-    for s in as_segments(split_all_fast(base_segments(PolygonSpec(n)))):
-        for p in (s.p0, s.p1):
-            assert abs(p.x) <= 1 + 1e-9
-            assert abs(p.y) <= 1 + 1e-9
+    frags = split_all_fast(base_segments(PolygonSpec(n))).frags
+    assert np.abs(frags).max() <= 1 + 1e-9

@@ -1,4 +1,5 @@
-"""The array form of the full route agrees with the Segment-list form."""
+"""The arrays of the full route: pinned bytes, the checks at each stage's door,
+and the vectorized kernels against plain loops."""
 
 import hashlib
 import tracemalloc
@@ -9,9 +10,7 @@ import pytest
 from polydissect import (
     AmbiguousClustering,
     PlanarGraph,
-    Point2,
     PolygonSpec,
-    Segment,
     TraversalIncomplete,
     base_segments,
     build_graph,
@@ -24,45 +23,18 @@ from polydissect import (
     split_all_fast,
 )
 from polydissect import arrangement
-from polydissect.geom import Split, merge_sorted_runs, segment_array
-from polydissect.polygon import base_array
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 7, 12])
-def test_base_segments_wrap_the_base_array(n):
-    spec = PolygonSpec(n)
-    rows = [[*s.p0, *s.p1] for s in base_segments(spec)]
-    assert rows == base_array(spec).tolist()
+from polydissect.geom import Split, merge_sorted_runs
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 13])
-def test_array_split_matches_the_segment_split(n):
-    spec = PolygonSpec(n)
-    split = split_all_fast(base_array(spec))
+def test_splitting_the_fragments_again_changes_nothing(n):
+    split = split_all_fast(base_segments(PolygonSpec(n)))
     assert isinstance(split, Split) and split.frags.shape[1] == 4
-    assert len(split) == len(split.frags) and segment_array(split) is split.frags
-    # a Segment list gives the same Split as the array
-    from_list = split_all_fast(base_segments(spec))
-    assert isinstance(from_list, Split)
-    for name in ("frags", "labels", "points", "heading"):
-        assert np.array_equal(getattr(from_list, name), getattr(split, name))
-    # splitting the fragments again leaves the fragments and vertices as they are
+    assert len(split) == len(split.frags)
+    # the fragments and vertices come back as they are
     again = split_all_fast(split.frags)
     for name in ("frags", "labels", "points"):
         assert np.array_equal(getattr(again, name), getattr(split, name))
-    assert split_all(base_array(spec)) == split_all(base_segments(spec))
-
-
-@pytest.mark.parametrize("n", [3, 6, 9])
-def test_graph_from_arrays_equals_graph_from_segments(n):
-    spec = PolygonSpec(n)
-    from_array = build_graph(split_all_fast(base_array(spec)))
-    from_list = build_graph(split_all_fast(base_segments(spec)))
-    for name in ("vertices", "edges", "ring_half"):
-        assert np.array_equal(getattr(from_array, name), getattr(from_list, name))
-    faces, same_faces = enumerate_faces(from_array), enumerate_faces(from_list)
-    for name in ("cycle", "start", "signed_area"):
-        assert np.array_equal(getattr(faces, name), getattr(same_faces, name))
 
 
 # SHA-256 of the fragment array's bytes: the golden SVGs round to six
@@ -77,7 +49,7 @@ FRAGMENT_DIGESTS = {
 
 @pytest.mark.parametrize("n", sorted(FRAGMENT_DIGESTS))
 def test_fragment_bytes_are_pinned(n):
-    frags = split_all_fast(base_array(PolygonSpec(n))).frags
+    frags = split_all_fast(base_segments(PolygonSpec(n))).frags
     assert hashlib.sha256(frags.tobytes()).hexdigest() == FRAGMENT_DIGESTS[n]
 
 
@@ -95,7 +67,7 @@ RING_DIGESTS = {
 
 @pytest.mark.parametrize("n", sorted(RING_DIGESTS))
 def test_ring_order_is_pinned(n):
-    g = build_graph(split_all_fast(base_array(PolygonSpec(n))))
+    g = build_graph(split_all_fast(base_segments(PolygonSpec(n))))
     assert hashlib.sha256(g.ring_half.tobytes()).hexdigest() == RING_DIGESTS[n]
 
 
@@ -110,7 +82,7 @@ FACE_DIGESTS = {
 
 @pytest.mark.parametrize("n", sorted(FACE_DIGESTS))
 def test_faces_are_pinned(n):
-    f = enumerate_faces(build_graph(split_all_fast(base_array(PolygonSpec(n)))))
+    f = enumerate_faces(build_graph(split_all_fast(base_segments(PolygonSpec(n)))))
     data = f.cycle.tobytes() + f.start.tobytes() + f.signed_area.tobytes()
     assert hashlib.sha256(data).hexdigest() == FACE_DIGESTS[n]
 
@@ -118,7 +90,7 @@ def test_faces_are_pinned(n):
 def test_the_face_walk_frees_its_temporaries():
     # the walk's own peak above its input; 33 MB when it kept every
     # half-edge-sized temporary alive to the end
-    g = build_graph(split_all_fast(base_array(PolygonSpec(24))))
+    g = build_graph(split_all_fast(base_segments(PolygonSpec(24))))
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
@@ -140,7 +112,7 @@ CLUSTER_DIGESTS = {
 
 @pytest.mark.parametrize("n", sorted(CLUSTER_DIGESTS))
 def test_vertex_clusters_are_pinned(n):
-    labels, points = cluster_endpoints(split_all_fast(base_array(PolygonSpec(n))))
+    labels, points = cluster_endpoints(split_all_fast(base_segments(PolygonSpec(n))))
     assert labels.dtype == np.int64
     digest = hashlib.sha256(labels.tobytes() + points.tobytes()).hexdigest()
     assert digest == CLUSTER_DIGESTS[n]
@@ -161,9 +133,22 @@ def test_a_segment_array_that_is_not_k_by_4_raises(stage, shape):
         stage(np.arange(np.prod(shape), dtype=float).reshape(shape) / 10.0)
 
 
+ROWS = [[0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 0.0]]
+
+
+@pytest.mark.parametrize("form", ["rows", "split"])
+@pytest.mark.parametrize("splitter", [split_all, split_all_fast])
+def test_segments_that_are_not_an_array_raise(splitter, form):
+    # a plain list of rows, or a Split, is not the (m, 4) array the splitters
+    # take; split.frags is
+    segments = ROWS if form == "rows" else split_all_fast(np.array(ROWS))
+    with pytest.raises(TypeError, match=r"pass an \(m, 4\) array"):
+        splitter(segments)
+
+
 def test_a_split_is_read_not_split_again(monkeypatch):
-    # what split_all_fast returns, from a Segment list too, reaches the
-    # vertex count, the graph and the SVG without a second pair solve
+    # what split_all_fast returns reaches the vertex count, the graph and
+    # the SVG without a second pair solve
     split = split_all_fast(base_segments(PolygonSpec(6)))
 
     def refuse(*args, **kwargs):
@@ -175,7 +160,7 @@ def test_a_split_is_read_not_split_again(monkeypatch):
 
 
 def test_an_empty_segment_array_is_accepted():
-    assert segment_array(np.empty((0, 4))).shape == (0, 4)
+    assert split_all(np.empty((0, 4))).shape == (0, 4)
     assert count_vertices(split_all_fast(np.empty((0, 4)))) == 0
 
 
@@ -192,9 +177,8 @@ def test_edges_close_across_the_cut_are_ordered_by_heading():
     # at the origin the two edges point at angles just below +pi and just
     # above -pi, 8e-10 rad apart through the cut; their directions are not
     # parallel, so they have two headings, and the ring runs b, a
-    a = Segment(Point2(0.0, 0.0), Point2(-1.0, 4e-10))
-    b = Segment(Point2(0.0, 0.0), Point2(-1.0, -4e-10))
-    g = build_graph(split_all_fast([a, b]))
+    g = build_graph(split_all_fast(np.array([[0.0, 0.0, -1.0, 4e-10],
+                                             [0.0, 0.0, -1.0, -4e-10]])))
     assert g.edges.tolist() == [[0, 1], [0, 2]]
     assert g.ring_half.tolist() == [2, 0, 1, 3]
 
@@ -244,7 +228,7 @@ def test_two_half_edges_with_one_heading_at_a_vertex_raise():
 def test_headings_are_small_integers_ranking_the_base_directions():
     # forward at p0 and backward at p1 of each fragment, ranked among the 2m
     # base directions by angle; the ranks fit the smallest unsigned dtype
-    base = base_array(PolygonSpec(6))
+    base = base_segments(PolygonSpec(6))
     split = split_all_fast(base)
     assert split.heading.dtype == np.min_scalar_type(2 * len(base) - 1)
     f = split.frags
@@ -274,7 +258,7 @@ def test_fewer_vertices_than_rings_raise():
 
 
 def test_rings_of_float_half_edges_raise():
-    g = build_graph(split_all_fast(base_array(PolygonSpec(3))))
+    g = build_graph(split_all_fast(base_segments(PolygonSpec(3))))
     with pytest.raises(TraversalIncomplete, match="outside the integers"):
         enumerate_faces(PlanarGraph(g.vertices, g.edges, g.ring_half.astype(float)))
 
@@ -282,7 +266,7 @@ def test_rings_of_float_half_edges_raise():
 def test_a_half_edge_in_another_vertex_ring_raises():
     # the walk alone accepts these rings: it finds cycles with exactly one
     # of negative area, which do not follow the geometry
-    g = build_graph(split_all_fast(base_array(PolygonSpec(2))))
+    g = build_graph(split_all_fast(base_segments(PolygonSpec(2))))
     half = g.ring_half.copy()
     half[[0, 2]] = half[[2, 0]]
     with pytest.raises(TraversalIncomplete, match="sits in the ring"):
@@ -322,7 +306,7 @@ def test_vectorized_runs_follow_the_loop_in_every_group(seed):
 def test_face_areas_follow_the_loop(n):
     # the vectorized sums run in another order, so they may differ from the
     # loop in the last bits only
-    g = build_graph(split_all_fast(base_array(PolygonSpec(n))))
+    g = build_graph(split_all_fast(base_segments(PolygonSpec(n))))
     origin = g.edges.reshape(-1)
     for face in enumerate_faces(g):
         pts = g.vertices[origin[list(face.boundary)]].tolist()

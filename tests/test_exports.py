@@ -29,8 +29,11 @@ def test_removed_names_are_gone():
                          (polydissect, "MissingGraph"), (errors, "MissingGraph"),
                          (arrangement, "_fragments"), (arrangement, "SplitSegmentSet"),
                          (planar, "_cycle_labels"), (reference, "ReferenceRow"),
+                         (polygon, "base_array"), (arrangement, "SegmentSet"),
+                         (geom, "segment_array"),
                          *((m, name) for m in (polydissect, geom)
-                           for name in ("intersect", "classify_param", "ParamClass", "Params")),
+                           for name in ("intersect", "classify_param", "ParamClass", "Params",
+                                        "Point2", "Segment")),
                          *((m, name) for m in (polydissect, polygon)
                            for name in ("corners", "diagonal_census", "DiagonalCensus"))):
         assert not hasattr(module, name), f"{module.__name__}.{name}"
@@ -86,14 +89,37 @@ def test_the_census_and_the_renderer_take_no_tolerance():
         assert "tol" not in inspect.signature(fn).parameters, fn.__name__
 
 
-def test_every_name_the_benchmark_tracer_patches_resolves():
-    # the tracer imports only the standard library, so it loads on its own
+def load_tracing():
+    """The benchmark's tracer module; it imports only the standard library,
+    so it loads on its own."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     if not path.exists():
         pytest.skip("no perfbench/tracing.py in this checkout")
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_name_the_benchmark_tracer_patches_resolves():
+    tracing = load_tracing()
     assert tracing.PATCHES
     for module, name, *_ in tracing.PATCHES:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+@pytest.mark.parametrize("argv,segments", [
+    (["count", "--n", "5"], 25),
+    (["render", "--n", "5", "--faces"], 25),
+    (["verify", "--max-n", "4"], 4 + 9 + 16),
+], ids=["count", "render", "verify"])
+def test_the_tracer_sees_the_base_segments_of_each_polygon(argv, segments, tmp_path):
+    # the 2n-gon has n**2 base segments; each polygon the command counts or
+    # draws builds them once, through the name the tracer wraps
+    tracing = load_tracing()
+    if argv[0] == "render":
+        argv = [*argv, "--out", str(tmp_path / "figure.svg")]
+    tracer = tracing.Tracer(tmp_path)
+    with tracer.installed():
+        assert cli.main(argv) == 0
+    assert tracing.layer_metrics(tracer.collect())["polygon.segments"] == segments

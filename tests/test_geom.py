@@ -4,23 +4,22 @@ import random
 import numpy as np
 import pytest
 
-from polydissect import Point2, PolygonSpec, Segment, Tolerance, arrangement
+from polydissect import PolygonSpec, Tolerance, arrangement, base_segments
 from polydissect.arrangement import (
     _END, _INTERIOR, _MISS, _param_class, _segment_arrays, _solve_pairs, _split_tuple,
 )
-from polydissect.geom import close_pairs, group_order, merge_sorted_runs, segment_array
-from polydissect.polygon import base_array
+from polydissect.geom import close_pairs, group_order, merge_sorted_runs
 
 FUZZ = 1e-10
 
 
 def seg(x0, y0, x1, y1):
-    return Segment(Point2(x0, y0), Point2(x1, y1))
+    return (x0, y0, x1, y1)
 
 
 def solve(a, b):
-    """(t on a, t on b) when the pair kernel finds a and b meeting, else None."""
-    k, t, _ = _solve_pairs(_segment_arrays(segment_array([a, b])), np.arange(2), FUZZ)
+    """(t on a, t on b) when the pair kernel finds the rows a and b meeting, else None."""
+    k, t, _ = _solve_pairs(_segment_arrays(np.array([a, b], dtype=float)), np.arange(2), FUZZ)
     # flat index 1 is row a against column b, 2 is row b against column a
     assert k.tolist() in ([], [1, 2])
     return tuple(t.tolist()) or None
@@ -44,14 +43,13 @@ class TestIntersect:
         for _ in range(200):
             a = _random_segment(rng)
             # parallel partner: translate and rescale the same direction
-            dx = a.p1.x - a.p0.x
-            dy = a.p1.y - a.p0.y
+            x0, y0, x1, y1 = a
+            dx = x1 - x0
+            dy = y1 - y0
             shift = rng.uniform(-0.5, 0.5)
             scale = rng.uniform(0.3, 2.0)
-            b = Segment(
-                Point2(a.p0.x - dy * shift, a.p0.y + dx * shift),
-                Point2(a.p0.x - dy * shift + dx * scale, a.p0.y + dx * shift + dy * scale),
-            )
+            b = (x0 - dy * shift, y0 + dx * shift,
+                 x0 - dy * shift + dx * scale, y0 + dx * shift + dy * scale)
             assert solve(a, b) is None
             assert solve(b, a) is None
 
@@ -68,7 +66,7 @@ class TestIntersect:
 
         monkeypatch.setattr(arrangement, "_param_class", every_pair_meets)
         rng = np.random.default_rng(21)
-        for base in (base_array(PolygonSpec(13)), rng.uniform(-1, 1, size=(300, 4))):
+        for base in (base_segments(PolygonSpec(13)), rng.uniform(-1, 1, size=(300, 4))):
             m = len(base)
             seen.clear()
             k, t, _ = _solve_pairs(_segment_arrays(base), np.arange(m), FUZZ)
@@ -84,9 +82,9 @@ class TestIntersect:
         for _ in range(300):
             a, b = _crossing_pair(rng)
             t, u = solve(a, b)
-            pa = Point2(t * a.p1.x + (1 - t) * a.p0.x, t * a.p1.y + (1 - t) * a.p0.y)
-            pb = Point2(u * b.p1.x + (1 - u) * b.p0.x, u * b.p1.y + (1 - u) * b.p0.y)
-            assert pa.dist(pb) <= 1e-9
+            (ax0, ay0, ax1, ay1), (bx0, by0, bx1, by1) = a, b
+            assert math.hypot(t * ax1 + (1 - t) * ax0 - u * bx1 - (1 - u) * bx0,
+                              t * ay1 + (1 - t) * ay0 - u * by1 - (1 - u) * by0) <= 1e-9
 
 
 class TestClassifyParam:
@@ -140,8 +138,9 @@ class TestSplitAtParams:
         for _ in range(200):
             s = _random_segment(rng)
             ts = [rng.uniform(1e-6, 1 - 1e-6) for _ in range(rng.randrange(0, 12))]
-            parts = _split_tuple(*s.p0, *s.p1, ts, FUZZ)
-            assert sum(p[4] for p in parts) == pytest.approx(s.length(), abs=1e-9)
+            parts = _split_tuple(*s, ts, FUZZ)
+            length = math.hypot(s[2] - s[0], s[3] - s[1])
+            assert sum(p[4] for p in parts) == pytest.approx(length, abs=1e-9)
 
     def test_fragments_chain_without_gaps(self):
         # the ends t = 0 and t = 1 reproduce the segment's endpoints bit-exactly
@@ -237,15 +236,6 @@ class TestGroupOrder:
         assert order.shape == (0,)
 
 
-def test_degenerate_segment_rejected():
-    with pytest.raises(ValueError):
-        Segment(Point2(0.0, 0.0), Point2(0.0, 0.0))
-    with pytest.raises(ValueError):
-        Segment(Point2(0.0, 0.0), Point2(5e-11, 0.0))
-    with pytest.raises(ValueError):
-        Segment(Point2(0.0, 0.0), Point2(math.inf, 0.0))
-
-
 @pytest.mark.parametrize("bad", [0.0, -1e-10, 1e-3, 1.0])
 def test_tolerance_range_is_validated(bad):
     with pytest.raises(ValueError):
@@ -257,11 +247,12 @@ def test_tolerance_default():
 
 
 def _random_segment(rng):
+    """A random x0, y0, x1, y1 row in the square [-1, 1]^2, longer than 1e-3."""
     while True:
-        p = Point2(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        q = Point2(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        if p.dist(q) > 1e-3:
-            return Segment(p, q)
+        x0, y0 = rng.uniform(-1, 1), rng.uniform(-1, 1)
+        x1, y1 = rng.uniform(-1, 1), rng.uniform(-1, 1)
+        if math.hypot(x1 - x0, y1 - y0) > 1e-3:
+            return (x0, y0, x1, y1)
 
 
 def _crossing_pair(rng):
@@ -274,8 +265,6 @@ def _crossing_pair(rng):
     for ang in (a0, a1):
         la = rng.uniform(0.1, 0.7)
         lb = rng.uniform(0.1, 0.7)
-        out.append(Segment(
-            Point2(cx - la * math.cos(ang), cy - la * math.sin(ang)),
-            Point2(cx + lb * math.cos(ang), cy + lb * math.sin(ang)),
-        ))
+        out.append((cx - la * math.cos(ang), cy - la * math.sin(ang),
+                    cx + lb * math.cos(ang), cy + lb * math.sin(ang)))
     return out

@@ -7,9 +7,7 @@ from polydissect import (
     Faces,
     OrbitMismatch,
     PlanarGraph,
-    Point2,
     PolygonSpec,
-    Segment,
     TraversalIncomplete,
     base_segments,
     build_graph,
@@ -19,7 +17,6 @@ from polydissect import (
     split_all_fast,
 )
 from polydissect.planar import _cycles
-from polydissect.polygon import base_array
 from polydissect.reference import reference_table
 
 
@@ -80,9 +77,8 @@ class TestBuildGraph:
     def test_coincident_edges_raise(self):
         # duplicate segments overlap along their whole length, which the
         # split that build_graph reads its vertices from refuses
-        s = Segment(Point2(0.0, 0.0), Point2(1.0, 0.0))
         with pytest.raises(ValueError, match="collinear overlapping"):
-            build_graph(split_all_fast([s, Segment(Point2(0.0, 0.0), Point2(1.0, 0.0))]))
+            build_graph(split_all_fast(np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0]])))
 
 
 class TestEnumerateFaces:
@@ -388,17 +384,26 @@ class TestOrbitCensus:
         with pytest.raises(OrbitMismatch, match="one outer face"):
             orbit_census(flipped)
 
+    @pytest.mark.parametrize("name", ["cycle", "start"])
+    def test_float_face_arrays_raise(self, name):
+        # whole-number floats still are not half-edge ids or offsets
+        faces = enumerate_faces(graph_for(3))
+        arrays = {"cycle": faces.cycle, "start": faces.start}
+        arrays[name] = arrays[name].astype(float)
+        with pytest.raises(OrbitMismatch, match="not integer arrays"):
+            orbit_census(Faces(arrays["cycle"], arrays["start"], faces.signed_area))
+
     def test_an_asymmetric_arrangement_raises(self):
         # one diagonal missing: the rotation of the face cycles cannot close
         spec = PolygonSpec(6)
-        split = split_all_fast(np.delete(base_array(spec), 2 * 6, axis=0))
+        split = split_all_fast(np.delete(base_segments(spec), 2 * 6, axis=0))
         with pytest.raises(OrbitMismatch):
             orbit_census(enumerate_faces(build_graph(split)))
 
     @pytest.mark.slow
     def test_census_at_n_64_matches_the_orbit_route(self):
         spec = PolygonSpec(64)
-        census = orbit_census(enumerate_faces(build_graph(split_all_fast(base_array(spec)))))
+        census = orbit_census(enumerate_faces(build_graph(split_all_fast(base_segments(spec)))))
         orbit = counts(spec)
         assert (census.per_ray, census.central) == (orbit.per_ray, orbit.central)
 

@@ -6,12 +6,12 @@ import pytest
 
 from polydissect import PolygonSpec, base_segments, counts
 from polydissect.cli import _summary_dict
-from polydissect.polygon import base_array, orbit_representatives
+from polydissect.polygon import orbit_representatives
 
 
 def corners(spec):
     """The 2n corners as a (2n, 2) array: perimeter row e starts at corner e."""
-    return base_array(spec)[:2 * spec.n, :2]
+    return base_segments(spec)[:2 * spec.n, :2]
 
 
 def test_spec_requires_n_at_least_two():
@@ -68,7 +68,7 @@ def test_corners_lie_on_the_unit_circle(n):
 ])
 def test_base_segment_counts(n, total):
     segs = base_segments(PolygonSpec(n))
-    assert len(segs) == total
+    assert segs.shape == (total, 4) and segs.dtype == np.float64
     assert len(segs) == 2 * n + n * (n - 2)
 
 
@@ -76,9 +76,9 @@ def test_base_segment_counts(n, total):
 def test_base_segments_have_no_duplicates(n):
     segs = base_segments(PolygonSpec(n))
     keys = set()
-    for s in segs:
-        a = (round(s.p0.x, 9), round(s.p0.y, 9))
-        b = (round(s.p1.x, 9), round(s.p1.y, 9))
+    for x0, y0, x1, y1 in segs.tolist():
+        a = (round(x0, 9), round(y0, 9))
+        b = (round(x1, 9), round(y1, 9))
         keys.add((min(a, b), max(a, b)))
     assert len(keys) == len(segs)
 
@@ -90,7 +90,7 @@ def test_census_invariants(n):
     # odd sum 2e + 1, so each base segment runs along one of the n side
     # directions, and each direction carries n - 2 diagonals
     spec = PolygonSpec(n)
-    base = base_array(spec)
+    base = base_segments(spec)
     corner = {p: k for k, p in enumerate(map(tuple, corners(spec).tolist()))}
     a = np.array([corner[p] for p in map(tuple, base[:, :2].tolist())])
     b = np.array([corner[p] for p in map(tuple, base[:, 2:].tolist())])
@@ -102,19 +102,19 @@ def test_census_invariants(n):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 9])
 def test_each_diagonal_is_parallel_to_one_side_direction(n):
-    segs = base_segments(PolygonSpec(n))
+    segs = base_segments(PolygonSpec(n)).tolist()
     edges = segs[:2 * n]
     diagonals = segs[2 * n:]
     # one representative direction per bundle: sides e and e+n are antiparallel
     directions = []
-    for e in edges[:n]:
-        dx, dy = e.p1.x - e.p0.x, e.p1.y - e.p0.y
+    for x0, y0, x1, y1 in edges[:n]:
+        dx, dy = x1 - x0, y1 - y0
         ln = math.hypot(dx, dy)
         directions.append((dx / ln, dy / ln))
 
     per_direction = [0] * n
-    for d in diagonals:
-        dx, dy = d.p1.x - d.p0.x, d.p1.y - d.p0.y
+    for x0, y0, x1, y1 in diagonals:
+        dx, dy = x1 - x0, y1 - y0
         ln = math.hypot(dx, dy)
         hits = [i for i, (ux, uy) in enumerate(directions)
                 if abs(ux * dy / ln - uy * dx / ln) < 1e-9]
@@ -128,17 +128,17 @@ def test_diagonals_span_an_odd_number_of_corner_steps(n):
     spec = PolygonSpec(n)
     index_of = {(round(x, 9), round(y, 9)): i for i, (x, y) in enumerate(corners(spec).tolist())}
     diameters = 0
-    for d in base_segments(spec)[2 * n:]:
-        i = index_of[(round(d.p0.x, 9), round(d.p0.y, 9))]
-        j = index_of[(round(d.p1.x, 9), round(d.p1.y, 9))]
+    for x0, y0, x1, y1 in base_segments(spec)[2 * n:].tolist():
+        i = index_of[(round(x0, 9), round(y0, 9))]
+        j = index_of[(round(x1, 9), round(y1, 9))]
         span = (j - i) % (2 * n)
         span = min(span, 2 * n - span)
         assert span % 2 == 1 and span >= 3
         if span == n:
             diameters += 1
             # a diameter passes through the center
-            mid_x = (d.p0.x + d.p1.x) / 2
-            mid_y = (d.p0.y + d.p1.y) / 2
+            mid_x = (x0 + x1) / 2
+            mid_y = (y0 + y1) / 2
             assert math.hypot(mid_x, mid_y) < 1e-9
     assert diameters == (n if n % 2 == 1 else 0)
 
@@ -146,7 +146,7 @@ def test_diagonals_span_an_odd_number_of_corner_steps(n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
 def test_base_set_is_invariant_under_rotation_by_one_step(n):
     spec = PolygonSpec(n)
-    segs = base_segments(spec)
+    segs = base_segments(spec).tolist()
     angle = math.pi / n
 
     def canon(x0, y0, x1, y1):
@@ -154,11 +154,10 @@ def test_base_set_is_invariant_under_rotation_by_one_step(n):
         b = (round(x1, 9), round(y1, 9))
         return (min(a, b), max(a, b))
 
-    original = {canon(s.p0.x, s.p0.y, s.p1.x, s.p1.y) for s in segs}
+    original = {canon(*s) for s in segs}
     c, sn = math.cos(angle), math.sin(angle)
-    rotated = {canon(c * s.p0.x - sn * s.p0.y, sn * s.p0.x + c * s.p0.y,
-                     c * s.p1.x - sn * s.p1.y, sn * s.p1.x + c * s.p1.y)
-               for s in segs}
+    rotated = {canon(c * x0 - sn * y0, sn * x0 + c * y0, c * x1 - sn * y1, sn * x1 + c * y1)
+               for x0, y0, x1, y1 in segs}
     assert rotated == original
 
 
@@ -167,18 +166,18 @@ def test_orbit_representatives_generate_the_base_set(n):
     # rotating each representative by multiples of pi/n hits every base
     # segment exactly once, in an orbit of the stated size
     spec = PolygonSpec(n)
-    base = base_segments(spec)
+    base = base_segments(spec).tolist()
     key = {}
     for i, s in enumerate(base):
-        key[frozenset((round(p.x, 9) + 0.0, round(p.y, 9) + 0.0) for p in (s.p0, s.p1))] = i
+        key[frozenset((round(x, 9) + 0.0, round(y, 9) + 0.0) for x, y in (s[:2], s[2:]))] = i
     seen = []
     for index, orbit in orbit_representatives(spec):
         s = base[index]
         images = set()
         for j in range(2 * n):
             c, d = math.cos(math.pi * j / n), math.sin(math.pi * j / n)
-            ends = frozenset((round(c * p.x - d * p.y, 9) + 0.0, round(d * p.x + c * p.y, 9) + 0.0)
-                             for p in (s.p0, s.p1))
+            ends = frozenset((round(c * x - d * y, 9) + 0.0, round(d * x + c * y, 9) + 0.0)
+                             for x, y in (s[:2], s[2:]))
             images.add(key[ends])
         assert len(images) == orbit
         seen.extend(images)
