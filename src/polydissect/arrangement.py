@@ -2,8 +2,8 @@
 
 There are three routes from the base segments to the counts:
 
-* ``counts`` (the orbit route) intersects one base segment per rotation
-  orbit with all base segments, merges the cut parameters along each
+* ``counts`` (the orbit route) finds the base segments that meet one
+  base segment per rotation orbit, merges the cut parameters along each
   representative, and weighs every point by its orbit size and by the
   number of segments through it. It never builds the full arrangement.
 * ``split_all_fast`` (the full route) cuts every base segment at its
@@ -15,15 +15,17 @@ There are three routes from the base segments to the counts:
   the touched side, and the incoming segment joins the set as its
   fragments. The tests use it as the oracle for ``split_all_fast``.
 
-``split_all_fast`` and ``counts`` share one hit kernel, ``_hits``: it
-solves some base segments against all of them in cache-sized blocks and
-returns every pair that meets, with the other segment and the line
-parameter on the first segment classified as interior or end within
-``point_fuzzy``; only the pairs whose two parameters lie near [0, 1] are
-classified, and parallel pairs are checked for collinear overlap as in
-``split_all`` and meet where their ends touch. ``counts`` asks for the
-representatives, ``split_all_fast`` for every segment and keeps the
-interior hits; each cut is found once, on the segment it cuts, and
+The two routes share no hit code, so the full route is an independent
+oracle for the orbit route. ``split_all_fast``'s kernel, ``_hits``, solves
+all base segments against each other in cache-sized blocks and returns
+every pair that meets, with the other segment and the line parameter on
+the first segment classified as interior or end within ``point_fuzzy``;
+only the pairs whose two parameters lie near [0, 1] are classified, and
+parallel pairs are checked for collinear overlap as in ``split_all`` and
+meet where their ends touch. The full route keeps the interior hits, so
+each cut is found once, on the segment it cuts. ``counts`` reads which
+chords meet off their corners (``_corner_hits``): integers decide every
+hit, and the float solve only places it. On both routes
 ``geom.group_order`` sorts the cuts along each segment.
 
 Vertices of the full route are exact: a hit (r, c) links the point of r
@@ -53,7 +55,7 @@ from .errors import AmbiguousClustering, NumericalDegeneracy, SymmetryViolation
 from .geom import (
     DEFAULT_FUZZ, DEFAULT_TOL, Split, Tolerance, close_pairs, group_order, merge_sorted_runs,
 )
-from .polygon import PolygonSpec, base_segments, orbit_representatives
+from .polygon import PolygonSpec, base_corners, base_segments, orbit_representatives
 
 
 @dataclass(frozen=True)
@@ -270,23 +272,22 @@ def _solve_pairs(arrays: tuple[np.ndarray, ...], rows: np.ndarray, fuzz: float):
     return k[meet], t[meet], t_cls[meet]
 
 
-def _hits(arrays: tuple[np.ndarray, ...], rows: np.ndarray, fuzz: float):
-    """Every pair of a segment in ``rows`` and any segment that meets it.
+def _hits(arrays: tuple[np.ndarray, ...], fuzz: float):
+    """Every pair of segments that meet, the full route's pair kernel.
 
-    Solves the rows against all m segments with ``_solve_pairs``, in blocks
-    of about ``_BLOCK_PAIRS`` pairs. Returns, for each pair whose two
-    parameters are both not _MISS, the row's index in ``rows``, the other
-    segment (the column), ``t`` on the row segment and the class of ``t``,
-    in row-major order. The other side of a pair needs no second
-    extraction: ``u`` of (r, c) is ``t`` of (c, r) bit for bit, since both
-    the right-hand side and the determinant only change sign, so over all
-    rows (r, c) meets exactly when (c, r) does.
+    Solves all m segments against each other with ``_solve_pairs``, in
+    blocks of about ``_BLOCK_PAIRS`` pairs. Returns, for each pair (r, c)
+    whose two parameters are both not _MISS, the row r, the column c, ``t``
+    on r and the class of ``t``, in row-major order. The other side of a
+    pair needs no second extraction: ``u`` of (r, c) is ``t`` of (c, r) bit
+    for bit, since both the right-hand side and the determinant only change
+    sign, so (r, c) meets exactly when (c, r) does.
     """
     m = len(arrays[0])
     at, col, ts, classes = [], [], [], []
     block = max(1, _BLOCK_PAIRS // m)
-    for lo in range(0, len(rows), block):
-        k, t, t_cls = _solve_pairs(arrays, rows[lo:lo + block], fuzz)
+    for lo in range(0, m, block):
+        k, t, t_cls = _solve_pairs(arrays, np.arange(lo, min(lo + block, m)), fuzz)
         r, c = np.divmod(k, m)
         at.append(lo + r)
         col.append(c)
@@ -346,7 +347,7 @@ def _hit_points(base: np.ndarray, fuzz: float):
     point of c that its partner (c, r) merged into.
     """
     m = len(base)
-    row, col, t, t_cls = _hits(_segment_arrays(base), np.arange(m), fuzz)
+    row, col, t, t_cls = _hits(_segment_arrays(base), fuzz)
     cut = t_cls == _INTERIOR
     at_end = t > 0.5
     t = t[cut]
@@ -454,13 +455,45 @@ def count_vertices(split: Split) -> int:
     return len(points)
 
 
+def _corner_hits(corners: np.ndarray, arrays: tuple[np.ndarray, ...], rows: np.ndarray):
+    """Every pair of a chord in ``rows`` and any chord that meets it, read off their corners.
+
+    ``corners`` holds the two corner indices of every chord, as
+    ``polygon.base_corners`` does, and ``arrays`` the chords'
+    ``_segment_arrays``. Against a row with corners lo < hi, each corner is
+    on the row, strictly inside the arc (lo, hi) or strictly outside it. A
+    column meets the row exactly when its two corners are of different
+    kinds: with one shared corner the two chords touch there, and with none
+    they cross exactly when the corners interleave on the circle, one inside
+    and one outside. No float decides a hit. Returns the row's index in
+    ``rows``, the column and ``t`` on the row of each pair, in row-major
+    order; ``t`` comes from ``_solve_pairs``' expressions in the same order,
+    so it is that kernel's value bit for bit (at a touch, 0 or 1 to within
+    a few ulps).
+    """
+    lo, hi = np.sort(corners[rows], axis=1).T[:, :, None]
+    x = np.arange(corners.max() + 1)
+    kind = ((lo < x) & (x < hi)).astype(np.int8)  # 1 inside, 0 outside
+    kind[(x == lo) | (x == hi)] = 2  # on the row
+    kind = kind[:, corners.T]
+    at, col = np.nonzero(kind[:, 0] != kind[:, 1])
+    x0, y0, dx, dy, _ = arrays
+    r = rows[at]
+    det = dy[r] * dx[col] - dx[r] * dy[col]
+    rhsx = x0[col] - x0[r]
+    rhsy = y0[col] - y0[r]
+    return at, col, (dx[col] * rhsy - rhsx * dy[col]) / det
+
+
 def counts(spec: PolygonSpec, tol: Tolerance = DEFAULT_TOL) -> CountSummary:
     """Count V, E and F for the dissected polygon from one segment per orbit.
 
-    Each orbit representative is solved against all base segments. Its hit
-    parameters and its ends 0 and 1 merge into the points on it, so it has
-    points - 1 fragments, and each point lies on 1 + (hits merged into it)
-    base segments. Rotation carries every count to the rest of the orbit:
+    The chords that meet each orbit representative are read off the corner
+    table (``_corner_hits``), with no tolerance: ``tol`` governs only the
+    merge and the gap checks. The representative's hit parameters and its
+    ends 0 and 1 merge into the points on it, so it has points - 1
+    fragments, and each point lies on 1 + (hits merged into it) base
+    segments. Rotation carries every count to the rest of the orbit:
     E is the sum of orbit * (points - 1), and the incidences c_k, the sum of
     orbit over the points on k segments, give V as the sum of c_k / k
     (Poonen and Rubinstein's bookkeeping for concurrent diagonals).
@@ -477,7 +510,7 @@ def counts(spec: PolygonSpec, tol: Tolerance = DEFAULT_TOL) -> CountSummary:
     seglen = arrays[4]
     reps = np.array(orbit_representatives(spec))
     rows, orbit = reps[:, 0], reps[:, 1]
-    rep, _, t, _ = _hits(arrays, rows, fuzz)
+    rep, _, t = _corner_hits(base_corners(spec), arrays, rows)
 
     owner, points, sizes, _ = _points_along(rep, t, len(reps), fuzz)
     same = owner[1:] == owner[:-1]

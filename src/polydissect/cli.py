@@ -38,16 +38,6 @@ class VerifyReport:
     all_match: bool
 
 
-def _count_range(ns: list[int]) -> list[tuple[int, CountSummary, float]]:
-    """(n, counts, seconds) for each n, counted one after another."""
-    results = []
-    for n in ns:
-        start = time.perf_counter()
-        summary = counts(PolygonSpec(n))
-        results.append((n, summary, time.perf_counter() - start))
-    return results
-
-
 def _summary_dict(s: CountSummary) -> dict:
     return {"N": s.N, "n": s.n, "F": s.F, "E": s.E, "V": s.V,
             "per_ray": s.per_ray, "central": s.central}
@@ -59,7 +49,10 @@ def verify(max_n: int) -> VerifyReport:
         raise ValueError(f"max_n must be in 2..{REFERENCE_MAX_N}, got {max_n!r}")
     reference = {r.n: r for r in reference_table()}
     rows = []
-    for n, summary, elapsed in _count_range(list(range(2, max_n + 1))):
+    for n in range(2, max_n + 1):
+        start = time.perf_counter()
+        summary = counts(PolygonSpec(n))
+        elapsed = time.perf_counter() - start
         rows.append(VerifyRow(n=n, computed=summary, reference=reference[n],
                               match=summary == reference[n], elapsed=elapsed))
     return VerifyReport(rows=rows, all_match=all(r.match for r in rows))
@@ -96,8 +89,7 @@ def cmd_verify(max_n: int) -> int:
 
 
 def cmd_table(max_n: int, fmt: str) -> int:
-    results = _count_range(list(range(2, max_n + 1)))
-    summaries = [s for _, s, _ in results]
+    summaries = [counts(PolygonSpec(n)) for n in range(2, max_n + 1)]
     if fmt == "csv":
         print("N,n,F,E,V,per_ray,central")
         for s in summaries:

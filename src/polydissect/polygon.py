@@ -35,21 +35,33 @@ class PolygonSpec:
         return 2 * self.n
 
 
-def base_segments(spec: PolygonSpec) -> np.ndarray:
-    """The base segments as an (m, 4) array of x0, y0, x1, y1 rows.
+def base_corners(spec: PolygonSpec) -> np.ndarray:
+    """The corner table: the start and end corner of each base row, an (m, 2) int array.
 
-    Perimeter edges come first, then the side-parallel diagonals. Corner k
-    sits at angle pi*k/n on the unit circle; corner indices are reduced mod
-    2n before the lookup, so shared endpoints are bit-identical.
+    Rows come in ``base_segments`` order: perimeter edge e runs from corner
+    e to e+1, then the diagonal of family k on side e from corner e-k to
+    e+1+k, for each side e and k = 1..n-2. Corner indices lie in 0..2n-1.
     """
     n = spec.n
-    pts = np.array([(math.cos(math.pi * k / n), math.sin(math.pi * k / n)) for k in range(2 * n)])
     e = np.arange(2 * n)
     side = np.repeat(np.arange(n), n - 2)
     k = np.tile(np.arange(1, n - 1), n)
     start = np.concatenate((e, (side - k) % (2 * n)))
     end = np.concatenate(((e + 1) % (2 * n), (side + 1 + k) % (2 * n)))
-    return np.hstack((pts[start], pts[end]))
+    return np.column_stack((start, end))
+
+
+def base_segments(spec: PolygonSpec) -> np.ndarray:
+    """The base segments as an (m, 4) array of x0, y0, x1, y1 rows.
+
+    Perimeter edges come first, then the side-parallel diagonals; row i
+    joins the two corners of row i of ``base_corners``. Corner k sits at
+    angle pi*k/n on the unit circle, and every row looks its corners up in
+    one table, so shared endpoints are bit-identical.
+    """
+    n = spec.n
+    pts = np.array([(math.cos(math.pi * k / n), math.sin(math.pi * k / n)) for k in range(2 * n)])
+    return pts[base_corners(spec)].reshape(-1, 4)
 
 
 def orbit_representatives(spec: PolygonSpec) -> list[tuple[int, int]]:

@@ -22,8 +22,8 @@ from polydissect import (
     split_all,
     split_all_fast,
 )
-from polydissect import arrangement
-from polydissect.arrangement import _hits, _segment_arrays
+from polydissect import arrangement, polygon
+from polydissect.arrangement import _corner_hits, _hits, _segment_arrays
 from polydissect.geom import Split
 from polydissect.polygon import orbit_representatives
 
@@ -165,9 +165,9 @@ def dense_hits(arrays, rows, fuzz):
     return r, c, t[r, c], t_cls[r, c]
 
 
-def assert_hits_match_the_dense_reference(base, rows, fuzz=DEFAULT_TOL.point_fuzzy):
+def assert_hits_match_the_dense_reference(base, fuzz=DEFAULT_TOL.point_fuzzy):
     arrays = _segment_arrays(base)
-    got, expected = _hits(arrays, rows, fuzz), dense_hits(arrays, rows, fuzz)
+    got, expected = _hits(arrays, fuzz), dense_hits(arrays, np.arange(len(base)), fuzz)
     for a, b in zip(got, expected):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     return expected
@@ -177,10 +177,7 @@ def assert_hits_match_the_dense_reference(base, rows, fuzz=DEFAULT_TOL.point_fuz
 @pytest.mark.parametrize("n", range(2, 17))
 def test_hits_match_a_dense_classification_on_the_polygon(n, block, monkeypatch):
     monkeypatch.setattr(arrangement, "_BLOCK_PAIRS", block)
-    spec = PolygonSpec(n)
-    base = base_segments(spec)
-    assert_hits_match_the_dense_reference(base, np.arange(len(base)))
-    assert_hits_match_the_dense_reference(base, np.array(orbit_representatives(spec))[:, 0])
+    assert_hits_match_the_dense_reference(base_segments(PolygonSpec(n)))
 
 
 def test_hits_match_a_dense_classification_at_the_fuzz_bands():
@@ -197,11 +194,60 @@ def test_hits_match_a_dense_classification_at_the_fuzz_bands():
         for q in params:
             cross = np.array([[0.0, q, 1.0, q], [p, 0.0, p, 1.0]])
             base = np.vstack((cross, rng.uniform(-0.5, 1.5, size=(6, 4))))
-            row, _, t, _ = assert_hits_match_the_dense_reference(base, np.arange(len(base)))
+            row, _, t, _ = assert_hits_match_the_dense_reference(base)
             seen.update(t[row < 2].tolist())
     # hits just inside the outer edges of the end bands, none beyond them
     assert {np.nextafter(-fuzz, 1), 0.0, 1.0, np.nextafter(1 + fuzz, 0)} <= seen
     assert not {-2 * fuzz, -fuzz, 1 + 2 * fuzz} & seen
+
+
+def assert_corner_hits_match_the_pair_solve(n):
+    # the orbit route's hits, read off the corners, are the full route's
+    # hits on the representatives: the same (row, column, t), bit for bit
+    spec = PolygonSpec(n)
+    arrays = _segment_arrays(base_segments(spec))
+    rows = np.array(orbit_representatives(spec))[:, 0]
+    row, col, t, _ = _hits(arrays, DEFAULT_TOL.point_fuzzy)
+    on_rep = np.flatnonzero(np.isin(row, rows))
+    at, got_col, got_t = _corner_hits(polygon.base_corners(spec), arrays, rows)
+    assert np.array_equal(rows[at], row[on_rep]) and np.array_equal(got_col, col[on_rep])
+    assert got_t.dtype == t.dtype and got_t.tobytes() == t[on_rep].tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 31))
+def test_corner_hits_are_the_pair_solve_on_the_representatives(n):
+    assert_corner_hits_match_the_pair_solve(n)
+
+
+@pytest.mark.slow
+def test_corner_hits_are_the_pair_solve_beyond_n_30():
+    for n in range(31, 65):
+        assert_corner_hits_match_the_pair_solve(n)
+
+
+def test_the_square_diagonals_cross_at_their_midpoints():
+    # the base set of the square has no diagonals: give its two by hand
+    corners = np.array([[0, 2], [1, 3]])
+    pts = base_segments(PolygonSpec(2))[:, :2]
+    at, col, t = _corner_hits(corners, _segment_arrays(pts[corners].reshape(-1, 4)),
+                              np.arange(2))
+    assert at.tolist() == [0, 1] and col.tolist() == [1, 0]
+    assert t == pytest.approx([0.5, 0.5], abs=1e-15)
+
+
+def test_hexagon_chords_that_share_a_corner_touch_there():
+    # the diameter 0-3 (row 7) touches the sides 0-1, 2-3, 3-4 and 5-0 at
+    # its ends, crosses the diameters 5-2 and 1-4 at the center and misses
+    # the sides 1-2 and 4-5, which are parallel to it; here each touch lands
+    # on t = 0 or 1 exactly (where two chords end at one corner, t can miss 1
+    # by a few ulps, as in the pair solve)
+    spec = PolygonSpec(3)
+    corners = polygon.base_corners(spec)
+    assert corners[[7, 0, 2, 3, 5]].tolist() == [[0, 3], [0, 1], [2, 3], [3, 4], [5, 0]]
+    at, col, t = _corner_hits(corners, _segment_arrays(base_segments(spec)), np.array([7]))
+    assert col.tolist() == [0, 2, 3, 5, 6, 8]
+    assert t[:4].tolist() == [0.0, 1.0, 1.0, 0.0]
+    assert t[4:] == pytest.approx([0.5, 0.5], abs=1e-15)
 
 
 class TestCountVertices:
@@ -272,7 +318,7 @@ class TestVertexIdentity:
     def test_a_pair_meets_exactly_when_its_partner_does(self, n):
         base = base_segments(PolygonSpec(n))
         m = len(base)
-        row, col, t, _ = _hits(_segment_arrays(base), np.arange(m), DEFAULT_TOL.point_fuzzy)
+        row, col, t, _ = _hits(_segment_arrays(base), DEFAULT_TOL.point_fuzzy)
         key = row * m + col
         assert np.all(np.diff(key) > 0)  # row-major, each ordered pair once
         partner = np.searchsorted(key, col * m + row)
@@ -330,8 +376,7 @@ class TestVertexIdentity:
         base = np.array(rows)
         split = split_all_fast(base)
         assert split.labels.tolist() == labels
-        row, col, t, t_cls = _hits(_segment_arrays(base), np.arange(len(base)),
-                                   DEFAULT_TOL.point_fuzzy)
+        row, col, t, t_cls = _hits(_segment_arrays(base), DEFAULT_TOL.point_fuzzy)
         assert sorted(zip(row.tolist(), col.tolist())) == sorted(zip(col.tolist(), row.tolist()))
         assert set(t.tolist()) <= {0.0, 1.0} and np.all(t_cls == arrangement._END)
 

@@ -30,7 +30,7 @@ def test_removed_names_are_gone():
                          (arrangement, "_fragments"), (arrangement, "SplitSegmentSet"),
                          (planar, "_cycle_labels"), (reference, "ReferenceRow"),
                          (polygon, "base_array"), (arrangement, "SegmentSet"),
-                         (geom, "segment_array"),
+                         (geom, "segment_array"), (cli, "_count_range"),
                          *((m, name) for m in (polydissect, geom)
                            for name in ("intersect", "classify_param", "ParamClass", "Params",
                                         "Point2", "Segment")),

@@ -6,7 +6,7 @@ import pytest
 
 from polydissect import PolygonSpec, base_segments, counts
 from polydissect.cli import _summary_dict
-from polydissect.polygon import orbit_representatives
+from polydissect.polygon import base_corners, orbit_representatives
 
 
 def corners(spec):
@@ -70,6 +70,16 @@ def test_base_segment_counts(n, total):
     segs = base_segments(PolygonSpec(n))
     assert segs.shape == (total, 4) and segs.dtype == np.float64
     assert len(segs) == 2 * n + n * (n - 2)
+
+
+@pytest.mark.parametrize("n", range(2, 65))
+def test_base_segments_are_the_corner_table_looked_up(n):
+    # row i joins corners base_corners[i], each from the one table of corners
+    spec = PolygonSpec(n)
+    table = base_corners(spec)
+    assert table.shape == (2 * n + n * (n - 2), 2)
+    assert table.min() >= 0 and table.max() < 2 * n
+    assert base_segments(spec).tobytes() == corners(spec)[table].reshape(-1, 4).tobytes()
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 10])

@@ -3,12 +3,13 @@
     python3 tools/bench_point.py --label head
     python3 tools/bench_point.py --label base --root ../other-checkout
 
-Times five commands of the checkout at ``--root`` (by default the one
+Times six commands of the checkout at ``--root`` (by default the one
 holding this file), each in a fresh interpreter that imports the package
 from that checkout's ``src/``:
 
     count --n 39
     count --n 64
+    verify --max-n 30
     verify --max-n 39
     render --n 24 --faces
     render --n 39 --faces
@@ -47,6 +48,7 @@ RUNS = 5  # runs of each command
 COMMANDS = {
     "count-n39": ["count", "--n", "39"],
     "count-n64": ["count", "--n", "64"],
+    "verify-30": ["verify", "--max-n", "30"],
     "verify-39": ["verify", "--max-n", "39"],
     "render-faces-n24": ["render", "--n", "24", "--faces"],
     "render-faces-n39": ["render", "--n", "39", "--faces"],
