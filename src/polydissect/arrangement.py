@@ -17,22 +17,22 @@ There are three routes from the base segments to the counts:
 
 The two routes share no hit code, so the full route is an independent
 oracle for the orbit route. ``split_all_fast``'s kernel, ``_hits``, solves
-all base segments against each other in cache-sized blocks and returns
-every pair that meets, with the other segment and the line parameter on
-the first segment classified as interior or end within ``point_fuzzy``;
-only the pairs whose two parameters lie near [0, 1] are classified, and
-parallel pairs are checked for collinear overlap as in ``split_all`` and
-meet where their ends touch. The full route keeps the interior hits, so
-each cut is found once, on the segment it cuts. ``counts`` reads which
-chords meet off their corners (``_corner_hits``): integers decide every
-hit, and the float solve only places it. On both routes
-``geom.group_order`` sorts the cuts along each segment.
+each pair of base segments once, in cache-sized blocks, and returns every
+pair that meets from both sides: each side is one segment, the other and
+the line parameter on the first, classified as interior or end within
+``point_fuzzy``. Only the pairs whose two parameters lie near [0, 1] are
+classified, and parallel pairs are checked for collinear overlap as in
+``split_all`` and meet where their ends touch. The full route keeps the
+interior hits, so each cut is found once, on the segment it cuts.
+``counts`` reads which chords meet off their corners (``_corner_hits``):
+integers decide every hit, and the float solve only places it. On both
+routes ``geom.group_order`` sorts the cuts along each segment.
 
 Vertices of the full route are exact: a hit (r, c) links the point of r
-it merged into with the point of c that its partner (c, r) merged into,
-and a vertex is a clique of these links (Poonen and Rubinstein: the
-segments through a point, not distances, define it); a link between two
-vertices raises. No 2-D distance decides a vertex; ``geom.close_pairs``
+it merged into with the point of c that the other side of the pair,
+(c, r), merged into, and a vertex is a clique of these links (Poonen and
+Rubinstein: the segments through a point, not distances, define it); a
+link between two vertices raises. No 2-D distance decides a vertex; ``geom.close_pairs``
 only guards that no two vertices come closer than 3*fuzz.
 
 A segment is one x0, y0, x1, y1 row of a (k, 4) float array:
@@ -200,7 +200,9 @@ def split_all(base: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 # Classes of a line parameter, as _solve_pairs returns them.
 _MISS, _END, _INTERIOR = 0, 1, 2
 
-_BLOCK_PAIRS = 1 << 16  # pairs per _hits block: 0.5 MB per float64 temporary
+# pairs per _hits block, rows times the columns from the first row on:
+# 0.5 MB per float64 temporary
+_BLOCK_PAIRS = 1 << 16
 
 
 def _segment_arrays(base: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -218,44 +220,62 @@ def _param_class(p: np.ndarray, fuzz: float) -> np.ndarray:
     return interior * np.int8(_INTERIOR) + end * np.int8(_END)
 
 
-def _solve_pairs(arrays: tuple[np.ndarray, ...], rows: np.ndarray, fuzz: float):
-    """Intersect the segments ``rows`` with every segment, vectorized.
+def _solve_pairs(arrays: tuple[np.ndarray, ...], rows: np.ndarray, cols: np.ndarray,
+                 fuzz: float):
+    """Intersect the segments ``rows`` with the segments ``cols``, vectorized.
 
     A pair meets when it is not parallel and neither ``t`` (on the row
     segment) nor ``u`` (on the column) is _MISS. Only the pairs with both in
     (-2*fuzz, 1 + 2*fuzz), a superset of those, are classified. A parallel
     pair meets only where an end of one lies within fuzz of an end of the
-    other, as collinear pieces laid end to end do; there ``t`` is exactly 0
-    or 1, of class _END. Returns the flat index into the (len(rows), m)
-    block, ``t`` and the class of ``t`` of each pair that meets. Raises
-    ValueError when two distinct parallel segments overlap by the
-    ``_parallel_overlap`` rule.
+    other, as collinear pieces laid end to end do; there ``t`` and ``u`` are
+    exactly 0 or 1, of class _END. Returns the flat index into the
+    (len(rows), len(cols)) block, ``t`` with its class and ``u`` with its
+    class of each pair that meets; a segment never meets itself. ``u`` of
+    (r, c) is ``t`` of (c, r) bit for bit, so (r, c) meets exactly when
+    (c, r) does: both the right-hand side and the determinant only change
+    sign, and a zero, whose sign can differ, is solved again as (c, r).
+    Raises ValueError when two distinct parallel segments overlap by the
+    ``_parallel_overlap`` rule, in either order.
     """
     x0, y0, dx, dy, seglen = arrays
     rdx = dx[rows, None]
     rdy = dy[rows, None]
-    det = rdy * dx[None, :] - rdx * dy[None, :]
-    live = np.abs(det) >= fuzz * (seglen[rows, None] * seglen[None, :])
-    rhsx = x0[None, :] - x0[rows, None]
-    rhsy = y0[None, :] - y0[rows, None]
+    cdx = dx[cols]
+    cdy = dy[cols]
+    det = rdy * cdx - rdx * cdy
+    live = np.abs(det) >= fuzz * (seglen[rows, None] * seglen[cols])
+    rhsx = x0[cols] - x0[rows, None]
+    rhsy = y0[cols] - y0[rows, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = (dx[None, :] * rhsy - rhsx * dy[None, :]) / det
+        t = (cdx * rhsy - rhsx * cdy) / det
         u = (rdx * rhsy - rhsx * rdy) / det
-    # A parallel pair can overlap or touch only where c starts within
-    # fuzz * (1 + |c|) of r's line, since c turns from r by less than fuzz
-    # rad; d0 is the distance _parallel_overlap tests against fuzz, and the
-    # bound keeps a factor 2 to spare.
+        # u of (r, c) is t of (c, r) up to the sign of a zero: solve a zero as (c, r)
+        z = np.flatnonzero(u == 0.0)
+        r, c = rows[z // len(cols)], cols[z % len(cols)]
+        u.flat[z] = ((dx[r] * (y0[r] - y0[c]) - (x0[r] - x0[c]) * dy[r])
+                     / (dy[c] * dx[r] - dx[c] * dy[r]))
+    # A parallel pair can overlap or touch only where one starts within
+    # fuzz * (1 + |other|) of the other's line, since the two turn by less
+    # than fuzz rad; d0 is the distance _parallel_overlap tests against
+    # fuzz, and the bound keeps a factor 2 to spare. Either order's bound
+    # makes the pair a candidate, and both orders are checked.
     k = np.flatnonzero(~live)
-    r, c = rows[k // len(x0)], k % len(x0)
-    d0 = np.abs((x0[c] - x0[r]) * dy[r] - (y0[c] - y0[r]) * dx[r]) / seglen[r]
-    near = np.flatnonzero((r != c) & (d0 <= 2.0 * fuzz * (1.0 + seglen[c])))
+    r, c = rows[k // len(cols)], cols[k % len(cols)]
+
+    def near_line(a, b):
+        d0 = np.abs((x0[b] - x0[a]) * dy[a] - (y0[b] - y0[a]) * dx[a]) / seglen[a]
+        return d0 <= 2.0 * fuzz * (1.0 + seglen[b])
+
+    near = np.flatnonzero((r != c) & (near_line(r, c) | near_line(c, r)))
     if len(near):
         k, r, c = k[near], r[near], c[near]
-        if _parallel_overlap(x0[r], y0[r], dx[r], dy[r], seglen[r], x0[c], y0[c],
-                             x0[c] + dx[c], y0[c] + dy[c], fuzz).any():
-            raise ValueError("collinear overlapping segments in the base set")
+        for a, b in ((r, c), (c, r)):
+            if _parallel_overlap(x0[a], y0[a], dx[a], dy[a], seglen[a], x0[b], y0[b],
+                                 x0[b] + dx[b], y0[b] + dy[b], fuzz).any():
+                raise ValueError("collinear overlapping segments in the base set")
         # touch[i, j]: end i of r (0 the start, 1 the end) lies within fuzz of
-        # end j of c; (c, r) measures each distance with the opposite sign
+        # end j of c, which gives t (end 1 of r touches) and u (end 1 of c)
         ends = ((x0, y0), (x0 + dx, y0 + dy))
         touch = np.array([[np.hypot(ex[r] - fx[c], ey[r] - fy[c]) <= fuzz
                            for fx, fy in ends] for ex, ey in ends])
@@ -267,33 +287,39 @@ def _solve_pairs(arrays: tuple[np.ndarray, ...], rows: np.ndarray, fuzz: float):
     lo, hi = -2.0 * fuzz, 1.0 + 2.0 * fuzz
     k = np.flatnonzero(live & (t > lo) & (t < hi) & (u > lo) & (u < hi))
     t = t.reshape(-1)[k]
+    u = u.reshape(-1)[k]
     t_cls = _param_class(t, fuzz)
-    meet = (t_cls != _MISS) & (_param_class(u.reshape(-1)[k], fuzz) != _MISS)
-    return k[meet], t[meet], t_cls[meet]
+    u_cls = _param_class(u, fuzz)
+    meet = (t_cls != _MISS) & (u_cls != _MISS)
+    return k[meet], t[meet], t_cls[meet], u[meet], u_cls[meet]
 
 
 def _hits(arrays: tuple[np.ndarray, ...], fuzz: float):
-    """Every pair of segments that meet, the full route's pair kernel.
+    """Every pair of segments that meet, from both sides: the full route's pair kernel.
 
-    Solves all m segments against each other with ``_solve_pairs``, in
-    blocks of about ``_BLOCK_PAIRS`` pairs. Returns, for each pair (r, c)
-    whose two parameters are both not _MISS, the row r, the column c, ``t``
-    on r and the class of ``t``, in row-major order. The other side of a
-    pair needs no second extraction: ``u`` of (r, c) is ``t`` of (c, r) bit
-    for bit, since both the right-hand side and the determinant only change
-    sign, so (r, c) meets exactly when (c, r) does.
+    Solves each unordered pair once with ``_solve_pairs``: the rows [lo, hi)
+    against the columns [lo, m), in blocks of about ``_BLOCK_PAIRS`` pairs,
+    keeping the pairs (r, c) with c > r. Returns the row, the column, the
+    parameter on the row and its class of every side of a pair whose two
+    parameters are both not _MISS, in two halves of length H: first each
+    pair (r, c) with ``t`` in row-major order, then each (c, r) with ``u`` in
+    the same order. The partner of side i, the same pair seen from the
+    other segment, is side i + H or i - H.
     """
     m = len(arrays[0])
-    at, col, ts, classes = [], [], [], []
-    block = max(1, _BLOCK_PAIRS // m)
-    for lo in range(0, m, block):
-        k, t, t_cls = _solve_pairs(arrays, np.arange(lo, min(lo + block, m)), fuzz)
-        r, c = np.divmod(k, m)
-        at.append(lo + r)
-        col.append(c)
-        ts.append(t)
-        classes.append(t_cls)
-    return tuple(np.concatenate(a) for a in (at, col, ts, classes))
+    pairs = []
+    lo = 0
+    while lo < m:
+        hi = min(m, lo + max(1, _BLOCK_PAIRS // (m - lo)))
+        cols = np.arange(lo, m)
+        k, t, t_cls, u, u_cls = _solve_pairs(arrays, np.arange(lo, hi), cols, fuzz)
+        r, c = np.divmod(k, len(cols))  # segments lo + r and lo + c
+        keep = c > r
+        pairs.append((lo + r[keep], lo + c[keep], t[keep], t_cls[keep], u[keep], u_cls[keep]))
+        lo = hi
+    row, col, t, t_cls, u, u_cls = (np.concatenate(a) for a in zip(*pairs))
+    return (np.concatenate((row, col)), np.concatenate((col, row)),
+            np.concatenate((t, u)), np.concatenate((t_cls, u_cls)))
 
 
 def split_all_fast(base: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Split:
@@ -342,12 +368,13 @@ def _hit_points(base: np.ndarray, fuzz: float):
 
     A point is one merged run on one segment (``_points_along`` of the
     interior hits). Returns the owner and parameter of every point, by
-    owner and then along it, and for each hit (r, c) the point of r it
-    merged into (for a hit at an end of r, the point at that end) with the
-    point of c that its partner (c, r) merged into.
+    owner and then along it, and for each side (r, c) of a hit the point of
+    r it merged into (for a hit at an end of r, the point at that end) with
+    the point of c that the other side, (c, r), merged into; ``_hits``
+    emits the two sides of a pair H apart.
     """
     m = len(base)
-    row, col, t, t_cls = _hits(_segment_arrays(base), fuzz)
+    row, _, t, t_cls = _hits(_segment_arrays(base), fuzz)
     cut = t_cls == _INTERIOR
     at_end = t > 0.5
     t = t[cut]
@@ -360,12 +387,8 @@ def _hit_points(base: np.ndarray, fuzz: float):
     point[cut] = cut_point
     del cut, at_end, cut_point, head, tail
 
-    # in row-major order, hit i is (row[i], col[i]); sorted stably by column
-    # the hits come as (col, row), so the i-th of them is hit i's partner
-    partner = np.argsort(col, kind="stable")
-    if not (np.array_equal(row[partner], col) and np.array_equal(col[partner], row)):
-        raise AmbiguousClustering("a pair of segments meets on one of its sides only")
-    return owner, along, point, point[partner]
+    # the hits come in two halves, (r, c) and then (c, r) in the same order
+    return owner, along, point, np.roll(point, len(point) // 2)
 
 
 def _split(base: np.ndarray, tol: Tolerance) -> Split:

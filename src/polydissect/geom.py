@@ -93,24 +93,27 @@ def close_pairs(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarr
 
     ``points`` is a (k, 2) array of x, y. Each unordered pair comes back
     once, as (i, j) or (j, i), and no point is paired with itself. The
-    points are bucketed into square cells of side ``radius`` and sorted once
-    by cell key gx + 1j*gy; complex keys sort by gx and then by gy. So the
-    points after a point in its own cell, with the cell above, form one run
-    of the sorted keys that starts right after it, and the three cells of
-    the next column form a second run; its other neighbour cells find it
-    from their side (the half-neighbourhood self-join of Bentley, Stanat
-    and Williams, 1977). Cell keys are complex numbers of float-valued cell
-    coordinates, which stay exact where an int64 key would overflow for a
-    small radius.
+    points are bucketed into square cells of side ``radius``, or of side
+    max|coordinate| / 2**30 where that is larger, so that each cell
+    coordinate fits in 31 bits; a cell never smaller than ``radius`` keeps
+    every close pair in neighbouring cells. The points are sorted once by
+    the int64 cell key gx * 2**32 + gy, which sorts by gx and then by gy.
+    So the points after a point in its own cell, with the cell above, form
+    one run of the sorted keys that starts right after it, and the three
+    cells of the next column form a second run; its other neighbour cells
+    find it from their side (the half-neighbourhood self-join of Bentley,
+    Stanat and Williams, 1977).
     """
-    grid = np.floor(points / radius)
-    keys = grid[:, 0] + 1j * grid[:, 1]
-    order = np.argsort(keys, kind="stable")
+    side = max(radius, float(np.abs(points).max(initial=0.0)) / 2**30)
+    grid = np.floor(points / side).astype(np.int64)
+    keys = (grid[:, 0] << 32) + grid[:, 1]
+    order = np.argsort(keys)
     keys = keys[order]
     at = np.arange(len(keys))
-    lo = np.concatenate((at + 1, np.searchsorted(keys, keys + (1 - 1j), "left")))
-    hits = np.concatenate((np.searchsorted(keys, keys + 1j, "right"),
-                           np.searchsorted(keys, keys + (1 + 1j), "right"))) - lo
+    column = 1 << 32
+    lo = np.concatenate((at + 1, np.searchsorted(keys, keys + (column - 1), "left")))
+    hits = np.concatenate((np.searchsorted(keys, keys + 1, "right"),
+                           np.searchsorted(keys, keys + (column + 1), "right"))) - lo
     # sorted position of each candidate: lo of its run plus its rank in the run
     j = order[np.arange(hits.sum()) + np.repeat(lo - (np.cumsum(hits) - hits), hits)]
     i = order[np.repeat(np.tile(at, 2), hits)]

@@ -157,6 +157,33 @@ def test_collinear_segments_that_only_touch_are_kept():
     assert split.labels.tolist() == [0, 1, 1, 2]
 
 
+# turned by 7.5e-11 rad, parallel within fuzz: the second ends where the first starts
+NEAR_PARALLEL_TOUCH = [[0.0, 0.0, 1.0, 0.0], [-2.0, 1.5e-10, 0.0, 0.0]]
+# turned by 1e-11 rad and overlapping over [1, 2]
+NEAR_PARALLEL_OVERLAP = [[0.0, 0.0, 2.0, 0.0], [1.0, 1e-11, 3.0, -1e-11]]
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_a_near_parallel_touch_meets_at_the_ends_from_both_sides(reverse):
+    # the parallel test sees the pair in both row orders; it meets at t = 0
+    # on the first row and t = 1 on the second, whichever comes first
+    base = np.array(NEAR_PARALLEL_TOUCH[::-1] if reverse else NEAR_PARALLEL_TOUCH)
+    row, col, t, t_cls = _hits(_segment_arrays(base), DEFAULT_TOL.point_fuzzy)
+    first = 1 if reverse else 0
+    assert sorted(zip(row.tolist(), col.tolist(), t.tolist())) == sorted(
+        [(first, 1 - first, 0.0), (1 - first, first, 1.0)])
+    assert np.all(t_cls == arrangement._END)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_a_near_parallel_overlap_raises_in_either_row_order(reverse):
+    base = np.array(NEAR_PARALLEL_OVERLAP[::-1] if reverse else NEAR_PARALLEL_OVERLAP)
+    with pytest.raises(ValueError, match="collinear overlapping"):
+        _hits(_segment_arrays(base), DEFAULT_TOL.point_fuzzy)
+    with pytest.raises(ValueError, match="collinear overlapping"):
+        split_all_fast(base)
+
+
 def dense_hits(arrays, rows, fuzz):
     """_hits by classifying every pair of the whole (rows, m) block; no
     parallel pair meets, which holds where no two segments are collinear."""
@@ -165,9 +192,19 @@ def dense_hits(arrays, rows, fuzz):
     return r, c, t[r, c], t_cls[r, c]
 
 
+def row_major(hits):
+    """The (row, col, t, class) arrays of ``_hits`` sorted by row and then by column."""
+    row, col = hits[:2]
+    order = np.lexsort((col, row))
+    return tuple(a[order] for a in hits)
+
+
 def assert_hits_match_the_dense_reference(base, fuzz=DEFAULT_TOL.point_fuzzy):
+    # _hits emits each pair from both sides in two halves; in row-major
+    # order its sides are the dense block's hits, bit for bit
     arrays = _segment_arrays(base)
-    got, expected = _hits(arrays, fuzz), dense_hits(arrays, np.arange(len(base)), fuzz)
+    got = row_major(_hits(arrays, fuzz))
+    expected = dense_hits(arrays, np.arange(len(base)), fuzz)
     for a, b in zip(got, expected):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     return expected
@@ -207,7 +244,7 @@ def assert_corner_hits_match_the_pair_solve(n):
     spec = PolygonSpec(n)
     arrays = _segment_arrays(base_segments(spec))
     rows = np.array(orbit_representatives(spec))[:, 0]
-    row, col, t, _ = _hits(arrays, DEFAULT_TOL.point_fuzzy)
+    row, col, t, _ = row_major(_hits(arrays, DEFAULT_TOL.point_fuzzy))
     on_rep = np.flatnonzero(np.isin(row, rows))
     at, got_col, got_t = _corner_hits(polygon.base_corners(spec), arrays, rows)
     assert np.array_equal(rows[at], row[on_rep]) and np.array_equal(got_col, col[on_rep])
@@ -319,10 +356,15 @@ class TestVertexIdentity:
         base = base_segments(PolygonSpec(n))
         m = len(base)
         row, col, t, _ = _hits(_segment_arrays(base), DEFAULT_TOL.point_fuzzy)
+        half = len(row) // 2
+        # two halves: each pair (r, c) with r < c in row-major order, then
+        # the same pairs as (c, r); side i's partner is side i + H or i - H
+        assert len(row) == 2 * half and half > 0
         key = row * m + col
-        assert np.all(np.diff(key) > 0)  # row-major, each ordered pair once
-        partner = np.searchsorted(key, col * m + row)
-        assert np.array_equal(key[np.minimum(partner, len(key) - 1)], col * m + row)
+        assert np.all(np.diff(key[:half]) > 0) and np.all(row[:half] < col[:half])
+        assert np.array_equal(row[half:], col[:half]) and np.array_equal(col[half:], row[:half])
+        assert len(np.unique(key)) == len(key)  # each ordered pair once
+        partner = np.roll(np.arange(len(row)), half)
         # t of the partner is the parameter of the same point on the column
         x0, y0, x1, y1 = base.T
         tp = t[partner]

@@ -53,6 +53,92 @@ def test_fragment_bytes_are_pinned(n):
     assert hashlib.sha256(frags.tobytes()).hexdigest() == FRAGMENT_DIGESTS[n]
 
 
+# SHA-256 of a Split's four arrays, frags, labels, points and heading, in
+# that order, for every n = 2..64: every bit of the split
+SPLIT_DIGESTS = {
+    2: "29e021fda3de425ad4479a2982f0eaf3b71ea3fca4c974be802f31de960fdce3",
+    3: "7ed52814447739d27132d6107a7aa1441a65b529208cfbfd18fe5bb52a13f096",
+    4: "d0c6977ed752e208c9e44acf4c7c41cf6689dda43fb7ea95223b961d01a264f1",
+    5: "5c6839a014241802eb3a04bd2ee476b47238d389e214f20ec6b2fe8ff28b8734",
+    6: "8a51d022841ea60d67bf1d96a7d86b012a3347c69b46a894735cc9cd9c3fef94",
+    7: "44b719789c409bde9543e24cf11c5b573000e1e00720a6321459d64f012bba90",
+    8: "7316f3701514228604fdd148d34af051517bf7b90fb154875779fcfc47c52122",
+    9: "403d8fe36c5ed48152f48731851d4dbbb551bbdfc482e60caa7d22c8c7991020",
+    10: "6832947f3b274caab61f1e97d2311365a721f38b0bf0806128a5e597d0904a8e",
+    11: "41166e315e9047515101414f239e2300d1c4caff1a49dea52654b0fac5489642",
+    12: "78a4597c0b0d1f620b2ad6604f9bfe72f2d096cbdcfde27cd852d90b91768a31",
+    13: "7d9b672ae5b7b1947755b6383ac4ed945e0859e3cd984a54b8d97bd53a516cd2",
+    14: "90ffa2b50e741a2a213b8e2a73113c505a440c842e0ea1acc4f2a967e8fa24ff",
+    15: "3bb673257721a9e9f6bbaed6039ee486a57bc352f07381071dac498c22054d66",
+    16: "821b0eeb03c9db40e0ca35710344cb7906ec37826397867e2d062c032e3b4bbf",
+    17: "1b62941f984de8f4099605d8dccb1d9a935316f644ed132d684565a857e13a60",
+    18: "de9dcc6ecc2f6e7dfcf5473ce2f2d245625033428a6764dc6541339f60433b58",
+    19: "c979682c8bbf088644e6c704adc71854392844396941aabae2d5cbdf7dee0551",
+    20: "da728b6f43b3b5c73935641d69b6cd455441ba46a1f5967c8a1a41daccaf2538",
+    21: "c056292dbba9e5a68cc8718efd1b4c1c9ca2fcf70986fa35b60d640b17304d17",
+    22: "fb57d31d1f80f9d85696be423d1f839c7cf31c02c87fd32f508b5083d74b9df9",
+    23: "a00951658a8b0d9b969a5610c0807c4dea623e61a31b8442ae1341cbce375a00",
+    24: "8fdfb0d2e7d12b8d2dc46d537b363b4c50cfab7411965815432eb47200049d1a",
+    25: "7986c1e9bcb4345bdde306bbb8a1fbcc7166d20c4e77fbe5f1196d3ad3305616",
+    26: "2c829d84629b58d130482842d3456ca6ba0ad318ddf47ae703e007572cbc8d49",
+    27: "dfb250b6f82a9d04d0492dc09565c40c5d9ee0a835943f016b3f7f0857898a52",
+    28: "11d6e640600dfb59e63d35056dc2fe5e9d57fe063720ec088f34f9446969bdba",
+    29: "cca4afe6153102149b82924fd8e64537deab7a56d5855f9e2b58cdf939e12382",
+    30: "558f892625406fcdb6e4d1b761375d4338cb0090cee22fe769f3b3b4df3f0b14",
+    31: "029cbd83571b505b6cdfe4f74b2e4713375e5fa4abcadc0a22af4efedcdc3823",
+    32: "8581240545825e3e29860375e90a0173a3d72d8e5ae345b6908ea39fe1be9622",
+    33: "9e7f09337cfda23dad1e7743299ee681b6e9d06e73b92fa8a8ff587d9d68a47e",
+    34: "905cb7493e314bdd9e67fee7af311e98d1483a0177001c531aa108d9aef1367a",
+    35: "d31c5c2f2cf96236f9725a9083a8f57d747aa42e0b77c742944e45899c1474e2",
+    36: "f6a7c49a7b5df21544f6d117dff85dfba506bab17b37d40d220cf251d8d2e2db",
+    37: "1cc9bcfb6ac8dbc3400ba86d3618a065e9fd03cd49ba09071726e6c46f54ce40",
+    38: "9c65c405d7f1e164497f7dd14001febfc57939d4411ddc5113e1b426bea2f412",
+    39: "77671c56c69084f99574aed7312d55f1d16aefdfdbf494304d911c579f19c4ec",
+    40: "cd860dd1f17314915e90889304ef320dc234dbebb33daaca241cec0384133061",
+    41: "2e0d8156cf75500577d3de2b541e352d326a507b3f13d6641a9ed2429a912b7b",
+    42: "72c34778023d308a0f43ca362320dc9259e08fce08d3ba61a541a165369047bc",
+    43: "f4ae314f3c4cbc193fb49e1b5527ef821f8c979ee3670a4d7553a8075faead3a",
+    44: "86d984ae274549fbeab22c3b700c825309abb9a1fb0d974cfd25b1c939664801",
+    45: "7afb1c41543e6b088b8c11f37f45c0d13068a0c07fd4a77d526d93ca88e5638a",
+    46: "3cdfc4efb9970f9f075402b283132e4a3ad983d6cf95a0cc2ab8423c40121203",
+    47: "75b4ef38a3b1f85da0cf97193815dfac0d801245757c65c3b26f3ac28d7658f1",
+    48: "2edd6733929260ce547fd040954baa7ef47ace70be718d61f5611df68953da7e",
+    49: "77b0fd7127046c2b2cc168339795f83cddaab12cbff222d9b4fc32bab9857ce8",
+    50: "683024f721f33730d27429d9bc127c60c49ac66848ca52f15ca9c98e91dc3f2f",
+    51: "b47052cd4d1cea9d704ae907e08197ab2b81b1530777e25683551ea055dac972",
+    52: "2c8f259cdef871244fbd7c08009e48117767c6df0ae8da937ebb6f13ba80520f",
+    53: "cc789d29966b6be3e332806d22db9a8bb174d85a11974f8ff9bd7c248f85e419",
+    54: "d2f9b221ec56164cb2f143adac2ef574e48988dad350910b1c48ee9d2bd988a1",
+    55: "0274ed899897defbdd1c5512a1a7d519659e5cea71a01e93c839109f13319ff1",
+    56: "258878c2d6b091b917292efa90888e8245d9ab2fea3d727b617d02ca6083a24b",
+    57: "ec6768e6c735e2b1f41f3d681b052c5ad13aac9ce5cff7a8349fc9d27809b7ec",
+    58: "5e41daeb8f04c03adb5b263009bd9a9c2ac50908ad1593a5a8a867289641a92e",
+    59: "ac7911a19386ebdfbd441ec1d94cfb5937d8aa6ea894b0d96d22df207fe71f69",
+    60: "195cb5ac3ed329ef6685e4a99a3abd741e1dbd39f314b0c06d375d778f2c5d3d",
+    61: "48d57fd49e1f0abf6c60168afcad465fbe265a8eab94cbc887350cca029c2f54",
+    62: "cc32eadd77c4210967e3a428dae793a3633d9d7f8135460e246c116f1e0946db",
+    63: "12801fa5de3a4ce9ecb2024df421d055c59884114364bccd9921da12e6dda9c5",
+    64: "fc3084eed5525b79269b8775d3afc4b8ed64d8aa82f7188cf845c216cc43d6ea",
+}
+
+
+def assert_split_bytes_are_pinned(n):
+    s = split_all_fast(base_segments(PolygonSpec(n)))
+    data = s.frags.tobytes() + s.labels.tobytes() + s.points.tobytes() + s.heading.tobytes()
+    assert hashlib.sha256(data).hexdigest() == SPLIT_DIGESTS[n], n
+
+
+@pytest.mark.parametrize("n", range(2, 31))
+def test_split_bytes_are_pinned(n):
+    assert_split_bytes_are_pinned(n)
+
+
+@pytest.mark.slow
+def test_split_bytes_are_pinned_beyond_n_30():
+    for n in range(31, 65):
+        assert_split_bytes_are_pinned(n)
+
+
 # SHA-256 of the rings' half-edge order, which the SVGs do not show; the
 # rings come in the order of the vertex numbers (first fragment end), each
 # in the order of its headings. For odd n the sides parallel to side

@@ -19,10 +19,11 @@ def seg(x0, y0, x1, y1):
 
 def solve(a, b):
     """(t on a, t on b) when the pair kernel finds the rows a and b meeting, else None."""
-    k, t, _ = _solve_pairs(_segment_arrays(np.array([a, b], dtype=float)), np.arange(2), FUZZ)
-    # flat index 1 is row a against column b, 2 is row b against column a
-    assert k.tolist() in ([], [1, 2])
-    return tuple(t.tolist()) or None
+    k, t, _, u, _ = _solve_pairs(_segment_arrays(np.array([a, b], dtype=float)),
+                                 np.arange(1), np.arange(1, 2), FUZZ)
+    # the one pair: row a against column b
+    assert k.tolist() in ([], [0])
+    return tuple(t.tolist() + u.tolist()) or None
 
 
 class TestIntersect:
@@ -54,28 +55,21 @@ class TestIntersect:
             assert solve(b, a) is None
 
     def test_swap_symmetry_on_crossing_pairs(self, monkeypatch):
-        # _hits reads the cut on the column segment of a pair (r, c) as t of
-        # (c, r), so u of (r, c) must equal t of (c, r) bit for bit.
-        # _solve_pairs hands t and then u of every pair it classifies to
-        # _param_class; calling each of them an end makes it return them all.
-        seen = []
-
-        def every_pair_meets(p, fuzz):
-            seen.append(p)
-            return np.full(len(p), _END, dtype=np.int8)
-
-        monkeypatch.setattr(arrangement, "_param_class", every_pair_meets)
+        # _hits solves each unordered pair once and reads the cut on the
+        # column segment of a pair (r, c) as its u, so u of (r, c) must equal
+        # t of (c, r) bit for bit. Calling every parameter an end makes
+        # _solve_pairs return every pair it classifies.
+        monkeypatch.setattr(arrangement, "_param_class",
+                            lambda p, fuzz: np.full(len(p), _END, dtype=np.int8))
         rng = np.random.default_rng(21)
         for base in (base_segments(PolygonSpec(13)), rng.uniform(-1, 1, size=(300, 4))):
             m = len(base)
-            seen.clear()
-            k, t, _ = _solve_pairs(_segment_arrays(base), np.arange(m), FUZZ)
-            assert len(seen) == 2 and np.array_equal(seen[0], t)
+            k, t, _, u, _ = _solve_pairs(_segment_arrays(base), np.arange(m), np.arange(m), FUZZ)
             r, c = np.divmod(k, m)
             t_of, u_of = np.full((m, m), np.nan), np.full((m, m), np.nan)
-            t_of[r, c], u_of[r, c] = t, seen[1]
+            t_of[r, c], u_of[r, c] = t, u
             assert len(k) > 5 * m
-            assert np.array_equal(u_of, t_of.T, equal_nan=True)
+            assert u_of.tobytes() == t_of.T.copy().tobytes()  # zeros of one sign too
 
     def test_params_locate_a_common_point(self):
         rng = random.Random(4)
@@ -211,9 +205,38 @@ class TestClosePairs:
 
     def test_empty_inputs(self):
         # no points, or one point, which is never paired with itself
-        for points in (np.empty((0, 2)), np.array([[0.0, 0.0]]), np.array([[-3e-10, 7e-10]])):
+        for points in (np.empty((0, 2)), np.array([[0.0, 0.0]]), np.array([[-3e-10, 7e-10]]),
+                       np.array([[1e6, -1e6]])):
             i, j = close_pairs(points, 1e-10)
             assert len(i) == 0 and len(j) == 0
+            assert found_once(points, 1e-10) == brute_close_pairs(points, 1e-10) == []
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_clustered_points_match_brute_force(self, seed):
+        # tight clusters of a few points each, some overlapping, around the unit disk
+        rng = np.random.default_rng(seed)
+        centers = rng.uniform(-1, 1, size=(12, 2))
+        points = centers[rng.integers(0, 12, size=150)] + rng.normal(0, 2e-10, size=(150, 2))
+        expected = brute_close_pairs(points, 3e-10)
+        assert len(expected) > 150
+        assert found_once(points, 3e-10) == expected
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_points_far_from_the_unit_disk_match_brute_force(self, seed):
+        # near |x| = 1e6 the floats are 1.2e-10 apart: a radius of 1e-10 puts
+        # 8.6e15 cells across the cloud, beyond an int64 key, so the cells
+        # grow to max|coordinate| / 2**30
+        rng = np.random.default_rng(seed)
+        corner = rng.choice([-1e6, 1e6], size=(80, 2))
+        points = corner + rng.integers(-6, 7, size=(80, 2)) * 1e-10
+        expected = brute_close_pairs(points, 1e-10)
+        assert expected
+        assert found_once(points, 1e-10) == expected
+
+    def test_a_radius_spanning_the_cloud_pairs_every_point(self):
+        points = np.random.default_rng(9).uniform(-1, 1, size=(40, 2))
+        assert found_once(points, 3.0) == brute_close_pairs(points, 3.0)
+        assert len(found_once(points, 3.0)) == 40 * 39 // 2
 
 
 class TestGroupOrder:

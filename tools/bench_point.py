@@ -14,6 +14,11 @@ from that checkout's ``src/``:
     render --n 24 --faces
     render --n 39 --faces
 
+Before the first run the tool compiles every module of that ``src/`` to
+bytecode once (``compileall``, which writes it even where
+``PYTHONDONTWRITEBYTECODE`` is set), so that no child compiles a module
+and a fresh clone is timed like a checkout that has its ``__pycache__``;
+the point records whether that succeeded as ``"bytecode"``.
 Each command runs ``RUNS`` times, interleaved: one run of every command
 per round, so slow stretches of a shared host spread over all of them.
 For each command the point records every run's wall time
@@ -30,6 +35,7 @@ failed, else 0.
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import os
 import platform
@@ -91,6 +97,11 @@ def numpy_version() -> str | None:
     return numpy.__version__
 
 
+def compile_bytecode(src: Path) -> bool:
+    """Write the bytecode of every module under ``src``; whether every one compiled."""
+    return bool(compileall.compile_dir(str(src), quiet=1))
+
+
 def measure(root: Path) -> dict:
     src = root / "src"
     results = {name: {"argv": argv, "wall_s": [], "maxrss_mb": [], "failed": []}
@@ -130,6 +141,7 @@ def main(argv: list[str] | None = None) -> int:
         "numpy": numpy_version(),
         "nproc": os.cpu_count(),
         "runs": RUNS,
+        "bytecode": compile_bytecode(root / "src"),
         "commands": measure(root),
     }
     out = REPO / f"BENCH_{args.label}.json"
