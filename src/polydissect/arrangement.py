@@ -402,7 +402,7 @@ def _split(base: np.ndarray, tol: Tolerance) -> Split:
     fragment ends. The 2m base directions, forward and back, are ranked by
     ``arctan2`` once; an end's heading is the rank of the one leaving it.
     """
-    if len(base) == 0:  # _hits divides its block size by m
+    if len(base) == 0:  # _hits needs at least one block to concatenate
         return Split(base, np.empty(0, dtype=np.int64), np.empty((0, 2)),
                      np.empty(0, dtype=np.uint8))
     fuzz = tol.point_fuzzy
