@@ -25,8 +25,10 @@ classified, and parallel pairs are checked for collinear overlap as in
 ``split_all`` and meet where their ends touch. The full route keeps the
 interior hits, so each cut is found once, on the segment it cuts.
 ``counts`` reads which chords meet off their corners (``_corner_hits``):
-integers decide every hit, and the float solve only places it. On both
-routes ``geom.group_order`` sorts the cuts along each segment.
+integers decide every hit, and the float solve only places it. The full
+route orders every hit along its segment by index (``group_order``), as it
+needs the point each hit merged into; ``counts`` needs only the merged
+values and sorts them in place, one row per representative.
 
 Vertices of the full route are exact: a hit (r, c) links the point of r
 it merged into with the point of c that the other side of the pair,
@@ -351,7 +353,7 @@ def _points_along(owner: np.ndarray, ts: np.ndarray, k: int, fuzz: float):
     Returns the owner, parameter and run size of every point, by owner and
     then along it, and the point each hit merged into; these are values
     only, so the order ``group_order`` leaves among equal (owner, parameter)
-    pairs cannot change them.
+    pairs cannot change them. Only the full route needs the point map.
     """
     hits = len(owner)
     owner = np.concatenate((owner, np.arange(k), np.arange(k)))
@@ -361,6 +363,28 @@ def _points_along(owner: np.ndarray, ts: np.ndarray, k: int, fuzz: float):
     point = np.empty(len(order), dtype=np.int64)
     point[order] = np.repeat(np.arange(len(keep)), sizes)
     return owner[order[keep]], ts[order[keep]], sizes, point[:hits]
+
+
+def _values_along(owner: np.ndarray, ts: np.ndarray, k: int, fuzz: float):
+    """``_points_along``'s owner, parameter and run size of every point, from values alone.
+
+    The hits must come grouped by ``owner`` in increasing order, as
+    ``_corner_hits`` returns them. Each segment's ends 0 and 1 and its hits
+    fill one row of a (k, most hits + 2) array padded with +inf, which is
+    sorted in place along its rows: no index order and no point map are
+    built. Merged values equal ``_points_along``'s up to the sign of a zero.
+    """
+    hits = np.bincount(owner, minlength=k)
+    grid = np.full((k, int(hits.max(initial=0)) + 2), np.inf)
+    grid[:, 0] = 0.0
+    grid[np.arange(k), hits + 1] = 1.0
+    # a hit goes to column 1 + its rank among its owner's hits
+    grid[owner, np.arange(len(owner)) - (np.cumsum(hits) - hits)[owner] + 1] = ts
+    grid.sort(axis=1)
+    ts = grid[np.arange(grid.shape[1]) < (hits + 2)[:, None]]
+    owner = np.repeat(np.arange(k), hits + 2)
+    keep, sizes = merge_sorted_runs(owner, ts, fuzz)
+    return owner[keep], ts[keep], sizes
 
 
 def _hit_points(base: np.ndarray, fuzz: float):
@@ -514,11 +538,12 @@ def counts(spec: PolygonSpec, tol: Tolerance = DEFAULT_TOL) -> CountSummary:
     The chords that meet each orbit representative are read off the corner
     table (``_corner_hits``), with no tolerance: ``tol`` governs only the
     merge and the gap checks. The representative's hit parameters and its
-    ends 0 and 1 merge into the points on it, so it has points - 1
-    fragments, and each point lies on 1 + (hits merged into it) base
-    segments. Rotation carries every count to the rest of the orbit:
-    E is the sum of orbit * (points - 1), and the incidences c_k, the sum of
-    orbit over the points on k segments, give V as the sum of c_k / k
+    ends 0 and 1, sorted by value (``_values_along``), merge into the
+    points on it, so it has points - 1 fragments, and each point lies on
+    1 + (hits merged into it) base segments. Rotation carries every count
+    to the rest of the orbit: E is the sum of orbit * (points - 1), and the
+    incidences c_k, the sum of orbit over the points on k segments, give V
+    as the sum of c_k / k
     (Poonen and Rubinstein's bookkeeping for concurrent diagonals).
 
     F = 1 + E - V counts only the faces inside the polygon. Raises
@@ -535,7 +560,7 @@ def counts(spec: PolygonSpec, tol: Tolerance = DEFAULT_TOL) -> CountSummary:
     rows, orbit = reps[:, 0], reps[:, 1]
     rep, _, t = _corner_hits(base_corners(spec), arrays, rows)
 
-    owner, points, sizes, _ = _points_along(rep, t, len(reps), fuzz)
+    owner, points, sizes = _values_along(rep, t, len(reps), fuzz)
     same = owner[1:] == owner[:-1]
 
     gaps = np.where(same, np.diff(points) * seglen[rows[owner[1:]]], math.inf)

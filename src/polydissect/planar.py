@@ -223,19 +223,17 @@ def enumerate_faces(g: PlanarGraph) -> Faces:
         raise TraversalIncomplete(
             f"half-edge {half[stray[0]]} sits in the ring of vertex {ring_of[stray[0]]}")
 
-    # slot of each half-edge's twin, and the slot before it in its ring; the
-    # half-edge-sized temporaries here and below are dropped once used, since
-    # they, not the result, set the walk's peak memory
+    del ring_of
+    # the successor is the half-edge in the ring slot before its twin's slot;
+    # the half-edge-sized temporaries here and below are dropped once used,
+    # since they, not the result, set the walk's peak memory
+    full = ring_size > 0
+    prev = np.arange(-1, nh - 1)  # the first slot of a ring goes back to its last
+    prev[ring_start[:-1][full]] = ring_start[1:][full] - 1
     slot = np.empty(nh, dtype=np.int64)
     slot[half] = np.arange(nh)
-    twin = slot[np.arange(nh) ^ 1]
-    del slot
-    ring = ring_of[twin]
-    del ring_of
-    pred = np.where(twin > ring_start[ring], twin - 1, ring_start[ring + 1] - 1)
-    del twin, ring
-    nxt = half[pred]
-    del pred
+    nxt = half[prev[slot[np.arange(nh) ^ 1]]]
+    del prev, slot
 
     _, size, cyc = _cycles(nxt)
     del nxt
@@ -245,10 +243,11 @@ def enumerate_faces(g: PlanarGraph) -> Faces:
     # shoelace terms of a tile far from the origin cancel, and the smallest
     # tiles' areas lose their digits.
     v = origin[cyc]
-    lead_v = np.repeat(v[start[:-1]], size)
-    ax = xy[v, 0] - xy[lead_v, 0]
-    ay = xy[v, 1] - xy[lead_v, 1]
-    del v, lead_v
+    ax = xy[:, 0][v]
+    ay = xy[:, 1][v]
+    del v
+    ax -= np.repeat(ax[start[:-1]], size)
+    ay -= np.repeat(ay[start[:-1]], size)
     step = _ring_next(start)
     w = ax * ay[step]
     w -= ax[step] * ay

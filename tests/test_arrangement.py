@@ -23,7 +23,9 @@ from polydissect import (
     split_all_fast,
 )
 from polydissect import arrangement, polygon
-from polydissect.arrangement import _corner_hits, _hits, _segment_arrays
+from polydissect.arrangement import (
+    _corner_hits, _hits, _points_along, _segment_arrays, _values_along,
+)
 from polydissect.geom import Split
 from polydissect.polygon import orbit_representatives
 
@@ -260,6 +262,62 @@ def test_corner_hits_are_the_pair_solve_on_the_representatives(n):
 def test_corner_hits_are_the_pair_solve_beyond_n_30():
     for n in range(31, 65):
         assert_corner_hits_match_the_pair_solve(n)
+
+
+def assert_values_along_match_points_along(rep, t, k, fuzz=DEFAULT_TOL.point_fuzzy):
+    # the orbit route's row sort gives the full route's merged points: owner
+    # and run sizes exactly, values up to the sign of a zero (both sorts
+    # order equal values arbitrarily)
+    owner, points, sizes = _values_along(rep, t, k, fuzz)
+    want_owner, want_points, want_sizes, _ = _points_along(rep, t, k, fuzz)
+    assert owner.tolist() == want_owner.tolist() and sizes.tolist() == want_sizes.tolist()
+    assert np.array_equal(points, want_points)
+    return owner, points, sizes
+
+
+def assert_values_along_match_on_the_representatives(n):
+    spec = PolygonSpec(n)
+    reps = np.array(orbit_representatives(spec))
+    rep, _, t = _corner_hits(polygon.base_corners(spec), _segment_arrays(base_segments(spec)),
+                             reps[:, 0])
+    assert_values_along_match_points_along(rep, t, len(reps))
+
+
+@pytest.mark.parametrize("n", range(2, 31))
+def test_values_along_are_the_points_along_on_the_representatives(n):
+    assert_values_along_match_on_the_representatives(n)
+
+
+@pytest.mark.slow
+def test_values_along_are_the_points_along_beyond_n_30():
+    for n in range(31, 65):
+        assert_values_along_match_on_the_representatives(n)
+
+
+def test_values_along_a_segment_without_hits_are_its_ends():
+    # segment 1 meets nothing: its row holds only 0 and 1, then padding
+    owner, points, sizes = assert_values_along_match_points_along(
+        np.array([0, 0, 2]), np.array([0.5, 0.25, 0.75]), 3)
+    assert owner.tolist() == [0, 0, 0, 0, 1, 1, 2, 2, 2]
+    assert points.tolist() == [0.0, 0.25, 0.5, 1.0, 0.0, 1.0, 0.0, 0.75, 1.0]
+    assert sizes.tolist() == [1] * 9
+
+
+def test_values_along_merge_touches_into_the_ends():
+    # touches at -0.0 and at 1 - 2**-52 (where two chords end at one corner
+    # t can miss 1 by an ulp) join the runs of the ends 0 and 1
+    owner, points, sizes = assert_values_along_match_points_along(
+        np.array([0, 0, 0]), np.array([1.0 - 2.0**-52, -0.0, 0.5]), 1)
+    assert owner.tolist() == [0, 0, 0]
+    assert points.tolist() == [0.0, 0.5, 1.0] and sizes.tolist() == [2, 1, 2]
+
+
+def test_values_along_merge_close_cuts_into_the_later_one():
+    fuzz = DEFAULT_TOL.point_fuzzy
+    a, b = 0.3, 0.3 + 0.5 * fuzz
+    owner, points, sizes = assert_values_along_match_points_along(
+        np.array([0, 0, 0]), np.array([b, 0.6, a]), 1)
+    assert points.tolist() == [0.0, b, 0.6, 1.0] and sizes.tolist() == [1, 2, 1, 1]
 
 
 def test_the_square_diagonals_cross_at_their_midpoints():
