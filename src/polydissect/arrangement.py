@@ -379,7 +379,8 @@ def _values_along(owner: np.ndarray, ts: np.ndarray, k: int, fuzz: float):
     grid[:, 0] = 0.0
     grid[np.arange(k), hits + 1] = 1.0
     # a hit goes to column 1 + its rank among its owner's hits
-    grid[owner, np.arange(len(owner)) - (np.cumsum(hits) - hits)[owner] + 1] = ts
+    at = np.arange(k) * grid.shape[1] - (np.cumsum(hits) - hits) + 1
+    grid.reshape(-1)[np.arange(len(owner)) + np.repeat(at, hits)] = ts
     grid.sort(axis=1)
     ts = grid[np.arange(grid.shape[1]) < (hits + 2)[:, None]]
     owner = np.repeat(np.arange(k), hits + 2)

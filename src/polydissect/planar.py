@@ -233,7 +233,7 @@ def enumerate_faces(g: PlanarGraph) -> Faces:
     slot = np.empty(nh, dtype=np.int64)
     slot[half] = np.arange(nh)
     nxt = half[prev[slot[np.arange(nh) ^ 1]]]
-    del prev, slot
+    del full, prev, slot
 
     _, size, cyc = _cycles(nxt)
     del nxt
