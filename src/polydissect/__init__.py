@@ -8,12 +8,7 @@ from .errors import (
     SymmetryViolation,
     TraversalIncomplete,
 )
-from .geom import (
-    DEFAULT_FUZZ,
-    DEFAULT_TOL,
-    Split,
-    Tolerance,
-)
+from .geom import DEFAULT_FUZZ, Split
 from .polygon import PolygonSpec, base_segments
 from .arrangement import (
     CountSummary,
@@ -44,9 +39,7 @@ __all__ = [
     "SymmetryViolation",
     "TraversalIncomplete",
     "DEFAULT_FUZZ",
-    "DEFAULT_TOL",
     "Split",
-    "Tolerance",
     "PolygonSpec",
     "base_segments",
     "CountSummary",

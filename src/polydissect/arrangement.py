@@ -20,15 +20,16 @@ oracle for the orbit route. ``split_all_fast``'s kernel, ``_hits``, solves
 each pair of base segments once, in cache-sized blocks, and returns every
 pair that meets from both sides: each side is one segment, the other and
 the line parameter on the first, classified as interior or end within
-``point_fuzzy``. Only the pairs whose two parameters lie near [0, 1] are
+``fuzz``. Only the pairs whose two parameters lie near [0, 1] are
 classified, and parallel pairs are checked for collinear overlap as in
 ``split_all`` and meet where their ends touch. The full route keeps the
 interior hits, so each cut is found once, on the segment it cuts.
 ``counts`` reads which chords meet off their corners (``_corner_hits``):
 integers decide every hit, and the float solve only places it. The full
 route orders every hit along its segment by index (``group_order``), as it
-needs the point each hit merged into; ``counts`` needs only the merged
-values and sorts them in place, one row per representative.
+needs the point each hit merged into, and merges its runs with
+``merge_sorted_runs``; ``counts`` needs only the merged values and sorts
+and merges them in place, one padded row per representative.
 
 Vertices of the full route are exact: a hit (r, c) links the point of r
 it merged into with the point of c that the other side of the pair,
@@ -55,7 +56,7 @@ import numpy as np
 
 from .errors import AmbiguousClustering, NumericalDegeneracy, SymmetryViolation
 from .geom import (
-    DEFAULT_FUZZ, DEFAULT_TOL, Split, Tolerance, close_pairs, group_order, merge_sorted_runs,
+    DEFAULT_FUZZ, Split, close_pairs, group_order, merge_sorted_runs,
 )
 from .polygon import PolygonSpec, base_corners, base_segments, orbit_representatives
 
@@ -103,13 +104,20 @@ def _split_tuple(x0, y0, x1, y1, params, fuzz):
     return out
 
 
+def _check_fuzz(fuzz: float) -> None:
+    """ValueError unless 0 < fuzz < 1e-3: every distance here lies within the unit disk."""
+    if not (0.0 < fuzz < 1e-3):
+        raise ValueError(f"fuzz must lie in (0, 1e-3), got {fuzz!r}")
+
+
 def _check_rows(rows: np.ndarray, fuzz: float) -> None:
     """Refuse all but a (k, 4) array of finite rows longer than DEFAULT_FUZZ and fuzz.
 
-    Raises TypeError for anything but an ndarray, ValueError for an array of
-    another shape, and NumericalDegeneracy for a row that is too short or
-    not finite.
+    Raises ValueError for a fuzz outside (0, 1e-3) or an array of another
+    shape, TypeError for anything but an ndarray, and NumericalDegeneracy
+    for a row that is too short or not finite.
     """
+    _check_fuzz(fuzz)
     if not isinstance(rows, np.ndarray):
         raise TypeError(f"segments must be an ndarray, not {type(rows).__name__}:"
                         f" pass an (m, 4) array of x0, y0, x1, y1 rows")
@@ -136,7 +144,7 @@ def _parallel_overlap(sx0, sy0, sdx, sdy, slen, wx0, wy0, wx1, wy1, fuzz):
             & ((t0 > fuzz) | (t1 > fuzz)) & ((1.0 - t0 > fuzz) | (1.0 - t1 > fuzz)))
 
 
-def split_all(base: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def split_all(base: np.ndarray, fuzz: float = DEFAULT_FUZZ) -> np.ndarray:
     """Fragment every base segment at every crossing or touch.
 
     Working-set rescan: each base segment is intersected against all
@@ -147,7 +155,6 @@ def split_all(base: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     finite, and TypeError or ValueError for a base that is not an (m, 4)
     array. The fragments come back as an (E, 4) array.
     """
-    fuzz = tol.point_fuzzy
     _check_rows(base, fuzz)
     working: list[tuple] = []
     for sx0, sy0, sx1, sy1 in base.tolist():
@@ -324,7 +331,7 @@ def _hits(arrays: tuple[np.ndarray, ...], fuzz: float):
             np.concatenate((t, u)), np.concatenate((t_cls, u_cls)))
 
 
-def split_all_fast(base: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Split:
+def split_all_fast(base: np.ndarray, fuzz: float = DEFAULT_FUZZ) -> Split:
     """Same fragment multiset as split_all, via pairwise base intersections.
 
     Every cut on a fragment corresponds to a cut on its base segment, so
@@ -339,8 +346,8 @@ def split_all_fast(base: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> Split:
     vertices or when two vertices come closer than 3*fuzz, and ValueError
     for collinear overlapping segments.
     """
-    _check_rows(base, tol.point_fuzzy)
-    return _split(base, tol)
+    _check_rows(base, fuzz)
+    return _split(base, fuzz)
 
 
 def _points_along(owner: np.ndarray, ts: np.ndarray, k: int, fuzz: float):
@@ -370,11 +377,12 @@ def _values_along(owner: np.ndarray, ts: np.ndarray, k: int, fuzz: float):
 
     The hits must come grouped by ``owner`` in increasing order, as
     ``_corner_hits`` returns them. Each segment's ends 0 and 1 and its hits
-    fill one row of a (k, most hits + 2) array padded with +inf, which is
-    sorted in place along its rows: no index order and no point map are
-    built. Merged values equal ``_points_along``'s up to the sign of a zero.
+    fill one row of a (k, most hits + 2) array padded with +inf, sorted in
+    place along its rows, and the runs merge on it by ``merge_sorted_runs``'
+    rule. Merged values equal ``_points_along``'s up to the sign of a zero.
     """
     hits = np.bincount(owner, minlength=k)
+    length = hits + 2
     grid = np.full((k, int(hits.max(initial=0)) + 2), np.inf)
     grid[:, 0] = 0.0
     grid[np.arange(k), hits + 1] = 1.0
@@ -382,10 +390,20 @@ def _values_along(owner: np.ndarray, ts: np.ndarray, k: int, fuzz: float):
     at = np.arange(k) * grid.shape[1] - (np.cumsum(hits) - hits) + 1
     grid.reshape(-1)[np.arange(len(owner)) + np.repeat(at, hits)] = ts
     grid.sort(axis=1)
-    ts = grid[np.arange(grid.shape[1]) < (hits + 2)[:, None]]
-    owner = np.repeat(np.arange(k), hits + 2)
-    keep, sizes = merge_sorted_runs(owner, ts, fuzz)
-    return owner[keep], ts[keep], sizes
+    # a run opens at column 0, and past the first run where that ends or a step is >= fuzz
+    with np.errstate(invalid="ignore"):  # inf - inf in the padding
+        first = grid - grid[:, :1] < fuzz
+        step = grid[:, 1:] - grid[:, :-1] >= fuzz
+    opens = np.ones_like(first)
+    opens[:, 1:] = (step | first[:, :-1]) & ~first[:, 1:]
+    opens &= np.arange(grid.shape[1]) < length[:, None]
+    at = np.flatnonzero(opens)
+    row, col = np.divmod(at, grid.shape[1])
+    # a run stops where the next opens, or at its row's length before column 0
+    stop = np.concatenate((col[1:], [0]))
+    stop[stop == 0] = length
+    keep = np.where(col == 0, at, at + (stop - col - 1))  # a first run keeps its first
+    return row, grid.reshape(-1)[keep], stop - col
 
 
 def _hit_points(base: np.ndarray, fuzz: float):
@@ -416,7 +434,7 @@ def _hit_points(base: np.ndarray, fuzz: float):
     return owner, along, point, np.roll(point, len(point) // 2)
 
 
-def _split(base: np.ndarray, tol: Tolerance) -> Split:
+def _split(base: np.ndarray, fuzz: float) -> Split:
     """The ``Split`` of an (m, 4) base array.
 
     The vertices are the cliques of the links ``_hit_points`` reads off the
@@ -430,7 +448,6 @@ def _split(base: np.ndarray, tol: Tolerance) -> Split:
     if len(base) == 0:  # _hits needs at least one block to concatenate
         return Split(base, np.empty(0, dtype=np.int64), np.empty((0, 2)),
                      np.empty(0, dtype=np.uint8))
-    fuzz = tol.point_fuzzy
     owner, along, point, far = _hit_points(base, fuzz)
     # the segments through a vertex meet pairwise there, so one minimum over
     # the links gives every point the smallest point of its vertex
@@ -533,49 +550,48 @@ def _corner_hits(corners: np.ndarray, arrays: tuple[np.ndarray, ...], rows: np.n
     return at, col, (dx[col] * rhsy - rhsx * dy[col]) / det
 
 
-def counts(spec: PolygonSpec, tol: Tolerance = DEFAULT_TOL) -> CountSummary:
+def counts(spec: PolygonSpec, fuzz: float = DEFAULT_FUZZ) -> CountSummary:
     """Count V, E and F for the dissected polygon from one segment per orbit.
 
     The chords that meet each orbit representative are read off the corner
-    table (``_corner_hits``), with no tolerance: ``tol`` governs only the
+    table (``_corner_hits``), with no tolerance: ``fuzz`` governs only the
     merge and the gap checks. The representative's hit parameters and its
-    ends 0 and 1, sorted by value (``_values_along``), merge into the
+    ends 0 and 1 merge on one padded row each (``_values_along``) into the
     points on it, so it has points - 1 fragments, and each point lies on
     1 + (hits merged into it) base segments. Rotation carries every count
     to the rest of the orbit: E is the sum of orbit * (points - 1), and the
     incidences c_k, the sum of orbit over the points on k segments, give V
-    as the sum of c_k / k
-    (Poonen and Rubinstein's bookkeeping for concurrent diagonals).
+    as the sum of c_k / k (Poonen and Rubinstein's bookkeeping for
+    concurrent diagonals).
 
     F = 1 + E - V counts only the faces inside the polygon. Raises
-    NumericalDegeneracy for a fragment shorter than fuzz, and
-    AmbiguousClustering for two distinct points on one segment closer than
-    3*fuzz or for incidences c_k that k does not divide. The face total must
-    decompose as N*per_ray + central (central = 1 for even n); otherwise
-    SymmetryViolation is raised.
+    ValueError for a fuzz outside (0, 1e-3), NumericalDegeneracy for a
+    fragment shorter than fuzz, and AmbiguousClustering for two distinct
+    points on one segment closer than 3*fuzz or for incidences c_k that k
+    does not divide. The face total must decompose as N*per_ray + central
+    (central = 1 for even n); otherwise SymmetryViolation is raised.
     """
-    fuzz = tol.point_fuzzy
-    arrays = _segment_arrays(base_segments(spec))
-    seglen = arrays[4]
+    _check_fuzz(fuzz)
+    x0, y0, x1, y1 = base_segments(spec).T
+    dx, dy = x1 - x0, y1 - y0
     reps = np.array(orbit_representatives(spec))
     rows, orbit = reps[:, 0], reps[:, 1]
-    rep, _, t = _corner_hits(base_corners(spec), arrays, rows)
+    rep, _, t = _corner_hits(base_corners(spec), (x0, y0, dx, dy, None), rows)  # reads no lengths
+    seglen = np.hypot(dx[rows], dy[rows])
 
     owner, points, sizes = _values_along(rep, t, len(reps), fuzz)
-    same = owner[1:] == owner[:-1]
-
-    gaps = np.where(same, np.diff(points) * seglen[rows[owner[1:]]], math.inf)
+    rim = np.ones(len(owner) + 1, dtype=bool)  # rim[i]: point i starts a representative
+    np.not_equal(owner[1:], owner[:-1], out=rim[1:-1])  # and point i - 1 ends one
+    gaps = np.where(rim[1:-1], math.inf, (points[1:] - points[:-1]) * seglen[owner[1:]])
     j = int(np.argmin(gaps))
     gap, ta, tb = float(gaps[j]), float(points[j]), float(points[j + 1])
-    e = int((orbit * (np.bincount(owner, minlength=len(reps)) - 1)).sum())
-    # a point lies on the representative and on every hit merged into it;
-    # the 0 and 1 added above (each representative's first and last point)
-    # stand for the representative itself
-    first = np.insert(~same, 0, True)
-    last = np.append(~same, True)
-    multiplicity = sizes + 1 - first - last
-    incidences = np.zeros(len(seglen) + 1, dtype=np.int64)  # c_k at index k
-    np.add.at(incidences, multiplicity, orbit[owner])
+    weight = orbit[owner]
+    e = int(weight.sum() - orbit.sum())  # orbit * (points - 1), summed
+    # a point lies on the representative and on every hit merged into it; the
+    # 0 and 1 added above (its first and last point) stand for the representative
+    multiplicity = sizes + 1 - rim[:-1] - rim[1:]
+    incidences = np.zeros(len(x0) + 1, dtype=np.int64)  # c_k at index k
+    np.add.at(incidences, multiplicity, weight)
 
     if gap < fuzz:
         raise NumericalDegeneracy(

@@ -1,8 +1,8 @@
-"""The tolerance, the split record and the array helpers of the pipeline.
+"""The default fuzz, the split record and the array helpers of the pipeline.
 
 All geometry in this package lives in the closed unit disk, so a single
-absolute distance threshold (``point_fuzzy``) serves both for point
-identity and for the parallelism test of ``arrangement``'s pair solvers.
+absolute distance threshold, a float ``fuzz`` in (0, 1e-3), serves both for
+point identity and for the parallelism test of ``arrangement``'s pair solvers.
 """
 
 from __future__ import annotations
@@ -12,20 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_FUZZ = 1e-10
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Absolute distance threshold under which two points are the same."""
-
-    point_fuzzy: float = DEFAULT_FUZZ
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.point_fuzzy < 1e-3):
-            raise ValueError(f"point_fuzzy must lie in (0, 1e-3), got {self.point_fuzzy!r}")
-
-
-DEFAULT_TOL = Tolerance()
 
 
 @dataclass(frozen=True, eq=False)

@@ -36,19 +36,22 @@ class PolygonSpec:
 
 
 def base_corners(spec: PolygonSpec) -> np.ndarray:
-    """The corner table: the start and end corner of each base row, an (m, 2) int array.
+    """The corner table: the start and end corner of each base row, an (m, 2) int64 array.
 
     Rows come in ``base_segments`` order: perimeter edge e runs from corner
     e to e+1, then the diagonal of family k on side e from corner e-k to
     e+1+k, for each side e and k = 1..n-2. Corner indices lie in 0..2n-1.
     """
-    n = spec.n
-    e = np.arange(2 * n)
-    side = np.repeat(np.arange(n), n - 2)
-    k = np.tile(np.arange(1, n - 1), n)
-    start = np.concatenate((e, (side - k) % (2 * n)))
-    end = np.concatenate(((e + 1) % (2 * n), (side + 1 + k) % (2 * n)))
-    return np.column_stack((start, end))
+    n, N = spec.n, 2 * spec.n
+    i = np.arange(N)
+    corners = np.empty((n * n, 2), dtype=np.int64)
+    corners[:N] = i[:, None] + (0, 1)
+    corners[N - 1, 1] = 0
+    diag = corners[N:].reshape(n, n - 2, 2)  # by side e, then by family k
+    diag[..., 0] = i[:n, None] - i[1:n - 1]  # e - k, at least 2 - n
+    diag[..., 1] = i[:n, None] + i[2:n]  # e + 1 + k, at most 2n - 2
+    diag[diag < 0] += N
+    return corners
 
 
 def base_segments(spec: PolygonSpec) -> np.ndarray:
@@ -60,8 +63,10 @@ def base_segments(spec: PolygonSpec) -> np.ndarray:
     one table, so shared endpoints are bit-identical.
     """
     n = spec.n
-    pts = np.array([(math.cos(math.pi * k / n), math.sin(math.pi * k / n)) for k in range(2 * n)])
-    return pts[base_corners(spec)].reshape(-1, 4)
+    angles = [math.pi * k / n for k in range(2 * n)]
+    xy = np.empty(2 * n, dtype=np.complex128)  # corner k as one x, y pair
+    xy.real, xy.imag = list(map(math.cos, angles)), list(map(math.sin, angles))
+    return xy[base_corners(spec)].view(np.float64)  # a row's corners: x0, y0, x1, y1
 
 
 def orbit_representatives(spec: PolygonSpec) -> list[tuple[int, int]]:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 
 from polydissect.arrangement import _segment_arrays
-from polydissect.geom import Split, close_pairs
+from polydissect.geom import DEFAULT_FUZZ, Split, close_pairs
 
 
 def dense_classes(arrays, rows, fuzz):
@@ -55,10 +55,10 @@ def lies_on(frag, base):
     return True
 
 
-def crossing_free(split, tol):
+def crossing_free(split, fuzz=DEFAULT_FUZZ):
     """Exhaustive pairwise check: no pair i < j meets Interior x Interior."""
     arrays = _segment_arrays(frags_of(split))
-    _, t_cls, u_cls = dense_classes(arrays, np.arange(len(arrays[0])), tol.point_fuzzy)
+    _, t_cls, u_cls = dense_classes(arrays, np.arange(len(arrays[0])), fuzz)
     return not np.triu((t_cls == 2) & (u_cls == 2), 1).any()
 
 

@@ -16,7 +16,7 @@ from conftest import (
     crossing_free, float_clusters, lengths, lies_on, rotate_segments, shuffled_rows,
 )
 from polydissect import (
-    DEFAULT_TOL,
+    DEFAULT_FUZZ,
     CountSummary,
     PolygonSpec,
     base_segments,
@@ -149,7 +149,7 @@ def test_criterion_6_property_tests():
 
     # crossing-freeness, exhaustive pairwise for n <= 8
     for n in range(2, 9):
-        if not crossing_free(split_all_fast(base_segments(PolygonSpec(n))), DEFAULT_TOL):
+        if not crossing_free(split_all_fast(base_segments(PolygonSpec(n)))):
             failures.append((n, "crossing left in split output"))
 
     # order independence and rotation equivariance of (V, E, F), n <= 10
@@ -189,7 +189,7 @@ def check_fast_splitter(ns: range) -> None:
         fast = split_all_fast(base)
         fast_total += time.perf_counter() - t0
         # the reference split has no vertex identity of its own: cluster it by distance
-        vs = len(float_clusters(slow, DEFAULT_TOL.point_fuzzy)[1])
+        vs = len(float_clusters(slow, DEFAULT_FUZZ)[1])
         vf = count_vertices(fast)
         if (len(slow), vs) != (len(fast), vf):
             bad.append((n, len(slow), len(fast), vs, vf))

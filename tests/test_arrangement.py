@@ -9,11 +9,10 @@ from conftest import (
     shuffled_rows,
 )
 from polydissect import (
-    DEFAULT_TOL,
+    DEFAULT_FUZZ,
     AmbiguousClustering,
     NumericalDegeneracy,
     PolygonSpec,
-    Tolerance,
     base_segments,
     build_graph,
     cluster_endpoints,
@@ -35,14 +34,14 @@ def segs(*rows):
     return np.array(rows, dtype=float)
 
 
-def full_route(spec, tol=DEFAULT_TOL, splitter=split_all_fast):
+def full_route(spec, fuzz=DEFAULT_FUZZ, splitter=split_all_fast):
     """(V, E, F) from the whole arrangement: split every segment, count its vertices.
 
     ``split_all``'s fragments go through ``split_all_fast``, which leaves
     a crossing-free set as it is and reads its vertices.
     """
-    frags = splitter(base_segments(spec), tol)
-    split = frags if isinstance(frags, Split) else split_all_fast(frags, tol)
+    frags = splitter(base_segments(spec), fuzz)
+    split = frags if isinstance(frags, Split) else split_all_fast(frags, fuzz)
     v = count_vertices(split)
     return v, len(frags), 1 + len(frags) - v
 
@@ -78,7 +77,7 @@ class TestSplitting:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_output_is_crossing_free(self, splitter, n):
         split = splitter(base_segments(PolygonSpec(n)))
-        assert crossing_free(split, DEFAULT_TOL)
+        assert crossing_free(split)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_fragments_cover_each_base_segment(self, splitter, n):
@@ -96,7 +95,7 @@ class TestSplitting:
 def test_the_crossing_oracle_sees_the_crossings_of_the_unsplit_base(n):
     # the square has no diagonals, so nothing crosses; from the hexagon on,
     # the diagonals do, and crossing_free must say so
-    assert crossing_free(base_segments(PolygonSpec(n)), DEFAULT_TOL) == (n == 2)
+    assert crossing_free(base_segments(PolygonSpec(n))) == (n == 2)
 
 
 # each base row is checked before the pair solve, so a non-finite row raises
@@ -170,7 +169,7 @@ def test_a_near_parallel_touch_meets_at_the_ends_from_both_sides(reverse):
     # the parallel test sees the pair in both row orders; it meets at t = 0
     # on the first row and t = 1 on the second, whichever comes first
     base = np.array(NEAR_PARALLEL_TOUCH[::-1] if reverse else NEAR_PARALLEL_TOUCH)
-    row, col, t, t_cls = _hits(_segment_arrays(base), DEFAULT_TOL.point_fuzzy)
+    row, col, t, t_cls = _hits(_segment_arrays(base), DEFAULT_FUZZ)
     first = 1 if reverse else 0
     assert sorted(zip(row.tolist(), col.tolist(), t.tolist())) == sorted(
         [(first, 1 - first, 0.0), (1 - first, first, 1.0)])
@@ -181,7 +180,7 @@ def test_a_near_parallel_touch_meets_at_the_ends_from_both_sides(reverse):
 def test_a_near_parallel_overlap_raises_in_either_row_order(reverse):
     base = np.array(NEAR_PARALLEL_OVERLAP[::-1] if reverse else NEAR_PARALLEL_OVERLAP)
     with pytest.raises(ValueError, match="collinear overlapping"):
-        _hits(_segment_arrays(base), DEFAULT_TOL.point_fuzzy)
+        _hits(_segment_arrays(base), DEFAULT_FUZZ)
     with pytest.raises(ValueError, match="collinear overlapping"):
         split_all_fast(base)
 
@@ -201,7 +200,7 @@ def row_major(hits):
     return tuple(a[order] for a in hits)
 
 
-def assert_hits_match_the_dense_reference(base, fuzz=DEFAULT_TOL.point_fuzzy):
+def assert_hits_match_the_dense_reference(base, fuzz=DEFAULT_FUZZ):
     # _hits emits each pair from both sides in two halves; in row-major
     # order its sides are the dense block's hits, bit for bit
     arrays = _segment_arrays(base)
@@ -223,7 +222,7 @@ def test_hits_match_a_dense_classification_at_the_fuzz_bands():
     # a horizontal (0, q)-(1, q) and a vertical (p, 0)-(p, 1) meet at t = p
     # on the first and t = q on the second, exactly; random segments around
     # them add pairs of every kind
-    fuzz = DEFAULT_TOL.point_fuzzy
+    fuzz = DEFAULT_FUZZ
     edges = [-2 * fuzz, -fuzz, 0.0, fuzz, 2 * fuzz, 1 - 2 * fuzz, 1 - fuzz, 1.0, 1 + fuzz,
              1 + 2 * fuzz]
     params = sorted({q for p in edges for q in (np.nextafter(p, -1), p, np.nextafter(p, 2))})
@@ -246,7 +245,7 @@ def assert_corner_hits_match_the_pair_solve(n):
     spec = PolygonSpec(n)
     arrays = _segment_arrays(base_segments(spec))
     rows = np.array(orbit_representatives(spec))[:, 0]
-    row, col, t, _ = row_major(_hits(arrays, DEFAULT_TOL.point_fuzzy))
+    row, col, t, _ = row_major(_hits(arrays, DEFAULT_FUZZ))
     on_rep = np.flatnonzero(np.isin(row, rows))
     at, got_col, got_t = _corner_hits(polygon.base_corners(spec), arrays, rows)
     assert np.array_equal(rows[at], row[on_rep]) and np.array_equal(got_col, col[on_rep])
@@ -264,7 +263,7 @@ def test_corner_hits_are_the_pair_solve_beyond_n_30():
         assert_corner_hits_match_the_pair_solve(n)
 
 
-def assert_values_along_match_points_along(rep, t, k, fuzz=DEFAULT_TOL.point_fuzzy):
+def assert_values_along_match_points_along(rep, t, k, fuzz=DEFAULT_FUZZ):
     # the orbit route's row sort gives the full route's merged points: owner
     # and run sizes exactly, values up to the sign of a zero (both sorts
     # order equal values arbitrarily)
@@ -313,11 +312,49 @@ def test_values_along_merge_touches_into_the_ends():
 
 
 def test_values_along_merge_close_cuts_into_the_later_one():
-    fuzz = DEFAULT_TOL.point_fuzzy
+    fuzz = DEFAULT_FUZZ
     a, b = 0.3, 0.3 + 0.5 * fuzz
     owner, points, sizes = assert_values_along_match_points_along(
         np.array([0, 0, 0]), np.array([b, 0.6, a]), 1)
     assert points.tolist() == [0.0, b, 0.6, 1.0] and sizes.tolist() == [1, 2, 1, 1]
+
+
+def test_values_along_split_a_first_run_at_fuzz_above_its_first_value():
+    # steps of 0.6*fuzz chain 0, 0.6*fuzz and 1.2*fuzz, but the first run is
+    # anchored at its first value: 1.2*fuzz opens a run of its own
+    fuzz = DEFAULT_FUZZ
+    owner, points, sizes = assert_values_along_match_points_along(
+        np.array([0, 0]), np.array([1.2 * fuzz, 0.6 * fuzz]), 1)
+    assert points.tolist() == [0.0, 1.2 * fuzz, 1.0] and sizes.tolist() == [2, 1, 1]
+
+
+def test_values_along_chain_a_later_run_past_fuzz_into_its_last_value():
+    # a later run goes on while each step is under fuzz, however far it reaches
+    fuzz = DEFAULT_FUZZ
+    chain = [0.5, 0.5 + 0.6 * fuzz, 0.5 + 1.2 * fuzz]
+    owner, points, sizes = assert_values_along_match_points_along(
+        np.array([0, 0, 0]), np.array(chain[::-1]), 1)
+    assert chain[2] - chain[0] > fuzz
+    assert points.tolist() == [0.0, chain[2], 1.0] and sizes.tolist() == [1, 3, 1]
+
+
+def test_values_along_rows_of_different_lengths_end_at_their_own_one():
+    # row 0 is the longest; rows 1 and 2 end in 1.0 followed by +inf padding,
+    # and row 2's touch an ulp under 1 merges into that 1.0, not the padding
+    fuzz = DEFAULT_FUZZ
+    owner, points, sizes = assert_values_along_match_points_along(
+        np.array([0, 0, 0, 0, 2]), np.array([0.7, 0.2, 1.0 - 0.5 * fuzz, 0.4, 1.0 - 2.0**-52]), 3)
+    assert owner.tolist() == [0, 0, 0, 0, 0, 1, 1, 2, 2]
+    assert points.tolist() == [0.0, 0.2, 0.4, 0.7, 1.0, 0.0, 1.0, 0.0, 1.0]
+    assert sizes.tolist() == [1, 1, 1, 1, 2, 1, 1, 1, 2]
+
+
+def test_values_along_keep_a_negative_touch_as_the_first_value():
+    # a touch a little below 0 sorts before the end 0 and is the value the
+    # first run keeps
+    owner, points, sizes = assert_values_along_match_points_along(
+        np.array([0, 0]), np.array([0.5, -2e-17]), 1)
+    assert points.tolist() == [-2e-17, 0.5, 1.0] and sizes.tolist() == [2, 1, 1]
 
 
 def test_the_square_diagonals_cross_at_their_midpoints():
@@ -370,7 +407,7 @@ class TestCountVertices:
         # six starts 0.9*fuzz apart in a chain: by distance alone they were one
         # vertex, but the segments cross each other between them, and the
         # split refuses the pieces shorter than fuzz that this leaves
-        step = 0.9 * DEFAULT_TOL.point_fuzzy
+        step = 0.9 * DEFAULT_FUZZ
         base = segs(*([0.3 + k * step, 0.2, -0.5, -0.5 + 0.1 * k] for k in (3, 0, 5, 1, 4, 2)))
         with pytest.raises(NumericalDegeneracy, match="shorter than fuzz"):
             split_all_fast(base)
@@ -413,7 +450,7 @@ class TestVertexIdentity:
     def test_a_pair_meets_exactly_when_its_partner_does(self, n):
         base = base_segments(PolygonSpec(n))
         m = len(base)
-        row, col, t, _ = _hits(_segment_arrays(base), DEFAULT_TOL.point_fuzzy)
+        row, col, t, _ = _hits(_segment_arrays(base), DEFAULT_FUZZ)
         half = len(row) // 2
         # two halves: each pair (r, c) with r < c in row-major order, then
         # the same pairs as (c, r); side i's partner is side i + H or i - H
@@ -433,7 +470,7 @@ class TestVertexIdentity:
     @pytest.mark.parametrize("n", range(2, 21))
     def test_a_point_on_k_segments_has_k_minus_1_partners(self, n):
         base = base_segments(PolygonSpec(n))
-        owner, _, point, far = arrangement._hit_points(base, DEFAULT_TOL.point_fuzzy)
+        owner, _, point, far = arrangement._hit_points(base, DEFAULT_FUZZ)
         split = split_all_fast(base)
         # the vertex of each point, from the fragments between consecutive points
         vertex = np.empty(len(owner), dtype=np.int64)
@@ -449,7 +486,7 @@ class TestVertexIdentity:
     def test_the_split_vertices_are_the_float_clusters(self, n):
         # the same partition, and coordinates equal to the last bit
         split = split_all_fast(base_segments(PolygonSpec(n)))
-        labels, points = float_clusters(split.frags, DEFAULT_TOL.point_fuzzy)
+        labels, points = float_clusters(split.frags, DEFAULT_FUZZ)
         to_split = same_partition(labels, split.labels)
         assert np.array_equal(split.points[to_split], points)
 
@@ -460,7 +497,7 @@ class TestVertexIdentity:
         slow = split_all(base_segments(PolygonSpec(n)))
         split = split_all_fast(slow)
         assert np.array_equal(split.frags, slow)
-        same_partition(float_clusters(slow, DEFAULT_TOL.point_fuzzy)[0], split.labels)
+        same_partition(float_clusters(slow, DEFAULT_FUZZ)[0], split.labels)
         assert len(split.points) == counts(PolygonSpec(n)).V
 
     @pytest.mark.parametrize("rows,labels", [
@@ -476,7 +513,7 @@ class TestVertexIdentity:
         base = np.array(rows)
         split = split_all_fast(base)
         assert split.labels.tolist() == labels
-        row, col, t, t_cls = _hits(_segment_arrays(base), DEFAULT_TOL.point_fuzzy)
+        row, col, t, t_cls = _hits(_segment_arrays(base), DEFAULT_FUZZ)
         assert sorted(zip(row.tolist(), col.tolist())) == sorted(zip(col.tolist(), row.tolist()))
         assert set(t.tolist()) <= {0.0, 1.0} and np.all(t_cls == arrangement._END)
 
@@ -524,9 +561,9 @@ class TestCounts:
     def test_both_routes_refuse_a_too_coarse_fuzz(self, n, fuzz, error):
         spec = PolygonSpec(n)
         with pytest.raises(error):
-            counts(spec, Tolerance(fuzz))
+            counts(spec, fuzz)
         with pytest.raises(error):
-            full_route(spec, Tolerance(fuzz))
+            full_route(spec, fuzz)
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_divisibility(self, n):

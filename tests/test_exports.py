@@ -32,6 +32,8 @@ def test_removed_names_are_gone():
                          (polygon, "base_array"), (arrangement, "SegmentSet"),
                          (geom, "segment_array"), (cli, "_count_range"),
                          *((m, name) for m in (polydissect, geom)
+                           for name in ("Tolerance", "DEFAULT_TOL")),
+                         *((m, name) for m in (polydissect, geom)
                            for name in ("intersect", "classify_param", "ParamClass", "Params",
                                         "Point2", "Segment")),
                          *((m, name) for m in (polydissect, polygon)

@@ -1,10 +1,13 @@
+import inspect
 import math
 import random
 
 import numpy as np
 import pytest
 
-from polydissect import PolygonSpec, Tolerance, arrangement, base_segments
+from polydissect import (
+    DEFAULT_FUZZ, PolygonSpec, arrangement, base_segments, counts, split_all, split_all_fast,
+)
 from polydissect.arrangement import (
     _END, _INTERIOR, _MISS, _param_class, _segment_arrays, _solve_pairs, _split_tuple,
 )
@@ -261,12 +264,17 @@ class TestGroupOrder:
 
 @pytest.mark.parametrize("bad", [0.0, -1e-10, 1e-3, 1.0])
 def test_tolerance_range_is_validated(bad):
-    with pytest.raises(ValueError):
-        Tolerance(bad)
+    # the fuzz is a plain float, checked where each route starts
+    base = base_segments(PolygonSpec(3))
+    for route, arg in ((counts, PolygonSpec(3)), (split_all, base), (split_all_fast, base)):
+        with pytest.raises(ValueError, match="fuzz must lie in"):
+            route(arg, bad)
 
 
 def test_tolerance_default():
-    assert Tolerance().point_fuzzy == 1e-10
+    assert DEFAULT_FUZZ == 1e-10
+    for route in (counts, split_all, split_all_fast):
+        assert inspect.signature(route).parameters["fuzz"].default == DEFAULT_FUZZ
 
 
 def _random_segment(rng):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -80,6 +81,26 @@ def test_base_segments_are_the_corner_table_looked_up(n):
     assert table.shape == (2 * n + n * (n - 2), 2)
     assert table.min() >= 0 and table.max() < 2 * n
     assert base_segments(spec).tobytes() == corners(spec)[table].reshape(-1, 4).tobytes()
+
+
+# SHA-256 of the bytes of base_corners and of base_segments, for n = 2..64
+# in turn: every entry of both tables, as the tables were first built (with
+# lists of tuples and a modulo), before they were built in place
+BASE_CORNERS_DIGEST = "de4529897608ccf3234d918e89b9f5efb679d91f146a6acf4e76e3177a7f69d9"
+BASE_SEGMENTS_DIGEST = "49b2cfe8854eaeafd292b296d0b2d0e35d3a76ae9cf759aed2ac3b25ed5ebbc7"
+
+
+def test_base_table_bytes_are_pinned():
+    table, rows = hashlib.sha256(), hashlib.sha256()
+    for n in range(2, 65):
+        spec = PolygonSpec(n)
+        c, b = base_corners(spec), base_segments(spec)
+        assert c.dtype == np.int64 and c.shape == (n * n, 2) and c.flags.c_contiguous
+        assert b.dtype == np.float64 and b.shape == (n * n, 4) and b.flags.c_contiguous
+        table.update(c.tobytes())
+        rows.update(b.tobytes())
+    assert table.hexdigest() == BASE_CORNERS_DIGEST
+    assert rows.hexdigest() == BASE_SEGMENTS_DIGEST
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 10])

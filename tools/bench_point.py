@@ -2,6 +2,7 @@
 
     python3 tools/bench_point.py --label head
     python3 tools/bench_point.py --label base --root ../other-checkout
+    python3 tools/bench_point.py --label head --against HEAD~1
 
 Times six commands of the checkout at ``--root`` (by default the one
 holding this file), each in a fresh interpreter that imports the package
@@ -30,6 +31,19 @@ commit (``-dirty`` when the tree has changes), Python, numpy and the
 number of CPUs, and is written as JSON to ``BENCH_<label>.json`` at the
 root of the checkout holding this file. The exit status is 1 when any run
 failed, else 0.
+
+With ``--against REF`` the point is a pair: REF of the repository at
+``--root`` is checked out with ``git worktree`` in a temporary directory
+(removed afterwards), both trees' ``src/`` are compiled, and each run of a
+command on one tree is followed by the same run on the other, the tree
+that goes first swapping from round to round. The point then holds a
+``"head"`` and an ``"against"`` side, each with its commit, ``"bytecode"``
+and the ``"commands"`` entries above, the ``"order"`` in which the runs
+went, and per command (``"compare"``) the ratio head / against of the
+minimums and of the medians and the number of rounds in which the head
+was faster. Two trees timed in one session this way can be compared;
+points from different sessions cannot. The exit status is 1 when a run of
+the head failed; the failures of the other side are only recorded.
 """
 
 from __future__ import annotations
@@ -102,26 +116,64 @@ def compile_bytecode(src: Path) -> bool:
     return bool(compileall.compile_dir(str(src), quiet=1))
 
 
-def measure(root: Path) -> dict:
-    src = root / "src"
-    results = {name: {"argv": argv, "wall_s": [], "maxrss_mb": [], "failed": []}
-               for name, argv in COMMANDS.items()}
+def measure(roots: dict[str, Path]) -> tuple[dict, list]:
+    """Each command's runs on each tree, and the order of the runs.
+
+    Round after round, every command runs once on each tree in turn; the
+    tree that goes first swaps from round to round.
+    """
+    results = {side: {name: {"argv": argv, "wall_s": [], "maxrss_mb": [], "failed": []}
+                      for name, argv in COMMANDS.items()} for side in roots}
+    order = []
     with tempfile.TemporaryDirectory() as tmp:
         for round_ in range(RUNS):
             for name, argv in COMMANDS.items():
                 if argv[0] == "render":
                     argv = [*argv, "--out", str(Path(tmp) / f"{name}.svg")]
-                wall, rss, code = run_once(src, argv)
-                entry = results[name]
-                entry["wall_s"].append(wall)
-                entry["maxrss_mb"].append(rss)
-                if code != 0:
-                    entry["failed"].append({"run": round_, "exit": code})
-    for entry in results.values():
+                for side in list(roots)[::1 if round_ % 2 == 0 else -1]:
+                    wall, rss, code = run_once(roots[side] / "src", argv)
+                    entry = results[side][name]
+                    entry["wall_s"].append(wall)
+                    entry["maxrss_mb"].append(rss)
+                    if code != 0:
+                        entry["failed"].append({"run": round_, "exit": code})
+                    order.append({"round": round_, "command": name, "side": side})
+    for entry in (e for side in results.values() for e in side.values()):
         entry["wall_min_s"] = min(entry["wall_s"])
         entry["wall_median_s"] = statistics.median(entry["wall_s"])
         entry["maxrss_mb_max"] = max(entry["maxrss_mb"])
-    return results
+    return results, order
+
+
+def compare(head: dict, against: dict) -> dict:
+    """Per command: head / against of the minimum and median wall times, and the
+    number of rounds in which the head's run was the faster one."""
+    return {name: {"min_ratio": h["wall_min_s"] / against[name]["wall_min_s"],
+                   "median_ratio": h["wall_median_s"] / against[name]["wall_median_s"],
+                   "head_faster_rounds": sum(a > b for a, b in
+                                             zip(against[name]["wall_s"], h["wall_s"]))}
+            for name, h in head.items()}
+
+
+def paired_point(root: Path, ref: str) -> dict:
+    """Time ``root`` against ``ref`` of its repository, checked out in a worktree."""
+    with tempfile.TemporaryDirectory() as tmp:
+        other = Path(tmp) / "against"
+        subprocess.run(["git", "-C", str(root), "worktree", "add", "--detach", str(other), ref],
+                       capture_output=True, text=True, check=True)
+        try:
+            sides = {"head": {"commit": git_commit(root)},
+                     "against": {"ref": ref, "commit": git_commit(other)}}
+            for side, path in (("head", root), ("against", other)):
+                sides[side]["bytecode"] = compile_bytecode(path / "src")
+            results, order = measure({"head": root, "against": other})
+        finally:
+            subprocess.run(["git", "-C", str(root), "worktree", "remove", "--force", str(other)],
+                           capture_output=True, check=False)
+    for side in sides:
+        sides[side]["commands"] = results[side]
+    return {**sides, "order": order,
+            "compare": compare(results["head"], results["against"])}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -129,29 +181,40 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
     parser.add_argument("--root", type=Path, default=REPO,
                         help="checkout whose src/ is timed (default: this one)")
+    parser.add_argument("--against", metavar="REF",
+                        help="also time REF of the root's repository, run for run")
     args = parser.parse_args(argv)
     root = args.root.resolve()
     if not (root / "src" / "polydissect").is_dir():
         parser.error(f"{root} has no src/polydissect")
 
-    point = {
-        "label": args.label,
-        "commit": git_commit(root),
-        "python": platform.python_version(),
-        "numpy": numpy_version(),
-        "nproc": os.cpu_count(),
-        "runs": RUNS,
-        "bytecode": compile_bytecode(root / "src"),
-        "commands": measure(root),
-    }
+    env = {"python": platform.python_version(), "numpy": numpy_version(),
+           "nproc": os.cpu_count(), "runs": RUNS}
+    if args.against is None:
+        point = {"label": args.label, "commit": git_commit(root), **env,
+                 "bytecode": compile_bytecode(root / "src"),
+                 "commands": measure({"head": root})[0]["head"]}
+        head = point["commands"]
+    else:
+        try:
+            point = {"label": args.label, **env, **paired_point(root, args.against)}
+        except subprocess.CalledProcessError as err:
+            parser.error(f"cannot check out {args.against}: {err.stderr.strip()}")
+        head = point["head"]["commands"]
     out = REPO / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(point, indent=2) + "\n", encoding="utf-8")
-    for name, entry in point["commands"].items():
+    for name, entry in head.items():
         print(f"{name:18s} min {entry['wall_min_s']:7.3f} s"
               f"  median {entry['wall_median_s']:7.3f} s  rss {entry['maxrss_mb_max']:7.1f} MB"
-              f"  failed {len(entry['failed'])}")
+              f"  failed {len(entry['failed'])}", end="")
+        if args.against is not None:
+            pair = point["compare"][name]
+            print(f"  vs {args.against}: min x{pair['min_ratio']:.3f}"
+                  f"  median x{pair['median_ratio']:.3f}"
+                  f"  faster {pair['head_faster_rounds']}/{RUNS}", end="")
+        print()
     print(f"-> {out}")
-    return 1 if any(entry["failed"] for entry in point["commands"].values()) else 0
+    return 1 if any(entry["failed"] for entry in head.values()) else 0
 
 
 if __name__ == "__main__":
