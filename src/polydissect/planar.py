@@ -7,8 +7,9 @@ checked against Euler's formula. One kernel, ``_cycles``, finds the cycles
 of a permutation, both the faces and the rotation orbits of the tiles: a
 bounded leader walk, with pointer doubling for the cycles it leaves open.
 The orbit census is exact integer work on the face cycles: the rotation is
-the half-edge map that commutes with the face successor and with the twin,
-spread from one step along the outer face.
+read off the edge layout of ``split_all_fast`` (base row after base row, each
+from corner to corner) and checked to be the half-edge map that commutes with
+the face successor and with the twin and moves the outer face one step.
 
 A ``PlanarGraph`` is three numpy arrays: the vertex coordinates, the
 endpoint labels of each edge, and the rings (one half-edge array sorted by
@@ -266,17 +267,23 @@ def enumerate_faces(g: PlanarGraph) -> Faces:
 def orbit_census(faces: Faces) -> OrbitCensus:
     """Partition inner faces into orbits under rotation by 2pi/N, exactly.
 
-    The rotation rho is a map on the half-edges: one step along the outer
-    face there, spread by rho(nxt h) = nxt(rho h) and rho(h ^ 1) = rho(h) ^ 1,
-    where nxt is the face successor read off ``cycle``. N is the number of
-    sides of the outer face, the 2n of a 2n-gon. Raises OrbitMismatch
-    unless ``cycle`` and ``start`` are integer arrays, every half-edge and
-    its twin are in ``cycle`` once, each face cycle has one signed area,
-    there is one outer face, N is even and at least 4, rho reaches every
-    half-edge, is a permutation, commutes with nxt (so it maps faces to
-    faces of the same size) and with the twin, and has orbits of size N or 1
-    (the central face, even n). Orbits are numbered in the order of their
-    first face.
+    N is the number of sides of the outer face, the 2n of a 2n-gon. The
+    rotation rho is a half-edge map read off the edge layout of
+    ``split_all_fast``: base row after base row, each from one corner to
+    another through no corner. Corners are numbered by their slots on the
+    outer face, the half-edges leaving each by a walk round its ring (g ->
+    nxt[g ^ 1], nxt the face successor read off ``cycle``), and rho takes
+    the row from corner p to q onto row (p+1, q+1), or (q+1, p+1) run back,
+    fragment j from p to fragment j from p+1. Raises OrbitMismatch unless
+    ``cycle`` and ``start`` are integer arrays, every half-edge and its twin
+    are in ``cycle`` once, each face cycle has one signed area, there is one
+    outer face, N is even and at least 4, the rows map onto rows of their
+    length, and rho is a permutation, commutes with nxt (so it maps faces
+    to faces of the same size) and with the twin, is nxt on the outer face,
+    and has orbits of size N or 1 (the central face, even n). On a connected
+    map one half-edge's image fixes such a map, so a rho that passes is the
+    rotation itself, however it was read. Orbits are numbered in the order
+    of their first face.
     """
     cycle, start = faces.cycle, faces.start
     if not all(np.issubdtype(a.dtype, np.integer) for a in (cycle, start)):
@@ -296,30 +303,47 @@ def orbit_census(faces: Faces) -> OrbitCensus:
     nxt = np.empty(nh, dtype=np.int64)
     nxt[cycle] = cycle[_ring_next(start)]
 
-    # each half-edge takes one of the images offered to it in the round it is
-    # first reached, no matter which; an offer that disagrees with it fails
-    # the permutation and commuting checks below
-    rho = np.full(nh, -1)
-    stamp = np.empty(nh, dtype=np.int64)
-    new = cycle[start[outer[0]]:start[outer[0] + 1]]
-    rho[new] = nxt[new]
-    while len(new):
-        h = np.concatenate((nxt[new], new ^ 1))
-        image = np.concatenate((nxt[rho[new]], rho[new] ^ 1))
-        fresh = rho[h] < 0
-        h = h[fresh]
-        rho[h] = image[fresh]
-        # one copy of each half-edge offered twice, or the frontier grows
-        slot = np.arange(len(h))
-        stamp[h] = slot
-        new = h[stamp[h] == slot]
+    # number each corner by its slot on the outer face, then mark every
+    # half-edge leaving it, walking its ring backwards by g -> nxt[g ^ 1]
+    rim = cycle[start[outer[0]]:start[outer[0] + 1]]
+    corner = np.full(nh, -1)
+    corner[rim] = np.arange(N)
+    g = rim
+    while len(g):
+        at = nxt[g ^ 1]
+        fresh = corner[at] < 0
+        corner[at[fresh]] = corner[g[fresh]]
+        g = at[fresh]
+    # a base row runs from corner p to corner q and ends at the edge whose back
+    # half-edge leaves a corner; rho takes it to the row (p+1, q+1) or (q+1, p+1)
+    ends = corner.reshape(-1, 2)
+    last = np.flatnonzero(ends[:, 1] >= 0)
+    first = np.append(0, last[:-1] + 1)
+    if not len(last) or last[-1] != nh // 2 - 1 or np.any(ends[first, 0] < 0):
+        raise OrbitMismatch("the edges do not run in base rows from corner to corner")
+    p, q, length = ends[first, 0], ends[last, 1], last - first + 1
+    del corner, ends  # half-edge-sized: dropped before rho and its checks
+    row = np.full((N, N), -1)
+    row[p, q] = np.arange(len(p))
+    p1, q1 = (p + 1) % N, (q + 1) % N
+    back = row[p1, q1] < 0
+    image = np.where(back, row[q1, p1], row[p1, q1])
+    if (np.any(row[p, q] != np.arange(len(p))) or np.any(image < 0)
+            or np.any(length[image] != length)):
+        raise OrbitMismatch("the base rows do not map onto base rows of one length")
+    # fragment j from p goes to fragment j from p+1: the half-edges shift, or
+    # onto a row that runs back, 2k + s goes to 2(last - j) + 1 - s
+    shift = np.where(back, 2 * (first + last[image]) + 1, 2 * (first[image] - first))
+    rho = np.repeat(shift, 2 * length) + np.arange(nh) * np.repeat(1 - 2 * back, 2 * length)
 
-    if np.any(rho < 0) or np.any(np.bincount(rho, minlength=nh) != 1):
+    if np.any(np.bincount(rho, minlength=nh) != 1):
         raise OrbitMismatch("the rotation does not map the half-edges one to one")
     if not (np.array_equal(rho[nxt], nxt[rho])
-            and np.array_equal(rho[np.arange(nh) ^ 1], rho ^ 1)):
+            and np.array_equal(rho[0::2] ^ 1, rho[1::2])):
         raise OrbitMismatch("the rotation of the face cycles does not commute with the"
                             " face successor and the twin")
+    if not np.array_equal(rho[rim], nxt[rim]):
+        raise OrbitMismatch("the rotation does not move the outer face one step along it")
     face_of = np.empty(nh, dtype=np.int64)
     face_of[cycle] = np.repeat(np.arange(nf), size)
     # rho maps the outer face onto itself: a cycle of its own, numbered -1

@@ -106,3 +106,51 @@ def float_clusters(frags, fuzz):
     size = np.bincount(labels)
     return labels, np.column_stack((np.bincount(labels, weights=xs) / size,
                                     np.bincount(labels, weights=ys) / size))
+
+
+def spread_face_orbits(faces):
+    """The orbit of each face under the rotation spread round by round from
+    the outer face: the reference for ``orbit_census``'s layout reading.
+
+    The rotation rho is one step along the outer face there, spread by
+    rho(nxt h) = nxt(rho h) and rho(h ^ 1) = rho(h) ^ 1, each half-edge
+    taking the image offered to it in the round it is first reached. It
+    must be a permutation that commutes with nxt. Orbits are numbered in the order of their first
+    face, -1 for the outer face, as ``orbit_census`` numbers them.
+    """
+    cycle, start = faces.cycle, faces.start
+    nh, nf, size = len(cycle), len(faces), np.diff(start)
+    succ = np.arange(1, nh + 1)  # the next slot of each face, the last back to its first
+    succ[start[1:] - 1] = start[:-1]
+    nxt = np.empty(nh, dtype=np.int64)
+    nxt[cycle] = cycle[succ]
+    outer = int(np.flatnonzero(faces.signed_area < 0.0)[0])
+    rho = np.full(nh, -1)
+    stamp = np.empty(nh, dtype=np.int64)
+    new = cycle[start[outer]:start[outer + 1]]
+    rho[new] = nxt[new]
+    while len(new):
+        h = np.concatenate((nxt[new], new ^ 1))
+        image = np.concatenate((nxt[rho[new]], rho[new] ^ 1))
+        fresh = rho[h] < 0
+        h = h[fresh]
+        rho[h] = image[fresh]
+        # one copy of each half-edge offered twice, or the frontier grows
+        slot = np.arange(len(h))
+        stamp[h] = slot
+        new = h[stamp[h] == slot]
+    assert np.array_equal(np.sort(rho), np.arange(nh))
+    assert np.array_equal(rho[nxt], nxt[rho])
+
+    face_of = np.empty(nh, dtype=np.int64)
+    face_of[cycle] = np.repeat(np.arange(nf), size)
+    turn = face_of[rho[cycle[start[:-1]]]]
+    # the smallest face of each orbit, by walking every orbit at once
+    first, at = np.arange(nf), turn
+    while not np.array_equal(at, np.arange(nf)):
+        first = np.minimum(first, at)
+        at = turn[at]
+    lead = (first == np.arange(nf)) & (np.arange(nf) != outer)
+    orbit = (np.cumsum(lead) - 1)[first]
+    orbit[outer] = -1  # the outer face is an orbit of its own
+    return orbit

@@ -19,6 +19,8 @@ from polydissect import (
 from polydissect.planar import _cycles
 from polydissect.reference import reference_table
 
+from conftest import spread_face_orbits
+
 
 def graph_for(n):
     return build_graph(split_all_fast(base_segments(PolygonSpec(n))))
@@ -317,8 +319,8 @@ class TestOrbitCensus:
 
     @pytest.mark.parametrize("n", range(15, 40))
     def test_census_of_large_polygons_matches_the_reference(self, n):
-        # tiles down to area ~2e-10: the rotation must spread from the outer
-        # face over ~0.5*n**2 to 0.75*n**2 rounds of one half-edge step each
+        # tiles down to area ~2e-10: the rotation is read off the edge layout,
+        # and its checks hold on up to 1.3 million half-edges at n = 39
         spec = PolygonSpec(n)
         census = orbit_census(enumerate_faces(graph_for(n)))
         reference = {r.n: r for r in reference_table()}[n]
@@ -400,12 +402,48 @@ class TestOrbitCensus:
         with pytest.raises(OrbitMismatch):
             orbit_census(enumerate_faces(build_graph(split)))
 
+    @pytest.mark.parametrize("n", range(2, 25))
+    def test_census_matches_the_spread_rotation(self, n):
+        faces = enumerate_faces(graph_for(n))
+        assert np.array_equal(orbit_census(faces).face_orbits, spread_face_orbits(faces))
+
+    @pytest.mark.parametrize("pick", ["middles", "first and middle", "last and first",
+                                      "side and middle"])
+    def test_edges_numbered_out_of_row_order_raise(self, pick):
+        # a valid graph whose edges 'a' and 'b', of two different rows, trade
+        # numbers: the layout no longer holds the rotation
+        n = 6
+        g = graph_for(n)
+        last = np.flatnonzero(np.isin(g.edges[:, 1], g.edges[:2 * n, 0]))
+        first = np.append(0, last[:-1] + 1)
+        length = last - first + 1
+        r = np.argmax(length)
+        s = np.flatnonzero((length >= 3) & (length < length[r]))[-1]
+        a, b = {"middles": (first[r] + 1, first[s] + 1),
+                "first and middle": (first[r], first[s] + 1),
+                "last and first": (last[r], first[s]),
+                "side and middle": (0, first[s] + 1)}[pick]
+        swap = np.arange(2 * len(g.edges))
+        swap[[2 * a, 2 * a + 1, 2 * b, 2 * b + 1]] = [2 * b, 2 * b + 1, 2 * a, 2 * a + 1]
+        faces = enumerate_faces(g)
+        with pytest.raises(OrbitMismatch):
+            orbit_census(Faces(swap[faces.cycle], faces.start, faces.signed_area))
+
+    @pytest.mark.parametrize("n,row", [(5, 10), (5, 14), (6, 20), (7, 14), (7, 48)])
+    def test_a_missing_diagonal_breaks_the_row_map(self, n, row):
+        # the row whose image is the missing diagonal has nowhere to go
+        split = split_all_fast(np.delete(base_segments(PolygonSpec(n)), row, axis=0))
+        with pytest.raises(OrbitMismatch, match="do not map onto base rows"):
+            orbit_census(enumerate_faces(build_graph(split)))
+
     @pytest.mark.slow
     def test_census_at_n_64_matches_the_orbit_route(self):
         spec = PolygonSpec(64)
-        census = orbit_census(enumerate_faces(build_graph(split_all_fast(base_segments(spec)))))
+        faces = enumerate_faces(build_graph(split_all_fast(base_segments(spec))))
+        census = orbit_census(faces)
         orbit = counts(spec)
         assert (census.per_ray, census.central) == (orbit.per_ray, orbit.central)
+        assert np.array_equal(census.face_orbits, spread_face_orbits(faces))
 
     @pytest.mark.parametrize("n", range(3, 21))
     def test_orbits_are_rotations_of_the_centroids(self, n):

@@ -8,6 +8,7 @@ import pytest
 from polydissect import PolygonSpec, base_segments, counts
 from polydissect.cli import _summary_dict
 from polydissect.polygon import base_corners, orbit_representatives
+from polydissect.reference import reference_table
 
 
 def corners(spec):
@@ -101,6 +102,25 @@ def test_base_table_bytes_are_pinned():
         rows.update(b.tobytes())
     assert table.hexdigest() == BASE_CORNERS_DIGEST
     assert rows.hexdigest() == BASE_SEGMENTS_DIGEST
+
+
+@pytest.mark.parametrize("n", range(2, 65))
+def test_base_corners_are_the_even_odd_pairs(n):
+    # every chord joining an even corner to an odd one, each once
+    pairs = [tuple(sorted(row)) for row in base_corners(PolygonSpec(n)).tolist()]
+    even_odd = {(a, b) for a in range(2 * n) for b in range(a + 1, 2 * n, 2)}
+    assert len(pairs) == len(set(pairs)) == n * n
+    assert set(pairs) == even_odd
+
+
+def test_even_rows_of_the_reference_table_follow_the_crossing_count():
+    # n*n base chords, n**2 (n - 1)(n - 2) / 6 crossing pairs of them; when
+    # no three chords meet inside, F = 1 + n**2 - 2n + the crossing pairs
+    even = [r for r in reference_table() if r.n % 2 == 0]
+    assert [r.n for r in even] == list(range(2, 39, 2))
+    for r in even:
+        n = r.n
+        assert r.F == 1 + n * n - 2 * n + n * n * (n - 1) * (n - 2) // 6
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 10])
