@@ -5,11 +5,12 @@ Every number in the document is written by one vectorized kernel,
 so two renders of the same input are byte-identical. Each number is
 written once: a line's end shares the text of the next line's start when
 the two points are the same floats, and a tile corner's text is shared by
-the tiles around it. Elements are laid out as rows of a fixed-width byte
-array, a block at a time, from which the NUL padding of the number
-columns is dropped; each block is read into a str and the blocks are
-joined once. The optional zoom window is applied by analytic clipping,
-not by viewer-side cropping, which keeps element counts testable. The
+the tiles around it. Lines are laid out as rows of a fixed-width byte
+array, a block at a time; tiles are taken, a block at a time, from one
+table per render of "x,y " point rows and fill-and-head rows. The NUL
+padding is dropped from each block, which is read into a str, and the
+blocks are joined once. The optional zoom window is applied by analytic
+clipping, not by viewer-side cropping, which keeps element counts testable. The
 renderer reads the split's fragments and the graph's vertex and edge
 arrays directly. Tiles take one path, zoomed or not: all face rings are
 clipped at once, and a vertex that no side cuts keeps its index, so its
@@ -67,7 +68,7 @@ def _fixed6(values) -> np.ndarray:
     """``'%.6f' % v`` of every value, as a bytes ('S') array of the same shape.
 
     The texts are right-aligned in one width: NUL bytes pad the shorter ones
-    on the left, and ``_rows`` drops them.
+    on the left, and the writers drop them.
 
     p = |x|*1e6 rounds to the integer that the exact product rounds to,
     unless p is exactly halfway between two integers; those rare values
@@ -109,6 +110,13 @@ def _fixed6(values) -> np.ndarray:
     return cols.view(f"S{units + 8}").reshape(x.shape)
 
 
+def _column(rows: np.ndarray, at: int, col: np.ndarray) -> None:
+    """Copy the bytes column ``col`` into ``rows[:, at:at + col.itemsize]``,
+    one item per row, through a ``V{itemsize}`` view of the row bytes."""
+    void = f"V{col.itemsize}"
+    rows[:, at:at + col.itemsize].view(void)[:, 0] = col.reshape(-1).view(void)
+
+
 def _rows(*parts) -> str:
     """Literals and equal-length bytes columns, side by side in one
     fixed-width byte array, row after row; the NUL padding is dropped, and
@@ -125,7 +133,7 @@ def _rows(*parts) -> str:
     at = 0
     for p in parts:
         if p.ndim:
-            row[:, at:at + p.itemsize] = p.reshape(-1, 1).view(np.uint8)
+            _column(row, at, p)
         at += p.itemsize
     return str(row[row != 0].data, "ascii")
 
@@ -186,23 +194,49 @@ def _clip_rings(x, y, ring, start, win):
     return x, y, ring, start
 
 
-def _polygon_blocks(px, py, ring, start, faces, tail) -> list[str]:
+def _polygon_blocks(px, py, ring, start, faces, orbit, fill) -> list[str]:
     """The <polygon> elements, BLOCK // 4 faces at a time: faces[i] lists the
     points (px, py)[ring[start[f]:start[f + 1]]], f = faces[i], as "x,y"
-    text, and ends with tail[i]."""
+    text, and ends with fill[orbit[i]].
+
+    Every element is taken from one table of rows R = 2 * px.itemsize + 2
+    bytes wide: one row per point, "x,y" and a space; then, per orbit, k =
+    ceil((fill.itemsize + 17) / R) rows holding its fill followed by the
+    '<polygon points="' head of the next face; then k rows holding the head
+    alone, for the first face. A face takes the k rows of the fill before
+    it and its point rows, the separator after its last point cleared. The
+    fill carried into a block is the last fill of the block before; the
+    last face's fill follows the last block.
+    """
+    if not len(faces):
+        return []
+    w, r = px.itemsize, 2 * px.itemsize + 2
+    gaps = np.append(np.char.add(fill, b'<polygon points="'), b'<polygon points="')
+    k = -(-gaps.itemsize // r)
+    table = np.zeros((len(px) + k * len(gaps), r), dtype=np.uint8)
+    points = table[:len(px)]
+    _column(points, 0, px)
+    points[:, w] = ord(",")
+    _column(points, w + 1, py)
+    points[:, -1] = ord(" ")
+    _column(table[len(px):].reshape(len(gaps), k * r), 0, gaps)
+    table = table.reshape(-1).view(f"V{r}")
     blocks = []
+    carry = len(fill)  # the head alone, before the first face
     for lo in range(0, len(faces), BLOCK // 4):
-        f = faces[lo:lo + BLOCK // 4]
-        size = start[f + 1] - start[f]
+        f, o = faces[lo:lo + BLOCK // 4], orbit[lo:lo + BLOCK // 4]
+        size = start[f + 1] - start[f] + k
         bounds = np.concatenate(([0], np.cumsum(size)))
-        slots = np.repeat(start[f] - bounds[:-1], size) + np.arange(bounds[-1])
-        first = np.zeros(bounds[-1], dtype=bool)
-        first[bounds[:-1]] = True
-        sep = np.full(bounds[-1], b" ", dtype=tail.dtype)
-        sep[bounds[1:] - 1] = tail[lo:lo + BLOCK // 4]
-        point = ring[slots]
-        blocks.append(_rows(np.where(first, b'<polygon points="', b""), px[point], b",",
-                            py[point], sep))
+        gap = bounds[:-1, None] + np.arange(k)
+        slots = np.repeat(start[f] - bounds[:-1] - k, size) + np.arange(bounds[-1])
+        slots[gap] = 0
+        row = ring[slots]
+        row[gap] = (len(px) + k * np.concatenate(([carry], o[:-1])))[:, None] + np.arange(k)
+        text = table[row].view(np.uint8).reshape(-1, r)
+        text[bounds[1:] - 1, -1] = 0
+        blocks.append(str(text[text != 0].data, "ascii"))
+        carry = o[-1]
+    blocks.append(fill[carry].decode())
     return blocks
 
 
@@ -229,7 +263,7 @@ def _tiles(graph: PlanarGraph, win, to_canvas) -> list[str]:
     used = np.zeros(len(x), dtype=bool)
     used[ring] = True
     px, py = _fixed6(np.stack(to_canvas(x[used], y[used])))
-    return _polygon_blocks(px, py, (np.cumsum(used) - 1)[ring], start, kept, fill[orbit[kept]])
+    return _polygon_blocks(px, py, (np.cumsum(used) - 1)[ring], start, kept, orbit[kept], fill)
 
 
 def _line_blocks(frags: np.ndarray, to_canvas) -> list[str]:

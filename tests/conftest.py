@@ -4,6 +4,7 @@ import numpy as np
 
 from polydissect.arrangement import _segment_arrays
 from polydissect.geom import DEFAULT_FUZZ, Split, close_pairs
+from polydissect.planar import enumerate_faces, orbit_census
 
 
 def dense_classes(arrays, rows, fuzz):
@@ -154,3 +155,26 @@ def spread_face_orbits(faces):
     orbit = (np.cumsum(lead) - 1)[first]
     orbit[outer] = -1  # the outer face is an orbit of its own
     return orbit
+
+
+def tile_text(graph, scale):
+    """The <g stroke="none"> group of an unzoomed render, written in plain
+    Python: the inner faces with at least 3 points in index order, each
+    point as '%.6f' of its canvas x and y, one hsl fill per orbit of
+    ``orbit_census``."""
+    faces = enumerate_faces(graph)
+    census = orbit_census(faces)
+    total = len(census.orbit_sizes)
+    origin = graph.edges.reshape(-1).tolist()
+    xy = graph.vertices.tolist()
+    cycle, start = faces.cycle.tolist(), faces.start.tolist()
+    out = ['<g stroke="none">\n']
+    for f, orbit in enumerate(census.face_orbits.tolist()):
+        ring = cycle[start[f]:start[f + 1]]
+        if orbit < 0 or len(ring) < 3:
+            continue
+        points = " ".join("%.6f,%.6f" % ((xy[origin[h]][0] + 1.05) * scale,
+                                          (1.05 - xy[origin[h]][1]) * scale) for h in ring)
+        out.append(f'<polygon points="{points}" fill="hsl({orbit * 360 // total},70%,55%)"/>\n')
+    out.append("</g>\n")
+    return "".join(out)

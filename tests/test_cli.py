@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import io
 import json
 import os
@@ -15,6 +16,9 @@ from polydissect import cli
 from polydissect import reference
 from polydissect.cli import main
 from polydissect.reference import reference_table
+
+# SHA-256 of the `render --n N --faces` document
+FIGURE_DIGESTS = {39: "9fb2bbefc907518408879d7c38981aa7461427d93ca7f5ece2f470df737a277a"}
 
 
 class TestReferenceTable:
@@ -207,7 +211,7 @@ class TestRender:
         assert err.value.code == 2
         assert not out.exists()
 
-    # the benchmark's figure sizes, and the largest published row
+    # the benchmark's figure sizes, and the largest published row, whose bytes are pinned
     @pytest.mark.parametrize("n", [20, 24, pytest.param(39, marks=pytest.mark.slow)])
     def test_a_published_figure_matches_its_row(self, n, tmp_path, capsys):
         out = tmp_path / f"n{n}.svg"
@@ -217,6 +221,8 @@ class TestRender:
         doc = out.read_text()
         assert doc.count("<polygon ") == row.F
         assert doc.count("<line ") == row.E
+        if n in FIGURE_DIGESTS:
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == FIGURE_DIGESTS[n]
 
     def test_offdisk_zoom_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -20,6 +20,7 @@ from polydissect import (
     render_svg,
     split_all_fast,
 )
+from polydissect import render
 from polydissect.cli import main
 
 GOLDEN = {
@@ -74,3 +75,34 @@ def test_cli_render_writes_the_pinned_bytes(case, tmp_path):
         argv.append("--zoom=" + ",".join(str(v) for v in opts.zoom))
     assert main(argv) == 0
     assert sha256(out.read_text(encoding="utf-8")) == digest
+
+
+@pytest.fixture(scope="module")
+def figures():
+    """The split and graph of each (n, faces), built once."""
+    built = {}
+    for n, faces, _, _ in GOLDEN.values():
+        if (n, faces) not in built:
+            split = split_all_fast(base_segments(PolygonSpec(n)))
+            built[n, faces] = split, build_graph(split) if faces else None
+    return built
+
+
+# BLOCK = 8 formats two faces (or eight lines) a pass, so every second face
+# opens its block with the fill carried from the block before
+@pytest.mark.parametrize("block", [8, 64])
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_block_size_does_not_change_the_bytes(case, block, figures, monkeypatch):
+    n, faces, opts, digest = GOLDEN[case]
+    monkeypatch.setattr(render, "BLOCK", block)
+    assert sha256(render_svg(*figures[n, faces], opts)) == digest
+
+
+@pytest.mark.parametrize("block", [8, 64])
+def test_block_size_does_not_change_a_zoomed_tile_render(block, monkeypatch):
+    split = split_all_fast(base_segments(PolygonSpec(14)))
+    graph = build_graph(split)
+    opts = RenderOptions(zoom=(-0.65, -0.1, 0.35, 0.8), scale=90.0)
+    expected = render_svg(split, graph, opts)
+    monkeypatch.setattr(render, "BLOCK", block)
+    assert render_svg(split, graph, opts) == expected

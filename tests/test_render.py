@@ -18,6 +18,8 @@ from polydissect import (
 from polydissect import planar
 from polydissect.render import _clip_lines, _clip_rings
 
+from conftest import tile_text
+
 
 def split_for(n):
     return split_all_fast(base_segments(PolygonSpec(n)))
@@ -64,6 +66,23 @@ def test_no_face_record_is_built_on_the_way_to_the_svg(monkeypatch):
         enumerate_faces(graph)[0]
     doc = render_svg(split, graph)
     assert doc.count("<polygon ") == 145
+
+
+# canvases of 1 to 4 whole digits: table rows of 20 to 26 bytes, 3 or 2 of them per fill
+@pytest.mark.parametrize("scale", [2.0, 40.0, 400.0, 4000.0])
+@pytest.mark.parametrize("n", range(3, 11))
+def test_tiles_match_a_plain_python_writer(n, scale):
+    split = split_for(n)
+    graph = build_graph(split)
+    doc = render_svg(split, graph, RenderOptions(scale=scale))
+    assert doc[doc.index('<g stroke="none">'):doc.index("</g>\n") + 5] == tile_text(graph, scale)
+
+
+def test_a_window_between_the_polygon_and_the_circle_draws_no_tiles():
+    split = split_for(2)
+    doc = render_svg(split, build_graph(split), RenderOptions(zoom=(0.6, 0.6, 0.75, 0.75)))
+    assert '<g stroke="none">\n</g>\n' in doc
+    assert doc.count("<polygon ") == doc.count("<line ") == 0
 
 
 def test_a_graph_of_another_split_raises():
