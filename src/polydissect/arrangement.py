@@ -5,7 +5,10 @@ There are three routes from the base segments to the counts:
 * ``counts`` (the orbit route) finds the base segments that meet one
   base segment per rotation orbit, merges the cut parameters along each
   representative, and weighs every point by its orbit size and by the
-  number of segments through it. It never builds the full arrangement.
+  number of segments through it. The reflection that swaps a
+  representative's ends is a symmetry too, so only the cuts up to its
+  axis are solved and merged, and each point below the axis stands for
+  itself and its mirror. It never builds the full arrangement.
 * ``split_all_fast`` (the full route) cuts every base segment at its
   pairwise intersections and reads the vertex of every fragment end off
   the same hits. Figures need it, and the tests use it as the oracle for
@@ -25,7 +28,8 @@ classified, and parallel pairs are checked for collinear overlap as in
 ``split_all`` and meet where their ends touch. The full route keeps the
 interior hits, so each cut is found once, on the segment it cuts.
 ``counts`` reads which chords meet off their corners (``_corner_hits``):
-integers decide every hit, and the float solve only places it. The full
+integers decide every hit and which of each mirror pair is kept, and the
+float solve only places it. The full
 route orders every hit along its segment by index (``group_order``), as it
 needs the point each hit merged into, and merges its runs with
 ``merge_sorted_runs``; ``counts`` needs only the merged values and sorts
@@ -372,38 +376,44 @@ def _points_along(owner: np.ndarray, ts: np.ndarray, k: int, fuzz: float):
     return owner[order[keep]], ts[order[keep]], sizes, point[:hits]
 
 
+# the padding of _values_along's rows: finite, so that padding minus padding is 0, not NaN
+_PAD = np.finfo(np.float64).max
+
+
 def _values_along(owner: np.ndarray, ts: np.ndarray, k: int, fuzz: float):
     """``_points_along``'s owner, parameter and run size of every point, from values alone.
 
     The hits must come grouped by ``owner`` in increasing order, as
     ``_corner_hits`` returns them. Each segment's ends 0 and 1 and its hits
-    fill one row of a (k, most hits + 2) array padded with +inf, sorted in
-    place along its rows, and the runs merge on it by ``merge_sorted_runs``'
-    rule. Merged values equal ``_points_along``'s up to the sign of a zero.
+    fill one row of a (k, most hits + 2) array padded with the largest
+    float, sorted in place along its rows, and the runs merge on it by
+    ``merge_sorted_runs``' rule. Merged values equal ``_points_along``'s up
+    to the sign of a zero.
     """
     hits = np.bincount(owner, minlength=k)
     length = hits + 2
-    grid = np.full((k, int(hits.max(initial=0)) + 2), np.inf)
+    valid = np.arange(int(hits.max(initial=0)) + 2) < length[:, None]
+    grid = np.full(valid.shape, _PAD)
     grid[:, 0] = 0.0
-    grid[np.arange(k), hits + 1] = 1.0
-    # a hit goes to column 1 + its rank among its owner's hits
-    at = np.arange(k) * grid.shape[1] - (np.cumsum(hits) - hits) + 1
-    grid.reshape(-1)[np.arange(len(owner)) + np.repeat(at, hits)] = ts
+    grid[:, 1] = 1.0
+    grid[:, 2:][valid[:, 2:]] = ts  # each row's hits after its ends, in order
     grid.sort(axis=1)
-    # a run opens at column 0, and past the first run where that ends or a step is >= fuzz
-    with np.errstate(invalid="ignore"):  # inf - inf in the padding
-        first = grid - grid[:, :1] < fuzz
-        step = grid[:, 1:] - grid[:, :-1] >= fuzz
-    opens = np.ones_like(first)
-    opens[:, 1:] = (step | first[:, :-1]) & ~first[:, 1:]
-    opens &= np.arange(grid.shape[1]) < length[:, None]
+    # a run opens at column 0, and past it where a step is >= fuzz or the
+    # first run ends (a step >= fuzz is never inside the first run)
+    first = grid - grid[:, :1] < fuzz
+    opens = np.empty_like(first)
+    opens[:, 0] = True
+    np.greater_equal(grid[:, 1:] - grid[:, :-1], fuzz, out=opens[:, 1:])
+    opens[:, 1:] |= first[:, :-1] > first[:, 1:]
+    opens &= valid
     at = np.flatnonzero(opens)
     row, col = np.divmod(at, grid.shape[1])
     # a run stops where the next opens, or at its row's length before column 0
     stop = np.concatenate((col[1:], [0]))
     stop[stop == 0] = length
-    keep = np.where(col == 0, at, at + (stop - col - 1))  # a first run keeps its first
-    return row, grid.reshape(-1)[keep], stop - col
+    sizes = stop - col
+    # a first run keeps its first value, a later run its last
+    return row, grid.reshape(-1)[at + (sizes - 1) * (col != 0)], sizes
 
 
 def _hit_points(base: np.ndarray, fuzz: float):
@@ -520,34 +530,107 @@ def count_vertices(split: Split) -> int:
     return len(points)
 
 
+# A corner's code against a row with corners lo < hi, by its place and by
+# whether it has the parity of lo ("same") or of hi ("other"). Every chord
+# joins a same corner to an other one, and it is a canonical hit exactly when
+# its two codes sum to at most _CANONICAL_SUM in uint8 (-2 wraps high):
+#                 lo  lower  upper  outside  hi
+#     same         0     -2      3        2   -
+#     other        -      0      1        2   5
+_CANONICAL_SUM = 2
+
+
 def _corner_hits(corners: np.ndarray, arrays: tuple[np.ndarray, ...], rows: np.ndarray):
-    """Every pair of a chord in ``rows`` and any chord that meets it, read off their corners.
+    """The canonical half of the chords that meet each chord in ``rows``, read off their corners.
 
     ``corners`` holds the two corner indices of every chord, as
-    ``polygon.base_corners`` does, and ``arrays`` the chords'
-    ``_segment_arrays``. Against a row with corners lo < hi, each corner is
-    on the row, strictly inside the arc (lo, hi) or strictly outside it. A
-    column meets the row exactly when its two corners are of different
-    kinds: with one shared corner the two chords touch there, and with none
-    they cross exactly when the corners interleave on the circle, one inside
-    and one outside. No float decides a hit. Returns the row's index in
-    ``rows``, the column and ``t`` on the row of each pair, in row-major
-    order; ``t`` comes from ``_solve_pairs``' expressions in the same order,
-    so it is that kernel's value bit for bit (at a touch, 0 or 1 to within
-    a few ulps).
+    ``polygon.base_corners`` does: each joins an even corner to an odd one.
+    ``arrays`` holds the chords' ``_segment_arrays``. Against a row with
+    corners lo < hi, each corner is on the row, strictly inside the arc
+    (lo, hi) or strictly outside it. A column meets the row exactly when its
+    two corners are of different kinds: with one shared corner the two
+    chords touch there, and with none they cross exactly when the corners
+    interleave on the circle, one inside and one outside. The mirror
+    sigma(j) = lo + hi - j swaps the row's ends and maps the chords onto
+    themselves, and since lo + hi is odd it fixes no corner; it takes a hit
+    at t to one at 1 - t. Of each pair {c, sigma(c)} only the canonical hit
+    is kept: a crossing whose inside corner j lies below the axis,
+    2*j <= lo + hi, or a touch at lo. No float decides a hit. Returns the row's index in
+    ``rows``, the column and ``t`` on the row of each canonical pair, in
+    row-major order; ``t`` comes from ``_solve_pairs``' expressions in the
+    same order, so it is that kernel's value bit for bit (at a touch, 0 or 1
+    to within a few ulps).
     """
     lo, hi = np.sort(corners[rows], axis=1).T[:, :, None]
     x = np.arange(corners.max() + 1)
-    kind = ((lo < x) & (x < hi)).astype(np.int8)  # 1 inside, 0 outside
-    kind[(x == lo) | (x == hi)] = 2  # on the row
-    kind = kind[:, corners.T]
-    at, col = np.nonzero(kind[:, 0] != kind[:, 1])
+    other = 2 * ((x ^ lo) & 1)  # 2 where x has hi's parity
+    code = np.where((lo < x) & (x < hi), np.where(2 * x <= lo + hi, other - 2, 3 - other),
+                    2).astype(np.uint8)
+    code[x == lo] = 0
+    code[x == hi] = 5
+    total = code.take(corners[:, 0], axis=1)
+    total += code.take(corners[:, 1], axis=1)
+    at, col = np.divmod(np.flatnonzero(total <= _CANONICAL_SUM), len(corners))
     x0, y0, dx, dy, _ = arrays
     r = rows[at]
-    det = dy[r] * dx[col] - dx[r] * dy[col]
+    cdx, cdy = dx[col], dy[col]
+    det = dy[r] * cdx - dx[r] * cdy
     rhsx = x0[col] - x0[r]
     rhsy = y0[col] - y0[r]
-    return at, col, (dx[col] * rhsy - rhsx * dy[col]) / det
+    return at, col, (cdx * rhsy - rhsx * cdy) / det
+
+
+def _tally(spec: PolygonSpec, fuzz: float):
+    """The points ``counts`` weighs: E, and per point its segments, weight and rim.
+
+    Returns E, then for each merged point up to a representative's axis the
+    number of base segments through it, its weight (orbit size times the
+    points it stands for, 0 for an axis that is no point) and whether it is
+    the representative's first point, both of its corners. The incidences
+    c_k are the weights summed by segments. Raises as ``counts`` does for
+    two points on one segment closer than fuzz or 3*fuzz.
+    """
+    x0, y0, x1, y1 = base_segments(spec).T
+    dx, dy = x1 - x0, y1 - y0
+    reps = np.array(orbit_representatives(spec))
+    rows, orbit = reps[:, 0], reps[:, 1]
+    rep, _, t = _corner_hits(base_corners(spec), (x0, y0, dx, dy, None), rows)  # reads no lengths
+    seglen = np.hypot(dx[rows], dy[rows])
+
+    # fold each cut to u = min(t, 1 - t) (exact for t >= 1/2) and merge 2u,
+    # so that the first point is both ends of a representative and the last
+    # its axis
+    owner, points, sizes = _values_along(rep, 2.0 * np.minimum(t, 1.0 - t), len(reps),
+                                         2.0 * fuzz)
+    rim = np.ones(len(owner) + 1, dtype=bool)  # rim[i]: point i starts a representative
+    np.not_equal(owner[1:], owner[:-1], out=rim[1:-1])  # and point i - 1 ends one
+    first, axis = rim[:-1], rim[1:]
+    cuts = sizes - first - axis  # the ends 0 and 1 that _values_along adds are no cuts
+    # an axis no cut merged into is no point: the gap before it spans the axis
+    spans = axis & (cuts == 0)
+    # twice each gap in length: (2u' - 2u) * length, and from u across an
+    # axis with no point to its mirror 1 - u, (1 - 2u) * length doubled
+    gaps = (points[1:] - points[:-1]) * seglen[owner[1:]]
+    np.multiply(gaps, 2.0, out=gaps, where=spans[1:])
+    gaps[rim[1:-1]] = math.inf
+    j = int(np.argmin(gaps))
+    gap, ta = float(gaps[j]) / 2.0, float(points[j]) / 2.0
+    tb = 1.0 - ta if spans[j + 1] else float(points[j + 1]) / 2.0
+    if gap < fuzz:
+        raise NumericalDegeneracy(
+            f"fragment between parameters {ta:.12g} and {tb:.12g} has length {gap:.3e},"
+            f" shorter than fuzz {fuzz:g}")
+    if gap < 3.0 * fuzz:
+        raise AmbiguousClustering(
+            f"points at parameters {ta:.12g} and {tb:.12g} of one segment are {gap:.3e}"
+            f" apart, closer than 3*fuzz = {3.0 * fuzz:g}")
+
+    # a point below the axis stands for itself and its mirror, and lies on
+    # the representative and on its cuts; the axis point is one point, on
+    # the representative, its cuts and their mirrors
+    weight = orbit[owner] * (2 - axis - spans)
+    e = int(weight.sum()) - len(x0)  # orbit * (points - 1), summed: the orbits hold all m
+    return e, 1 + cuts * (1 + axis), weight, first
 
 
 def counts(spec: PolygonSpec, fuzz: float = DEFAULT_FUZZ) -> CountSummary:
@@ -555,14 +638,18 @@ def counts(spec: PolygonSpec, fuzz: float = DEFAULT_FUZZ) -> CountSummary:
 
     The chords that meet each orbit representative are read off the corner
     table (``_corner_hits``), with no tolerance: ``fuzz`` governs only the
-    merge and the gap checks. The representative's hit parameters and its
-    ends 0 and 1 merge on one padded row each (``_values_along``) into the
-    points on it, so it has points - 1 fragments, and each point lies on
-    1 + (hits merged into it) base segments. Rotation carries every count
-    to the rest of the orbit: E is the sum of orbit * (points - 1), and the
-    incidences c_k, the sum of orbit over the points on k segments, give V
-    as the sum of c_k / k (Poonen and Rubinstein's bookkeeping for
-    concurrent diagonals).
+    merge and the gap checks. The reflection that swaps a representative's
+    ends maps the base set onto itself, so only the canonical half of its
+    cuts is solved: each cut folds to u = min(t, 1 - t), and the folded
+    values and the ends merge on one padded row each (``_values_along``, on
+    2u with 2*fuzz) into the points up to the axis u = 1/2. A point below
+    the axis stands for two points and lies on 1 + (cuts merged into it)
+    base segments; a point at the axis is one point on 1 + 2*(cuts merged
+    into it) segments, and without cuts it is no point. Rotation carries
+    every count to the rest of the orbit: E is the sum of orbit * (points -
+    1), and the incidences c_k, the sum of orbit over the points on k
+    segments, give V as the sum of c_k / k (Poonen and Rubinstein's
+    bookkeeping for concurrent diagonals).
 
     F = 1 + E - V counts only the faces inside the polygon. Raises
     ValueError for a fuzz outside (0, 1e-3), NumericalDegeneracy for a
@@ -572,42 +659,16 @@ def counts(spec: PolygonSpec, fuzz: float = DEFAULT_FUZZ) -> CountSummary:
     (central = 1 for even n); otherwise SymmetryViolation is raised.
     """
     _check_fuzz(fuzz)
-    x0, y0, x1, y1 = base_segments(spec).T
-    dx, dy = x1 - x0, y1 - y0
-    reps = np.array(orbit_representatives(spec))
-    rows, orbit = reps[:, 0], reps[:, 1]
-    rep, _, t = _corner_hits(base_corners(spec), (x0, y0, dx, dy, None), rows)  # reads no lengths
-    seglen = np.hypot(dx[rows], dy[rows])
-
-    owner, points, sizes = _values_along(rep, t, len(reps), fuzz)
-    rim = np.ones(len(owner) + 1, dtype=bool)  # rim[i]: point i starts a representative
-    np.not_equal(owner[1:], owner[:-1], out=rim[1:-1])  # and point i - 1 ends one
-    gaps = np.where(rim[1:-1], math.inf, (points[1:] - points[:-1]) * seglen[owner[1:]])
-    j = int(np.argmin(gaps))
-    gap, ta, tb = float(gaps[j]), float(points[j]), float(points[j + 1])
-    weight = orbit[owner]
-    e = int(weight.sum() - orbit.sum())  # orbit * (points - 1), summed
-    # a point lies on the representative and on every hit merged into it; the
-    # 0 and 1 added above (its first and last point) stand for the representative
-    multiplicity = sizes + 1 - rim[:-1] - rim[1:]
-    incidences = np.zeros(len(x0) + 1, dtype=np.int64)  # c_k at index k
-    np.add.at(incidences, multiplicity, weight)
-
-    if gap < fuzz:
-        raise NumericalDegeneracy(
-            f"fragment between parameters {ta:.12g} and {tb:.12g} has length {gap:.3e},"
-            f" shorter than fuzz {fuzz:g}")
-    if gap < 3.0 * fuzz:
-        raise AmbiguousClustering(
-            f"points at parameters {ta:.12g} and {tb:.12g} of one segment are {gap:.3e}"
-            f" apart, closer than 3*fuzz = {3.0 * fuzz:g}")
+    e, segments, weight, _ = _tally(spec, fuzz)
+    incidences = np.bincount(segments, weights=weight)  # c_k at index k, exact in float64
     ks = np.flatnonzero(incidences)
-    for k, c in zip(ks.tolist(), incidences[ks].tolist()):
+    v = 0
+    for k, c in zip(ks.tolist(), incidences[ks].astype(np.int64).tolist()):
         if c % k:
             raise AmbiguousClustering(
                 f"points on {k} segments have {c} incidences, not a multiple of {k}:"
                 f" one point was resolved differently on different segments")
-    v = int((incidences[ks] // ks).sum())
+        v += c // k
 
     f = 1 + e - v
     central = 1 if spec.n % 2 == 0 else 0

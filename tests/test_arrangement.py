@@ -239,17 +239,44 @@ def test_hits_match_a_dense_classification_at_the_fuzz_bands():
     assert not {-2 * fuzz, -fuzz, 1 + 2 * fuzz} & seen
 
 
+def mirror_columns(corners, rows, cols):
+    """The chord sigma(c) for each column c, sigma(j) = lo + hi - j for its row's corners."""
+    n2 = corners.max() + 1
+    index = np.full((n2, n2), -1)
+    index[corners[:, 0], corners[:, 1]] = index[corners[:, 1], corners[:, 0]] = np.arange(len(corners))
+    image = (corners[rows].sum(axis=1)[:, None] - corners[cols]) % n2
+    return index[image[:, 0], image[:, 1]]
+
+
+# the largest |t(sigma c) - (1 - t(c))| over the representatives, in units of
+# 2**-52: 15 for n <= 30 and 46.5 (at n = 60) for n <= 64
+MIRROR_ULPS = 64
+
+
 def assert_corner_hits_match_the_pair_solve(n):
-    # the orbit route's hits, read off the corners, are the full route's
-    # hits on the representatives: the same (row, column, t), bit for bit
+    # the orbit route's hits, read off the corners, are the canonical half of
+    # the full route's hits on the representatives: with their mirror images
+    # they are the same (row, column) pairs, each once; t is the pair solve's
+    # bit for bit, and the mirror's t is 1 - t to within MIRROR_ULPS
     spec = PolygonSpec(n)
+    corners = polygon.base_corners(spec)
+    m = len(corners)
     arrays = _segment_arrays(base_segments(spec))
     rows = np.array(orbit_representatives(spec))[:, 0]
     row, col, t, _ = row_major(_hits(arrays, DEFAULT_FUZZ))
     on_rep = np.flatnonzero(np.isin(row, rows))
-    at, got_col, got_t = _corner_hits(polygon.base_corners(spec), arrays, rows)
-    assert np.array_equal(rows[at], row[on_rep]) and np.array_equal(got_col, col[on_rep])
-    assert got_t.dtype == t.dtype and got_t.tobytes() == t[on_rep].tobytes()
+    key, t = row[on_rep] * m + col[on_rep], t[on_rep]
+    at, got_col, got_t = _corner_hits(corners, arrays, rows)
+    assert np.all(np.diff(at * m + got_col) > 0)  # row-major
+    got_row = rows[at]
+    mirror = mirror_columns(corners, got_row, got_col)
+    assert np.all(mirror >= 0)
+    both = np.concatenate((got_row * m + got_col, got_row * m + mirror))
+    assert np.array_equal(np.sort(both), key)
+    canonical = np.searchsorted(key, got_row * m + got_col)
+    assert got_t.dtype == t.dtype and got_t.tobytes() == t[canonical].tobytes()
+    image = t[np.searchsorted(key, got_row * m + mirror)]
+    assert np.abs(image - (1.0 - got_t)).max(initial=0.0) <= MIRROR_ULPS * 2.0**-52
 
 
 @pytest.mark.parametrize("n", range(2, 31))
@@ -275,11 +302,18 @@ def assert_values_along_match_points_along(rep, t, k, fuzz=DEFAULT_FUZZ):
 
 
 def assert_values_along_match_on_the_representatives(n):
+    # on every hit of the representatives, as the full route finds them, and
+    # on the folded canonical half that counts merges
     spec = PolygonSpec(n)
+    arrays = _segment_arrays(base_segments(spec))
     reps = np.array(orbit_representatives(spec))
-    rep, _, t = _corner_hits(polygon.base_corners(spec), _segment_arrays(base_segments(spec)),
-                             reps[:, 0])
-    assert_values_along_match_points_along(rep, t, len(reps))
+    row, _, t, _ = row_major(_hits(arrays, DEFAULT_FUZZ))
+    on_rep = np.isin(row, reps[:, 0])
+    rep = np.searchsorted(reps[:, 0], row[on_rep])
+    assert_values_along_match_points_along(rep, t[on_rep], len(reps))
+    rep, _, t = _corner_hits(polygon.base_corners(spec), arrays, reps[:, 0])
+    assert_values_along_match_points_along(rep, 2.0 * np.minimum(t, 1.0 - t), len(reps),
+                                           2.0 * DEFAULT_FUZZ)
 
 
 @pytest.mark.parametrize("n", range(2, 31))
@@ -339,7 +373,7 @@ def test_values_along_chain_a_later_run_past_fuzz_into_its_last_value():
 
 
 def test_values_along_rows_of_different_lengths_end_at_their_own_one():
-    # row 0 is the longest; rows 1 and 2 end in 1.0 followed by +inf padding,
+    # row 0 is the longest; rows 1 and 2 end in 1.0 followed by padding,
     # and row 2's touch an ulp under 1 merges into that 1.0, not the padding
     fuzz = DEFAULT_FUZZ
     owner, points, sizes = assert_values_along_match_points_along(
@@ -370,16 +404,68 @@ def test_the_square_diagonals_cross_at_their_midpoints():
 def test_hexagon_chords_that_share_a_corner_touch_there():
     # the diameter 0-3 (row 7) touches the sides 0-1, 2-3, 3-4 and 5-0 at
     # its ends, crosses the diameters 5-2 and 1-4 at the center and misses
-    # the sides 1-2 and 4-5, which are parallel to it; here each touch lands
-    # on t = 0 or 1 exactly (where two chords end at one corner, t can miss 1
-    # by a few ulps, as in the pair solve)
+    # the sides 1-2 and 4-5, which are parallel to it. Its mirror
+    # sigma(j) = 3 - j swaps 0-1 with 3-2, 5-0 with 4-3 and 1-4 with 2-5, and
+    # the canonical hit of each pair is the touch at corner 0 or the crossing
+    # from the inside corner 1: here each touch lands on t = 0 exactly
     spec = PolygonSpec(3)
     corners = polygon.base_corners(spec)
     assert corners[[7, 0, 2, 3, 5]].tolist() == [[0, 3], [0, 1], [2, 3], [3, 4], [5, 0]]
     at, col, t = _corner_hits(corners, _segment_arrays(base_segments(spec)), np.array([7]))
-    assert col.tolist() == [0, 2, 3, 5, 6, 8]
-    assert t[:4].tolist() == [0.0, 1.0, 1.0, 0.0]
-    assert t[4:] == pytest.approx([0.5, 0.5], abs=1e-15)
+    assert at.tolist() == [0, 0, 0] and col.tolist() == [0, 5, 8]
+    assert t[:2].tolist() == [0.0, 0.0]
+    assert t[2] == pytest.approx(0.5, abs=1e-15)
+
+
+def folded_runs(n, fuzz=DEFAULT_FUZZ):
+    """The folded cuts of each representative, by representative and then by u,
+    with its length and whether the cut merged into the representative's axis."""
+    spec = PolygonSpec(n)
+    base = base_segments(spec)
+    reps = np.array(orbit_representatives(spec))
+    rep, _, t = _corner_hits(polygon.base_corners(spec), _segment_arrays(base), reps[:, 0])
+    u = np.minimum(t, 1.0 - t)
+    owner, _, sizes = _values_along(rep, 2.0 * u, len(reps), 2.0 * fuzz)
+    # the axis run is the last of each row: its size less the end 1 are the
+    # largest cuts of that row
+    last = np.flatnonzero(np.append(owner[1:] != owner[:-1], True))
+    at_axis = (sizes[last] - 1)[rep]
+    order = np.lexsort((u, rep))
+    rep, u = rep[order], u[order]
+    from_top = np.cumsum(np.bincount(rep, minlength=len(reps)))[rep] - 1 - np.arange(len(rep))
+    x0, y0, x1, y1 = base[reps[:, 0]].T
+    return rep, u, np.hypot(x1 - x0, y1 - y0)[rep], from_top < at_axis[order]
+
+
+def assert_the_axis_has_a_margin(n, fuzz=DEFAULT_FUZZ):
+    # in length: a cut merged into an axis point lies within 1e-3*fuzz of
+    # it, and every other cut at least 1,000*fuzz from the axis
+    _, u, length, merged = folded_runs(n, fuzz)
+    away = (0.5 - u) * length
+    assert away[merged].max(initial=0.0) <= 1e-3 * fuzz
+    assert away[~merged].min() >= 1e3 * fuzz
+
+
+@pytest.mark.parametrize("n", range(2, 31))
+def test_the_axis_decision_has_a_margin(n):
+    assert_the_axis_has_a_margin(n)
+
+
+@pytest.mark.slow
+def test_the_axis_decision_has_a_margin_beyond_n_30():
+    for n in range(31, 65):
+        assert_the_axis_has_a_margin(n)
+
+
+def test_only_odd_n_has_cuts_at_the_axis():
+    # the diameters of odd n meet at the center, the diameter
+    # representative's axis, and no three chords meet off the corners for
+    # even n
+    for n in (5, 8, 9, 13, 20):
+        rep, _, _, merged = folded_runs(n)
+        assert merged.any() == (n % 2 == 1)
+        # for odd n the last representative is a diameter: the other n - 1 pair up at its axis
+        assert n % 2 == 0 or merged[rep == rep.max()].sum() == (n - 1) // 2
 
 
 class TestCountVertices:
@@ -519,9 +605,52 @@ class TestVertexIdentity:
 
     @pytest.mark.slow
     def test_vertex_counts_beyond_the_reference_table(self):
+        # V, E and F: the fold tallies E from half of each representative
         for n in range(40, 65):
             spec = PolygonSpec(n)
-            assert count_vertices(split_all_fast(base_segments(spec))) == counts(spec).V, n
+            s = counts(spec)
+            assert full_route(spec) == (s.V, s.E, s.F), n
+
+
+def vertices_by_segments_of_the_split(split):
+    """V_k of the full route: the vertices that are no base segment's end, by
+    the number k of base segments through them (half their degree)."""
+    labels = split.labels.reshape(-1, 2)
+    forward = split.heading[0::2]  # the rank of each fragment's base direction, one per base row
+    start = np.flatnonzero(np.append(True, forward[1:] != forward[:-1]))
+    end = np.append(start[1:], len(forward)) - 1
+    ends = np.union1d(labels[start, 0], labels[end, 1])
+    degree = np.bincount(split.labels, minlength=len(split.points))
+    inner = np.setdiff1d(np.arange(len(split.points)), ends)
+    assert np.all(degree[inner] % 2 == 0)
+    return ends, np.bincount(degree[inner] // 2)
+
+
+def vertices_by_segments_of_the_orbit_route(spec):
+    """V_k of the orbit route: c_k / k over its interior points, and the
+    corners' c_k, from the incidence table ``counts`` reads."""
+    _, segments, weight, rim = arrangement._tally(spec, DEFAULT_FUZZ)
+    inner = np.bincount(segments[~rim], weights=weight[~rim], minlength=2).astype(np.int64)
+    corners = np.bincount(segments[rim], weights=weight[rim]).astype(np.int64)
+    k = np.arange(len(inner))
+    assert np.all(inner[2:] % k[2:] == 0) and not inner[:2].any()
+    return np.trim_zeros(np.append(0, inner[1:] // k[1:]), "b"), corners
+
+
+@pytest.mark.parametrize("n", range(2, 31))
+def test_vertex_multiplicities_meet_the_crossing_identity_on_both_routes(n):
+    # a point on k chords absorbs C(k, 2) of the X = n^2 (n-1)(n-2)/6
+    # crossing pairs of even-odd chords; the 2n corners, each on n chords,
+    # are the rest of V
+    spec = PolygonSpec(n)
+    split = split_all_fast(base_segments(spec))
+    ends, full = vertices_by_segments_of_the_split(split)
+    orbit, corners = vertices_by_segments_of_the_orbit_route(spec)
+    assert full.tolist() == orbit.tolist()
+    k = np.arange(len(full))
+    assert int((k * (k - 1) // 2 * full).sum()) == n * n * (n - 1) * (n - 2) // 6
+    assert len(ends) == 2 * n and 2 * n + int(full.sum()) == len(split.points) == counts(spec).V
+    assert np.flatnonzero(corners).tolist() == [n] and corners[n] == n * 2 * n
 
 
 class TestCounts:
