@@ -555,11 +555,11 @@ def _corner_hits(corners: np.ndarray, arrays: tuple[np.ndarray, ...], rows: np.n
     themselves, and since lo + hi is odd it fixes no corner; it takes a hit
     at t to one at 1 - t. Of each pair {c, sigma(c)} only the canonical hit
     is kept: a crossing whose inside corner j lies below the axis,
-    2*j <= lo + hi, or a touch at lo. No float decides a hit. Returns the row's index in
-    ``rows``, the column and ``t`` on the row of each canonical pair, in
-    row-major order; ``t`` comes from ``_solve_pairs``' expressions in the
-    same order, so it is that kernel's value bit for bit (at a touch, 0 or 1
-    to within a few ulps).
+    2*j <= lo + hi, or a touch at lo. No float decides a hit. Returns the
+    row's index in ``rows``, the column and ``t`` on the row of each
+    canonical pair, in row-major order; ``t`` comes from ``_solve_pairs``'
+    expressions in the same order, so it is that kernel's value bit for bit
+    (at a touch, 0 or 1 to within a few ulps).
     """
     lo, hi = np.sort(corners[rows], axis=1).T[:, :, None]
     x = np.arange(corners.max() + 1)
@@ -629,7 +629,7 @@ def _tally(spec: PolygonSpec, fuzz: float):
     # the representative and on its cuts; the axis point is one point, on
     # the representative, its cuts and their mirrors
     weight = orbit[owner] * (2 - axis - spans)
-    e = int(weight.sum()) - len(x0)  # orbit * (points - 1), summed: the orbits hold all m
+    e = int(weight.sum()) - len(x0)  # orbit * (points - 1), summed; the orbits sum to m
     return e, 1 + cuts * (1 + axis), weight, first
 
 

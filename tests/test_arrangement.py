@@ -242,8 +242,9 @@ def test_hits_match_a_dense_classification_at_the_fuzz_bands():
 def mirror_columns(corners, rows, cols):
     """The chord sigma(c) for each column c, sigma(j) = lo + hi - j for its row's corners."""
     n2 = corners.max() + 1
-    index = np.full((n2, n2), -1)
-    index[corners[:, 0], corners[:, 1]] = index[corners[:, 1], corners[:, 0]] = np.arange(len(corners))
+    index = np.full((n2, n2), -1)  # the chord joining two corners, in either order
+    index[corners[:, 0], corners[:, 1]] = np.arange(len(corners))
+    index[corners[:, 1], corners[:, 0]] = np.arange(len(corners))
     image = (corners[rows].sum(axis=1)[:, None] - corners[cols]) % n2
     return index[image[:, 0], image[:, 1]]
 
@@ -439,7 +440,8 @@ def folded_runs(n, fuzz=DEFAULT_FUZZ):
 
 def assert_the_axis_has_a_margin(n, fuzz=DEFAULT_FUZZ):
     # in length: a cut merged into an axis point lies within 1e-3*fuzz of
-    # it, and every other cut at least 1,000*fuzz from the axis
+    # it, and every other cut at least 1,000*fuzz from the axis (measured
+    # for n <= 64: at most 6.7e-5*fuzz, and at least 58,000*fuzz)
     _, u, length, merged = folded_runs(n, fuzz)
     away = (0.5 - u) * length
     assert away[merged].max(initial=0.0) <= 1e-3 * fuzz
@@ -633,8 +635,9 @@ def vertices_by_segments_of_the_orbit_route(spec):
     inner = np.bincount(segments[~rim], weights=weight[~rim], minlength=2).astype(np.int64)
     corners = np.bincount(segments[rim], weights=weight[rim]).astype(np.int64)
     k = np.arange(len(inner))
-    assert np.all(inner[2:] % k[2:] == 0) and not inner[:2].any()
-    return np.trim_zeros(np.append(0, inner[1:] // k[1:]), "b"), corners
+    assert not inner[:2].any() and np.all(inner[2:] % k[2:] == 0)
+    inner[2:] //= k[2:]
+    return np.trim_zeros(inner, "b"), corners
 
 
 @pytest.mark.parametrize("n", range(2, 31))
