@@ -581,7 +581,7 @@ def _corner_hits(corners: np.ndarray, arrays: tuple[np.ndarray, ...], rows: np.n
 
 
 def _tally(spec: PolygonSpec, fuzz: float):
-    """The points ``counts`` weighs: E, and per point its segments, weight and rim.
+    """The points ``counts`` weighs: E, and per point its segments, weight and corner flag.
 
     Returns E, then for each merged point up to a representative's axis the
     number of base segments through it, its weight (orbit size times the
