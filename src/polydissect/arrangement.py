@@ -29,11 +29,12 @@ classified, and parallel pairs are checked for collinear overlap as in
 interior hits, so each cut is found once, on the segment it cuts.
 ``counts`` reads which chords meet off their corners (``_corner_hits``):
 integers decide every hit and which of each mirror pair is kept, and the
-float solve only places it. The full
-route orders every hit along its segment by index (``group_order``), as it
-needs the point each hit merged into, and merges its runs with
-``merge_sorted_runs``; ``counts`` needs only the merged values and sorts
-and merges them in place, one padded row per representative.
+float solve only places it. One kernel merges the cuts along a segment
+for both routes and ``split_all``: each segment's ends and cuts fill one
+padded row (``_rows_along``), and the runs merge on the rows once they are
+sorted (``_runs``). Only the row sort differs. ``counts`` needs the merged
+values alone and sorts in place; the full route needs the point each hit
+merged into, so it sorts by index and sends each run back (``_points_along``).
 
 Vertices of the full route are exact: a hit (r, c) links the point of r
 it merged into with the point of c that the other side of the pair,
@@ -59,9 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousClustering, NumericalDegeneracy, SymmetryViolation
-from .geom import (
-    DEFAULT_FUZZ, Split, close_pairs, group_order, merge_sorted_runs,
-)
+from .geom import DEFAULT_FUZZ, Split, close_pairs
 from .polygon import PolygonSpec, base_corners, base_segments, orbit_representatives
 
 
@@ -95,8 +94,9 @@ def _cut_tuple(wx0, wy0, wx1, wy1, u, fuzz):
 
 def _split_tuple(x0, y0, x1, y1, params, fuzz):
     """Cut one segment (as coordinates) at merged interior parameters."""
-    ts = np.sort(params + [0.0, 1.0])
-    merged = ts[merge_sorted_runs(np.zeros(len(ts), dtype=np.int64), ts, fuzz)[0]]
+    grid, length = _rows_along(np.zeros(len(params), dtype=np.intp), np.array(params), 1)
+    grid.sort(axis=1)
+    merged = _runs(grid, length, fuzz)[2]
     pts = [(t * x1 + (1.0 - t) * x0, t * y1 + (1.0 - t) * y0) for t in merged.tolist()]
     out = []
     for (ax, ay), (bx, by) in zip(pts, pts[1:]):
@@ -354,50 +354,38 @@ def split_all_fast(base: np.ndarray, fuzz: float = DEFAULT_FUZZ) -> Split:
     return _split(base, fuzz)
 
 
-def _points_along(owner: np.ndarray, ts: np.ndarray, k: int, fuzz: float):
-    """The points along k segments, from the hit parameters ``ts`` on segment ``owner``.
-
-    Each segment's ends 0 and 1 join its hits, and the sorted parameters
-    along each segment merge into runs (``merge_sorted_runs``): the values
-    less than ``fuzz`` above the smallest become that smallest one, and each
-    later run of values closer than ``fuzz`` apart becomes its last value.
-    Returns the owner, parameter and run size of every point, by owner and
-    then along it, and the point each hit merged into; these are values
-    only, so the order ``group_order`` leaves among equal (owner, parameter)
-    pairs cannot change them. Only the full route needs the point map.
-    """
-    hits = len(owner)
-    owner = np.concatenate((owner, np.arange(k), np.arange(k)))
-    ts = np.concatenate((ts, np.zeros(k), np.ones(k)))
-    order = group_order(owner, ts)
-    keep, sizes = merge_sorted_runs(owner[order], ts[order], fuzz)
-    point = np.empty(len(order), dtype=np.int64)
-    point[order] = np.repeat(np.arange(len(keep)), sizes)
-    return owner[order[keep]], ts[order[keep]], sizes, point[:hits]
-
-
-# the padding of _values_along's rows: finite, so that padding minus padding is 0, not NaN
+# the padding of the merge grid's rows: finite, so that padding minus padding is 0, not NaN
 _PAD = np.finfo(np.float64).max
 
 
-def _values_along(owner: np.ndarray, ts: np.ndarray, k: int, fuzz: float):
-    """``_points_along``'s owner, parameter and run size of every point, from values alone.
+def _rows_along(owner: np.ndarray, ts: np.ndarray, k: int):
+    """The merge grid of k segments: each one's ends 0 and 1, then its hits, in one row.
 
-    The hits must come grouped by ``owner`` in increasing order, as
-    ``_corner_hits`` returns them. Each segment's ends 0 and 1 and its hits
-    fill one row of a (k, most hits + 2) array padded with the largest
-    float, sorted in place along its rows, and the runs merge on it by
-    ``merge_sorted_runs``' rule. Merged values equal ``_points_along``'s up
-    to the sign of a zero.
+    The hits must come grouped by ``owner`` in increasing order. Returns the (k,
+    most hits + 3) float array, each row padded with at least one largest float,
+    and each row's length.
     """
-    hits = np.bincount(owner, minlength=k)
-    length = hits + 2
-    valid = np.arange(int(hits.max(initial=0)) + 2) < length[:, None]
-    grid = np.full(valid.shape, _PAD)
+    length = np.bincount(owner, minlength=k) + 2
+    grid = np.full((k, int(length.max(initial=2)) + 1), _PAD)
     grid[:, 0] = 0.0
     grid[:, 1] = 1.0
-    grid[:, 2:][valid[:, 2:]] = ts  # each row's hits after its ends, in order
-    grid.sort(axis=1)
+    grid[:, 2:][np.arange(2, grid.shape[1]) < length[:, None]] = ts  # each row's hits, in order
+    return grid, length
+
+
+def _runs(grid: np.ndarray, length: np.ndarray, fuzz: float):
+    """Merge the runs of a grid sorted along its rows: the one merge rule of every route.
+
+    Row r holds ``length[r]`` values, then padding. A row's first run holds
+    the values less than ``fuzz`` above its first value, and every later run
+    goes on while consecutive values are closer than ``fuzz``. A first run
+    keeps its first value and a later run its last, so the rule is not
+    mirror-symmetric: merging 1 - t instead of t can keep the other end of
+    a run wider than ``fuzz``, and with a fuzz too coarse for the margins
+    the orbit route's folded merge and an unfolded one can refuse it with
+    different errors. Returns the mask of the cells that open a run, and
+    the row, kept value and size of every run, in row-major order.
+    """
     # a run opens at column 0, and past it where a step is >= fuzz or the
     # first run ends (a step >= fuzz is never inside the first run)
     first = grid - grid[:, :1] < fuzz
@@ -405,15 +393,38 @@ def _values_along(owner: np.ndarray, ts: np.ndarray, k: int, fuzz: float):
     opens[:, 0] = True
     np.greater_equal(grid[:, 1:] - grid[:, :-1], fuzz, out=opens[:, 1:])
     opens[:, 1:] |= first[:, :-1] > first[:, 1:]
-    opens &= valid
+    opens[np.arange(len(grid)), length] = False  # padding opens a run only there
     at = np.flatnonzero(opens)
     row, col = np.divmod(at, grid.shape[1])
     # a run stops where the next opens, or at its row's length before column 0
     stop = np.concatenate((col[1:], [0]))
     stop[stop == 0] = length
     sizes = stop - col
-    # a first run keeps its first value, a later run its last
-    return row, grid.reshape(-1)[at + (sizes - 1) * (col != 0)], sizes
+    return opens, row, grid.reshape(-1)[at + (sizes - 1) * (col != 0)], sizes
+
+
+def _points_along(owner: np.ndarray, ts: np.ndarray, k: int, fuzz: float):
+    """The points along k segments, from the hit parameters ``ts`` on segment ``owner``.
+
+    A point is one run of ``_runs`` on its segment's row of ``_rows_along``.
+    The hits may come in any order: a stable argsort of the owner, cast to
+    the smallest unsigned type that holds k - 1 (uint16 for every size the
+    CLI accepts, which numpy sorts by radix), groups them, and an argsort
+    sorts each row. Returns the owner, parameter and run size of every
+    point, by owner and then along it, the point each hit merged into, and
+    the (k, 2) points of each segment's ends 0 and 1: the run of each
+    sorted cell, sent back through the row order.
+    """
+    by_owner = np.argsort(owner.astype(np.min_scalar_type(k - 1)), kind="stable")
+    grid, length = _rows_along(owner[by_owner], ts[by_owner], k)
+    order = np.argsort(grid, axis=1)
+    grid = np.take_along_axis(grid, order, axis=1)
+    opens, row, along, sizes = _runs(grid, length, fuzz)
+    run = np.empty(grid.shape, dtype=np.int64)
+    np.put_along_axis(run, order, np.cumsum(opens).reshape(grid.shape) - 1, axis=1)
+    point = np.empty(len(owner), dtype=np.int64)
+    point[by_owner] = run[:, 2:][np.arange(2, grid.shape[1]) < length[:, None]]
+    return row, along, sizes, point, run[:, :2]
 
 
 def _hit_points(base: np.ndarray, fuzz: float):
@@ -426,19 +437,16 @@ def _hit_points(base: np.ndarray, fuzz: float):
     the point of c that the other side, (c, r), merged into; ``_hits``
     emits the two sides of a pair H apart.
     """
-    m = len(base)
     row, _, t, t_cls = _hits(_segment_arrays(base), fuzz)
     cut = t_cls == _INTERIOR
     at_end = t > 0.5
     t = t[cut]
     del t_cls  # hit-sized arrays are dropped as soon as they are used
-    owner, along, _, cut_point = _points_along(row[cut], t, m, fuzz)
+    owner, along, _, cut_point, ends = _points_along(row[cut], t, len(base), fuzz)
     del t
-    head = np.flatnonzero(np.diff(owner, prepend=-1))  # each segment's first point
-    tail = np.append(head[1:], len(owner)) - 1
-    point = np.where(at_end, tail[row], head[row])
+    point = ends.reshape(-1)[2 * row + at_end]
     point[cut] = cut_point
-    del cut, at_end, cut_point, head, tail
+    del cut, at_end, cut_point, ends
 
     # the hits come in two halves, (r, c) and then (c, r) in the same order
     return owner, along, point, np.roll(point, len(point) // 2)
@@ -600,12 +608,13 @@ def _tally(spec: PolygonSpec, fuzz: float):
     # fold each cut to u = min(t, 1 - t) (exact for t >= 1/2) and merge 2u,
     # so that the first point is both ends of a representative and the last
     # its axis
-    owner, points, sizes = _values_along(rep, 2.0 * np.minimum(t, 1.0 - t), len(reps),
-                                         2.0 * fuzz)
+    grid, length = _rows_along(rep, 2.0 * np.minimum(t, 1.0 - t), len(reps))
+    grid.sort(axis=1)  # in place: the orbit route needs no point map
+    _, owner, points, sizes = _runs(grid, length, 2.0 * fuzz)
     rim = np.ones(len(owner) + 1, dtype=bool)  # rim[i]: point i starts a representative
     np.not_equal(owner[1:], owner[:-1], out=rim[1:-1])  # and point i - 1 ends one
     first, axis = rim[:-1], rim[1:]
-    cuts = sizes - first - axis  # the ends 0 and 1 that _values_along adds are no cuts
+    cuts = sizes - first - axis  # the ends 0 and 1 that _rows_along adds are no cuts
     # an axis no cut merged into is no point: the gap before it spans the axis
     spans = axis & (cuts == 0)
     # twice each gap in length: (2u' - 2u) * length, and from u across an
@@ -641,8 +650,9 @@ def counts(spec: PolygonSpec, fuzz: float = DEFAULT_FUZZ) -> CountSummary:
     merge and the gap checks. The reflection that swaps a representative's
     ends maps the base set onto itself, so only the canonical half of its
     cuts is solved: each cut folds to u = min(t, 1 - t), and the folded
-    values and the ends merge on one padded row each (``_values_along``, on
-    2u with 2*fuzz) into the points up to the axis u = 1/2. A point below
+    values and the ends fill one padded row each, sorted in place, where
+    the one merge kernel (``_runs``, on 2u with 2*fuzz) makes them the
+    points up to the axis u = 1/2; no point map is built. A point below
     the axis stands for two points and lies on 1 + (cuts merged into it)
     base segments; a point at the axis is one point on 1 + 2*(cuts merged
     into it) segments, and without cuts it is no point. Rotation carries

@@ -1,4 +1,4 @@
-"""The default fuzz, the split record and the array helpers of the pipeline.
+"""The default fuzz, the split record and the close-pair search of the pipeline.
 
 All geometry in this package lives in the closed unit disk, so a single
 absolute distance threshold, a float ``fuzz`` in (0, 1e-3), serves both for
@@ -31,47 +31,6 @@ class Split:
 
     def __len__(self) -> int:
         return len(self.frags)
-
-
-def merge_sorted_runs(
-    group: np.ndarray, ts: np.ndarray, fuzz: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Collapse the runs of values closer than ``fuzz`` in many sorted lists at once.
-
-    ``group`` labels each value with its list; the lists are contiguous and
-    ``ts`` is sorted within each. A list's first run holds the values less
-    than ``fuzz`` above its first value, and that first value survives;
-    every later run continues while consecutive values are closer than
-    ``fuzz``, and its last value survives. Returns the index of each run's
-    survivor, in order, and the size of each run.
-    """
-    k = len(ts)
-    idx = np.arange(k)
-    head = np.ones(k, dtype=bool)
-    head[1:] = group[1:] != group[:-1]
-    first = np.maximum.accumulate(np.where(head, idx, 0))
-    in_first_run = ts - ts[first] < fuzz
-    opens = head.copy()
-    opens[1:] |= ~in_first_run[1:] & (in_first_run[:-1] | ~(np.diff(ts) < fuzz))
-    starts = np.flatnonzero(opens)
-    sizes = np.diff(np.append(starts, k))
-    return np.where(head[starts], starts, starts + sizes - 1), sizes
-
-
-def group_order(group: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """An order of the items by non-negative integer ``group``, then by ``values``.
-
-    One default (unstable) argsort by value, then one stable argsort per
-    16-bit digit of ``group`` cast to uint16, least significant first; numpy
-    sorts uint16 keys by radix with ``kind="stable"``, so a group id below
-    65,536 costs one pass. Items with equal group and equal value may come
-    in any order: that is the only difference from numpy's lexsort with
-    keys ``(values, group)``.
-    """
-    order = np.argsort(values)
-    for shift in range(0, max(1, int(group.max(initial=0)).bit_length()), 16):
-        order = order[np.argsort((group[order] >> shift).astype(np.uint16), kind="stable")]
-    return order
 
 
 def close_pairs(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:

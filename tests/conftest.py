@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 
-from polydissect.arrangement import _segment_arrays
+from polydissect.arrangement import _points_along, _rows_along, _runs, _segment_arrays
 from polydissect.geom import DEFAULT_FUZZ, Split, close_pairs
 from polydissect.planar import enumerate_faces, orbit_census
 
@@ -30,6 +30,70 @@ def dense_classes(arrays, rows, fuzz):
         return interior * np.int8(2) + end * np.int8(1)
 
     return t, classes(t), classes(u)
+
+
+def merge_runs_loop(params, fuzz):
+    """The merge rule as a plain loop over one segment's ends 0 and 1 and its cuts.
+
+    The values go in order: the first run is anchored at the smallest value
+    and keeps it, and a later run goes on while each step is below ``fuzz``
+    and keeps its last value. Returns the kept values, the run sizes and
+    the run of each value of [0, 1, *params].
+    """
+    values = [0.0, 1.0, *params]
+    out, sizes, run = [], [], [0] * len(values)
+    for i in sorted(range(len(values)), key=values.__getitem__):
+        t = values[i]
+        if out and t - out[-1] < fuzz:
+            if len(out) > 1:
+                out[-1] = t
+            sizes[-1] += 1
+        else:
+            out.append(t)
+            sizes.append(1)
+        run[i] = len(out) - 1
+    return out, sizes, run
+
+
+def values_along(owner, ts, k, fuzz=DEFAULT_FUZZ):
+    """The orbit route's merge: k rows sorted in place, then their runs; no point map.
+
+    The hits must come grouped by ``owner`` in increasing order."""
+    grid, length = _rows_along(owner, ts, k)
+    grid.sort(axis=1)
+    return _runs(grid, length, fuzz)[1:]
+
+
+def assert_merge_follows_the_loop(owner, ts, k, fuzz=DEFAULT_FUZZ):
+    """Both row sorts of the merge kernel against ``merge_runs_loop`` on each segment.
+
+    The in-place sort (on the hits grouped by owner) and ``_points_along``
+    (on the hits as they come) give the loop's values (up to the sign of a
+    zero) and run sizes, and ``_points_along`` the loop's point of every hit
+    and of each segment's ends. Returns the in-place sort's owner, values
+    and sizes.
+    """
+    loops = [merge_runs_loop(ts[owner == r].tolist(), fuzz) for r in range(k)]
+    # the first point of each segment
+    first = np.cumsum([0] + [len(out) for out, _, _ in loops]).tolist()
+    want_owner = [r for r, (out, _, _) in enumerate(loops) for _ in out]
+    want_values = [x for out, _, _ in loops for x in out]
+    want_sizes = [x for _, sizes, _ in loops for x in sizes]
+    want_point = np.empty(len(owner), dtype=np.int64)
+    for r, (_, _, run) in enumerate(loops):
+        want_point[owner == r] = first[r] + np.array(run[2:], dtype=np.int64)
+    want_ends = [[first[r] + run[0], first[r] + run[1]] for r, (_, _, run) in enumerate(loops)]
+
+    grouped = np.argsort(owner, kind="stable")
+    got = values_along(owner[grouped], ts[grouped], k, fuzz)
+    row, along, sizes, point, ends = _points_along(owner, ts, k, fuzz)
+    for got_owner, got_values, got_sizes in (got, (row, along, sizes)):
+        assert got_owner.tolist() == want_owner
+        assert got_values.tolist() == want_values
+        assert got_sizes.tolist() == want_sizes
+    assert point.tolist() == want_point.tolist()
+    assert ends.tolist() == want_ends
+    return got
 
 
 def frags_of(split):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    crossing_free, dense_classes, float_clusters, frags_of, lengths, lies_on, rotate_segments,
-    shuffled_rows,
+    assert_merge_follows_the_loop, crossing_free, dense_classes, float_clusters, frags_of, lengths,
+    lies_on, rotate_segments, shuffled_rows, values_along,
 )
 from polydissect import (
     DEFAULT_FUZZ,
@@ -23,7 +23,7 @@ from polydissect import (
 )
 from polydissect import arrangement, polygon
 from polydissect.arrangement import (
-    _corner_hits, _hits, _points_along, _segment_arrays, _values_along,
+    _INTERIOR, _PAD, _corner_hits, _hits, _rows_along, _segment_arrays, _solve_pairs,
 )
 from polydissect.geom import Split
 from polydissect.polygon import orbit_representatives
@@ -291,46 +291,62 @@ def test_corner_hits_are_the_pair_solve_beyond_n_30():
         assert_corner_hits_match_the_pair_solve(n)
 
 
-def assert_values_along_match_points_along(rep, t, k, fuzz=DEFAULT_FUZZ):
-    # the orbit route's row sort gives the full route's merged points: owner
-    # and run sizes exactly, values up to the sign of a zero (both sorts
-    # order equal values arbitrarily)
-    owner, points, sizes = _values_along(rep, t, k, fuzz)
-    want_owner, want_points, want_sizes, _ = _points_along(rep, t, k, fuzz)
-    assert owner.tolist() == want_owner.tolist() and sizes.tolist() == want_sizes.tolist()
-    assert np.array_equal(points, want_points)
-    return owner, points, sizes
-
-
-def assert_values_along_match_on_the_representatives(n):
+def assert_merge_follows_the_loop_on_the_representatives(n):
     # on every hit of the representatives, as the full route finds them, and
-    # on the folded canonical half that counts merges
+    # on the canonical half that counts merges, unfolded and folded
     spec = PolygonSpec(n)
     arrays = _segment_arrays(base_segments(spec))
     reps = np.array(orbit_representatives(spec))
-    row, _, t, _ = row_major(_hits(arrays, DEFAULT_FUZZ))
+    row, _, t, _ = _hits(arrays, DEFAULT_FUZZ)
     on_rep = np.isin(row, reps[:, 0])
-    rep = np.searchsorted(reps[:, 0], row[on_rep])
-    assert_values_along_match_points_along(rep, t[on_rep], len(reps))
+    assert_merge_follows_the_loop(np.searchsorted(reps[:, 0], row[on_rep]), t[on_rep], len(reps))
     rep, _, t = _corner_hits(polygon.base_corners(spec), arrays, reps[:, 0])
-    assert_values_along_match_points_along(rep, 2.0 * np.minimum(t, 1.0 - t), len(reps),
-                                           2.0 * DEFAULT_FUZZ)
+    assert_merge_follows_the_loop(rep, t, len(reps))
+    assert_merge_follows_the_loop(rep, 2.0 * np.minimum(t, 1.0 - t), len(reps),
+                                  2.0 * DEFAULT_FUZZ)
 
 
 @pytest.mark.parametrize("n", range(2, 31))
 def test_values_along_are_the_points_along_on_the_representatives(n):
-    assert_values_along_match_on_the_representatives(n)
+    assert_merge_follows_the_loop_on_the_representatives(n)
 
 
 @pytest.mark.slow
 def test_values_along_are_the_points_along_beyond_n_30():
     for n in range(31, 65):
-        assert_values_along_match_on_the_representatives(n)
+        assert_merge_follows_the_loop_on_the_representatives(n)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_points_along_follow_the_loop_on_the_full_route(n):
+    # the full route's interior hits in _hits' order, both halves, and the
+    # point each one merged into
+    base = base_segments(PolygonSpec(n))
+    row, _, t, t_cls = _hits(_segment_arrays(base), DEFAULT_FUZZ)
+    cut = t_cls == _INTERIOR
+    assert_merge_follows_the_loop(row[cut], t[cut], len(base))
+
+
+@pytest.mark.parametrize("n", [3, 20, 39])
+def test_the_orbit_route_builds_no_point_map(n, monkeypatch):
+    # counts sorts its rows in place and never asks for the point of a hit
+    def refuse(*args, **kwargs):
+        raise AssertionError("the orbit route asked for a point map")
+
+    want = counts(PolygonSpec(n))
+    monkeypatch.setattr(arrangement, "_points_along", refuse)
+    monkeypatch.setattr(np, "argsort", refuse)
+    assert counts(PolygonSpec(n)) == want
 
 
 def test_values_along_a_segment_without_hits_are_its_ends():
-    # segment 1 meets nothing: its row holds only 0 and 1, then padding
-    owner, points, sizes = assert_values_along_match_points_along(
+    # segment 1 meets nothing: its row holds only 0 and 1, then padding, and
+    # every row ends in padding, the longest too
+    grid, length = _rows_along(np.array([0, 0, 2]), np.array([0.5, 0.25, 0.75]), 3)
+    assert length.tolist() == [4, 2, 3]
+    assert grid.tolist() == [[0.0, 1.0, 0.5, 0.25, _PAD], [0.0, 1.0, _PAD, _PAD, _PAD],
+                             [0.0, 1.0, 0.75, _PAD, _PAD]]
+    owner, points, sizes = assert_merge_follows_the_loop(
         np.array([0, 0, 2]), np.array([0.5, 0.25, 0.75]), 3)
     assert owner.tolist() == [0, 0, 0, 0, 1, 1, 2, 2, 2]
     assert points.tolist() == [0.0, 0.25, 0.5, 1.0, 0.0, 1.0, 0.0, 0.75, 1.0]
@@ -340,7 +356,7 @@ def test_values_along_a_segment_without_hits_are_its_ends():
 def test_values_along_merge_touches_into_the_ends():
     # touches at -0.0 and at 1 - 2**-52 (where two chords end at one corner
     # t can miss 1 by an ulp) join the runs of the ends 0 and 1
-    owner, points, sizes = assert_values_along_match_points_along(
+    owner, points, sizes = assert_merge_follows_the_loop(
         np.array([0, 0, 0]), np.array([1.0 - 2.0**-52, -0.0, 0.5]), 1)
     assert owner.tolist() == [0, 0, 0]
     assert points.tolist() == [0.0, 0.5, 1.0] and sizes.tolist() == [2, 1, 2]
@@ -349,7 +365,7 @@ def test_values_along_merge_touches_into_the_ends():
 def test_values_along_merge_close_cuts_into_the_later_one():
     fuzz = DEFAULT_FUZZ
     a, b = 0.3, 0.3 + 0.5 * fuzz
-    owner, points, sizes = assert_values_along_match_points_along(
+    owner, points, sizes = assert_merge_follows_the_loop(
         np.array([0, 0, 0]), np.array([b, 0.6, a]), 1)
     assert points.tolist() == [0.0, b, 0.6, 1.0] and sizes.tolist() == [1, 2, 1, 1]
 
@@ -358,7 +374,7 @@ def test_values_along_split_a_first_run_at_fuzz_above_its_first_value():
     # steps of 0.6*fuzz chain 0, 0.6*fuzz and 1.2*fuzz, but the first run is
     # anchored at its first value: 1.2*fuzz opens a run of its own
     fuzz = DEFAULT_FUZZ
-    owner, points, sizes = assert_values_along_match_points_along(
+    owner, points, sizes = assert_merge_follows_the_loop(
         np.array([0, 0]), np.array([1.2 * fuzz, 0.6 * fuzz]), 1)
     assert points.tolist() == [0.0, 1.2 * fuzz, 1.0] and sizes.tolist() == [2, 1, 1]
 
@@ -367,7 +383,7 @@ def test_values_along_chain_a_later_run_past_fuzz_into_its_last_value():
     # a later run goes on while each step is under fuzz, however far it reaches
     fuzz = DEFAULT_FUZZ
     chain = [0.5, 0.5 + 0.6 * fuzz, 0.5 + 1.2 * fuzz]
-    owner, points, sizes = assert_values_along_match_points_along(
+    owner, points, sizes = assert_merge_follows_the_loop(
         np.array([0, 0, 0]), np.array(chain[::-1]), 1)
     assert chain[2] - chain[0] > fuzz
     assert points.tolist() == [0.0, chain[2], 1.0] and sizes.tolist() == [1, 3, 1]
@@ -377,7 +393,7 @@ def test_values_along_rows_of_different_lengths_end_at_their_own_one():
     # row 0 is the longest; rows 1 and 2 end in 1.0 followed by padding,
     # and row 2's touch an ulp under 1 merges into that 1.0, not the padding
     fuzz = DEFAULT_FUZZ
-    owner, points, sizes = assert_values_along_match_points_along(
+    owner, points, sizes = assert_merge_follows_the_loop(
         np.array([0, 0, 0, 0, 2]), np.array([0.7, 0.2, 1.0 - 0.5 * fuzz, 0.4, 1.0 - 2.0**-52]), 3)
     assert owner.tolist() == [0, 0, 0, 0, 0, 1, 1, 2, 2]
     assert points.tolist() == [0.0, 0.2, 0.4, 0.7, 1.0, 0.0, 1.0, 0.0, 1.0]
@@ -387,19 +403,28 @@ def test_values_along_rows_of_different_lengths_end_at_their_own_one():
 def test_values_along_keep_a_negative_touch_as_the_first_value():
     # a touch a little below 0 sorts before the end 0 and is the value the
     # first run keeps
-    owner, points, sizes = assert_values_along_match_points_along(
+    owner, points, sizes = assert_merge_follows_the_loop(
         np.array([0, 0]), np.array([0.5, -2e-17]), 1)
     assert points.tolist() == [-2e-17, 0.5, 1.0] and sizes.tolist() == [2, 1, 1]
 
 
-def test_the_square_diagonals_cross_at_their_midpoints():
-    # the base set of the square has no diagonals: give its two by hand
-    corners = np.array([[0, 2], [1, 3]])
-    pts = base_segments(PolygonSpec(2))[:, :2]
-    at, col, t = _corner_hits(corners, _segment_arrays(pts[corners].reshape(-1, 4)),
-                              np.arange(2))
-    assert at.tolist() == [0, 1] and col.tolist() == [1, 0]
-    assert t == pytest.approx([0.5, 0.5], abs=1e-15)
+def test_two_octagon_chords_that_the_mirror_swaps_cross():
+    # the chords 0-3 and 1-6, which the mirror 0 <-> 1 maps onto each other,
+    # cross on its axis: each is a canonical hit of the other, and every hit
+    # is the pair solve's, t bit for bit; of a hit and its mirror image,
+    # which the pair solve both finds, one is kept
+    spec = PolygonSpec(4)
+    corners = polygon.base_corners(spec)
+    assert np.all(corners.sum(axis=1) % 2 == 1)  # each row joins an even corner to an odd one
+    chord = {frozenset(c): i for i, c in enumerate(corners.tolist())}
+    rows = np.array([chord[frozenset((0, 3))], chord[frozenset((1, 6))]])
+    arrays = _segment_arrays(base_segments(spec))
+    at, col, t = _corner_hits(corners, arrays, rows)
+    k, solved_t, *_ = _solve_pairs(arrays, rows, np.arange(len(corners)), DEFAULT_FUZZ)
+    solved = dict(zip(zip(*np.divmod(k, len(corners))), solved_t))
+    assert {(0, rows[1]), (1, rows[0])} <= set(zip(at.tolist(), col.tolist()))
+    assert [solved[a, c].tobytes() for a, c in zip(at, col)] == [x.tobytes() for x in t]
+    assert 2 * len(at) == len(k)
 
 
 def test_hexagon_chords_that_share_a_corner_touch_there():
@@ -426,7 +451,7 @@ def folded_runs(n, fuzz=DEFAULT_FUZZ):
     reps = np.array(orbit_representatives(spec))
     rep, _, t = _corner_hits(polygon.base_corners(spec), _segment_arrays(base), reps[:, 0])
     u = np.minimum(t, 1.0 - t)
-    owner, _, sizes = _values_along(rep, 2.0 * u, len(reps), 2.0 * fuzz)
+    owner, _, sizes = values_along(rep, 2.0 * u, len(reps), 2.0 * fuzz)
     # the axis run is the last of each row: its size less the end 1 are the
     # largest cuts of that row
     last = np.flatnonzero(np.append(owner[1:] != owner[:-1], True))

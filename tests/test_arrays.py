@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import assert_merge_follows_the_loop
 from polydissect import (
     AmbiguousClustering,
     PlanarGraph,
@@ -23,7 +24,7 @@ from polydissect import (
     split_all_fast,
 )
 from polydissect import arrangement
-from polydissect.geom import Split, merge_sorted_runs
+from polydissect.geom import Split
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 13])
@@ -359,33 +360,15 @@ def test_a_half_edge_in_another_vertex_ring_raises():
         enumerate_faces(PlanarGraph(g.vertices, g.edges, half))
 
 
-def merge_runs_loop(params, fuzz):
-    """The run rule as a plain loop over the sorted values."""
-    ts = sorted(params)
-    out, sizes = [ts[0]], [1]
-    for t in ts[1:]:
-        if t - out[-1] < fuzz:
-            if len(out) > 1:
-                out[-1] = t
-            sizes[-1] += 1
-        else:
-            out.append(t)
-            sizes.append(1)
-    return out, sizes
-
-
 @pytest.mark.parametrize("seed", range(5))
 def test_vectorized_runs_follow_the_loop_in_every_group(seed):
-    # values on a 0.4 grid with fuzz 1: runs of every length, ties, and
-    # first runs that a chained rule would extend
+    # values on a 0.4 grid with fuzz 1, shuffled across the first 20 of 22
+    # segments: runs of every length, ties, first runs that a chained rule
+    # would extend, and two segments with no value of their own
     rng = np.random.default_rng(seed)
-    lists = [(rng.integers(-4, 30, size=rng.integers(1, 12)) * 0.4).tolist() for _ in range(20)]
-    expected = [merge_runs_loop(v, 1.0) for v in lists]
-    group = np.repeat(np.arange(len(lists)), [len(v) for v in lists])
-    ts = np.concatenate([np.sort(v) for v in lists])
-    keep, sizes = merge_sorted_runs(group, ts, 1.0)
-    assert ts[keep].tolist() == [x for values, _ in expected for x in values]
-    assert sizes.tolist() == [k for _, counts in expected for k in counts]
+    owner = rng.integers(0, 20, size=120)
+    ts = rng.integers(-4, 30, size=120) * 0.4
+    assert_merge_follows_the_loop(owner, ts, 22, 1.0)
 
 
 @pytest.mark.parametrize("n", [5, 8])

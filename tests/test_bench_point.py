@@ -46,7 +46,8 @@ def git(root, *argv):
 def test_the_paired_mode_alternates_the_two_trees_run_for_run(tmp_path, monkeypatch):
     if shutil.which("git") is None:
         pytest.skip("the paired mode needs git")
-    # two commits of a copy of src/: the second only adds a comment
+    # two commits of a copy of src/, the second only adding a comment, and
+    # an uncommitted comment on top
     root = tmp_path / "checkout"
     shutil.copytree(REPO / "src", root / "src",
                     ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
@@ -58,7 +59,17 @@ def test_the_paired_mode_alternates_the_two_trees_run_for_run(tmp_path, monkeypa
     init.write_text(init.read_text(encoding="utf-8") + "# second\n", encoding="utf-8")
     git(root, "commit", "-q", "-am", "second")
     second = git(root, "rev-parse", "HEAD")
+    init.write_text(init.read_text(encoding="utf-8") + "# uncommitted\n", encoding="utf-8")
 
+    timed = []  # the src/ of every run, and whether it holds the uncommitted line
+    run_once = bench_point.run_once
+
+    def recording(src, argv):
+        text = (src / "polydissect" / "__init__.py").read_text(encoding="utf-8")
+        timed.append((src, text.endswith("# uncommitted\n")))
+        return run_once(src, argv)
+
+    monkeypatch.setattr(bench_point, "run_once", recording)
     monkeypatch.setattr(bench_point, "REPO", tmp_path)
     monkeypatch.setattr(bench_point, "RUNS", 2)
     monkeypatch.setattr(bench_point, "COMMANDS", {"count-n4": ["count", "--n", "4"]})
@@ -66,7 +77,7 @@ def test_the_paired_mode_alternates_the_two_trees_run_for_run(tmp_path, monkeypa
     point = json.loads((tmp_path / "BENCH_pair.json").read_text(encoding="utf-8"))
     assert list(point) == ["label", "python", "numpy", "nproc", "runs",
                            "head", "against", "order", "compare"]
-    assert point["head"]["commit"] == second and point["head"]["bytecode"] is True
+    assert point["head"]["commit"] == f"{second}-dirty" and point["head"]["bytecode"] is True
     assert point["against"] == {**point["against"], "ref": "HEAD~1", "commit": first,
                                 "bytecode": True}
     for side in ("head", "against"):
@@ -79,5 +90,13 @@ def test_the_paired_mode_alternates_the_two_trees_run_for_run(tmp_path, monkeypa
     pair = point["compare"]["count-n4"]
     assert list(pair) == ["min_ratio", "median_ratio", "head_faster_rounds"]
     assert 0 <= pair["head_faster_rounds"] <= 2 and pair["min_ratio"] > 0
-    # the worktree is gone again
+    # the head's runs import a copy of its src/ with the uncommitted change;
+    # both trees come from src/ paths of one length in one temporary
+    # directory, which is gone again, with the worktree
+    sides = [o["side"] for o in point["order"]]
+    assert [dirty for _, dirty in timed] == [side == "head" for side in sides]
+    (head,), (base,) = ({src for (src, _), s in zip(timed, sides) if s == side}
+                        for side in ("head", "against"))
+    assert head != base and len(str(head)) == len(str(base))
+    assert head.parent.parent == base.parent.parent and not head.parent.parent.exists()
     assert len(git(root, "worktree", "list").splitlines()) == 1

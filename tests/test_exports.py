@@ -31,6 +31,7 @@ def test_removed_names_are_gone():
                          (planar, "_cycle_labels"), (reference, "ReferenceRow"),
                          (polygon, "base_array"), (arrangement, "SegmentSet"),
                          (geom, "segment_array"), (cli, "_count_range"),
+                         (geom, "merge_sorted_runs"), (geom, "group_order"),
                          *((m, name) for m in (polydissect, geom)
                            for name in ("Tolerance", "DEFAULT_TOL")),
                          *((m, name) for m in (polydissect, geom)

@@ -5,13 +5,14 @@ import random
 import numpy as np
 import pytest
 
+from conftest import values_along
 from polydissect import (
     DEFAULT_FUZZ, PolygonSpec, arrangement, base_segments, counts, split_all, split_all_fast,
 )
 from polydissect.arrangement import (
     _END, _INTERIOR, _MISS, _param_class, _segment_arrays, _solve_pairs, _split_tuple,
 )
-from polydissect.geom import close_pairs, group_order, merge_sorted_runs
+from polydissect.geom import close_pairs
 
 FUZZ = 1e-10
 
@@ -149,23 +150,21 @@ class TestSplitAtParams:
 
 
 def merge_one_list(values, fuzz):
-    """The surviving values and run sizes of one list, sorted first."""
-    ts = np.sort(values)
-    keep, sizes = merge_sorted_runs(np.zeros(len(ts), dtype=np.int64), ts, fuzz)
-    return ts[keep].tolist(), sizes.tolist()
+    """The kept values and run sizes of one segment: its ends 0 and 1 and ``values``."""
+    _, kept, sizes = values_along(np.zeros(len(values), dtype=np.intp), np.array(values), 1, fuzz)
+    return kept.tolist(), sizes.tolist()
 
 
 class TestMergeRuns:
     def test_runs_and_their_sizes(self):
         values, sizes = merge_one_list([0.7, 0.0, 0.3 + 1e-12, 1.0, 0.3, 0.3 + 2e-12], 1e-10)
         assert values == [0.0, 0.3 + 2e-12, 0.7, 1.0]
-        assert sizes == [1, 3, 1, 1]
+        assert sizes == [2, 3, 1, 2]
 
     def test_first_value_survives_in_the_first_run(self):
         values, sizes = merge_one_list([4e-11, -4e-11, 0.5], 1e-10)
-        assert values == [-4e-11, 0.5]
-        assert sizes == [2, 1]
-
+        assert values == [-4e-11, 0.5, 1.0]
+        assert sizes == [3, 1, 1]
 
 
 def brute_close_pairs(points, radius):
@@ -240,26 +239,6 @@ class TestClosePairs:
         points = np.random.default_rng(9).uniform(-1, 1, size=(40, 2))
         assert found_once(points, 3.0) == brute_close_pairs(points, 3.0)
         assert len(found_once(points, 3.0)) == 40 * 39 // 2
-
-
-class TestGroupOrder:
-    @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("top", [5, 70_000, 1 << 40])
-    def test_gives_the_lexsort_sequence(self, seed, top):
-        # few distinct values make ties; ids above 65,535 take more passes
-        rng = np.random.default_rng(seed)
-        group = rng.integers(0, top, size=300)
-        group[::7] = group[0]
-        values = rng.integers(-3, 4, size=300) * 0.5
-        order = group_order(group, values)
-        assert np.array_equal(np.sort(order), np.arange(300))
-        expected = np.lexsort((values, group))
-        assert np.array_equal(group[order], group[expected])
-        assert np.array_equal(values[order], values[expected])
-
-    def test_empty_input(self):
-        order = group_order(np.empty(0, dtype=np.int64), np.empty(0))
-        assert order.shape == (0,)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1e-10, 1e-3, 1.0])

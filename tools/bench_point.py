@@ -32,11 +32,14 @@ number of CPUs, and is written as JSON to ``BENCH_<label>.json`` at the
 root of the checkout holding this file. The exit status is 1 when any run
 failed, else 0.
 
-With ``--against REF`` the point is a pair: REF of the repository at
-``--root`` is checked out with ``git worktree`` in a temporary directory
-(removed afterwards), both trees' ``src/`` are compiled, and each run of a
-command on one tree is followed by the same run on the other, the tree
-that goes first swapping from round to round. The point then holds a
+With ``--against REF`` the point is a pair. In one temporary directory
+(removed afterwards), REF of the repository at ``--root`` is checked out
+with ``git worktree`` as ``base`` and the root's ``src/``, uncommitted
+changes included, is copied to ``head/src``: a fresh interpreter's time
+follows the length of the path it imports from, so both trees are timed
+from paths of one length. Both trees' ``src/`` are compiled, and each run
+of a command on one tree is followed by the same run on the other, the
+tree that goes first swapping from round to round. The point then holds a
 ``"head"`` and an ``"against"`` side, each with its commit, ``"bytecode"``
 and the ``"commands"`` entries above, the ``"order"`` in which the runs
 went, and per command (``"compare"``) the ratio head / against of the
@@ -53,6 +56,7 @@ import compileall
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -156,17 +160,19 @@ def compare(head: dict, against: dict) -> dict:
 
 
 def paired_point(root: Path, ref: str) -> dict:
-    """Time ``root`` against ``ref`` of its repository, checked out in a worktree."""
+    """Time ``root`` against ``ref`` of its repository, from paths of one length."""
     with tempfile.TemporaryDirectory() as tmp:
-        other = Path(tmp) / "against"
+        head, other = Path(tmp) / "head", Path(tmp) / "base"
+        shutil.copytree(root / "src", head / "src",
+                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
         subprocess.run(["git", "-C", str(root), "worktree", "add", "--detach", str(other), ref],
                        capture_output=True, text=True, check=True)
         try:
             sides = {"head": {"commit": git_commit(root)},
                      "against": {"ref": ref, "commit": git_commit(other)}}
-            for side, path in (("head", root), ("against", other)):
+            for side, path in (("head", head), ("against", other)):
                 sides[side]["bytecode"] = compile_bytecode(path / "src")
-            results, order = measure({"head": root, "against": other})
+            results, order = measure({"head": head, "against": other})
         finally:
             subprocess.run(["git", "-C", str(root), "worktree", "remove", "--force", str(other)],
                            capture_output=True, check=False)
