@@ -420,8 +420,9 @@ def _points_along(owner: np.ndarray, ts: np.ndarray, k: int, fuzz: float):
     order = np.argsort(grid, axis=1)
     grid = np.take_along_axis(grid, order, axis=1)
     opens, row, along, sizes = _runs(grid, length, fuzz)
-    run = np.empty(grid.shape, dtype=np.int64)
-    np.put_along_axis(run, order, np.cumsum(opens).reshape(grid.shape) - 1, axis=1)
+    ids = np.cumsum(opens).reshape(grid.shape)
+    run = np.empty_like(ids)
+    np.put_along_axis(run, order, np.subtract(ids, 1, out=ids), axis=1)
     point = np.empty(len(owner), dtype=np.int64)
     point[by_owner] = run[:, 2:][np.arange(2, grid.shape[1]) < length[:, None]]
     return row, along, sizes, point, run[:, :2]
