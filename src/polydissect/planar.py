@@ -5,7 +5,8 @@ headings) on the split's vertices; the faces are the cycles of the standard
 most-clockwise-turn successor of the half-edges, and their number is
 checked against Euler's formula. One kernel, ``_cycles``, finds the cycles
 of a permutation, both the faces and the rotation orbits of the tiles: a
-bounded leader walk, with pointer doubling for the cycles it leaves open.
+leader walk that hands the whole permutation to pointer doubling once it has
+done doubling's work.
 The orbit census is exact integer work on the face cycles: the rotation is
 read off the edge layout of ``split_all_fast`` (base row after base row, each
 from corner to corner) and checked to be the half-edge map that commutes with
@@ -31,8 +32,16 @@ from .geom import Split
 from .arrangement import cluster_endpoints
 
 
-# leader-walk steps per item before pointer doubling takes over in _cycles
-WALK_STEPS = 8
+def _min_labels(succ: np.ndarray) -> np.ndarray:
+    """The smallest item of the cycle of each item of the permutation
+    ``succ``, by pointer doubling: after r rounds a label is the minimum over
+    the item and the 2**r - 1 after it, so a cycle of length L takes log2(L)
+    rounds. On a map that is not a permutation the doubling need not end."""
+    label, ptr = np.arange(len(succ)), succ
+    while not np.array_equal(label, label[succ]):
+        label = np.minimum(label, label[ptr])
+        ptr = ptr[ptr]
+    return label
 
 
 def _cycles(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -40,42 +49,35 @@ def _cycles(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Returns ``(lead, size, members)``: the leads in increasing order, the
     length of each cycle, and the cycles one after another, each listed
-    from its lead along ``succ``.
+    from its lead along ``succ``, all cycles advancing one item a round.
 
     Every item walks its cycle, all of them in lockstep, while the items it
     meets are larger; an item that gets back to itself is a lead, and the
     round it does so gives the length of its cycle. Most items stop within
     a step or two, but on a long cycle of increasing items the walk is
-    quadratic, so it ends once it has taken WALK_STEPS steps per item. The
-    cycles it leaves without a lead are then labelled by pointer doubling:
-    after r rounds a label is the minimum over the item and the 2**r - 1
-    after it, so a cycle of length L takes log2(L) rounds. On a map that is
-    not a permutation the doubling need not end.
+    quadratic, so once it has taken n * log2(n) steps, the work of pointer
+    doubling, it hands the whole permutation to ``_min_labels``.
     """
     n = len(succ)
     size_of = np.zeros(n, dtype=np.int64)  # the cycle length at a lead, else 0
     h, at, length, steps = np.arange(n), succ, 1, 0
-    while len(h) and steps <= WALK_STEPS * n:
+    while len(h) and steps <= n * n.bit_length():
         size_of[h[at == h]] = length
         live = at > h
         h, at = h[live], succ[at[live]]
         length, steps = length + 1, steps + len(h)
     if len(h):
-        # number the items of the open cycles in their own order, so that the
-        # smallest number in a cycle is its lead's
-        done = np.flatnonzero(size_of)
-        rest = np.ones(n, dtype=bool)
-        rest[_members(succ, done, size_of[done])] = False
-        rest = np.flatnonzero(rest)
-        sub = np.searchsorted(rest, succ[rest])
-        label, ptr = np.arange(len(rest)), sub
-        while not np.array_equal(label, label[sub]):
-            label = np.minimum(label, label[ptr])
-            ptr = ptr[ptr]
-        # every label is a lead's number, so only leads count items
-        size_of[rest] = np.bincount(label, minlength=len(rest))
+        # every label is a lead, so only leads count items
+        size_of = np.bincount(_min_labels(succ), minlength=n)
     lead = np.flatnonzero(size_of)
-    return lead, size_of[lead], _members(succ, lead, size_of[lead])
+    size = size_of[lead]
+    members = np.empty(int(size.sum()), dtype=np.int64)
+    h, at, left = lead, np.cumsum(size) - size, size
+    while len(h):
+        members[at] = h
+        live = left > 1
+        h, at, left = succ[h[live]], at[live] + 1, left[live] - 1
+    return lead, size, members
 
 
 def _ring_next(start: np.ndarray) -> np.ndarray:
@@ -85,18 +87,6 @@ def _ring_next(start: np.ndarray) -> np.ndarray:
     nxt = np.arange(1, start[-1] + 1)
     nxt[start[1:][full] - 1] = start[:-1][full]
     return nxt
-
-
-def _members(succ: np.ndarray, lead: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """The cycles of the given leads and sizes, listed from each lead along
-    ``succ`` one after another; all cycles advance one item a round."""
-    members = np.empty(int(size.sum()), dtype=np.int64)
-    h, at, left = lead, np.cumsum(size) - size, size
-    while len(h):
-        members[at] = h
-        live = left > 1
-        h, at, left = succ[h[live]], at[live] + 1, left[live] - 1
-    return members
 
 
 @dataclass(frozen=True, eq=False)

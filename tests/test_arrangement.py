@@ -11,8 +11,10 @@ from conftest import (
 from polydissect import (
     DEFAULT_FUZZ,
     AmbiguousClustering,
+    GeometryError,
     NumericalDegeneracy,
     PolygonSpec,
+    SymmetryViolation,
     base_segments,
     build_graph,
     cluster_endpoints,
@@ -21,7 +23,7 @@ from polydissect import (
     split_all,
     split_all_fast,
 )
-from polydissect import arrangement, polygon
+from polydissect import arrangement, cli, polygon
 from polydissect.arrangement import (
     _INTERIOR, _PAD, _corner_hits, _hits, _rows_along, _segment_arrays, _solve_pairs,
 )
@@ -123,6 +125,20 @@ def test_a_degenerate_base_row_beside_a_good_one_raises(splitter, row, first):
     good = [0.0, 1.0, 1.0, 0.0]
     with pytest.raises(NumericalDegeneracy):
         splitter(np.array([row, good] if first else [good, row]))
+
+
+def test_a_fragment_shorter_than_fuzz_between_two_cuts_raises():
+    # the tilted row crosses the horizontal 6e-11 right of the vertical, so
+    # the horizontal's two cuts, not merged, leave a piece shorter than fuzz
+    a = 1e-3
+    base = segs([0.25, -1, 0.25, 1],
+                [0.25 + 6e-11 - math.sin(a), -math.cos(a), 0.25 + 6e-11 + math.sin(a), math.cos(a)],
+                [0, 0, 0.5, 0])
+    with pytest.raises(NumericalDegeneracy, match="fragment shorter than fuzz") as err:
+        split_all(base)
+    assert err.traceback[-1].name == "_split_tuple"
+    with pytest.raises(NumericalDegeneracy, match="segment of length 6.000e-11"):
+        split_all_fast(base)
 
 
 def test_a_single_base_row_comes_back_whole():
@@ -337,6 +353,28 @@ def test_the_orbit_route_builds_no_point_map(n, monkeypatch):
     monkeypatch.setattr(arrangement, "_points_along", refuse)
     monkeypatch.setattr(np, "argsort", refuse)
     assert counts(PolygonSpec(n)) == want
+
+
+def tally_of(e, segments, weight):
+    """A stand-in for ``_tally``: E, and one point on ``segments`` of ``weight``."""
+    return lambda spec, fuzz: (e, np.array(segments), np.array(weight), np.array([True]))
+
+
+def test_incidences_that_k_does_not_divide_raise(monkeypatch):
+    # four incidences of a point on three segments: one point was resolved
+    # differently on different segments
+    monkeypatch.setattr(arrangement, "_tally", tally_of(10, [3], [4.0]))
+    with pytest.raises(AmbiguousClustering, match="4 incidences, not a multiple of 3"):
+        counts(PolygonSpec(3))
+
+
+def test_a_face_total_off_the_rotation_raises(monkeypatch, capsys):
+    # E = 10 and two points on two segments give F = 9, no multiple of N = 6
+    monkeypatch.setattr(arrangement, "_tally", tally_of(10, [2], [4.0]))
+    with pytest.raises(SymmetryViolation, match="face count 9 .* multiple of N=6"):
+        counts(PolygonSpec(3))
+    assert cli.main(["count", "--n", "3"]) == 3
+    assert "error:" in capsys.readouterr().err
 
 
 def test_values_along_a_segment_without_hits_are_its_ends():
@@ -721,6 +759,23 @@ class TestCounts:
             counts(spec, fuzz)
         with pytest.raises(error):
             full_route(spec, fuzz)
+
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_both_routes_agree_or_both_refuse_over_a_fuzz_sweep(self, n):
+        # the folded merge keeps other run ends than the unfolded one, so
+        # a too-coarse fuzz must still be refused on both routes or neither
+        spec = PolygonSpec(n)
+        for fuzz in (1e-9, 1e-8, 1e-7, 1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4, 9e-4):
+            try:
+                orbit = counts(spec, fuzz)
+                orbit = (orbit.V, orbit.E)
+            except GeometryError:
+                orbit = None
+            try:
+                full = full_route(spec, fuzz)[:2]
+            except GeometryError:
+                full = None
+            assert orbit == full, fuzz
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_divisibility(self, n):

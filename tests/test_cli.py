@@ -231,6 +231,22 @@ class TestRender:
         assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--max-n", "40"], "--max-n must be in 2..39"),
+    (["verify", "--max-n", "5", "--jobs", "0"], "--jobs must be at least 1"),
+    (["render", "--n", "65"], "--n must be in 2..64"),
+    (["render", "--n", "3", "--zoom", "a,b,c,d"], "--zoom expects four numbers"),
+])
+def test_a_usage_error_exits_2_and_writes_nothing(argv, message, tmp_path, capsys):
+    if argv[0] == "render":
+        argv = [*argv, "--out", str(tmp_path / "x.svg")]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def _count_parsers(monkeypatch) -> list:
     """Wrap ``ArgumentParser.__init__``; the list gets one item per parser built."""
     built = []

@@ -32,6 +32,7 @@ def test_removed_names_are_gone():
                          (polygon, "base_array"), (arrangement, "SegmentSet"),
                          (geom, "segment_array"), (cli, "_count_range"),
                          (geom, "merge_sorted_runs"), (geom, "group_order"),
+                         (planar, "WALK_STEPS"), (planar, "_members"),
                          *((m, name) for m in (polydissect, geom)
                            for name in ("Tolerance", "DEFAULT_TOL")),
                          *((m, name) for m in (polydissect, geom)

@@ -16,6 +16,7 @@ from polydissect import (
     orbit_census,
     split_all_fast,
 )
+from polydissect import planar
 from polydissect.planar import _cycles
 from polydissect.reference import reference_table
 
@@ -271,14 +272,23 @@ class TestCycleLabels:
         assert_cycles_like_the_oracle(short_cycles(rng, rng.permutation(20_000), 20_000))
 
     @pytest.mark.parametrize("kind", ["increasing", "decreasing", "random"])
-    def test_one_long_cycle(self, kind):
+    def test_one_long_cycle(self, kind, monkeypatch):
         # an increasing cycle makes every item walk to the end: the walk
         # must hand it to pointer doubling, or it is quadratic
         order = {"increasing": np.arange(100_000),
                  "decreasing": np.arange(100_000)[::-1],
                  "random": np.random.default_rng(7).permutation(100_000)}[kind]
         succ = cycle_through(order)
+        calls, min_labels = [], planar._min_labels
+
+        def counted(succ):
+            calls.append(len(succ))
+            return min_labels(succ)
+
+        monkeypatch.setattr(planar, "_min_labels", counted)
         assert_cycles_like_the_oracle(succ)
+        if kind == "increasing":
+            assert calls == [100_000]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_long_cycles_among_short_ones(self, seed):
@@ -296,6 +306,22 @@ class TestCycleLabels:
         assert np.array_equal(lead, succ) and np.array_equal(members, succ)
         assert not np.any(size - 1)
         assert all(len(a) == 0 for a in _cycles(np.arange(0)))
+
+
+@pytest.mark.parametrize("n", [*range(2, 14), 20, 24, 39])
+def test_the_figure_route_never_falls_back_to_pointer_doubling(n, monkeypatch):
+    # face cycles and rotation orbits are short: the walk closes them all
+    # well inside its budget
+    def refuse(succ):
+        raise AssertionError("the walk handed a permutation to pointer doubling")
+
+    g = graph_for(n)
+    monkeypatch.setattr(planar, "_min_labels", refuse)
+    faces = enumerate_faces(g)
+    census = orbit_census(faces)
+    reference = {r.n: r for r in reference_table()}[n]
+    assert len(faces) - 1 == reference.F
+    assert (census.per_ray, census.central) == (reference.per_ray, reference.central)
 
 
 class TestOrbitCensus:

@@ -20,8 +20,10 @@ bytecode once (``compileall``, which writes it even where
 ``PYTHONDONTWRITEBYTECODE`` is set), so that no child compiles a module
 and a fresh clone is timed like a checkout that has its ``__pycache__``;
 the point records whether that succeeded as ``"bytecode"``.
-Each command runs ``RUNS`` times, interleaved: one run of every command
-per round, so slow stretches of a shared host spread over all of them.
+Each command runs ``RUNS`` (11) times, interleaved: one run of every
+command per round, so slow stretches of a shared host spread over all of
+them. Eleven, since on a shared 2-vCPU host five runs a side let two trees
+whose code was level read up to x1.26 of each other's minimum.
 For each command the point records every run's wall time
 (from start to exit of the child, interpreter start-up included), the
 minimum and the median, and the child's own ``ru_maxrss`` (from
@@ -67,7 +69,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 REPO = HERE.parent
 
-RUNS = 5  # runs of each command
+RUNS = 11  # runs of each command
 
 COMMANDS = {
     "count-n39": ["count", "--n", "39"],
