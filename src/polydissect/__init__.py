@@ -15,7 +15,6 @@ from .arrangement import (
     cluster_endpoints,
     count_vertices,
     counts,
-    split_all,
     split_all_fast,
 )
 from .planar import (
@@ -46,7 +45,6 @@ __all__ = [
     "cluster_endpoints",
     "count_vertices",
     "counts",
-    "split_all",
     "split_all_fast",
     "FaceRecord",
     "Faces",

@@ -1,6 +1,6 @@
 """Segment splitting and Euler counting for the dissected polygon.
 
-There are three routes from the base segments to the counts:
+There are two routes from the base segments to the counts:
 
 * ``counts`` (the orbit route) finds the base segments that meet one
   base segment per rotation orbit, merges the cut parameters along each
@@ -13,10 +13,6 @@ There are three routes from the base segments to the counts:
   pairwise intersections and reads the vertex of every fragment end off
   the same hits. Figures need it, and the tests use it as the oracle for
   ``counts``.
-* ``split_all`` is the reference splitter: a working set is rescanned for
-  every base segment, crossings cut both sides, endpoint touches cut only
-  the touched side, and the incoming segment joins the set as its
-  fragments. The tests use it as the oracle for ``split_all_fast``.
 
 The two routes share no hit code, so the full route is an independent
 oracle for the orbit route. ``split_all_fast``'s kernel, ``_hits``, solves
@@ -24,15 +20,15 @@ each pair of base segments once, in cache-sized blocks, and returns every
 pair that meets from both sides: each side is one segment, the other and
 the line parameter on the first, classified as interior or end within
 ``fuzz``. Only the pairs whose two parameters lie near [0, 1] are
-classified, and parallel pairs are checked for collinear overlap as in
-``split_all`` and meet where their ends touch. The full route keeps the
-interior hits, so each cut is found once, on the segment it cuts.
+classified, and parallel pairs are checked for collinear overlap
+(``_parallel_overlap``) and meet where their ends touch. The full route
+keeps the interior hits, so each cut is found once, on the segment it cuts.
 ``counts`` reads which chords meet off their corners (``_corner_hits``):
 integers decide every hit and which of each mirror pair is kept, and the
 float solve only places it. One kernel merges the cuts along a segment
-for both routes and ``split_all``: each segment's ends and cuts fill one
-padded row (``_rows_along``), and the runs merge on the rows once they are
-sorted (``_runs``). Only the row sort differs. ``counts`` needs the merged
+for both routes: each segment's ends and cuts fill one padded row
+(``_rows_along``), and the runs merge on the rows once they are sorted
+(``_runs``). Only the row sort differs. ``counts`` needs the merged
 values alone and sorts in place; the full route needs the point each hit
 merged into, so it sorts by index and sends each run back (``_points_along``).
 
@@ -44,12 +40,11 @@ link between two vertices raises. No 2-D distance decides a vertex; ``geom.close
 only guards that no two vertices come closer than 3*fuzz.
 
 A segment is one x0, y0, x1, y1 row of a (k, 4) float array:
-``base_segments`` feeds the pair kernel, ``split_all`` returns its
-fragments as such an array, and ``split_all_fast`` turns a base array
-into a ``geom.Split``: the fragment array, a vertex label and a heading
-(the angular rank of its base direction) per fragment end, and the (V, 2)
-vertex array. The graph stages take this ``Split`` and nothing else, and
-``cluster_endpoints`` hands out its vertices as they are.
+``base_segments`` feeds the pair kernel, and ``split_all_fast`` turns a
+base array into a ``geom.Split``: the fragment array, a vertex label and
+a heading (the angular rank of its base direction) per fragment end, and
+the (V, 2) vertex array. The graph stages take this ``Split`` and nothing
+else, and ``cluster_endpoints`` hands out its vertices as they are.
 """
 
 from __future__ import annotations
@@ -80,34 +75,6 @@ class CountSummary:
         return 2 * self.n
 
 
-def _cut_tuple(wx0, wy0, wx1, wy1, u, fuzz):
-    """Split a working-set entry at parameter u into its two fragments."""
-    cx = u * wx1 + (1.0 - u) * wx0
-    cy = u * wy1 + (1.0 - u) * wy0
-    l0 = math.hypot(cx - wx0, cy - wy0)
-    l1 = math.hypot(wx1 - cx, wy1 - cy)
-    if l0 < fuzz or l1 < fuzz:
-        raise NumericalDegeneracy(
-            f"fragment shorter than fuzz {fuzz:g} near ({cx:.12g}, {cy:.12g})")
-    return (wx0, wy0, cx, cy, l0), (cx, cy, wx1, wy1, l1)
-
-
-def _split_tuple(x0, y0, x1, y1, params, fuzz):
-    """Cut one segment (as coordinates) at merged interior parameters."""
-    grid, length = _rows_along(np.zeros(len(params), dtype=np.intp), np.array(params), 1)
-    grid.sort(axis=1)
-    merged = _runs(grid, length, fuzz)[2]
-    pts = [(t * x1 + (1.0 - t) * x0, t * y1 + (1.0 - t) * y0) for t in merged.tolist()]
-    out = []
-    for (ax, ay), (bx, by) in zip(pts, pts[1:]):
-        ln = math.hypot(bx - ax, by - ay)
-        if ln < fuzz:
-            raise NumericalDegeneracy(
-                f"fragment shorter than fuzz {fuzz:g} near ({ax:.12g}, {ay:.12g})")
-        out.append((ax, ay, bx, by, ln))
-    return out
-
-
 def _check_fuzz(fuzz: float) -> None:
     """ValueError unless 0 < fuzz < 1e-3: every distance here lies within the unit disk."""
     if not (0.0 < fuzz < 1e-3):
@@ -118,12 +85,15 @@ def _check_rows(rows: np.ndarray, fuzz: float) -> None:
     """Refuse all but a (k, 4) array of finite rows longer than DEFAULT_FUZZ and fuzz.
 
     Raises ValueError for a fuzz outside (0, 1e-3) or an array of another
-    shape, TypeError for anything but an ndarray, and NumericalDegeneracy
-    for a row that is too short or not finite.
+    shape, TypeError for anything but an ndarray of float64, float32 or
+    float16 (an integer difference can wrap), and NumericalDegeneracy for
+    a row that is too short or not finite.
     """
     _check_fuzz(fuzz)
-    if not isinstance(rows, np.ndarray):
-        raise TypeError(f"segments must be an ndarray, not {type(rows).__name__}:"
+    if not (isinstance(rows, np.ndarray) and rows.dtype.kind == "f"
+            and np.can_cast(rows.dtype, np.float64)):
+        kind = f"dtype {rows.dtype}" if isinstance(rows, np.ndarray) else type(rows).__name__
+        raise TypeError(f"segments must be a float64, float32 or float16 ndarray, not {kind}:"
                         f" pass an (m, 4) array of x0, y0, x1, y1 rows")
     if rows.ndim != 2 or rows.shape[1] != 4:
         raise ValueError(f"segments must be a (k, 4) array, got shape {rows.shape}")
@@ -146,68 +116,6 @@ def _parallel_overlap(sx0, sy0, sdx, sdy, slen, wx0, wy0, wx1, wy1, fuzz):
     # min(max(t0, t1), 1) - max(min(t0, t1), 0) > fuzz, term by term
     return ((d0 <= fuzz) & (d1 <= fuzz) & (abs(t1 - t0) > fuzz)
             & ((t0 > fuzz) | (t1 > fuzz)) & ((1.0 - t0 > fuzz) | (1.0 - t1 > fuzz)))
-
-
-def split_all(base: np.ndarray, fuzz: float = DEFAULT_FUZZ) -> np.ndarray:
-    """Fragment every base segment at every crossing or touch.
-
-    Working-set rescan: each base segment is intersected against all
-    fragments accumulated so far. An interior-interior hit cuts both
-    sides; a hit at a fragment endpoint cuts only the side whose interior
-    was met. Raises ValueError for collinear overlapping base segments, and
-    NumericalDegeneracy for a base row or fragment shorter than fuzz or not
-    finite, and TypeError or ValueError for a base that is not an (m, 4)
-    array. The fragments come back as an (E, 4) array.
-    """
-    _check_rows(base, fuzz)
-    working: list[tuple] = []
-    for sx0, sy0, sx1, sy1 in base.tolist():
-        sdx = sx1 - sx0
-        sdy = sy1 - sy0
-        slen = math.hypot(sdx, sdy)
-        if not working:
-            working.append((sx0, sy0, sx1, sy1, slen))
-            continue
-
-        cut_params: list[float] = []
-        removed: set[int] = set()
-        chaff: list[tuple] = []
-        for idx, (wx0, wy0, wx1, wy1, wlen) in enumerate(working):
-            a01 = wx0 - wx1
-            a11 = wy0 - wy1
-            det = sdx * a11 - a01 * sdy
-            if abs(det) < fuzz * slen * wlen:
-                if _parallel_overlap(sx0, sy0, sdx, sdy, slen, wx0, wy0, wx1, wy1, fuzz):
-                    raise ValueError("collinear overlapping segments in the base set")
-                continue
-            rhs0 = wx0 - sx0
-            rhs1 = wy0 - sy0
-            t = (rhs0 * a11 - a01 * rhs1) / det
-            u = (sdx * rhs1 - rhs0 * sdy) / det
-            if fuzz < t < 1.0 - fuzz:
-                if fuzz < u < 1.0 - fuzz:
-                    # true crossing: cut the working entry now, the incoming later
-                    cut_params.append(t)
-                    chaff.extend(_cut_tuple(wx0, wy0, wx1, wy1, u, fuzz))
-                    removed.add(idx)
-                elif abs(u) < fuzz or abs(u - 1.0) < fuzz:
-                    # fragment endpoint touches the incoming interior
-                    cut_params.append(t)
-            elif abs(t) < fuzz or abs(t - 1.0) < fuzz:
-                if fuzz < u < 1.0 - fuzz:
-                    # incoming endpoint touches the fragment interior
-                    chaff.extend(_cut_tuple(wx0, wy0, wx1, wy1, u, fuzz))
-                    removed.add(idx)
-
-        if removed:
-            working = [w for i, w in enumerate(working) if i not in removed]
-        working.extend(chaff)
-        if cut_params:
-            working.extend(_split_tuple(sx0, sy0, sx1, sy1, cut_params, fuzz))
-        else:
-            working.append((sx0, sy0, sx1, sy1, slen))
-
-    return np.array([w[:4] for w in working], dtype=float).reshape(-1, 4)
 
 
 # Classes of a line parameter, as _solve_pairs returns them.
@@ -335,25 +243,6 @@ def _hits(arrays: tuple[np.ndarray, ...], fuzz: float):
             np.concatenate((t, u)), np.concatenate((t_cls, u_cls)))
 
 
-def split_all_fast(base: np.ndarray, fuzz: float = DEFAULT_FUZZ) -> Split:
-    """Same fragment multiset as split_all, via pairwise base intersections.
-
-    Every cut on a fragment corresponds to a cut on its base segment, so
-    it suffices to solve all base-segment pairs (in blocks, vectorized)
-    and split each base segment once at its accumulated parameters. The
-    fragments come grouped by base segment, in base order, and ordered
-    along each. ``base`` is an (m, 4) array, and the result is a ``Split``:
-    the (E, 4) fragments with the vertex and heading of each end (see
-    ``_split``). The base rows take ``split_all``'s check before the pair
-    solve. Raises NumericalDegeneracy for a base row or fragment shorter
-    than fuzz or not finite, AmbiguousClustering for a hit that joins two
-    vertices or when two vertices come closer than 3*fuzz, and ValueError
-    for collinear overlapping segments.
-    """
-    _check_rows(base, fuzz)
-    return _split(base, fuzz)
-
-
 # the padding of the merge grid's rows: finite, so that padding minus padding is 0, not NaN
 _PAD = np.finfo(np.float64).max
 
@@ -453,17 +342,28 @@ def _hit_points(base: np.ndarray, fuzz: float):
     return owner, along, point, np.roll(point, len(point) // 2)
 
 
-def _split(base: np.ndarray, fuzz: float) -> Split:
-    """The ``Split`` of an (m, 4) base array.
+def split_all_fast(base: np.ndarray, fuzz: float = DEFAULT_FUZZ) -> Split:
+    """The ``Split`` of an (m, 4) base array, via pairwise base intersections.
 
-    The vertices are the cliques of the links ``_hit_points`` reads off the
-    hits: the segments through a point, not a distance, decide which points
-    are one vertex. A link between two vertices raises AmbiguousClustering,
-    after the fragment lengths are checked. Vertices are numbered in the order
+    Every cut on a fragment corresponds to a cut on its base segment, so
+    it suffices to solve all base-segment pairs (in blocks, vectorized)
+    and split each base segment once at its accumulated parameters. The
+    fragments come grouped by base segment, in base order, and ordered
+    along each. The vertices are the cliques of the links ``_hit_points``
+    reads off the hits: the segments through a point, not a distance,
+    decide which points are one vertex. Vertices are numbered in the order
     of their first fragment end, and each is placed at the mean of its
     fragment ends. The 2m base directions, forward and back, are ranked by
     ``arctan2`` once; an end's heading is the rank of the one leaving it.
+
+    The base rows are checked before the pair solve. Raises TypeError or
+    ValueError for a base that is not an (m, 4) float array,
+    NumericalDegeneracy for a base row or fragment shorter than fuzz or not
+    finite, AmbiguousClustering for a hit that joins two vertices (after
+    the fragment lengths are checked) or when two vertices come closer
+    than 3*fuzz, and ValueError for collinear overlapping segments.
     """
+    _check_rows(base, fuzz)
     if len(base) == 0:  # _hits needs at least one block to concatenate
         return Split(base, np.empty(0, dtype=np.int64), np.empty((0, 2)),
                      np.empty(0, dtype=np.uint8))

@@ -2,7 +2,7 @@
 
 All geometry in this package lives in the closed unit disk, so a single
 absolute distance threshold, a float ``fuzz`` in (0, 1e-3), serves both for
-point identity and for the parallelism test of ``arrangement``'s pair solvers.
+point identity and for the parallelism test of ``arrangement``'s pair kernel.
 """
 
 from __future__ import annotations

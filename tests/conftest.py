@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 
-from polydissect.arrangement import _points_along, _rows_along, _runs, _segment_arrays
+from polydissect.arrangement import (
+    _check_rows, _parallel_overlap, _points_along, _rows_along, _runs, _segment_arrays,
+)
+from polydissect.errors import NumericalDegeneracy
 from polydissect.geom import DEFAULT_FUZZ, Split, close_pairs
 from polydissect.planar import enumerate_faces, orbit_census
 
@@ -53,6 +56,97 @@ def merge_runs_loop(params, fuzz):
             sizes.append(1)
         run[i] = len(out) - 1
     return out, sizes, run
+
+
+def _cut_tuple(wx0, wy0, wx1, wy1, u, fuzz):
+    """Split a working-set entry at parameter u into its two fragments."""
+    cx = u * wx1 + (1.0 - u) * wx0
+    cy = u * wy1 + (1.0 - u) * wy0
+    l0 = math.hypot(cx - wx0, cy - wy0)
+    l1 = math.hypot(wx1 - cx, wy1 - cy)
+    if l0 < fuzz or l1 < fuzz:
+        raise NumericalDegeneracy(
+            f"fragment shorter than fuzz {fuzz:g} near ({cx:.12g}, {cy:.12g})")
+    return (wx0, wy0, cx, cy, l0), (cx, cy, wx1, wy1, l1)
+
+
+def _split_tuple(x0, y0, x1, y1, params, fuzz):
+    """Cut one segment (as coordinates) at interior parameters, merged by
+    ``merge_runs_loop``; rows are x0, y0, x1, y1, length."""
+    pts = [(t * x1 + (1.0 - t) * x0, t * y1 + (1.0 - t) * y0)
+           for t in merge_runs_loop(params, fuzz)[0]]
+    out = []
+    for (ax, ay), (bx, by) in zip(pts, pts[1:]):
+        ln = math.hypot(bx - ax, by - ay)
+        if ln < fuzz:
+            raise NumericalDegeneracy(
+                f"fragment shorter than fuzz {fuzz:g} near ({ax:.12g}, {ay:.12g})")
+        out.append((ax, ay, bx, by, ln))
+    return out
+
+
+def split_all(base, fuzz=DEFAULT_FUZZ):
+    """The reference splitter: fragment every base segment at every crossing or touch.
+
+    Working-set rescan: each base segment is intersected against all
+    fragments accumulated so far. An interior-interior hit cuts both
+    sides; a hit at a fragment endpoint cuts only the side whose interior
+    was met. It shares the row check and the collinear-overlap rule with
+    ``split_all_fast`` but no merge code, so it is an oracle for that
+    splitter's merge kernel. Raises ValueError for collinear overlapping
+    base segments, NumericalDegeneracy for a base row or fragment shorter
+    than fuzz or not finite, and TypeError or ValueError for a base that is
+    not an (m, 4) float array. The fragments come back as an (E, 4) array.
+    """
+    _check_rows(base, fuzz)
+    working = []
+    for sx0, sy0, sx1, sy1 in base.tolist():
+        sdx = sx1 - sx0
+        sdy = sy1 - sy0
+        slen = math.hypot(sdx, sdy)
+        if not working:
+            working.append((sx0, sy0, sx1, sy1, slen))
+            continue
+
+        cut_params = []
+        removed = set()
+        chaff = []
+        for idx, (wx0, wy0, wx1, wy1, wlen) in enumerate(working):
+            a01 = wx0 - wx1
+            a11 = wy0 - wy1
+            det = sdx * a11 - a01 * sdy
+            if abs(det) < fuzz * slen * wlen:
+                if _parallel_overlap(sx0, sy0, sdx, sdy, slen, wx0, wy0, wx1, wy1, fuzz):
+                    raise ValueError("collinear overlapping segments in the base set")
+                continue
+            rhs0 = wx0 - sx0
+            rhs1 = wy0 - sy0
+            t = (rhs0 * a11 - a01 * rhs1) / det
+            u = (sdx * rhs1 - rhs0 * sdy) / det
+            if fuzz < t < 1.0 - fuzz:
+                if fuzz < u < 1.0 - fuzz:
+                    # true crossing: cut the working entry now, the incoming later
+                    cut_params.append(t)
+                    chaff.extend(_cut_tuple(wx0, wy0, wx1, wy1, u, fuzz))
+                    removed.add(idx)
+                elif abs(u) < fuzz or abs(u - 1.0) < fuzz:
+                    # fragment endpoint touches the incoming interior
+                    cut_params.append(t)
+            elif abs(t) < fuzz or abs(t - 1.0) < fuzz:
+                if fuzz < u < 1.0 - fuzz:
+                    # incoming endpoint touches the fragment interior
+                    chaff.extend(_cut_tuple(wx0, wy0, wx1, wy1, u, fuzz))
+                    removed.add(idx)
+
+        if removed:
+            working = [w for i, w in enumerate(working) if i not in removed]
+        working.extend(chaff)
+        if cut_params:
+            working.extend(_split_tuple(sx0, sy0, sx1, sy1, cut_params, fuzz))
+        else:
+            working.append((sx0, sy0, sx1, sy1, slen))
+
+    return np.array([w[:4] for w in working], dtype=float).reshape(-1, 4)
 
 
 def values_along(owner, ts, k, fuzz=DEFAULT_FUZZ):

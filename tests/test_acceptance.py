@@ -10,10 +10,11 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 
 from conftest import (
-    crossing_free, float_clusters, lengths, lies_on, rotate_segments, shuffled_rows,
+    crossing_free, float_clusters, lengths, lies_on, rotate_segments, shuffled_rows, split_all,
 )
 from polydissect import (
     DEFAULT_FUZZ,
@@ -26,9 +27,9 @@ from polydissect import (
     enumerate_faces,
     orbit_census,
     render_svg,
-    split_all,
     split_all_fast,
 )
+from polydissect.geom import close_pairs
 from polydissect.reference import reference_table
 
 REFERENCE = {r.n: r for r in reference_table()}
@@ -175,8 +176,31 @@ def test_criterion_6_property_tests():
     assert not failures, f"property failures: {failures}"
 
 
+def same_fragments(rows, other, tol=1e-12):
+    """Whether two (E, 4) fragment arrays hold the same segments up to
+    orientation: each row lies within ``tol``, coordinate by coordinate, of
+    exactly one row of the other, with its ends in one order or the other.
+
+    The rows are paired by their midpoints, less than 2 * tol apart for
+    such a pair; the fragments of a split meet only at their ends, so no
+    two of one split share a midpoint.
+    """
+    if rows.shape != other.shape:
+        return False
+    mids = np.concatenate((rows[:, :2] + rows[:, 2:], other[:, :2] + other[:, 2:])) / 2.0
+    i, j = close_pairs(mids, 2.0 * tol)
+    i, j = np.minimum(i, j), np.maximum(i, j) - len(rows)
+    if not (np.array_equal(np.sort(i), np.arange(len(rows)))
+            and np.array_equal(np.sort(j), np.arange(len(rows)))):
+        return False
+    a, b = rows[i], other[j]
+    gap = np.minimum(np.abs(a - b).max(axis=1), np.abs(a - b[:, [2, 3, 0, 1]]).max(axis=1))
+    return bool(np.all(gap <= tol))
+
+
 def check_fast_splitter(ns: range) -> None:
-    """The reference and the fast splitter give the same (V, E, F) for each n."""
+    """The reference and the fast splitter give the same fragments, to
+    1e-12 and up to orientation, and the same (V, E, F) for each n."""
     bad = []
     slow_total = 0.0
     fast_total = 0.0
@@ -191,11 +215,12 @@ def check_fast_splitter(ns: range) -> None:
         # the reference split has no vertex identity of its own: cluster it by distance
         vs = len(float_clusters(slow, DEFAULT_FUZZ)[1])
         vf = count_vertices(fast)
-        if (len(slow), vs) != (len(fast), vf):
+        if (len(slow), vs) != (len(fast), vf) or not same_fragments(slow, fast.frags):
             bad.append((n, len(slow), len(fast), vs, vf))
     speedup = slow_total / fast_total if fast_total > 0 else float("inf")
     report("7", not bad,
-           f"identical (V, E, F) for n = {ns.start}..{ns.stop - 1}; splitter speedup"
+           f"the same fragments to 1e-12 and identical (V, E, F) for"
+           f" n = {ns.start}..{ns.stop - 1}; splitter speedup"
            f" x{speedup:.1f} ({slow_total:.2f}s -> {fast_total:.2f}s)")
     assert not bad, f"splitter disagreements: {bad}"
 

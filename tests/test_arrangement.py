@@ -6,7 +6,7 @@ import pytest
 
 from conftest import (
     assert_merge_follows_the_loop, crossing_free, dense_classes, float_clusters, frags_of, lengths,
-    lies_on, rotate_segments, shuffled_rows, values_along,
+    lies_on, rotate_segments, shuffled_rows, split_all, values_along,
 )
 from polydissect import (
     DEFAULT_FUZZ,
@@ -20,7 +20,6 @@ from polydissect import (
     cluster_endpoints,
     count_vertices,
     counts,
-    split_all,
     split_all_fast,
 )
 from polydissect import arrangement, cli, polygon

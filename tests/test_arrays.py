@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import assert_merge_follows_the_loop
+from conftest import assert_merge_follows_the_loop, split_all
 from polydissect import (
     AmbiguousClustering,
     PlanarGraph,
@@ -20,7 +20,6 @@ from polydissect import (
     counts,
     enumerate_faces,
     render_svg,
-    split_all,
     split_all_fast,
 )
 from polydissect import arrangement
@@ -221,16 +220,31 @@ def test_a_segment_array_that_is_not_k_by_4_raises(stage, shape):
 
 
 ROWS = [[0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 0.0]]
+# an unsigned difference wraps (uint64 rows once split into too few
+# fragments), an object or complex array failed inside numpy, and a long
+# double, where the platform has one wider than float64, is a float that
+# float64 does not hold
+NOT_FLOAT64 = ["uint64", "int64", "bool", "object", "complex128", "str",
+               *(["longdouble"] if np.finfo(np.longdouble).bits > 64 else [])]
 
 
-@pytest.mark.parametrize("form", ["rows", "split"])
+@pytest.mark.parametrize("form", ["rows", "split", *NOT_FLOAT64])
 @pytest.mark.parametrize("splitter", [split_all, split_all_fast])
 def test_segments_that_are_not_an_array_raise(splitter, form):
-    # a plain list of rows, or a Split, is not the (m, 4) array the splitters
-    # take; split.frags is
-    segments = ROWS if form == "rows" else split_all_fast(np.array(ROWS))
+    # a plain list of rows, a Split or an array of another dtype is not the
+    # (m, 4) float array the splitters take; split.frags is
+    segments = (ROWS if form == "rows" else split_all_fast(np.array(ROWS)) if form == "split"
+                else np.array(ROWS).astype(form))
     with pytest.raises(TypeError, match=r"pass an \(m, 4\) array"):
         splitter(segments)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32", "float16"])
+def test_rows_of_any_float_that_float64_holds_are_split(dtype):
+    # three segments through (1, 1), each cut once
+    rows = np.array([[2, 0, 0, 2], [0, 0, 2, 2], [0, 1, 2, 1]], dtype=dtype)
+    for splitter in (split_all, split_all_fast):
+        assert len(splitter(rows)) == 6
 
 
 def test_a_split_is_read_not_split_again(monkeypatch):
@@ -241,7 +255,7 @@ def test_a_split_is_read_not_split_again(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a Split was split again")
 
-    monkeypatch.setattr(arrangement, "_split", refuse)
+    monkeypatch.setattr(arrangement, "_hits", refuse)
     assert count_vertices(split) == counts(PolygonSpec(6)).V
     render_svg(split, build_graph(split))
 

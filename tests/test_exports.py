@@ -17,6 +17,17 @@ def test_every_exported_name_resolves():
         assert getattr(polydissect, name) is not None, name
 
 
+def test_the_public_names_are_exactly_these():
+    # adding or removing a public name is a deliberate change to this list
+    assert polydissect.__all__ == [
+        "AmbiguousClustering", "GeometryError", "NumericalDegeneracy", "OrbitMismatch",
+        "SymmetryViolation", "TraversalIncomplete", "DEFAULT_FUZZ", "Split", "PolygonSpec",
+        "base_segments", "CountSummary", "cluster_endpoints", "count_vertices", "counts",
+        "split_all_fast", "FaceRecord", "Faces", "OrbitCensus", "PlanarGraph", "build_graph",
+        "enumerate_faces", "orbit_census", "RenderOptions", "render_svg",
+    ]
+
+
 def test_removed_names_are_gone():
     for module, name in ((polydissect, "GraphArrays"), (planar, "GraphArrays"),
                          (polydissect, "split_at_params"), (geom, "split_at_params"),
@@ -33,6 +44,9 @@ def test_removed_names_are_gone():
                          (geom, "segment_array"), (cli, "_count_range"),
                          (geom, "merge_sorted_runs"), (geom, "group_order"),
                          (planar, "WALK_STEPS"), (planar, "_members"),
+                         (polydissect, "split_all"), (arrangement, "split_all"),
+                         (arrangement, "_cut_tuple"), (arrangement, "_split_tuple"),
+                         (arrangement, "_split"),
                          *((m, name) for m in (polydissect, geom)
                            for name in ("Tolerance", "DEFAULT_TOL")),
                          *((m, name) for m in (polydissect, geom)

@@ -5,12 +5,12 @@ import random
 import numpy as np
 import pytest
 
-from conftest import values_along
+from conftest import _split_tuple, split_all, values_along
 from polydissect import (
-    DEFAULT_FUZZ, PolygonSpec, arrangement, base_segments, counts, split_all, split_all_fast,
+    DEFAULT_FUZZ, PolygonSpec, arrangement, base_segments, counts, split_all_fast,
 )
 from polydissect.arrangement import (
-    _END, _INTERIOR, _MISS, _param_class, _segment_arrays, _solve_pairs, _split_tuple,
+    _END, _INTERIOR, _MISS, _param_class, _segment_arrays, _solve_pairs,
 )
 from polydissect.geom import close_pairs
 
@@ -116,7 +116,7 @@ class TestClassifyParam:
 
 class TestSplitAtParams:
     """The reference splitter's cut of one segment at merged parameters
-    (``arrangement._split_tuple``; rows are x0, y0, x1, y1, length)."""
+    (``conftest._split_tuple``; rows are x0, y0, x1, y1, length)."""
 
     def test_no_cut(self):
         assert _split_tuple(0.0, 0.0, 2.0, 0.0, [], FUZZ) == [(0.0, 0.0, 2.0, 0.0, 2.0)]
