@@ -8,10 +8,11 @@ from .errors import (
     SymmetryViolation,
     TraversalIncomplete,
 )
-from .geom import DEFAULT_FUZZ, Split
 from .polygon import PolygonSpec, base_segments
 from .arrangement import (
+    DEFAULT_FUZZ,
     CountSummary,
+    Split,
     cluster_endpoints,
     count_vertices,
     counts,

@@ -36,12 +36,12 @@ Vertices of the full route are exact: a hit (r, c) links the point of r
 it merged into with the point of c that the other side of the pair,
 (c, r), merged into, and a vertex is a clique of these links (Poonen and
 Rubinstein: the segments through a point, not distances, define it); a
-link between two vertices raises. No 2-D distance decides a vertex; ``geom.close_pairs``
+link between two vertices raises. No 2-D distance decides a vertex; ``close_pairs``
 only guards that no two vertices come closer than 3*fuzz.
 
 A segment is one x0, y0, x1, y1 row of a (k, 4) float array:
 ``base_segments`` feeds the pair kernel, and ``split_all_fast`` turns a
-base array into a ``geom.Split``: the fragment array, a vertex label and
+base array into a ``Split``: the fragment array, a vertex label and
 a heading (the angular rank of its base direction) per fragment end, and
 the (V, 2) vertex array. The graph stages take this ``Split`` and nothing
 else, and ``cluster_endpoints`` hands out its vertices as they are.
@@ -55,24 +55,37 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousClustering, NumericalDegeneracy, SymmetryViolation
-from .geom import DEFAULT_FUZZ, Split, close_pairs
 from .polygon import PolygonSpec, base_corners, base_segments, orbit_representatives
 
 
 @dataclass(frozen=True)
 class CountSummary:
-    """Vertex/edge/face counts plus the rotational decomposition of F."""
+    """V and E of the 2n-gon; F = 1 + E - V inner faces make N*per_ray + central."""
 
     n: int
     V: int
     E: int
-    F: int
-    per_ray: int
-    central: int
 
     @property
     def N(self) -> int:
         return 2 * self.n
+
+    @property
+    def F(self) -> int:
+        return 1 + self.E - self.V
+
+    @property
+    def central(self) -> int:
+        return 1 - self.n % 2
+
+    @property
+    def per_ray(self) -> int:
+        return (self.F - self.central) // self.N
+
+
+# All geometry lies in the closed unit disk, so one absolute distance, a float fuzz
+# in (0, 1e-3), serves for point identity and for the pair kernel's parallelism test.
+DEFAULT_FUZZ = 1e-10
 
 
 def _check_fuzz(fuzz: float) -> None:
@@ -327,7 +340,8 @@ def _hit_points(base: np.ndarray, fuzz: float):
     the point of c that the other side, (c, r), merged into; ``_hits``
     emits the two sides of a pair H apart.
     """
-    row, _, t, t_cls = _hits(_segment_arrays(base), fuzz)
+    row, col, t, t_cls = _hits(_segment_arrays(base), fuzz)
+    del col  # as large as the hits and never read: not kept through the merge
     cut = t_cls == _INTERIOR
     at_end = t > 0.5
     t = t[cut]
@@ -340,6 +354,25 @@ def _hit_points(base: np.ndarray, fuzz: float):
 
     # the hits come in two halves, (r, c) and then (c, r) in the same order
     return owner, along, point, np.roll(point, len(point) // 2)
+
+
+@dataclass(frozen=True, eq=False)
+class Split:
+    """The fragments of a split arrangement with the vertex of each fragment end.
+
+    Fragment k runs from vertex ``labels[2k]`` to vertex ``labels[2k + 1]``;
+    ``points`` holds each vertex's position, and ``heading`` the angular
+    rank of the base direction that leaves each end (forward at p0, back at
+    p1), a small integer. Its length is the number of fragments.
+    """
+
+    frags: np.ndarray    # (E, 4) x0, y0, x1, y1 rows
+    labels: np.ndarray   # (2E,) vertex of each fragment end, p0 then p1
+    points: np.ndarray   # (V, 2) vertex coordinates
+    heading: np.ndarray  # (2E,) direction rank of the half-edge leaving each end
+
+    def __len__(self) -> int:
+        return len(self.frags)
 
 
 def split_all_fast(base: np.ndarray, fuzz: float = DEFAULT_FUZZ) -> Split:
@@ -404,6 +437,41 @@ def split_all_fast(base: np.ndarray, fuzz: float = DEFAULT_FUZZ) -> Split:
     return Split(frags, labels, points, heading)
 
 
+def close_pairs(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of every pair of points with |points[i] - points[j]| <= radius.
+
+    ``points`` is a (k, 2) array of x, y. Each unordered pair comes back
+    once, as (i, j) or (j, i), and no point is paired with itself. The
+    points are bucketed into square cells of side ``radius``, or of side
+    max|coordinate| / 2**30 where that is larger, so that each cell
+    coordinate fits in 31 bits; a cell never smaller than ``radius`` keeps
+    every close pair in neighbouring cells. The points are sorted once by
+    the int64 cell key gx * 2**32 + gy, which sorts by gx and then by gy.
+    So the points after a point in its own cell, with the cell above, form
+    one run of the sorted keys that starts right after it, and the three
+    cells of the next column form a second run; its other neighbour cells
+    find it from their side (the half-neighbourhood self-join of Bentley,
+    Stanat and Williams, 1977).
+    """
+    side = max(radius, float(np.abs(points).max(initial=0.0)) / 2**30)
+    grid = np.floor(points / side).astype(np.int64)
+    keys = (grid[:, 0] << 32) + grid[:, 1]
+    order = np.argsort(keys)
+    keys = keys[order]
+    at = np.arange(len(keys))
+    column = 1 << 32
+    lo = np.concatenate((at + 1, np.searchsorted(keys, keys + (column - 1), "left")))
+    hits = np.concatenate((np.searchsorted(keys, keys + 1, "right"),
+                           np.searchsorted(keys, keys + (column + 1), "right"))) - lo
+    # sorted position of each candidate: lo of its run plus its rank in the run
+    j = order[np.arange(hits.sum()) + np.repeat(lo - (np.cumsum(hits) - hits), hits)]
+    i = order[np.repeat(np.tile(at, 2), hits)]
+    dx = points[i, 0] - points[j, 0]
+    dy = points[i, 1] - points[j, 1]
+    keep = dx * dx + dy * dy <= radius * radius
+    return i[keep], j[keep]
+
+
 def _check_separation(points: np.ndarray, fuzz: float) -> None:
     """AmbiguousClustering when two vertices are closer than 3*fuzz."""
     pitch = 3.0 * fuzz
@@ -419,6 +487,13 @@ def _check_separation(points: np.ndarray, fuzz: float) -> None:
             f" apart, closer than 3*fuzz = {pitch:g}")
 
 
+def _check_split(split: object) -> None:
+    """TypeError unless ``split`` is a ``Split``: the graph stages and render_svg read no other."""
+    if not isinstance(split, Split):
+        raise TypeError(f"the graph stages and render_svg take a Split, not"
+                        f" {type(split).__name__}: pass the Split from split_all_fast")
+
+
 def cluster_endpoints(split: Split) -> tuple[np.ndarray, np.ndarray]:
     """The vertex of each fragment end, and the (V, 2) vertex coordinates.
 
@@ -427,9 +502,7 @@ def cluster_endpoints(split: Split) -> tuple[np.ndarray, np.ndarray]:
     is the one door of ``count_vertices`` and ``planar.build_graph``:
     anything else raises TypeError.
     """
-    if not isinstance(split, Split):
-        raise TypeError(f"the graph stages take a Split, not {type(split).__name__}:"
-                        f" pass the Split from split_all_fast")
+    _check_split(split)
     return split.labels, split.points
 
 
@@ -562,12 +635,10 @@ def counts(spec: PolygonSpec, fuzz: float = DEFAULT_FUZZ) -> CountSummary:
     segments, give V as the sum of c_k / k (Poonen and Rubinstein's
     bookkeeping for concurrent diagonals).
 
-    F = 1 + E - V counts only the faces inside the polygon. Raises
-    ValueError for a fuzz outside (0, 1e-3), NumericalDegeneracy for a
-    fragment shorter than fuzz, and AmbiguousClustering for two distinct
+    Raises ValueError for a fuzz outside (0, 1e-3), NumericalDegeneracy
+    for a fragment shorter than fuzz, AmbiguousClustering for two distinct
     points on one segment closer than 3*fuzz or for incidences c_k that k
-    does not divide. The face total must decompose as N*per_ray + central
-    (central = 1 for even n); otherwise SymmetryViolation is raised.
+    does not divide, and SymmetryViolation unless N divides F - central.
     """
     _check_fuzz(fuzz)
     e, segments, weight, _ = _tally(spec, fuzz)
@@ -581,10 +652,8 @@ def counts(spec: PolygonSpec, fuzz: float = DEFAULT_FUZZ) -> CountSummary:
                 f" one point was resolved differently on different segments")
         v += c // k
 
-    f = 1 + e - v
-    central = 1 if spec.n % 2 == 0 else 0
-    if (f - central) % spec.N != 0:
-        raise SymmetryViolation(
-            f"face count {f} minus central {central} is not a multiple of N={spec.N}")
-    return CountSummary(n=spec.n, V=v, E=e, F=f,
-                        per_ray=(f - central) // spec.N, central=central)
+    summary = CountSummary(n=spec.n, V=v, E=e)
+    if (summary.F - summary.central) % summary.N != 0:
+        raise SymmetryViolation(f"face count {summary.F} minus central {summary.central}"
+                                f" is not a multiple of N={summary.N}")
+    return summary

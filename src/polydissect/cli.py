@@ -17,7 +17,7 @@ from .reference import reference_table
 from .render import RenderOptions, render_svg
 
 MAX_N = 64
-REFERENCE_MAX_N = 39
+REFERENCE_MAX_N = reference_table()[-1].n
 
 # characters of the SVG document encoded and written per call
 WRITE_SLICE = 1 << 22
@@ -44,7 +44,7 @@ def _summary_dict(s: CountSummary) -> dict:
 
 
 def verify(max_n: int) -> VerifyReport:
-    """Recompute n = 2..max_n (ValueError outside 2..39) and diff against the reference."""
+    """Recompute n = 2..max_n and diff against the reference; ValueError beyond its rows."""
     if not 2 <= max_n <= REFERENCE_MAX_N:
         raise ValueError(f"max_n must be in 2..{REFERENCE_MAX_N}, got {max_n!r}")
     reference = {r.n: r for r in reference_table()}
@@ -118,9 +118,9 @@ def cmd_render(n: int, out_path: str, faces: bool, opts: RenderOptions) -> int:
     except OSError as exc:
         print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
         return 4
-    e = len(split)
     v = len(graph.vertices) if graph is not None else count_vertices(split)
-    print(f"{e} edges {v} vertices {1 + e - v} tiles -> {out_path}")
+    s = CountSummary(n=n, V=v, E=len(split))
+    print(f"{s.E} edges {s.V} vertices {s.F} tiles -> {out_path}")
     return 0
 
 

@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguousClustering, OrbitMismatch, TraversalIncomplete
-from .geom import Split
-from .arrangement import cluster_endpoints
+from .arrangement import Split, cluster_endpoints
 
 
 def _min_labels(succ: np.ndarray) -> np.ndarray:
@@ -188,7 +187,7 @@ def enumerate_faces(g: PlanarGraph) -> Faces:
     rings hold integer half-edge ids, every half-edge once, in the ring of
     its origin, there is exactly one outer face, and the faces satisfy
     Euler's formula F = E - V + 2 over the vertices with edges. Valid rings
-    make the successor a permutation: slot, twin and ring predecessor
+    make the successor a permutation: twin, slot and ring predecessor
     composed.
     """
     xy, half = g.vertices, g.ring_half
@@ -215,16 +214,14 @@ def enumerate_faces(g: PlanarGraph) -> Faces:
             f"half-edge {half[stray[0]]} sits in the ring of vertex {ring_of[stray[0]]}")
 
     del ring_of
-    # the successor is the half-edge in the ring slot before its twin's slot;
-    # the half-edge-sized temporaries here and below are dropped once used,
-    # since they, not the result, set the walk's peak memory
-    full = ring_size > 0
-    prev = np.arange(-1, nh - 1)  # the first slot of a ring goes back to its last
-    prev[ring_start[:-1][full]] = ring_start[1:][full] - 1
-    slot = np.empty(nh, dtype=np.int64)
-    slot[half] = np.arange(nh)
-    nxt = half[prev[slot[np.arange(nh) ^ 1]]]
-    del full, prev, slot
+    # the successor is the half-edge in the ring slot before its twin's: slot s
+    # comes before step[s], so the twin of the half-edge in step[s] goes to the
+    # one in s; the half-edge-sized temporaries here and below are dropped once
+    # used, since they, not the result, set the walk's peak memory
+    step = _ring_next(ring_start)
+    nxt = np.empty_like(half)
+    nxt[half[step] ^ 1] = half
+    del step
 
     _, size, cyc = _cycles(nxt)
     del nxt

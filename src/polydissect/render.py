@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import Split
+from .arrangement import Split, _check_split
 from .planar import PlanarGraph, _ring_next, enumerate_faces, orbit_census
 
 FULL_WINDOW = (-1.05, -1.05, 1.05, 1.05)
@@ -305,9 +305,7 @@ def render_svg(
     rotation orbit. A graph with another number of edges than the split
     raises ValueError.
     """
-    if not isinstance(split, Split):
-        raise TypeError(f"render_svg takes a Split, not {type(split).__name__}:"
-                        f" pass the Split from split_all_fast")
+    _check_split(split)
     opts = opts or RenderOptions()
     if graph is not None and len(graph.edges) != len(split):
         raise ValueError(f"the graph has {len(graph.edges)} edges, the split {len(split)}")

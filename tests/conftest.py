@@ -3,10 +3,10 @@ import math
 import numpy as np
 
 from polydissect.arrangement import (
-    _check_rows, _parallel_overlap, _points_along, _rows_along, _runs, _segment_arrays,
+    DEFAULT_FUZZ, Split, _check_rows, _parallel_overlap, _points_along, _rows_along, _runs,
+    _segment_arrays, close_pairs,
 )
 from polydissect.errors import NumericalDegeneracy
-from polydissect.geom import DEFAULT_FUZZ, Split, close_pairs
 from polydissect.planar import enumerate_faces, orbit_census
 
 

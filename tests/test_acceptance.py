@@ -29,7 +29,7 @@ from polydissect import (
     render_svg,
     split_all_fast,
 )
-from polydissect.geom import close_pairs
+from polydissect.arrangement import close_pairs
 from polydissect.reference import reference_table
 
 REFERENCE = {r.n: r for r in reference_table()}

@@ -23,7 +23,7 @@ from polydissect import (
     split_all_fast,
 )
 from polydissect import arrangement
-from polydissect.geom import Split
+from polydissect.arrangement import Split
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 13])

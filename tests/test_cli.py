@@ -88,7 +88,7 @@ class TestCount:
     def test_counts_beyond_the_reference_are_flagged(self, monkeypatch, capsys):
         from polydissect import CountSummary
 
-        fake = CountSummary(n=45, V=1, E=90, F=90, per_ray=1, central=0)
+        fake = CountSummary(n=45, V=1, E=90)
         monkeypatch.setattr(cli, "counts", lambda *a, **k: fake)
         assert main(["count", "--n", "45"]) == 0
         assert "(unverified)" in capsys.readouterr().out

@@ -8,8 +8,8 @@ import pytest
 
 import polydissect
 from polydissect import (
-    FaceRecord, Faces, PlanarGraph, RenderOptions, Split, arrangement, cli, errors, geom, planar,
-    polygon, reference, render)
+    CountSummary, FaceRecord, Faces, PlanarGraph, RenderOptions, Split, arrangement, cli, errors,
+    planar, polygon, reference, render)
 
 
 def test_every_exported_name_resolves():
@@ -30,26 +30,26 @@ def test_the_public_names_are_exactly_these():
 
 def test_removed_names_are_gone():
     for module, name in ((polydissect, "GraphArrays"), (planar, "GraphArrays"),
-                         (polydissect, "split_at_params"), (geom, "split_at_params"),
-                         (polydissect, "point_at"), (geom, "point_at"),
+                         (polydissect, "split_at_params"), (arrangement, "split_at_params"),
+                         (polydissect, "point_at"), (arrangement, "point_at"),
                          (planar, "_point_array"), (render, "_clip_segment"),
                          (render, "_clip_polygon"),
-                         (planar, "close_pairs"), (geom, "merge_runs"),
+                         (planar, "close_pairs"), (arrangement, "merge_runs"),
                          (polydissect, "merge_runs"),
                          (polydissect, "face_vertices"), (planar, "face_vertices"),
                          (polydissect, "MissingGraph"), (errors, "MissingGraph"),
                          (arrangement, "_fragments"), (arrangement, "SplitSegmentSet"),
                          (planar, "_cycle_labels"), (reference, "ReferenceRow"),
                          (polygon, "base_array"), (arrangement, "SegmentSet"),
-                         (geom, "segment_array"), (cli, "_count_range"),
-                         (geom, "merge_sorted_runs"), (geom, "group_order"),
+                         (arrangement, "segment_array"), (cli, "_count_range"),
+                         (arrangement, "merge_sorted_runs"), (arrangement, "group_order"),
                          (planar, "WALK_STEPS"), (planar, "_members"),
                          (polydissect, "split_all"), (arrangement, "split_all"),
                          (arrangement, "_cut_tuple"), (arrangement, "_split_tuple"),
                          (arrangement, "_split"),
-                         *((m, name) for m in (polydissect, geom)
+                         *((m, name) for m in (polydissect, arrangement)
                            for name in ("Tolerance", "DEFAULT_TOL")),
-                         *((m, name) for m in (polydissect, geom)
+                         *((m, name) for m in (polydissect, arrangement)
                            for name in ("intersect", "classify_param", "ParamClass", "Params",
                                         "Point2", "Segment")),
                          *((m, name) for m in (polydissect, polygon)
@@ -61,10 +61,17 @@ def test_removed_names_are_gone():
         assert not hasattr(graph, name), name
     assert not hasattr(RenderOptions(), "color_faces")
     assert list(inspect.signature(polydissect.orbit_census).parameters) == ["faces"]
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("polydissect.geom")
 
 
 def test_a_planar_graph_is_its_three_arrays():
     assert [f.name for f in fields(PlanarGraph)] == ["vertices", "edges", "ring_half"]
+
+
+def test_a_count_summary_stores_only_n_v_and_e():
+    # N, F, per_ray and central are properties derived from these
+    assert [f.name for f in fields(CountSummary)] == ["n", "V", "E"]
 
 
 def test_a_split_is_its_fragments_and_their_vertices():

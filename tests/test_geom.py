@@ -10,9 +10,8 @@ from polydissect import (
     DEFAULT_FUZZ, PolygonSpec, arrangement, base_segments, counts, split_all_fast,
 )
 from polydissect.arrangement import (
-    _END, _INTERIOR, _MISS, _param_class, _segment_arrays, _solve_pairs,
+    _END, _INTERIOR, _MISS, _param_class, _segment_arrays, _solve_pairs, close_pairs,
 )
-from polydissect.geom import close_pairs
 
 FUZZ = 1e-10
 
