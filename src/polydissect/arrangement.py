@@ -17,12 +17,13 @@ There are two routes from the base segments to the counts:
 The two routes share no hit code, so the full route is an independent
 oracle for the orbit route. ``split_all_fast``'s kernel, ``_hits``, solves
 each pair of base segments once, in cache-sized blocks, and returns every
-pair that meets from both sides: each side is one segment, the other and
-the line parameter on the first, classified as interior or end within
-``fuzz``. Only the pairs whose two parameters lie near [0, 1] are
-classified, and parallel pairs are checked for collinear overlap
-(``_parallel_overlap``) and meet where their ends touch. The full route
-keeps the interior hits, so each cut is found once, on the segment it cuts.
+pair that meets from both sides: each side is one segment and the line
+parameter on it, classified as interior or end within ``fuzz``; the other
+segment is the partner side's, half the output away. Only the pairs whose
+two parameters lie near [0, 1] are classified, and parallel pairs are
+checked for collinear overlap (``_parallel_overlap``) and meet where their
+ends touch. The full route keeps the interior hits, so each cut is found
+once, on the segment it cuts.
 ``counts`` reads which chords meet off their corners (``_corner_hits``):
 integers decide every hit and which of each mirror pair is kept, and the
 float solve only places it. One kernel merges the cuts along a segment
@@ -233,12 +234,12 @@ def _hits(arrays: tuple[np.ndarray, ...], fuzz: float):
 
     Solves each unordered pair once with ``_solve_pairs``: the rows [lo, hi)
     against the columns [lo, m), in blocks of about ``_BLOCK_PAIRS`` pairs,
-    keeping the pairs (r, c) with c > r. Returns the row, the column, the
-    parameter on the row and its class of every side of a pair whose two
-    parameters are both not _MISS, in two halves of length H: first each
-    pair (r, c) with ``t`` in row-major order, then each (c, r) with ``u`` in
-    the same order. The partner of side i, the same pair seen from the
-    other segment, is side i + H or i - H.
+    keeping the pairs (r, c) with c > r. Returns the row, the parameter on
+    the row and its class of every side of a pair whose two parameters are
+    both not _MISS, in two halves of length H: first each pair (r, c) with
+    ``t`` in row-major order, then each (c, r) with ``u`` in the same order.
+    The partner of side i, the same pair seen from the other segment, is
+    side i + H or i - H, so the column of side i is ``np.roll(row, H)[i]``.
     """
     m = len(arrays[0])
     pairs = []
@@ -252,8 +253,7 @@ def _hits(arrays: tuple[np.ndarray, ...], fuzz: float):
         pairs.append((lo + r[keep], lo + c[keep], t[keep], t_cls[keep], u[keep], u_cls[keep]))
         lo = hi
     row, col, t, t_cls, u, u_cls = (np.concatenate(a) for a in zip(*pairs))
-    return (np.concatenate((row, col)), np.concatenate((col, row)),
-            np.concatenate((t, u)), np.concatenate((t_cls, u_cls)))
+    return np.concatenate((row, col)), np.concatenate((t, u)), np.concatenate((t_cls, u_cls))
 
 
 # the padding of the merge grid's rows: finite, so that padding minus padding is 0, not NaN
@@ -340,8 +340,7 @@ def _hit_points(base: np.ndarray, fuzz: float):
     the point of c that the other side, (c, r), merged into; ``_hits``
     emits the two sides of a pair H apart.
     """
-    row, col, t, t_cls = _hits(_segment_arrays(base), fuzz)
-    del col  # as large as the hits and never read: not kept through the merge
+    row, t, t_cls = _hits(_segment_arrays(base), fuzz)
     cut = t_cls == _INTERIOR
     at_end = t > 0.5
     t = t[cut]

@@ -105,11 +105,14 @@ class PlanarGraph:
 
 @dataclass(frozen=True)
 class FaceRecord:
-    """One face cycle: its half-edges, signed area and orientation."""
+    """One face cycle: its half-edges and signed area; the outer face's is negative."""
 
     boundary: tuple[int, ...]
     signed_area: float
-    is_outer: bool
+
+    @property
+    def is_outer(self) -> bool:
+        return self.signed_area < 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,19 +133,25 @@ class Faces(Sequence):
 
     def __getitem__(self, i: int) -> FaceRecord:
         i = range(len(self))[operator.index(i)]
-        area = float(self.signed_area[i])
         return FaceRecord(tuple(self.cycle[self.start[i]:self.start[i + 1]].tolist()),
-                          area, area < 0.0)
+                          float(self.signed_area[i]))
 
 
 @dataclass(frozen=True, eq=False)
 class OrbitCensus:
-    """Partition of the inner faces into orbits under rotation by 2pi/N."""
+    """Partition of the inner faces into orbits under rotation by 2pi/N, each
+    of size N (``per_ray`` of them) or 1 (``central``), as ``orbit_census`` checks."""
 
-    per_ray: int
-    central: int
-    orbit_sizes: tuple[int, ...]
+    orbit_sizes: tuple[int, ...]  # in increasing order
     face_orbits: np.ndarray  # orbit id per input face, -1 for the outer face
+
+    @property
+    def central(self) -> int:
+        return self.orbit_sizes.count(1)
+
+    @property
+    def per_ray(self) -> int:
+        return len(self.orbit_sizes) - self.central
 
 
 def build_graph(split: Split) -> PlanarGraph:
@@ -342,9 +351,4 @@ def orbit_census(faces: Faces) -> OrbitCensus:
     bad = sizes[(sizes != 1) & (sizes != N)]
     if len(bad):
         raise OrbitMismatch(f"orbit sizes {bad.tolist()} are neither 1 nor N={N}")
-    return OrbitCensus(
-        per_ray=int(np.count_nonzero(sizes == N)),
-        central=int(np.count_nonzero(sizes == 1)),
-        orbit_sizes=tuple(np.sort(sizes).tolist()),
-        face_orbits=face_orbits,
-    )
+    return OrbitCensus(tuple(np.sort(sizes).tolist()), face_orbits)

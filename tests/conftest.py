@@ -3,7 +3,7 @@ import math
 import numpy as np
 
 from polydissect.arrangement import (
-    DEFAULT_FUZZ, Split, _check_rows, _parallel_overlap, _points_along, _rows_along, _runs,
+    DEFAULT_FUZZ, Split, _check_rows, _hits, _parallel_overlap, _points_along, _rows_along, _runs,
     _segment_arrays, close_pairs,
 )
 from polydissect.errors import NumericalDegeneracy
@@ -33,6 +33,12 @@ def dense_classes(arrays, rows, fuzz):
         return interior * np.int8(2) + end * np.int8(1)
 
     return t, classes(t), classes(u)
+
+
+def sided_hits(arrays, fuzz=DEFAULT_FUZZ):
+    """``_hits`` with the column of each side: the row of its partner, H sides away."""
+    row, t, t_cls = _hits(arrays, fuzz)
+    return row, np.roll(row, len(row) // 2), t, t_cls
 
 
 def merge_runs_loop(params, fuzz):

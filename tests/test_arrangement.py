@@ -7,7 +7,7 @@ import pytest
 
 from conftest import (
     assert_merge_follows_the_loop, crossing_free, dense_classes, float_clusters, frags_of, lengths,
-    lies_on, rotate_segments, shuffled_rows, split_all, values_along,
+    lies_on, rotate_segments, shuffled_rows, sided_hits, split_all, values_along,
 )
 from polydissect import (
     DEFAULT_FUZZ,
@@ -185,7 +185,7 @@ def test_a_near_parallel_touch_meets_at_the_ends_from_both_sides(reverse):
     # the parallel test sees the pair in both row orders; it meets at t = 0
     # on the first row and t = 1 on the second, whichever comes first
     base = np.array(NEAR_PARALLEL_TOUCH[::-1] if reverse else NEAR_PARALLEL_TOUCH)
-    row, col, t, t_cls = _hits(_segment_arrays(base), DEFAULT_FUZZ)
+    row, col, t, t_cls = sided_hits(_segment_arrays(base), DEFAULT_FUZZ)
     first = 1 if reverse else 0
     assert sorted(zip(row.tolist(), col.tolist(), t.tolist())) == sorted(
         [(first, 1 - first, 0.0), (1 - first, first, 1.0)])
@@ -210,7 +210,7 @@ def dense_hits(arrays, rows, fuzz):
 
 
 def row_major(hits):
-    """The (row, col, t, class) arrays of ``_hits`` sorted by row and then by column."""
+    """The (row, col, t, class) arrays of ``sided_hits`` sorted by row and then by column."""
     row, col = hits[:2]
     order = np.lexsort((col, row))
     return tuple(a[order] for a in hits)
@@ -220,7 +220,7 @@ def assert_hits_match_the_dense_reference(base, fuzz=DEFAULT_FUZZ):
     # _hits emits each pair from both sides in two halves; in row-major
     # order its sides are the dense block's hits, bit for bit
     arrays = _segment_arrays(base)
-    got = row_major(_hits(arrays, fuzz))
+    got = row_major(sided_hits(arrays, fuzz))
     expected = dense_hits(arrays, np.arange(len(base)), fuzz)
     for a, b in zip(got, expected):
         assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -232,6 +232,21 @@ def assert_hits_match_the_dense_reference(base, fuzz=DEFAULT_FUZZ):
 def test_hits_match_a_dense_classification_on_the_polygon(n, block, monkeypatch):
     monkeypatch.setattr(arrangement, "_BLOCK_PAIRS", block)
     assert_hits_match_the_dense_reference(base_segments(PolygonSpec(n)))
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_the_column_of_a_side_is_the_row_of_its_partner(n):
+    # _hits returns no column: the other segment of side i is the row of
+    # side i + H (first half) or i - H (second half), and in row-major order
+    # these are the columns of the dense block's hits
+    arrays = _segment_arrays(base_segments(PolygonSpec(n)))
+    row, t, _ = _hits(arrays, DEFAULT_FUZZ)
+    half = len(row) // 2
+    partner_row = np.concatenate((row[half:], row[:half]))
+    order = np.lexsort((partner_row, row))
+    r, c, dense_t, _ = dense_hits(arrays, np.arange(len(arrays[0])), DEFAULT_FUZZ)
+    assert np.array_equal(row[order], r) and np.array_equal(partner_row[order], c)
+    assert t[order].tobytes() == dense_t.tobytes()
 
 
 def test_hits_match_a_dense_classification_at_the_fuzz_bands():
@@ -280,7 +295,7 @@ def assert_corner_hits_match_the_pair_solve(n):
     m = len(corners)
     arrays = _segment_arrays(base_segments(spec))
     rows = np.array(orbit_representatives(spec))[:, 0]
-    row, col, t, _ = row_major(_hits(arrays, DEFAULT_FUZZ))
+    row, col, t, _ = row_major(sided_hits(arrays, DEFAULT_FUZZ))
     on_rep = np.flatnonzero(np.isin(row, rows))
     key, t = row[on_rep] * m + col[on_rep], t[on_rep]
     at, got_col, got_t = _corner_hits(corners, arrays, rows)
@@ -313,7 +328,7 @@ def assert_merge_follows_the_loop_on_the_representatives(n):
     spec = PolygonSpec(n)
     arrays = _segment_arrays(base_segments(spec))
     reps = np.array(orbit_representatives(spec))
-    row, _, t, _ = _hits(arrays, DEFAULT_FUZZ)
+    row, t, _ = _hits(arrays, DEFAULT_FUZZ)
     on_rep = np.isin(row, reps[:, 0])
     assert_merge_follows_the_loop(np.searchsorted(reps[:, 0], row[on_rep]), t[on_rep], len(reps))
     rep, _, t = _corner_hits(polygon.base_corners(spec), arrays, reps[:, 0])
@@ -338,7 +353,7 @@ def test_points_along_follow_the_loop_on_the_full_route(n):
     # the full route's interior hits in _hits' order, both halves, and the
     # point each one merged into
     base = base_segments(PolygonSpec(n))
-    row, _, t, t_cls = _hits(_segment_arrays(base), DEFAULT_FUZZ)
+    row, t, t_cls = _hits(_segment_arrays(base), DEFAULT_FUZZ)
     cut = t_cls == _INTERIOR
     assert_merge_follows_the_loop(row[cut], t[cut], len(base))
 
@@ -601,7 +616,7 @@ class TestVertexIdentity:
     def test_a_pair_meets_exactly_when_its_partner_does(self, n):
         base = base_segments(PolygonSpec(n))
         m = len(base)
-        row, col, t, _ = _hits(_segment_arrays(base), DEFAULT_FUZZ)
+        row, col, t, _ = sided_hits(_segment_arrays(base), DEFAULT_FUZZ)
         half = len(row) // 2
         # two halves: each pair (r, c) with r < c in row-major order, then
         # the same pairs as (c, r); side i's partner is side i + H or i - H
@@ -664,7 +679,7 @@ class TestVertexIdentity:
         base = np.array(rows)
         split = split_all_fast(base)
         assert split.labels.tolist() == labels
-        row, col, t, t_cls = _hits(_segment_arrays(base), DEFAULT_FUZZ)
+        row, col, t, t_cls = sided_hits(_segment_arrays(base), DEFAULT_FUZZ)
         assert sorted(zip(row.tolist(), col.tolist())) == sorted(zip(col.tolist(), row.tolist()))
         assert set(t.tolist()) <= {0.0, 1.0} and np.all(t_cls == arrangement._END)
 

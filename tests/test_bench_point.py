@@ -62,11 +62,13 @@ def test_the_paired_mode_alternates_the_two_trees_run_for_run(tmp_path, monkeypa
     init.write_text(init.read_text(encoding="utf-8") + "# uncommitted\n", encoding="utf-8")
 
     timed = []  # the src/ of every run, and whether it holds the uncommitted line
+    registered = []  # whether .git/worktrees exists while each run goes
     run_once = bench_point.run_once
 
     def recording(src, argv):
         text = (src / "polydissect" / "__init__.py").read_text(encoding="utf-8")
         timed.append((src, text.endswith("# uncommitted\n")))
+        registered.append((root / ".git" / "worktrees").exists())
         return run_once(src, argv)
 
     monkeypatch.setattr(bench_point, "run_once", recording)
@@ -92,7 +94,8 @@ def test_the_paired_mode_alternates_the_two_trees_run_for_run(tmp_path, monkeypa
     assert 0 <= pair["head_faster_rounds"] <= 2 and pair["min_ratio"] > 0
     # the head's runs import a copy of its src/ with the uncommitted change;
     # both trees come from src/ paths of one length in one temporary
-    # directory, which is gone again, with the worktree
+    # directory, which is gone again; REF was exported, so no worktree is
+    # registered under .git, not even while the runs go
     sides = [o["side"] for o in point["order"]]
     assert [dirty for _, dirty in timed] == [side == "head" for side in sides]
     (head,), (base,) = ({src for (src, _), s in zip(timed, sides) if s == side}
@@ -100,3 +103,4 @@ def test_the_paired_mode_alternates_the_two_trees_run_for_run(tmp_path, monkeypa
     assert head != base and len(str(head)) == len(str(base))
     assert head.parent.parent == base.parent.parent and not head.parent.parent.exists()
     assert len(git(root, "worktree", "list").splitlines()) == 1
+    assert not any(registered) and not (root / ".git" / "worktrees").exists()

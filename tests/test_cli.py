@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -245,6 +246,41 @@ def test_a_usage_error_exits_2_and_writes_nothing(argv, message, tmp_path, capsy
     assert err.value.code == 2
     assert message in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+# SHA-256 of the standard output of each command, with verify's times
+# blanked; "doctored" verifies against a reference whose n = 4 row expects
+# one more tile, and exits 5
+OUTPUT_DIGESTS = [
+    (["table", "--max-n", "39", "--format", "text"], False, 0,
+     "17531a1112aab7e94a2ca6b36c41fe700076ca2a9a9b0a320ed2964c9b0f0e9b"),
+    (["table", "--max-n", "39", "--format", "csv"], False, 0,
+     "18cc60f2fce1c99bb57a549a31551db09b681c1551267240261b6cce1401364e"),
+    (["table", "--max-n", "39", "--format", "json"], False, 0,
+     "8c836ceb30317173c6adbd801242efc774b54719889349ede59a1b5a3773cd08"),
+    (["count", "--n", "39"], False, 0,
+     "4f29ef34738621a4002a48dc019d21458af8b94dbf72a130cada2e669a39e541"),
+    (["count", "--n", "39", "--json"], False, 0,
+     "490e5fc6663beea19778e954545433ecacca37574460196efb35f6dcd6c37457"),
+    (["verify", "--max-n", "39"], False, 0,
+     "a57bc91a5dd5d707b1414a18cde9f6d1a5726264667ea198f4f7f092e33a9aa3"),
+    (["verify", "--max-n", "39"], True, 5,
+     "7325e3946396966a60464a0b63632131fdc8022a42aa11ca5c33878497e9c772"),
+]
+
+
+@pytest.mark.parametrize("argv,doctored,status,digest", OUTPUT_DIGESTS,
+                         ids=["table-text", "table-csv", "table-json", "count", "count-json",
+                              "verify", "verify-doctored"])
+def test_the_output_is_pinned_byte_for_byte(argv, doctored, status, digest, monkeypatch,
+                                            capsys):
+    if doctored:
+        rows = list(reference._REFERENCE_F_E)
+        rows[2] = (26, 48)
+        monkeypatch.setattr(reference, "_REFERENCE_F_E", rows)
+    assert main(argv) == status
+    out = re.sub(r"\(\d+\.\d\ds\)", "(s)", capsys.readouterr().out)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def _count_parsers(monkeypatch) -> list:

@@ -8,8 +8,8 @@ import pytest
 
 import polydissect
 from polydissect import (
-    CountSummary, FaceRecord, Faces, PlanarGraph, RenderOptions, Split, arrangement, cli, errors,
-    planar, polygon, reference, render)
+    CountSummary, FaceRecord, Faces, OrbitCensus, PlanarGraph, RenderOptions, Split, arrangement,
+    cli, errors, planar, polygon, reference, render)
 
 
 def test_every_exported_name_resolves():
@@ -83,7 +83,22 @@ def test_faces_are_their_three_arrays():
 
 
 def test_a_face_record_is_its_boundary_area_and_side():
-    assert [f.name for f in fields(FaceRecord)] == ["boundary", "signed_area", "is_outer"]
+    # the side is a property: the outer face is the one of negative area
+    assert [f.name for f in fields(FaceRecord)] == ["boundary", "signed_area"]
+    assert FaceRecord((0, 2), -1.0).is_outer and not FaceRecord((0, 2), 1.0).is_outer
+
+
+def test_an_orbit_census_stores_only_its_orbit_sizes_and_face_orbits():
+    # per_ray and central are properties read off the sizes, each N or 1
+    assert [f.name for f in fields(OrbitCensus)] == ["orbit_sizes", "face_orbits"]
+    census = OrbitCensus((1, 8, 8), None)
+    assert (census.per_ray, census.central) == (2, 1)
+
+
+def test_a_verify_report_stores_only_the_rows_and_their_counts_and_times():
+    # n is the computed summary's, and whether a row matches is a comparison
+    assert [f.name for f in fields(cli.VerifyRow)] == ["computed", "reference", "elapsed"]
+    assert [f.name for f in fields(cli.VerifyReport)] == ["rows"]
 
 
 def test_render_options_are_what_the_cli_sets():

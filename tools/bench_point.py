@@ -35,20 +35,22 @@ root of the checkout holding this file. The exit status is 1 when any run
 failed, else 0.
 
 With ``--against REF`` the point is a pair. In one temporary directory
-(removed afterwards), REF of the repository at ``--root`` is checked out
-with ``git worktree`` as ``base`` and the root's ``src/``, uncommitted
-changes included, is copied to ``head/src``: a fresh interpreter's time
-follows the length of the path it imports from, so both trees are timed
-from paths of one length. Both trees' ``src/`` are compiled, and each run
-of a command on one tree is followed by the same run on the other, the
-tree that goes first swapping from round to round. The point then holds a
-``"head"`` and an ``"against"`` side, each with its commit, ``"bytecode"``
-and the ``"commands"`` entries above, the ``"order"`` in which the runs
-went, and per command (``"compare"``) the ratio head / against of the
-minimums and of the medians and the number of rounds in which the head
-was faster. Two trees timed in one session this way can be compared;
-points from different sessions cannot. The exit status is 1 when a run of
-the head failed; the failures of the other side are only recorded.
+(removed afterwards), the ``src/`` of REF of the repository at ``--root``
+is exported to ``base/src`` with ``git archive`` (so nothing is written
+under ``.git``, and a killed run leaves no checkout registered there) and
+the root's ``src/``, uncommitted changes included, is copied to
+``head/src``: a fresh interpreter's time follows the length of the path it
+imports from, so both trees are timed from paths of one length. Both
+trees' ``src/`` are compiled, and each run of a command on one tree is
+followed by the same run on the other, the tree that goes first swapping
+from round to round. The point then holds a ``"head"`` and an
+``"against"`` side, each with its commit, ``"bytecode"`` and the
+``"commands"`` entries above, the ``"order"`` in which the runs went, and
+per command (``"compare"``) the ratio head / against of the minimums and
+of the medians and the number of rounds in which the head was faster.
+Two trees timed in one session this way can be compared; points from
+different sessions cannot. The exit status is 1 when a run of the head
+failed; the failures of the other side are only recorded.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 from pathlib import Path
@@ -161,23 +164,34 @@ def compare(head: dict, against: dict) -> dict:
             for name, h in head.items()}
 
 
+def export_src(root: Path, ref: str, dest: Path) -> str:
+    """Write the ``src/`` of ``ref`` of the repository at ``root`` to ``dest/src``;
+    the commit of ``ref``."""
+    def git(*argv):
+        return subprocess.run(["git", "-C", str(root), *argv], capture_output=True, text=True,
+                              check=True).stdout.strip()
+
+    commit = git("rev-parse", "--verify", f"{ref}^{{commit}}")
+    dest.mkdir()
+    archive = dest / "src.tar"
+    git("archive", "--format=tar", f"--output={archive}", commit, "src")
+    with tarfile.open(archive) as tar:
+        tar.extractall(dest, filter="data")
+    archive.unlink()
+    return commit
+
+
 def paired_point(root: Path, ref: str) -> dict:
     """Time ``root`` against ``ref`` of its repository, from paths of one length."""
     with tempfile.TemporaryDirectory() as tmp:
         head, other = Path(tmp) / "head", Path(tmp) / "base"
         shutil.copytree(root / "src", head / "src",
                         ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
-        subprocess.run(["git", "-C", str(root), "worktree", "add", "--detach", str(other), ref],
-                       capture_output=True, text=True, check=True)
-        try:
-            sides = {"head": {"commit": git_commit(root)},
-                     "against": {"ref": ref, "commit": git_commit(other)}}
-            for side, path in (("head", head), ("against", other)):
-                sides[side]["bytecode"] = compile_bytecode(path / "src")
-            results, order = measure({"head": head, "against": other})
-        finally:
-            subprocess.run(["git", "-C", str(root), "worktree", "remove", "--force", str(other)],
-                           capture_output=True, check=False)
+        sides = {"head": {"commit": git_commit(root)},
+                 "against": {"ref": ref, "commit": export_src(root, ref, other)}}
+        for side, path in (("head", head), ("against", other)):
+            sides[side]["bytecode"] = compile_bytecode(path / "src")
+        results, order = measure({"head": head, "against": other})
     for side in sides:
         sides[side]["commands"] = results[side]
     return {**sides, "order": order,
@@ -207,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             point = {"label": args.label, **env, **paired_point(root, args.against)}
         except subprocess.CalledProcessError as err:
-            parser.error(f"cannot check out {args.against}: {err.stderr.strip()}")
+            parser.error(f"cannot export {args.against}: {err.stderr.strip()}")
         head = point["head"]["commands"]
     out = REPO / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(point, indent=2) + "\n", encoding="utf-8")
